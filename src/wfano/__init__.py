@@ -20,6 +20,7 @@ from .membership import (
     is_linear_cone,
     membership_report,
     quasismooth_general,
+    rejection,
 )
 from .singular import (
     QuotientSingularity,
@@ -77,6 +78,7 @@ __all__ = [
     "is_linear_cone",
     "membership_report",
     "quasismooth_general",
+    "rejection",
     "QuotientSingularity",
     "SingularityBasket",
     "reid_tai_terminal",

@@ -1,9 +1,23 @@
 """Bounded search reproducing the classification, plus catalog persistence.
 
-The septuple search enumerates sorted weight tuples within bounds and filters
-by: not a linear cone, ambient and hypersurface well-formedness, general-member
-quasismoothness, and terminality of the general member.  With the default
-bounds it returns 95 families of index 1 and 130 in total.
+The search derives its candidates from the vertex conditions instead of
+walking every weight tuple and index.  By Iano-Fletcher, *Working with
+weighted complete intersections* (2000), Thm 8.1, the general X_d in
+P(a1, ..., a5) is quasismooth only if for every i some monomial x_i^m or
+x_i^m * x_j has degree d.  The Fano index is at least 1, so d < 5*a5: the a5
+condition makes d = k*a5 + c with 1 <= k <= 4 and c in {0, a1, a2, a3, a4},
+and the a4 condition asks a4 to divide d - e for some e in {0, a1, a2, a3,
+a5}.  For each a1 <= a2 <= a3, ``_top_pairs`` solves both for (a4, a5, d) in
+closed form: residue classes of a5 when k = 1, divisors of a few small
+integers when k >= 2.  A congruence test for the a3 vertex follows.  The
+candidates that pass the vertex checks are exactly those an exhaustive walk
+over the box would find, each once.
+
+Every candidate then goes through the predicate chain
+``membership.rejection``: linear cone, vertex coverage, ambient and
+hypersurface well-formedness, terminality of the general member, and
+quasismoothness.  With the default bounds the search returns 95 families of
+index 1 and 130 in total.
 """
 
 from __future__ import annotations
@@ -11,10 +25,9 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .membership import MembershipReport, membership_report
+from .membership import MembershipReport, membership_report, rejection
 from .singular import SingularityBasket, singular_points_general, terminal_general
 from .wspace import WeightSystem
 
@@ -91,47 +104,117 @@ class FamilyRecord:
         }
 
 
-def _candidate_passes(a: tuple[int, ...], d: int) -> bool:
-    """Full predicate conjunction, ordered cheap-first.  Exact same verdict as
-    evaluating the five public predicates independently."""
-    if d in a:
-        return False  # linear cone
-    # vertex coverage is necessary for quasismoothness and kills most tuples
-    for i in range(5):
-        ai = a[i]
-        if d % ai == 0:
-            continue
-        for j in range(5):
-            if j != i:
-                r = d - a[j]
-                if r >= ai and r % ai == 0:
-                    break
-        else:
-            return False
-    for i in range(5):
-        g = 0
-        for j in range(5):
-            if j != i:
-                g = gcd(g, a[j])
-        if g != 1:
-            return False
-    ws = WeightSystem(a, d)
-    from .membership import hypersurface_well_formed, quasismooth_general
-
-    if not hypersurface_well_formed(ws):
-        return False
-    if not terminal_general(ws, _checked=True):
-        return False
-    return quasismooth_general(ws)[0]
+def _dividing(lo: int, hi: int, values: Sequence[int], divisors: list[list[int]]) -> Iterable[int]:
+    """The integers in [lo, hi] that divide one of values (all of them if a
+    value is 0); divisors[n] lists the divisors of n in descending order."""
+    if 0 in values:
+        return range(lo, hi + 1)
+    found = set()
+    for v in values:
+        for m in divisors[abs(v)]:
+            if m < lo:
+                break
+            if m <= hi:
+                found.add(m)
+    return found
 
 
-def _search_chunk(args: tuple[int, int, SearchBounds]) -> list[tuple[tuple[int, ...], int]]:
-    """All passing (weights, d) with a1 in [lo, hi)."""
-    lo, hi, bounds = args
+def _in_classes(first: int, last: int, m: int, classes: Iterable[int]) -> Iterator[int]:
+    """The integers in [first, last] whose residue mod m lies in classes."""
+    for r in classes:
+        yield from range(first + (r - first) % m, last + 1, m)
+
+
+def _top_pairs(
+    a1: int, a2: int, a3: int, bounds: SearchBounds, divisors: list[list[int]]
+) -> Iterator[tuple[int, int, int]]:
+    """Each (a4, a5, d) in bounds with a3 <= a4 <= a5 that the vertex
+    conditions of a5 and a4 allow, exactly once.
+
+    The a5 vertex puts d = k*a5 + c with 1 <= k <= 4 and c < a5 one of 0, a1,
+    a2, a3, a4 (d < 5*a5 since the index is positive; c = a5 would be
+    (k+1)*a5 + 0).  The a4 vertex needs a4 | d - e for some e in 0, a1, a2,
+    a3, a5.  Each branch below solves both for one shape of (k, c).
+    """
     max_w, max_d = bounds.max_weight, bounds.max_degree
     imin, imax = bounds.index_range
-    max_sum = max_d + imax
-    found: list[tuple[tuple[int, ...], int]] = []
+    s3 = a1 + a2 + a3
+    low = (0, a1, a2, a3)
+
+    # k = 1, c = a4 < a5: the index is s3 and x4*x5 covers the a4 vertex, so
+    # only the a3 vertex restricts a5, to a few classes mod a3
+    if imin <= s3 <= imax:
+        for a4 in range(a3, max_w):
+            if a4 % a3 == 0:
+                a5s = range(a4 + 1, min(max_w, max_d - a4) + 1)
+            else:
+                classes = {(e - a4) % a3 for e in (0, a1, a2, a4)}
+                a5s = _in_classes(a4 + 1, min(max_w, max_d - a4), a3, classes)
+            for a5 in a5s:
+                yield a4, a5, a5 + a4
+
+    for c in set(low):
+        lo4 = max(a3, c + 1)
+        # k = 1, 0 < c < a4: the index s3 + a4 - c fixes a4, and the a4
+        # vertex puts a5 in the classes of e - c mod a4
+        if c:
+            for index in range(max(imin, s3 + 1), imax + 1):
+                a4 = index - s3 + c
+                if a4 > max_w:
+                    break
+                if a4 >= a3:
+                    classes = {(e - c) % a4 for e in low}
+                    for a5 in _in_classes(a4, min(max_w, max_d - c), a4, classes):
+                        yield a4, a5, a5 + c
+        # k >= 2, c < a4: with a5 = a4 + delta the index is
+        # s3 - c - (k-1)*delta - (k-2)*a4, and a4 divides k*delta + c - e
+        # (e < a4) or (k-1)*delta + c (e = a5)
+        for k in (2, 3, 4):
+            # below this delta the index would exceed imax for every a4 <= max_w
+            first = max(0, s3 - c - imax - (k - 2) * max_w)
+            for delta in range(first, max_w - lo4 + 1):
+                rest = s3 - c - (k - 1) * delta
+                if k == 2:
+                    if rest < imin:
+                        break
+                    lo, hi = lo4, max_w
+                else:
+                    lo = max(lo4, -(-(rest - imax) // (k - 2)))
+                    hi = (rest - imin) // (k - 2)
+                hi = min(hi, max_w - delta, (max_d - c) // k - delta)
+                if hi < lo4:
+                    break
+                if lo > hi:
+                    continue
+                values = [k * delta + c - e for e in low] + [(k - 1) * delta + c]
+                for a4 in _dividing(lo, hi, values, divisors):
+                    yield a4, a4 + delta, k * (a4 + delta) + c
+
+    # k >= 2, c = a4 < a5: the index s3 - (k-1)*a5 fixes a5, and a4 divides
+    # k*a5 - e (e < a4) or (k-1)*a5 (e = a5)
+    for k in (2, 3, 4):
+        for index in range(imin, imax + 1):
+            a5, r = divmod(s3 - index, k - 1)
+            if a5 <= a3:
+                break
+            if r or a5 > max_w or k * a5 + a3 > max_d:
+                continue
+            values = [k * a5 - e for e in low] + [(k - 1) * a5]
+            for a4 in _dividing(a3, min(a5 - 1, max_d - k * a5), values, divisors):
+                yield a4, a5, k * a5 + a4
+
+
+def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each (weights, d) with a1 in [lo, hi) whose a5, a4 and a3 vertices can
+    be covered, exactly once; a superset of the accepted families."""
+    max_w, max_d = bounds.max_weight, bounds.max_degree
+    max_sum = max_d + bounds.index_range[1]
+    # every divisibility test in _top_pairs is on an integer of size <= max(max_d, max_w)
+    size = max(max_d, max_w) + 1
+    divisors: list[list[int]] = [[] for _ in range(size)]
+    for m in range(size - 1, 0, -1):
+        for n in range(m, size, m):
+            divisors[n].append(m)
     for a1 in range(lo, hi):
         if 5 * a1 > max_sum:
             break
@@ -141,22 +224,22 @@ def _search_chunk(args: tuple[int, int, SearchBounds]) -> list[tuple[tuple[int, 
             for a3 in range(a2, max_w + 1):
                 if a1 + a2 + 3 * a3 > max_sum:
                     break
-                for a4 in range(a3, max_w + 1):
-                    s4 = a1 + a2 + a3 + 2 * a4
-                    if s4 > max_sum:
-                        break
-                    for a5 in range(a4, max_w + 1):
-                        s = a1 + a2 + a3 + a4 + a5
-                        if s > max_sum:
-                            break
-                        a = (a1, a2, a3, a4, a5)
-                        for index in range(imin, imax + 1):
-                            d = s - index
-                            if d < 2 or d > max_d:
-                                continue
-                            if _candidate_passes(a, d):
-                                found.append((a, d))
-    return found
+                for a4, a5, d in _top_pairs(a1, a2, a3, bounds, divisors):
+                    # the a3 vertex needs a3 | d - e for an e in 0, a1, a2, a4, a5;
+                    # most pairs fail it, so test it before building a tuple
+                    if d % a3 and (d - a1) % a3 and (d - a2) % a3 and (d - a4) % a3 and (d - a5) % a3:
+                        continue
+                    yield (a1, a2, a3, a4, a5), d
+
+
+def _search_chunk(args: tuple[int, int, SearchBounds]) -> list[tuple[tuple[int, ...], int]]:
+    """All accepted (weights, d) with a1 in [lo, hi)."""
+    lo, hi, bounds = args
+    return [
+        (a, d)
+        for a, d in _candidates(lo, hi, bounds)
+        if rejection(a, d, terminal_general) is None
+    ]
 
 
 def classify(bounds: SearchBounds | None = None, jobs: int = 1) -> list[FamilyRecord]:
@@ -182,7 +265,7 @@ def classify(bounds: SearchBounds | None = None, jobs: int = 1) -> list[FamilyRe
         rec = FamilyRecord(
             ws=ws,
             membership=membership_report(ws),
-            basket=singular_points_general(ws, _checked=True),
+            basket=singular_points_general(ws),
             paper_number=FAMILY_LABELS.get(ws.septuple),
         )
         records.append(rec)
@@ -227,8 +310,10 @@ def save_catalog(records: Sequence[FamilyRecord], path: str) -> None:
 def load_catalog(path: str) -> list[FamilyRecord]:
     """Load and revalidate a catalog file.
 
-    Records are rebuilt from their septuples (membership and basket are
-    recomputed) so a loaded catalog is structurally identical to a fresh one.
+    Every septuple must pass the search's predicate chain again, terminality
+    included; records are rebuilt from their septuples (membership and basket
+    are recomputed) so a loaded catalog is structurally identical to a fresh
+    one.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -241,11 +326,14 @@ def load_catalog(path: str) -> list[FamilyRecord]:
         ws = WeightSystem(sept[:5], sept[5])
         if ws.index != sept[6]:
             raise ValueError(f"load_catalog: inconsistent septuple {sept}")
+        reason = rejection(ws.weights, ws.degree, terminal_general)
+        if reason is not None:
+            raise ValueError(f"load_catalog: {sept} fails {reason}")
         records.append(
             FamilyRecord(
                 ws=ws,
                 membership=membership_report(ws),
-                basket=singular_points_general(ws, _checked=True),
+                basket=singular_points_general(ws),
                 paper_number=entry.get("paperNumber"),
             )
         )

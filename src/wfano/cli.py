@@ -13,12 +13,16 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import catalog as cat
 from . import irrational, symalg, symmetry
-from .membership import membership_report
-from .singular import format_non_isolated, singular_points_general
+from .membership import membership_report, rejection
+from .singular import (
+    format_non_isolated,
+    reid_tai_terminal,
+    singular_points_general,
+    terminal_general,
+)
 from .wspace import (
     WeightSystem,
     enumerate_monomials,
@@ -81,13 +85,11 @@ def cmd_monomials(args) -> None:
 
 
 def cmd_check(args) -> None:
-    from .singular import reid_tai_terminal
-
     ws = _ws_from_args(args)
     report = membership_report(ws)
     payload = {"septuple": list(ws.septuple), **report.to_dict()}
     if report.accepted:
-        basket = singular_points_general(ws, _checked=True)
+        basket = singular_points_general(ws)
         payload["basket"] = basket.to_strings()
         payload["nonIsolated"] = format_non_isolated(basket.non_isolated)
         payload["terminal"] = basket.terminal_eligible and all(
@@ -113,9 +115,7 @@ def cmd_basket(args) -> None:
     report = membership_report(ws)
     if not report.accepted:
         raise DomainError(f"{ws} fails the membership predicates: {report.to_dict()}")
-    basket = singular_points_general(ws, _checked=True)
-    from .singular import reid_tai_terminal
-
+    basket = singular_points_general(ws)
     payload = {
         "septuple": list(ws.septuple),
         "basket": basket.to_strings(),
@@ -181,8 +181,10 @@ def cmd_autgroup(args) -> None:
 def cmd_stabilizer(args) -> None:
     points = []
     for chunk in args.points.split(","):
-        chunk = chunk.strip()
-        points.append(symmetry.p1_point(Fraction(chunk) if chunk.lower() not in ("inf", "oo") else chunk))
+        try:
+            points.append(symmetry.p1_point(chunk.strip()))
+        except ZeroDivisionError:
+            raise DomainError(f"point {chunk.strip()!r} has a zero denominator")
     try:
         maps = symmetry.pgl2_set_stabilizer(points)
     except ValueError as exc:
@@ -198,17 +200,14 @@ def cmd_stabilizer(args) -> None:
 
 def cmd_verdict(args) -> None:
     ws = _ws_from_args(args)
-    report = membership_report(ws)
-    if not report.accepted:
+    if rejection(ws.weights, ws.degree) is not None:
         raise DomainError(f"{ws} is not an accepted family")
-    from .singular import terminal_general
-
-    if not terminal_general(ws, _checked=True):
+    if not terminal_general(ws):
         raise DomainError(f"{ws} is not terminal")
     record = cat.FamilyRecord(
         ws=ws,
-        membership=report,
-        basket=singular_points_general(ws, _checked=True),
+        membership=membership_report(ws),
+        basket=singular_points_general(ws),
         paper_number=cat.FAMILY_LABELS.get(ws.septuple),
     )
     verdict = irrational.decide(record)

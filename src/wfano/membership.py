@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from typing import Callable
 
 from .wspace import NVARS, VARIABLES, WeightSystem, wps_well_formed
 
@@ -75,20 +76,6 @@ def is_linear_cone(ws: WeightSystem) -> bool:
     return ws.degree in ws.weights
 
 
-def _vertex_covered(ws: WeightSystem, i: int) -> bool:
-    """Subset {x_i}: pure power x_i^(d/a_i), or some monomial x_i^m * x_j, m >= 1."""
-    a, d = ws.weights, ws.degree
-    if d % a[i] == 0:
-        return True
-    for j in range(NVARS):
-        if j == i:
-            continue
-        r = d - a[j]
-        if r >= a[i] and r % a[i] == 0:
-            return True
-    return False
-
-
 def quasismooth_general(ws: WeightSystem) -> tuple[bool, list[tuple[StratumSelector, str]]]:
     """Quasismoothness of the general degree-d member.
 
@@ -132,12 +119,11 @@ def hypersurface_well_formed(ws: WeightSystem) -> bool:
     """
     if not wps_well_formed(ws):
         return False
-    a, d = ws.weights, ws.degree
-    for subset in combinations(range(NVARS), 3):
-        if gcd(gcd(a[subset[0]], a[subset[1]]), a[subset[2]]) > 1:
-            wts = tuple(sorted(a[i] for i in subset))
-            if not representable(wts, d):
-                return False
+    d = ws.degree
+    # combinations keep the ascending order of the weights
+    for wts in combinations(ws.weights, 3):
+        if gcd(*wts) > 1 and not representable(wts, d):
+            return False
     return True
 
 
@@ -158,15 +144,41 @@ def membership_report(ws: WeightSystem) -> MembershipReport:
     )
 
 
-def fast_accept(ws: WeightSystem) -> bool:
-    """Cheap-first evaluation of the membership conjunction (same verdict)."""
-    if is_linear_cone(ws):
-        return False
-    for i in range(NVARS):
-        if not _vertex_covered(ws, i):
-            return False
+def rejection(
+    weights: tuple[int, ...],
+    degree: int,
+    terminal: Callable[[WeightSystem], bool] | None = None,
+) -> str | None:
+    """The membership predicates as one chain, cheapest first.
+
+    Returns the name of the first predicate the family (weights, degree)
+    fails, or None when it passes all of them.  The order is: linear cone,
+    vertex coverage (for each x_i a pure power x_i^(d/a_i) or a monomial
+    x_i^m * x_j, m >= 1, which quasismoothness implies), ambient
+    well-formedness, hypersurface well-formedness, then ``terminal(ws)`` when
+    a terminality test is given, and quasismoothness last.  Without
+    ``terminal``, None means exactly ``membership_report(ws).accepted``.  The
+    first two stages run on the plain integers, so most rejected search
+    candidates never build a WeightSystem.
+    """
+    a, d = weights, degree
+    if d in a:
+        return "linear cone"
+    for ai in a:
+        if d % ai:
+            # x_j = x_i itself never qualifies, since a_i does not divide d
+            for aj in a:
+                if d - aj >= ai and (d - aj) % ai == 0:
+                    break
+            else:
+                return "vertex coverage"
+    ws = WeightSystem(a, d)
     if not wps_well_formed(ws):
-        return False
+        return "well-formedness"
     if not hypersurface_well_formed(ws):
-        return False
-    return quasismooth_general(ws)[0]
+        return "hypersurface well-formedness"
+    if terminal is not None and not terminal(ws):
+        return "terminality"
+    if not quasismooth_general(ws)[0]:
+        return "quasismoothness"
+    return None

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
+from typing import Iterator
 
-from .membership import StratumSelector, format_stratum
+from .membership import StratumSelector, format_stratum, rejection
 from .wspace import NVARS, VARIABLES, WeightSystem
 
 
@@ -99,24 +100,17 @@ def _edge_monomial_count(ai: int, aj: int, d: int) -> int:
     return sum(1 for alpha in range(d // ai + 1) if (d - alpha * ai) % aj == 0)
 
 
-def _stratum_monomial_count(weights: tuple[int, ...], d: int, cap: int = 2) -> int:
-    """Number of monomials of degree d on the stratum, counted up to ``cap``."""
+def _stratum_monomial_count(weights: tuple[int, int, int], d: int, cap: int = 2) -> int:
+    """Number of monomials of degree d in three variables of the given
+    weights, counted up to ``cap``."""
+    x, y, z = weights
     count = 0
-
-    def rec(i: int, rem: int) -> None:
-        nonlocal count
-        if count >= cap:
-            return
-        if i == len(weights) - 1:
-            if rem % weights[i] == 0:
+    for rest in range(d, -1, -z):
+        for r in range(rest, -1, -y):
+            if r % x == 0:
                 count += 1
-            return
-        for k in range(rem // weights[i] + 1):
-            rec(i + 1, rem - k * weights[i])
-            if count >= cap:
-                return
-
-    rec(0, d)
+                if count >= cap:
+                    return count
     return count
 
 
@@ -129,7 +123,76 @@ def _vertex_solving_indices(ws: WeightSystem, i: int) -> list[int]:
     ]
 
 
-def singular_points_general(ws: WeightSystem, _checked: bool = False) -> SingularityBasket:
+def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSelector, str]]:
+    """The singular locus of a general member, one stratum at a time.
+
+    Yields a BasketPoint for each isolated quotient singularity and a
+    (stratum, reason) pair for each positive-dimensional piece, in basket
+    order: 2-dimensional strata, then vertices, then edges.  Lazy, so that
+    terminal_general can stop at the first failure.
+    """
+    a, d = ws.weights, ws.degree
+
+    # 2-dimensional singular strata: X meets them in a curve of singular points
+    # unless the restricted equation is a single monomial.
+    for subset, wts in zip(combinations(range(NVARS), 3), combinations(a, 3)):
+        q = gcd(*wts)
+        if q <= 1:
+            continue
+        n = _stratum_monomial_count(wts, d, cap=2)
+        if n == 0:
+            yield subset, f"stratum with weight gcd {q} lies inside X"
+        elif n >= 2:
+            yield subset, f"X meets the gcd-{q} stratum in a curve of singular points"
+
+    # vertices
+    for i in range(NVARS):
+        ai = a[i]
+        if ai == 1 or d % ai == 0:
+            continue  # smooth point, or vertex off X (pure power present)
+        js = _vertex_solving_indices(ws, i)
+        if not js:
+            raise ValueError(f"{ws}: vertex {VARIABLES[i]} is not covered, so X is not quasismooth")
+        types = [tuple(a[k] % ai for k in range(NVARS) if k not in (i, j)) for j in js]
+        wts = types[0]
+        location = f"vertex {VARIABLES[i]}"
+        # gcd(0, ai) = ai >= 2 also catches a weight reduced to 0
+        if any(gcd(w, ai) != 1 for w in wts):
+            yield (i,), f"vertex type 1/{ai}{wts} has a non-coprime weight"
+            continue
+        sing = QuotientSingularity(ai, tuple(sorted(wts)))  # type: ignore[arg-type]
+        for other in types[1:]:
+            if any(gcd(w, ai) != 1 for w in other):
+                continue
+            alt = QuotientSingularity(ai, tuple(sorted(other)))  # type: ignore[arg-type]
+            if alt != sing and not sing.equivalent_to(alt):
+                raise RuntimeError(
+                    f"inconsistent vertex types at {location}: {sing} vs {alt}"
+                )
+        yield BasketPoint(location, 1, sing)
+
+    # edges
+    for i, j in combinations(range(NVARS), 2):
+        q = gcd(a[i], a[j])
+        if q <= 1:
+            continue
+        n = _edge_monomial_count(a[i], a[j], d)
+        location = f"edge {VARIABLES[i]}{VARIABLES[j]}"
+        if n == 0:
+            yield (i, j), f"edge with weight gcd {q} lies inside X"
+            continue
+        npts = n - 1
+        if npts == 0:
+            continue
+        wts = tuple(a[k] % q for k in range(NVARS) if k not in (i, j))
+        if any(gcd(w, q) != 1 for w in wts):
+            yield (i, j), f"edge type 1/{q}{wts} has a non-coprime weight"
+            continue
+        sing = QuotientSingularity(q, tuple(sorted(wts)))  # type: ignore[arg-type]
+        yield BasketPoint(location, npts, sing)
+
+
+def singular_points_general(ws: WeightSystem) -> SingularityBasket:
     """Locate the singular points of a general member and their quotient types.
 
     Vertices: a coordinate point P_i with a_i >= 2 lies on X iff a_i does not
@@ -141,91 +204,40 @@ def singular_points_general(ws: WeightSystem, _checked: bool = False) -> Singula
     positive-dimensional singular locus (contained edge, reduced local weight
     0 or sharing a factor with the order, or a 3-variable stratum with weight
     gcd > 1 meeting X in a curve) is recorded in non_isolated.
-    """
-    if not _checked:
-        from .membership import fast_accept
 
-        if not fast_accept(ws):
-            raise ValueError(
-                f"singular_points_general: {ws} fails the membership predicates; "
-                "singularity types are undefined"
-            )
-    a, d = ws.weights, ws.degree
+    Raises ValueError when ws fails the membership predicates (the chain
+    ``membership.rejection``), where singularity types are undefined.
+    """
+    reason = rejection(ws.weights, ws.degree)
+    if reason is not None:
+        raise ValueError(
+            f"singular_points_general: {ws} fails the membership predicates "
+            f"({reason}); singularity types are undefined"
+        )
     points: list[BasketPoint] = []
     non_isolated: list[tuple[StratumSelector, str]] = []
-
-    # 2-dimensional singular strata: X meets them in a curve of singular points
-    # unless the restricted equation is a single monomial.
-    for subset in combinations(range(NVARS), 3):
-        q = gcd(gcd(a[subset[0]], a[subset[1]]), a[subset[2]])
-        if q <= 1:
-            continue
-        wts = tuple(sorted(a[i] for i in subset))
-        n = _stratum_monomial_count(wts, d, cap=2)
-        if n == 0:
-            non_isolated.append((subset, f"stratum with weight gcd {q} lies inside X"))
-        elif n >= 2:
-            non_isolated.append(
-                (subset, f"X meets the gcd-{q} stratum in a curve of singular points")
-            )
-
-    # vertices
-    for i in range(NVARS):
-        ai = a[i]
-        if ai == 1 or d % ai == 0:
-            continue  # smooth point, or vertex off X (pure power present)
-        js = _vertex_solving_indices(ws, i)
-        if not js:
-            raise ValueError("singular_points_general: uncovered vertex on a quasismooth input")
-        types = []
-        for j in js:
-            wts = tuple(a[k] % ai for k in range(NVARS) if k not in (i, j))
-            types.append(wts)
-        wts = types[0]
-        location = f"vertex {VARIABLES[i]}"
-        if any(w == 0 or gcd(w, ai) != 1 for w in wts):
-            non_isolated.append(((i,), f"vertex type 1/{ai}{wts} has a non-coprime weight"))
-            continue
-        sing = QuotientSingularity(ai, tuple(sorted(wts)))  # type: ignore[arg-type]
-        for other in types[1:]:
-            if any(w == 0 or gcd(w, ai) != 1 for w in other):
-                continue
-            alt = QuotientSingularity(ai, tuple(sorted(other)))  # type: ignore[arg-type]
-            if not sing.equivalent_to(alt):
-                raise RuntimeError(
-                    f"inconsistent vertex types at {location}: {sing} vs {alt}"
-                )
-        points.append(BasketPoint(location, 1, sing))
-
-    # edges
-    for i, j in combinations(range(NVARS), 2):
-        q = gcd(a[i], a[j])
-        if q <= 1:
-            continue
-        n = _edge_monomial_count(a[i], a[j], d)
-        location = f"edge {VARIABLES[i]}{VARIABLES[j]}"
-        if n == 0:
-            non_isolated.append(((i, j), f"edge with weight gcd {q} lies inside X"))
-            continue
-        npts = n - 1
-        if npts == 0:
-            continue
-        wts = tuple(a[k] % q for k in range(NVARS) if k not in (i, j))
-        if any(w == 0 or gcd(w, q) != 1 for w in wts):
-            non_isolated.append(((i, j), f"edge type 1/{q}{wts} has a non-coprime weight"))
-            continue
-        sing = QuotientSingularity(q, tuple(sorted(wts)))  # type: ignore[arg-type]
-        points.append(BasketPoint(location, npts, sing))
-
+    for entry in _singular_strata(ws):
+        if isinstance(entry, BasketPoint):
+            points.append(entry)
+        else:
+            non_isolated.append(entry)
     return SingularityBasket(points=tuple(points), non_isolated=tuple(non_isolated))
 
 
-def terminal_general(ws: WeightSystem, _checked: bool = False) -> bool:
-    """True iff the general member has only terminal singularities."""
-    basket = singular_points_general(ws, _checked=_checked)
-    if basket.non_isolated:
-        return False
-    return all(reid_tai_terminal(p.singularity) for p in basket.points)
+def terminal_general(ws: WeightSystem) -> bool:
+    """True iff the general member has only terminal singularities.
+
+    This is the terminality stage of ``membership.rejection``: it assumes the
+    earlier stages passed (every vertex covered; an uncovered one raises
+    ValueError) and does not check them again.  It stops at the first
+    positive-dimensional stratum or non-terminal point, and agrees with
+    ``not basket.non_isolated and all(reid_tai_terminal(p.singularity) for p
+    in basket.points)`` for the full basket.
+    """
+    for entry in _singular_strata(ws):
+        if not isinstance(entry, BasketPoint) or not reid_tai_terminal(entry.singularity):
+            return False
+    return True
 
 
 def format_non_isolated(entries: tuple[tuple[StratumSelector, str], ...]) -> list[str]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
 
 VARIABLES = ("x", "y", "z", "t", "w")
 NVARS = 5
@@ -30,7 +29,7 @@ class WeightSystem:
     def __post_init__(self) -> None:
         if len(self.weights) != NVARS:
             raise ValueError("WeightSystem: need exactly five weights")
-        if any(a <= 0 for a in self.weights):
+        if min(self.weights) <= 0:
             raise ValueError("WeightSystem: weights must be positive")
         if list(self.weights) != sorted(self.weights):
             raise ValueError("WeightSystem: weights must be sorted ascending")
@@ -69,10 +68,6 @@ def parse_weight_system(text: str) -> WeightSystem:
 
 def weighted_degree(m: Monomial, ws: WeightSystem) -> int:
     return sum(e * a for e, a in zip(m, ws.weights))
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))  # type: ignore[return-value]
 
 
 def format_monomial(m: Monomial) -> str:
@@ -154,20 +149,10 @@ def count_monomials(ws: WeightSystem, k: int) -> int:
 
 def wps_well_formed(ws: WeightSystem) -> bool:
     """True iff every four of the five weights are coprime (no quasi-reflections)."""
-    a = ws.weights
-    for i in range(NVARS):
-        g = 0
-        for j in range(NVARS):
-            if j != i:
-                g = gcd(g, a[j])
-        if g != 1:
-            return False
-    return True
-
-
-def format_monomial_set(monomials: Iterable[Monomial]) -> str:
-    return ", ".join(format_monomial(m) for m in sorted(monomials))
-
-
-def subset_weights(ws: WeightSystem, subset: Sequence[int]) -> tuple[int, ...]:
-    return tuple(ws.weights[i] for i in subset)
+    a1, a2, a3, a4, a5 = ws.weights
+    g12, g45 = gcd(a1, a2), gcd(a4, a5)
+    # the gcd of the four weights left when a5, a4, a3, a2, a1 is dropped
+    return (
+        gcd(g12, a3, a4) == gcd(g12, a3, a5) == gcd(g12, g45) == gcd(a1, a3, g45)
+        == gcd(a2, a3, g45) == 1
+    )

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -6,6 +7,7 @@ from wfano.catalog import (
     EXCEPTIONAL_EIGHT,
     FAMILY_LABELS,
     SearchBounds,
+    _candidates,
     catalog_json,
     classify,
     load_catalog,
@@ -13,6 +15,15 @@ from wfano.catalog import (
     render_markdown,
     save_catalog,
 )
+from wfano.membership import membership_report, rejection
+from wfano.singular import (
+    BasketPoint,
+    _singular_strata,
+    reid_tai_terminal,
+    singular_points_general,
+    terminal_general,
+)
+from wfano.wspace import WeightSystem
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +128,73 @@ def test_family_labels_match_weights():
         ws = weight_system(*sept)
         assert ws.index == sept[6]
         assert number >= 1
+
+
+def _brute_force(bounds):
+    """Reference walk over every sorted 5-tuple and every index in the box.
+
+    Returns the pairs (weights, d) that pass the linear-cone and vertex
+    checks, and those that the public predicates accept."""
+    max_w, max_d = bounds.max_weight, bounds.max_degree
+    imin, imax = bounds.index_range
+    covered, kept = set(), set()
+    for a in combinations_with_replacement(range(1, max_w + 1), 5):
+        for index in range(imin, imax + 1):
+            d = sum(a) - index
+            if 2 <= d <= max_d:
+                if rejection(a, d) not in ("linear cone", "vertex coverage"):
+                    covered.add((a, d))
+                ws = WeightSystem(a, d)
+                if membership_report(ws).accepted and terminal_general(ws):
+                    kept.add((a, d))
+    return covered, kept
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        SearchBounds(max_weight=7, max_degree=21, index_range=(1, 15)),
+        SearchBounds(max_weight=10, max_degree=26, index_range=(2, 4)),
+    ],
+    ids=["default-index-range", "index-2-to-4"],
+)
+def test_constraint_search_matches_brute_force(bounds):
+    top = min(bounds.max_weight, (bounds.max_degree + bounds.index_range[1]) // 5) + 1
+    candidates = list(_candidates(1, top, bounds))
+    covered, kept = _brute_force(bounds)
+    # each candidate once, and every pair past the vertex check among them,
+    # so that the later predicates see the same pairs as an exhaustive walk
+    assert len(candidates) == len(set(candidates))
+    assert covered <= set(candidates)
+    found = {(r.ws.weights, r.ws.degree) for r in classify(bounds)}
+    assert found == kept
+    # the short-circuit terminality agrees with the full basket wherever the
+    # chain reaches it, quasismooth or not
+    reached = 0
+    for a, d in candidates:
+        reason = rejection(a, d)
+        if reason not in (None, "quasismoothness"):
+            continue
+        ws = WeightSystem(a, d)
+        entries = list(_singular_strata(ws))
+        points = [e for e in entries if isinstance(e, BasketPoint)]
+        full = len(points) == len(entries) and all(reid_tai_terminal(p.singularity) for p in points)
+        assert terminal_general(ws) == full, ws
+        if reason is None:
+            basket = singular_points_general(ws)
+            assert full == (
+                not basket.non_isolated
+                and all(reid_tai_terminal(p.singularity) for p in basket.points)
+            )
+        reached += 1
+    assert reached > len(found)
+
+
+def test_load_catalog_rejects_non_member(tmp_path, small_catalog):
+    payload = json.loads(catalog_json(small_catalog))
+    # (1,1,1,1,3) with d = 4 passes membership but its 1/3(1,1,1) point is not terminal
+    payload["records"][0]["septuple"] = ["1", "1", "1", "1", "3", "4", "3"]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="terminality"):
+        load_catalog(str(path))

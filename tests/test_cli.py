@@ -172,3 +172,10 @@ def test_report_from_saved_catalog(tmp_path, capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["records"]) == len(records)
+
+
+def test_stabilizer_rejects_zero_denominator(capsys):
+    code, out, err = run_cli(capsys, "stabilizer", "--points", "1/0")
+    assert code == 1
+    assert out == ""
+    assert "zero denominator" in json.loads(err)["error"]

@@ -12,7 +12,7 @@ def make_record(*sept):
     return FamilyRecord(
         ws=ws,
         membership=membership_report(ws),
-        basket=singular_points_general(ws, _checked=True),
+        basket=singular_points_general(ws),
         paper_number=FAMILY_LABELS.get(ws.septuple),
     )
 
