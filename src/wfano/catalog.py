@@ -104,6 +104,13 @@ class FamilyRecord:
         }
 
 
+def family_record(ws: WeightSystem) -> FamilyRecord:
+    """The record of an accepted family, labelled from ``FAMILY_LABELS``."""
+    return FamilyRecord(
+        ws, membership_report(ws), singular_points_general(ws), FAMILY_LABELS.get(ws.septuple)
+    )
+
+
 def _dividing(lo: int, hi: int, values: Sequence[int], divisors: list[list[int]]) -> Iterable[int]:
     """The integers in [lo, hi] that divide one of values (all of them if a
     value is 0); divisors[n] lists the divisors of n in descending order."""
@@ -259,16 +266,7 @@ def classify(bounds: SearchBounds | None = None, jobs: int = 1) -> list[FamilyRe
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_search_chunk, chunks):
                 raw.extend(part)
-    records = []
-    for a, d in raw:
-        ws = WeightSystem(a, d)
-        rec = FamilyRecord(
-            ws=ws,
-            membership=membership_report(ws),
-            basket=singular_points_general(ws),
-            paper_number=FAMILY_LABELS.get(ws.septuple),
-        )
-        records.append(rec)
+    records = [family_record(WeightSystem(a, d)) for a, d in raw]
     records.sort(key=lambda r: (r.ws.index, r.ws.degree, r.ws.weights))
     return records
 
@@ -298,52 +296,58 @@ def _canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
+def catalog_json(records: Sequence[FamilyRecord]) -> str:
+    return _canonical_json(
+        {"schemaVersion": SCHEMA_VERSION, "records": [r.to_dict() for r in records]}
+    )
+
+
 def save_catalog(records: Sequence[FamilyRecord], path: str) -> None:
-    payload = {
-        "schemaVersion": SCHEMA_VERSION,
-        "records": [r.to_dict() for r in records],
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_canonical_json(payload))
+        fh.write(catalog_json(records))
 
 
 def load_catalog(path: str) -> list[FamilyRecord]:
     """Load and revalidate a catalog file.
 
     Every septuple must pass the search's predicate chain again, terminality
-    included; records are rebuilt from their septuples (membership and basket
-    are recomputed) so a loaded catalog is structurally identical to a fresh
-    one.
+    included, and carry the label ``family_record`` gives it; records are
+    rebuilt from their septuples (membership and basket are recomputed) so a
+    loaded catalog is structurally identical to a fresh one.  A malformed file
+    raises ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("load_catalog: expected a JSON object")
     version = payload.get("schemaVersion")
     if version != SCHEMA_VERSION:
         raise ValueError(f"load_catalog: unsupported schemaVersion {version!r}")
+    entries = payload.get("records")
+    if not isinstance(entries, list):
+        raise ValueError("load_catalog: 'records' must be a list")
     records = []
-    for entry in payload["records"]:
-        sept = tuple(int(v) for v in entry["septuple"])
+    for entry in entries:
+        try:
+            sept = tuple(int(v) for v in entry["septuple"])
+        except (KeyError, TypeError, ValueError):
+            sept = ()
+        if len(sept) != 7:
+            raise ValueError(f"load_catalog: record {entry!r} needs a septuple of 7 integers")
         ws = WeightSystem(sept[:5], sept[5])
         if ws.index != sept[6]:
             raise ValueError(f"load_catalog: inconsistent septuple {sept}")
         reason = rejection(ws.weights, ws.degree, terminal_general)
         if reason is not None:
             raise ValueError(f"load_catalog: {sept} fails {reason}")
-        records.append(
-            FamilyRecord(
-                ws=ws,
-                membership=membership_report(ws),
-                basket=singular_points_general(ws),
-                paper_number=entry.get("paperNumber"),
+        record = family_record(ws)
+        if entry.get("paperNumber") != record.paper_number:
+            raise ValueError(
+                f"load_catalog: {sept} has paperNumber {entry.get('paperNumber')!r},"
+                f" expected {record.paper_number!r}"
             )
-        )
+        records.append(record)
     return records
-
-
-def catalog_json(records: Sequence[FamilyRecord]) -> str:
-    return _canonical_json(
-        {"schemaVersion": SCHEMA_VERSION, "records": [r.to_dict() for r in records]}
-    )
 
 
 def render_markdown(records: Iterable[FamilyRecord]) -> str:

@@ -17,12 +17,7 @@ import sys
 from . import catalog as cat
 from . import irrational, symalg, symmetry
 from .membership import membership_report, rejection
-from .singular import (
-    format_non_isolated,
-    reid_tai_terminal,
-    singular_points_general,
-    terminal_general,
-)
+from .singular import format_non_isolated, singular_points_general, terminal_general
 from .wspace import (
     WeightSystem,
     enumerate_monomials,
@@ -60,12 +55,8 @@ def _ws_from_args(args) -> WeightSystem:
 
 
 def _bounds_from_args(args) -> cat.SearchBounds:
-    default = cat.SearchBounds()
-    return cat.SearchBounds(
-        max_weight=args.max_weight or default.max_weight,
-        max_degree=args.max_degree or default.max_degree,
-        index_range=default.index_range,
-    )
+    given = {"max_weight": args.max_weight, "max_degree": args.max_degree}
+    return cat.SearchBounds(**{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_monomials(args) -> None:
@@ -92,9 +83,7 @@ def cmd_check(args) -> None:
         basket = singular_points_general(ws)
         payload["basket"] = basket.to_strings()
         payload["nonIsolated"] = format_non_isolated(basket.non_isolated)
-        payload["terminal"] = basket.terminal_eligible and all(
-            reid_tai_terminal(p.singularity) for p in basket.points
-        )
+        payload["terminal"] = basket.terminal
     md_lines = [f"# {ws}", ""]
     for key, value in payload.items():
         md_lines.append(f"- {key}: {value}")
@@ -121,8 +110,7 @@ def cmd_basket(args) -> None:
         "basket": basket.to_strings(),
         "nonIsolated": format_non_isolated(basket.non_isolated),
         "points": [str(p) for p in basket.points],
-        "terminal": basket.terminal_eligible
-        and all(reid_tai_terminal(p.singularity) for p in basket.points),
+        "terminal": basket.terminal,
     }
     md = f"# singular points of a general {ws}\n\n" + "\n".join(
         f"- {line}" for line in payload["points"]
@@ -204,13 +192,7 @@ def cmd_verdict(args) -> None:
         raise DomainError(f"{ws} is not an accepted family")
     if not terminal_general(ws):
         raise DomainError(f"{ws} is not terminal")
-    record = cat.FamilyRecord(
-        ws=ws,
-        membership=membership_report(ws),
-        basket=singular_points_general(ws),
-        paper_number=cat.FAMILY_LABELS.get(ws.septuple),
-    )
-    verdict = irrational.decide(record)
+    verdict = irrational.decide(cat.family_record(ws))
     payload = {"septuple": list(ws.septuple), **verdict.to_dict()}
     md_lines = [f"# degree of irrationality, {ws}", "", f"- values: {sorted(verdict.values)}"]
     md_lines += [f"- {tag}: {cite}" for tag, cite in verdict.justification]
@@ -316,11 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except DomainError as exc:
-        json.dump({"error": str(exc)}, sys.stderr, indent=1)
-        sys.stderr.write("\n")
-        return 1
-    except (ValueError, symalg.GenericityError) as exc:
+    except (DomainError, ValueError, OSError) as exc:  # GenericityError is a ValueError
         json.dump({"error": str(exc)}, sys.stderr, indent=1)
         sys.stderr.write("\n")
         return 1

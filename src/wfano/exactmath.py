@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -299,6 +299,54 @@ def squarefree_and_root_count(b: BinaryForm) -> tuple[bool, int]:
     return squarefree, count
 
 
+def common_interior_degree(forms: Sequence[BinaryForm]) -> int:
+    """Degree of the gcd of the dehomogenized cores of nonzero binary forms.
+
+    It is positive exactly when the forms share a root off the two coordinate
+    points [1:0] and [0:1], over the algebraic closure.
+    """
+    cores = [_dehomogenize(b)[2] for b in forms]
+    g = cores[0]
+    for core in cores[1:]:
+        g = poly_gcd(g, core)
+        if len(g) <= 1:
+            return 0
+    return len(g) - 1
+
+
+def univariate_rational_roots(coefficients: Sequence[Fraction | int]) -> list[Fraction]:
+    """Distinct rational roots of a nonzero polynomial, in increasing order.
+
+    ``coefficients[i]`` multiplies s^i.  Denominators and content are cleared,
+    a root at 0 is split off, and every candidate +-p/q with p | a0 and q | an
+    is tried (rational root theorem).
+    """
+    coeffs = [Fraction(c) for c in coefficients]
+    den = lcm(*(c.denominator for c in coeffs))
+    ic = [int(c * den) for c in coeffs]
+    while ic and ic[-1] == 0:
+        ic.pop()
+    if not ic:
+        raise ValueError("univariate_rational_roots: zero polynomial")
+    roots: set[Fraction] = set()
+    lo = 0
+    while ic[lo] == 0:
+        lo += 1
+    if lo:
+        roots.add(Fraction(0))
+    ic = ic[lo:]
+    if len(ic) > 1:
+        cont = gcd(*ic)
+        ic = [c // cont for c in ic]
+        qs = _divisors(abs(ic[-1]))
+        for p in _divisors(abs(ic[0])):
+            for q in qs:
+                for s in (Fraction(p, q), Fraction(-p, q)):
+                    if _poly_eval(ic, s) == 0:
+                        roots.add(s)
+    return sorted(roots)
+
+
 def rational_roots(b: BinaryForm) -> list[tuple[int, int]]:
     """Distinct rational projective roots [p : q] of a binary form.
 
@@ -308,30 +356,10 @@ def rational_roots(b: BinaryForm) -> list[tuple[int, int]]:
     """
     if b.is_zero():
         raise ValueError("rational_roots: zero form")
-    mult_v, mult_u, core = _dehomogenize(b)
-    roots: list[tuple[int, int]] = []
-    if mult_v > 0:
-        roots.append((1, 0))  # v = 0
-    if mult_u > 0:
+    roots = [(s.denominator, s.numerator) for s in univariate_rational_roots(b.coefficients)]
+    if b.coefficients[-1] == 0:
         roots.append((0, 1))  # u = 0
-    if len(core) > 1:
-        # integer-coefficient copy of the core in s = v/u
-        den = 1
-        for c in core:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ic = [int(c * den) for c in core]
-        cont = 0
-        for c in ic:
-            cont = gcd(cont, c)
-        ic = [c // cont for c in ic]
-        for p in _divisors(abs(ic[0])):
-            for q in _divisors(abs(ic[-1])):
-                for s in (Fraction(p, q), Fraction(-p, q)):
-                    if _poly_eval(ic, s) == 0 and s not in [Fraction(r[1], r[0]) for r in roots if r[0] != 0]:
-                        # root s = v/u, projectively [1 : s] -> primitive (den, num)? keep [p:q]=[u:v]
-                        roots.append((s.denominator, s.numerator))
-    uniq = sorted(set(roots), key=lambda r: (r[0] == 0, Fraction(r[1], r[0]) if r[0] else 0))
-    return uniq
+    return roots
 
 
 def _poly_eval(p: Sequence[int], s: Fraction) -> Fraction:
@@ -342,8 +370,6 @@ def _poly_eval(p: Sequence[int], s: Fraction) -> Fraction:
 
 
 def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
     out = []
     d = 1
     while d * d <= n:

@@ -76,6 +76,11 @@ class SingularityBasket:
     def terminal_eligible(self) -> bool:
         return not self.non_isolated
 
+    @property
+    def terminal(self) -> bool:
+        """Isolated singular points only, each terminal by Reid--Tai."""
+        return self.terminal_eligible and all(reid_tai_terminal(p.singularity) for p in self.points)
+
     def to_strings(self) -> list[str]:
         return [
             f"{p.count} x 1/{p.singularity.order}"
@@ -231,8 +236,7 @@ def terminal_general(ws: WeightSystem) -> bool:
     earlier stages passed (every vertex covered; an uncovered one raises
     ValueError) and does not check them again.  It stops at the first
     positive-dimensional stratum or non-terminal point, and agrees with
-    ``not basket.non_isolated and all(reid_tai_terminal(p.singularity) for p
-    in basket.points)`` for the full basket.
+    ``singular_points_general(ws).terminal``.
     """
     for entry in _singular_strata(ws):
         if not isinstance(entry, BasketPoint) or not reid_tai_terminal(entry.singularity):

@@ -13,10 +13,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import Sequence
 
-from .exactmath import BinaryForm, binary_form, rational_roots, squarefree_and_root_count
+from .exactmath import (
+    BinaryForm,
+    binary_form,
+    common_interior_degree,
+    rational_roots,
+    squarefree_and_root_count,
+    univariate_rational_roots,
+)
 from .membership import StratumSelector
 from .wspace import (
     NVARS,
@@ -613,50 +620,8 @@ def _canonical_rational_root(poly: dict[int, Fraction]) -> Fraction | None:
     deg = max(poly)
     if deg == 0:
         return None  # nonzero constant: target unreachable
-    den = 1
-    for c in poly.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    ic = [int(poly.get(k, Fraction(0)) * den) for k in range(deg + 1)]
-    while ic and ic[-1] == 0:
-        ic.pop()
-    roots: set[Fraction] = set()
-    if ic[0] == 0:
-        roots.add(Fraction(0))
-        while ic and ic[0] == 0:
-            ic.pop(0)
-    if len(ic) > 1:
-        cont = 0
-        for c in ic:
-            cont = gcd(cont, c)
-        ic = [c // cont for c in ic]
-        for p in _divisor_list(abs(ic[0])):
-            for q in _divisor_list(abs(ic[-1])):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _eval_int_poly(ic, cand) == 0:
-                        roots.add(cand)
-    if not roots:
-        return None
-    return sorted(roots, key=lambda r: (abs(r), r < 0))[0]
-
-
-def _eval_int_poly(p: Sequence[int], s: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * s + c
-    return acc
-
-
-def _divisor_list(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    roots = univariate_rational_roots([poly.get(k, Fraction(0)) for k in range(deg + 1)])
+    return min(roots, key=lambda r: (abs(r), r < 0), default=None)
 
 
 def _apply_depress(f: GradedPolynomial, p: DepressPass) -> tuple[GradedPolynomial, Substitution]:
@@ -1253,69 +1218,28 @@ def _check_axis(partials: list[GradedPolynomial], i: int) -> MemberVerdict | Non
 
 def _check_edge(partials: list[GradedPolynomial], pair: tuple[int, int]) -> MemberVerdict | None:
     i, j = pair
-    cores = []
-    for k in range(NVARS):
-        form = _restrict_to_pair(partials[k], (i, j))
-        if form is not None and not form.is_zero():
-            cores.append(form)
-    if not cores:
+    forms = []
+    for g in partials:
+        try:
+            form = slice_form(g, pair)
+        except ValueError:
+            continue  # no monomial of this grade on the edge
+        if not form.is_zero():
+            forms.append(form)
+    if not forms:
         return MemberVerdict(
             status="singular",
             witness=None,
             detail=f"all partials vanish identically on edge {VARIABLES[i]}{VARIABLES[j]}",
         )
-    g = _binary_gcd_interior(cores)
-    if g is not None:
+    degree = common_interior_degree(forms)
+    if degree:
         return MemberVerdict(
             status="singular",
             witness=None,
-            detail=f"common interior root on edge {VARIABLES[i]}{VARIABLES[j]}: {g}",
+            detail=f"common interior root on edge {VARIABLES[i]}{VARIABLES[j]}: gcd degree {degree}",
         )
     return None
-
-
-def _restrict_to_pair(g: GradedPolynomial, pair: tuple[int, int]) -> BinaryForm | None:
-    keep = {
-        m: c
-        for m, c in g.terms.items()
-        if all(m[k] == 0 for k in range(NVARS) if k not in pair)
-    }
-    if not keep:
-        return None
-    restricted = GradedPolynomial(g.ws, g.grade, keep)
-    try:
-        return slice_form(restricted, pair)
-    except ValueError:
-        return None
-
-
-def _binary_gcd_interior(forms: list[BinaryForm]) -> str | None:
-    """Nonconstant common factor of the dehomogenized cores, or None."""
-    from .exactmath import poly_gcd
-
-    cores = []
-    for b in forms:
-        coeffs = list(b.coefficients)
-        lo = 0
-        while lo < len(coeffs) and coeffs[lo] == 0:
-            lo += 1
-        hi = len(coeffs) - 1
-        while hi >= lo and coeffs[hi] == 0:
-            hi -= 1
-        core = coeffs[lo : hi + 1]
-        if len(core) == 0:
-            continue
-        cores.append(core)
-    if not cores:
-        return None
-    g = cores[0]
-    for c in cores[1:]:
-        g = poly_gcd(g, c)
-        if len(g) <= 1:
-            return None
-    if len(g) <= 1:
-        return None
-    return "gcd degree " + str(len(g) - 1)
 
 
 def _check_chart(partials: list[GradedPolynomial], k: int) -> MemberVerdict | None:
@@ -1353,10 +1277,7 @@ def _check_chart(partials: list[GradedPolynomial], k: int) -> MemberVerdict | No
     if not any(e.free_symbols for e in exprs):
         return None  # a nonzero constant partial: no zeros on the chart
     for p in _PRIME_LADDER:
-        try:
-            basis = sympy.groebner(exprs, *syms, order="grevlex", modulus=p)
-        except Exception as exc:  # pragma: no cover - sympy internal failure
-            return MemberVerdict(status="indeterminate", detail=f"groebner failed: {exc}")
+        basis = sympy.groebner(exprs, *syms, order="grevlex", modulus=p)
         if list(basis.exprs) == [sympy.Integer(1)]:
             return None
     witness = _chart_witness_search(partials, k, _PRIME_LADDER[0])

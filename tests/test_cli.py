@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wfano.cli import main
+from wfano.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -64,12 +64,6 @@ def test_basket_subcommand(capsys):
     assert sorted(payload["basket"]) == ["1 x 1/2(1,1,1)", "3 x 1/3(1,1,2)"]
 
 
-def test_basket_rejects_bad_family(capsys):
-    code, _, err = run_cli(capsys, "basket", "--septuple", "1,1,1,1,4,7")
-    assert code == 1
-    assert "error" in err
-
-
 def test_normalize_subcommand(capsys):
     code, out, _ = run_cli(capsys, "normalize", "--family", "39", "--seed", "0")
     assert code == 0
@@ -84,12 +78,6 @@ def test_normalize_deterministic_per_seed(capsys):
     _, out3, _ = run_cli(capsys, "normalize", "--family", "39", "--seed", "5")
     assert out1 == out2
     assert json.loads(out3)["matchesReference"] is True
-
-
-def test_normalize_unknown_family(capsys):
-    code, _, err = run_cli(capsys, "normalize", "--family", "2")
-    assert code == 1
-    assert "error" in err
 
 
 def test_autgroup_full_support(capsys):
@@ -116,12 +104,6 @@ def test_stabilizer_subcommand(capsys):
     assert json.loads(out)["order"] == 8
 
 
-def test_stabilizer_rejects_two_points(capsys):
-    code, _, err = run_cli(capsys, "stabilizer", "--points", "0,1")
-    assert code == 1
-    assert "error" in err
-
-
 def test_verdict_subcommand(capsys):
     code, out, _ = run_cli(capsys, "verdict", "--septuple", "1,7,8,9,12,36")
     assert code == 0
@@ -130,17 +112,6 @@ def test_verdict_subcommand(capsys):
     assert payload["generalOnly"] is True
     code, out, _ = run_cli(capsys, "verdict", "--septuple", "1,1,2,3,3,9")
     assert json.loads(out)["values"] == [2]
-
-
-def test_verdict_rejects_rejected_family(capsys):
-    code, _, err = run_cli(capsys, "verdict", "--septuple", "1,1,1,1,3,4")
-    assert code == 1
-
-
-def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "--no-such-flag"])
-    assert exc.value.code == 2
 
 
 def test_output_file(tmp_path, capsys):
@@ -174,8 +145,85 @@ def test_report_from_saved_catalog(tmp_path, capsys, monkeypatch):
     assert len(payload["records"]) == len(records)
 
 
-def test_stabilizer_rejects_zero_denominator(capsys):
-    code, out, err = run_cli(capsys, "stabilizer", "--points", "1/0")
-    assert code == 1
-    assert out == ""
-    assert "zero denominator" in json.loads(err)["error"]
+BAD_CATALOGS = {
+    "list.json": "[1, 2]",
+    "norecords.json": '{"schemaVersion": 1}',
+    "short.json": '{"schemaVersion": 1, "records": [{"septuple": ["1", "1", "1"]}]}',
+    "label.json": '{"schemaVersion": 1, "records": [{"septuple": ["1", "1", "1", "1", "1", "4", "1"],'
+    ' "paperNumber": "x"}]}',
+    "nonmember.json": '{"schemaVersion": 1, "records": [{"septuple": ["1", "1", "1", "1", "4", "7", "1"],'
+    ' "paperNumber": null}]}',
+    "version.json": '{"schemaVersion": 2, "records": []}',
+    "text.json": "not json",
+}
+
+
+def bad(id, *argv, code=1, error=""):
+    return pytest.param(list(argv), code, error, id=id)
+
+
+#: every subcommand with inputs it must reject: exit 1 with a JSON error, or
+#: exit 2 with a usage message for argparse errors; never a traceback
+BAD_INPUTS = [
+    bad("monomials-bad-weight", "monomials", "--weights", "1,1,x,1,1", "--degree", "4",
+        error="invalid literal"),
+    bad("monomials-two-weights", "monomials", "--weights", "1,1", "--degree", "4",
+        error="expected 6 or 7 integers"),
+    bad("monomials-out-missing-dir", "monomials", "--weights", "1,1,1,1,1", "--degree", "4",
+        "--out", "{tmp}/missing/x.json", error="No such file or directory"),
+    bad("monomials-no-degree", "monomials", "--weights", "1,1,1,1,1", code=2),
+    bad("check-short", "check", "--septuple", "1,2,3", error="expected 6 or 7 integers"),
+    bad("check-zero-weight", "check", "--septuple", "0,1,1,1,1,4", error="weights must be positive"),
+    bad("check-wrong-index", "check", "--septuple", "1,1,1,1,1,4,5", error="inconsistent septuple"),
+    bad("classify-zero-weight", "classify", "--max-weight", "0", error="bounds must be positive"),
+    bad("classify-negative-degree", "classify", "--max-degree", "-3", error="bounds must be positive"),
+    bad("classify-unknown-flag", "classify", "--no-such-flag", code=2),
+    bad("classify-non-integer", "classify", "--max-weight", "x", code=2),
+    bad("basket-bad-family", "basket", "--septuple", "1,1,1,1,4,7",
+        error="fails the membership predicates"),
+    bad("basket-short", "basket", "--septuple", "1,1,1,1,1", error="expected 6 or 7 integers"),
+    bad("normalize-unknown-family", "normalize", "--family", "2", error="unknown family number 2"),
+    bad("normalize-non-integer", "normalize", "--family", "x", code=2),
+    bad("autgroup-unknown-family", "autgroup", "--family", "2", error="unknown family number 2"),
+    bad("autgroup-no-input", "autgroup", error="need --septuple"),
+    bad("stabilizer-two-points", "stabilizer", "--points", "0,1", error="fewer than 3 points"),
+    bad("stabilizer-zero-denominator", "stabilizer", "--points", "1/0", error="zero denominator"),
+    bad("stabilizer-not-a-number", "stabilizer", "--points", "abc", error="Invalid literal"),
+    bad("stabilizer-repeated", "stabilizer", "--points", "0,1,1,inf", error="must be distinct"),
+    bad("verdict-rejected-family", "verdict", "--septuple", "1,1,1,1,3,4", error="is not terminal"),
+    bad("verdict-wrong-index", "verdict", "--septuple", "1,1,1,1,1,4,2", error="inconsistent septuple"),
+    bad("verdict-no-septuple", "verdict", code=2),
+    bad("report-zero-weight", "report", "--max-weight", "0", error="bounds must be positive"),
+    bad("report-catalog-list", "report", "--catalog", "{tmp}/list.json", error="JSON object"),
+    bad("report-catalog-no-records", "report", "--catalog", "{tmp}/norecords.json",
+        error="'records' must be a list"),
+    bad("report-catalog-short-septuple", "report", "--catalog", "{tmp}/short.json",
+        error="septuple of 7 integers"),
+    bad("report-catalog-wrong-label", "report", "--catalog", "{tmp}/label.json",
+        error="paperNumber 'x'"),
+    bad("report-catalog-non-member", "report", "--catalog", "{tmp}/nonmember.json", error="fails"),
+    bad("report-catalog-version", "report", "--catalog", "{tmp}/version.json",
+        error="unsupported schemaVersion"),
+    bad("report-catalog-not-json", "report", "--catalog", "{tmp}/text.json", error="Expecting value"),
+]
+
+
+@pytest.mark.parametrize("argv, code, error", BAD_INPUTS)
+def test_bad_input(argv, code, error, tmp_path, capsys):
+    for name, text in BAD_CATALOGS.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        return
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out) == (1, "")
+    assert error in json.loads(err)["error"]
+
+
+def test_bad_input_covers_every_subcommand():
+    commands = set(build_parser()._subparsers._group_actions[0].choices)
+    assert {p.values[0][0] for p in BAD_INPUTS} == commands

@@ -12,7 +12,20 @@ from wfano.exactmath import (
     rational_roots,
     smith_normal_form,
     squarefree_and_root_count,
+    univariate_rational_roots,
 )
+
+
+def from_roots(roots, lead=1):
+    """Ascending coefficients of lead * prod(s - rho)."""
+    poly = [Fraction(lead)]
+    for rho in roots:
+        nxt = [Fraction(0)] * (len(poly) + 1)
+        for k, c in enumerate(poly):
+            nxt[k + 1] += c
+            nxt[k] -= rho * c
+        poly = nxt
+    return poly
 
 
 def test_gcd_tuple_examples():
@@ -111,17 +124,8 @@ def test_square_of_form_never_squarefree():
 
 
 def test_rational_roots_of_split_form():
-    # (v - u)(v - 2u)(v + 3u) = expansions; roots at v/u = 1, 2, -3
-    coeffs = [Fraction(c) for c in (-6, 7, 0, 1)]
-    # build from factors to be safe
-    poly = [Fraction(1)]
-    for rho in (1, 2, -3):
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for k, c in enumerate(poly):
-            nxt[k + 1] += c
-            nxt[k] -= rho * c
-        poly = nxt
-    roots = rational_roots(binary_form(poly))
+    # (v - u)(v - 2u)(v + 3u): roots at v/u = 1, 2, -3
+    roots = rational_roots(binary_form(from_roots((1, 2, -3))))
     assert roots == [(1, -3), (1, 1), (1, 2)]
 
 
@@ -129,6 +133,40 @@ def test_rational_roots_includes_coordinate_points():
     # u * v * (v - u): roots at [1:0], [0:1], [1:1]
     roots = rational_roots(binary_form([0, -1, 1, 0]))
     assert set(roots) == {(1, 0), (0, 1), (1, 1)}
+
+
+def test_univariate_rational_roots_from_known_roots():
+    # repeated roots, a root at 0, rational leading coefficients and an
+    # irreducible quadratic factor that contributes no rational root
+    rng = random.Random(29)
+    for _ in range(200):
+        roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))]
+        poly = from_roots(roots, lead=Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        if rng.random() < 0.3:
+            poly = [2 * a - b for a, b in zip(poly + [0, 0], [0, 0] + poly)]  # times 2 - s^2
+        assert univariate_rational_roots(poly) == sorted(set(roots))
+        assert univariate_rational_roots([-c for c in poly] + [0, 0]) == sorted(set(roots))
+
+
+def test_univariate_rational_roots_edge_cases():
+    assert univariate_rational_roots([5]) == []
+    assert univariate_rational_roots([0, 0, 3]) == [0]
+    assert univariate_rational_roots([1, 0, 1]) == []
+    assert univariate_rational_roots([Fraction(-1, 4), 0, 1]) == [Fraction(-1, 2), Fraction(1, 2)]
+    with pytest.raises(ValueError):
+        univariate_rational_roots([0, 0])
+
+
+def test_rational_roots_order_against_known_roots():
+    # finite roots [1 : rho] in increasing rho, [1 : 0] among them, [0 : 1] last
+    rng = random.Random(31)
+    for _ in range(200):
+        finite = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 4))]
+        poly = from_roots(finite, lead=rng.choice((-3, 1, 2)))
+        at_u0 = rng.random() < 0.5  # a factor u vanishes at [0 : 1]
+        form = binary_form(poly + [0] * at_u0)
+        expected = [(rho.denominator, rho.numerator) for rho in sorted(set(finite))]
+        assert rational_roots(form) == expected + [(0, 1)] * at_u0
 
 
 def test_rational_arithmetic_is_exact():

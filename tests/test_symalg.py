@@ -24,6 +24,7 @@ from wfano.symalg import (
     stratum_restriction,
     substitute,
 )
+from wfano.symalg import _canonical_rational_root
 from wfano.wspace import enumerate_monomials, format_monomial, parse_monomial, weight_system
 
 SYMMETRY_FAMILIES = (19, 28, 39, 49, 59, 66, 84)
@@ -295,6 +296,35 @@ def test_quasismooth_member_is_tristate():
     verdict = quasismooth_member(sample_general_member(ws, seed=0))
     with pytest.raises(TypeError):
         bool(verdict)
+
+
+def test_quasismooth_member_propagates_groebner_errors(monkeypatch):
+    # a failure inside the chart check (a timeout, a bug) is not a verdict
+    import sympy
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("groebner interrupted")
+
+    monkeypatch.setattr(sympy, "groebner", fail)
+    ws = weight_system(1, 1, 1, 1, 1, 4)
+    terms = {tuple(4 * (k == i) for k in range(5)): Fraction(1) for i in range(5)}
+    with pytest.raises(RuntimeError, match="groebner interrupted"):
+        quasismooth_member(GradedPolynomial(ws, 4, terms))
+
+
+def test_canonical_rational_root_rules():
+    def canonical(*coeffs):
+        return _canonical_rational_root({k: Fraction(c) for k, c in enumerate(coeffs) if c})
+
+    assert canonical(-2, 1, 2, -1) == 1  # roots 1, -1, 2: smallest |root|, positive first
+    assert canonical(-2, 1, 1) == 1  # roots 1, -2
+    assert canonical(2, 3, 1) == -1  # roots -1, -2
+    assert canonical(Fraction(-1, 4), 0, 1) == Fraction(1, 2)
+    assert canonical(0, -3, 1) == 0  # a root at 0 beats 3
+    assert canonical(0, 0, 5) == 0
+    assert _canonical_rational_root({}) == 0  # the target is already absent
+    assert canonical(7) is None  # a nonzero constant: the target is unreachable
+    assert canonical(-2, 0, 1) is None  # no rational root
 
 
 @pytest.mark.slow
