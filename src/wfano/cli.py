@@ -20,6 +20,7 @@ from .membership import membership_report, rejection
 from .singular import format_non_isolated, singular_points_general, terminal_general
 from .wspace import (
     WeightSystem,
+    count_monomials,
     enumerate_monomials,
     format_monomial,
     parse_weight_system,
@@ -27,6 +28,9 @@ from .wspace import (
 )
 
 CATALOG_ENV = "WFANO_CATALOG"
+
+#: the most monomials ``monomials`` and ``autgroup --septuple`` will enumerate
+MAX_MONOMIALS = 50_000
 
 
 class DomainError(Exception):
@@ -54,6 +58,25 @@ def _ws_from_args(args) -> WeightSystem:
     raise DomainError("need --septuple a1,..,a5,d[,I] or --weights a1,..,a5 with --degree")
 
 
+def _fano_ws_from_args(args) -> WeightSystem:
+    """The septuple of args, refused when it fails the first stage of the chain."""
+    ws = _ws_from_args(args)
+    if rejection(ws.weights, ws.degree) == "Fano index":
+        raise DomainError(f"{ws} fails the Fano index stage: index {ws.index} < 1")
+    return ws
+
+
+def _monomials(ws: WeightSystem, degree: int) -> list:
+    """The monomials of a degree, refused before any is built past the cap."""
+    count = count_monomials(ws.weights, degree)
+    if count > MAX_MONOMIALS:
+        raise DomainError(
+            f"P{ws.weights} has {count} monomials of degree {degree}, "
+            f"more than the limit of {MAX_MONOMIALS}"
+        )
+    return enumerate_monomials(ws, degree)
+
+
 def _bounds_from_args(args) -> cat.SearchBounds:
     given = {"max_weight": args.max_weight, "max_degree": args.max_degree}
     return cat.SearchBounds(**{k: v for k, v in given.items() if v is not None})
@@ -62,7 +85,7 @@ def _bounds_from_args(args) -> cat.SearchBounds:
 def cmd_monomials(args) -> None:
     ws = _ws_from_args(args)
     degree = args.degree if args.degree is not None else ws.degree
-    mons = enumerate_monomials(ws, degree)
+    mons = _monomials(ws, degree)
     payload = {
         "weights": list(ws.weights),
         "degree": degree,
@@ -76,7 +99,7 @@ def cmd_monomials(args) -> None:
 
 
 def cmd_check(args) -> None:
-    ws = _ws_from_args(args)
+    ws = _fano_ws_from_args(args)
     report = membership_report(ws)
     payload = {"septuple": list(ws.septuple), **report.to_dict()}
     if report.accepted:
@@ -100,7 +123,7 @@ def cmd_classify(args) -> None:
 
 
 def cmd_basket(args) -> None:
-    ws = _ws_from_args(args)
+    ws = _fano_ws_from_args(args)
     report = membership_report(ws)
     if not report.accepted:
         raise DomainError(f"{ws} fails the membership predicates: {report.to_dict()}")
@@ -154,7 +177,7 @@ def cmd_autgroup(args) -> None:
         _emit(args, payload, md + f"\n- trivial: {cert.trivial}\n")
         return
     ws = _ws_from_args(args)
-    support = frozenset(enumerate_monomials(ws, ws.degree))
+    support = frozenset(_monomials(ws, ws.degree))
     group = symmetry.diagonal_symmetry_group(support, ws)
     invol, witness = symmetry.has_diagonal_involution(support, ws)
     payload = {
@@ -187,7 +210,7 @@ def cmd_stabilizer(args) -> None:
 
 
 def cmd_verdict(args) -> None:
-    ws = _ws_from_args(args)
+    ws = _fano_ws_from_args(args)
     if rejection(ws.weights, ws.degree) is not None:
         raise DomainError(f"{ws} is not an accepted family")
     if not terminal_general(ws):

@@ -1,7 +1,7 @@
 """Exact integer and rational arithmetic utilities.
 
 Everything here is exact: arbitrary-precision integers, ``fractions.Fraction``
-for rationals, Smith normal form over the integers with unimodular transforms,
+for rationals, Smith normal form over the integers with its right transform,
 and squarefree analysis of binary forms.  No floating point anywhere; the
 genericity decisions downstream depend on these answers being exact.
 """
@@ -28,10 +28,6 @@ def gcd_tuple(values: Sequence[int]) -> int:
 
 # ---------------------------------------------------------------------------
 # integer matrices
-
-
-def mat_identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -68,40 +64,65 @@ def mat_det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _primitive(vectors: list[list[int]]) -> bool:
+    """Do the integer vectors have maximal minors of gcd 1, i.e. extend to a
+    basis of the integer lattice?  Euclid's algorithm on the unused
+    coordinates of each vector in turn, applied to the later vectors too,
+    keeps that gcd and leaves one nonzero coordinate, which must be +-1."""
+    vs = [list(v) for v in vectors]
+    free = set(range(len(vs[0]))) if vs else set()
+    for k, v in enumerate(vs):
+        while len(support := sorted((j for j in free if v[j]), key=lambda j: abs(v[j]))) > 1:
+            p = support[0]
+            for j in support[1:]:
+                q = v[j] // v[p]
+                for w in vs[k:]:
+                    w[j] -= q * w[p]
+        if not support or abs(v[support[0]]) != 1:
+            return False
+        free.remove(support[0])
+    return True
+
+
 @dataclass(frozen=True)
 class SmithForm:
-    """Diagonalization L * A * R = D with L, R unimodular.
+    """Diagonalization A * R with R unimodular: some unimodular L, which is
+    not computed, gives L * A * R = D.
 
     ``diagonal`` holds the elementary divisors (nonnegative, each dividing the
     next nonzero one), padded with zeros up to min(rows, cols).
     """
 
     diagonal: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
 
     def verify(self, original: Sequence[Sequence[int]]) -> bool:
+        """Is R unimodular, with L * A * R = D for some unimodular L?  L exists
+        iff the columns of A * R past the rank r are zero and column k < r is
+        d_k * u_k, where u_0, ..., u_{r-1} extend to a basis (L inverts it)."""
         rows = len(original)
         cols = len(original[0]) if rows else 0
-        prod = mat_mul(mat_mul(self.left, original), self.right) if rows and cols else []
-        for i in range(rows):
-            for j in range(cols):
-                expect = self.diagonal[i] if i == j and i < len(self.diagonal) else 0
-                if prod[i][j] != expect:
-                    return False
-        if abs(mat_det(self.left)) != 1 or abs(mat_det(self.right)) != 1:
-            return False
         nz = [d for d in self.diagonal if d]
-        return all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
+        r = len(nz)
+        shaped = list(self.diagonal) == nz + [0] * (min(rows, cols) - r) and all(d > 0 for d in nz)
+        if not shaped or len(self.right) != cols or abs(mat_det(self.right)) != 1:
+            return False
+        prod = mat_mul(original, self.right)
+        columns = [[row[k] for row in prod] for k in range(cols)]
+        if any(any(c) for c in columns[r:]) or any(x % d for d, c in zip(nz, columns) for x in c):
+            return False
+        chain = all(nz[i + 1] % nz[i] == 0 for i in range(r - 1))
+        return chain and _primitive([[x // d for x in c] for d, c in zip(nz, columns)])
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
-    """Smith normal form of an integer matrix.
+    """Smith normal form of an integer matrix, with its right transform.
 
     Pivoting picks the smallest-absolute-value nonzero entry, ties broken by
     lowest (row, col), which makes the reduction deterministic for a fixed
     input.  Returns diagonal entries normalized nonnegative with the
-    divisibility chain enforced.
+    divisibility chain enforced.  Row operations act on the matrix alone; the
+    left transform is not kept, and ``SmithForm.verify`` proves it exists.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -109,14 +130,11 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
         if len(r) != cols:
             raise ValueError("smith_normal_form: ragged matrix")
     a = [list(r) for r in matrix]
-    left = mat_identity(rows)
-    right = mat_identity(cols)
+    right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def row_op(dst: int, src: int, q: int) -> None:
         for j in range(cols):
             a[dst][j] -= q * a[src][j]
-        for j in range(rows):
-            left[dst][j] -= q * left[src][j]
 
     def col_op(dst: int, src: int, q: int) -> None:
         for i in range(rows):
@@ -124,19 +142,11 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
         for i in range(cols):
             right[i][dst] -= q * right[i][src]
 
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
     def swap_cols(i: int, j: int) -> None:
         for row in a:
             row[i], row[j] = row[j], row[i]
         for row in right:
             row[i], row[j] = row[j], row[i]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-v for v in a[i]]
-        left[i] = [-v for v in left[i]]
 
     k = 0
     limit = min(rows, cols)
@@ -149,10 +159,10 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(k, pivot[0])
+        a[k], a[pivot[0]] = a[pivot[0]], a[k]
         swap_cols(k, pivot[1])
         if a[k][k] < 0:
-            negate_row(k)
+            a[k] = [-v for v in a[k]]
         clean = True
         for i in range(k + 1, rows):
             if a[i][k]:
@@ -181,11 +191,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
         k += 1
 
     diag = [a[i][i] for i in range(limit)]
-    return SmithForm(
-        diagonal=tuple(diag),
-        left=tuple(tuple(r) for r in left),
-        right=tuple(tuple(r) for r in right),
-    )
+    return SmithForm(diagonal=tuple(diag), right=tuple(tuple(r) for r in right))
 
 
 # ---------------------------------------------------------------------------

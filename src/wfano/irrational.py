@@ -86,12 +86,7 @@ def _rule(tag: str) -> tuple[str, str]:
 def top_variable_degree(ws: WeightSystem) -> int:
     """Largest e such that w^e times a monomial in the other variables has degree d."""
     a, d = ws.weights, ws.degree
-    best = 0
-    rest = tuple(sorted(a[:4]))
-    for e in range(d // a[4] + 1):
-        if representable(rest, d - e * a[4]):
-            best = e
-    return best
+    return max((e for e in range(d // a[4] + 1) if representable(a[:4], d - e * a[4])), default=0)
 
 
 def projection_degree(record: FamilyRecord) -> int | str:

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd
 from typing import Callable
 
-from .wspace import NVARS, VARIABLES, WeightSystem, wps_well_formed
+from .wspace import NVARS, VARIABLES, WeightSystem, count_monomials, wps_well_formed
 
 #: a coordinate stratum, as a sorted tuple of variable indices
 StratumSelector = tuple[int, ...]
@@ -57,18 +57,7 @@ class MembershipReport:
 @lru_cache(maxsize=1 << 20)
 def representable(weights: tuple[int, ...], target: int) -> bool:
     """Does target = sum e_i * weights_i admit a nonnegative integer solution?"""
-    if target == 0:
-        return True
-    if target < 0 or not weights:
-        return False
-    if len(weights) == 1:
-        return target % weights[0] == 0
-    w = weights[0]
-    rest = weights[1:]
-    for k in range(target // w + 1):
-        if representable(rest, target - k * w):
-            return True
-    return False
+    return target >= 0 and count_monomials(weights, target) > 0
 
 
 def is_linear_cone(ws: WeightSystem) -> bool:
@@ -92,8 +81,8 @@ def quasismooth_general(ws: WeightSystem) -> tuple[bool, list[tuple[StratumSelec
     a, d = ws.weights, ws.degree
     failing: list[tuple[StratumSelector, str]] = []
     for r in range(1, NVARS + 1):
-        for subset in combinations(range(NVARS), r):
-            wts = tuple(sorted(a[i] for i in subset))
+        # combinations keep the ascending order of the weights
+        for subset, wts in zip(combinations(range(NVARS), r), combinations(a, r)):
             if representable(wts, d):
                 continue
             outside = [j for j in range(NVARS) if j not in subset]
@@ -152,16 +141,18 @@ def rejection(
     """The membership predicates as one chain, cheapest first.
 
     Returns the name of the first predicate the family (weights, degree)
-    fails, or None when it passes all of them.  The order is: linear cone,
-    vertex coverage (for each x_i a pure power x_i^(d/a_i) or a monomial
-    x_i^m * x_j, m >= 1, which quasismoothness implies), ambient
-    well-formedness, hypersurface well-formedness, then ``terminal(ws)`` when
-    a terminality test is given, and quasismoothness last.  Without
-    ``terminal``, None means exactly ``membership_report(ws).accepted``.  The
-    first two stages run on the plain integers, so most rejected search
+    fails, or None when it passes all of them.  The order is: Fano index >= 1,
+    linear cone, vertex coverage (for each x_i a pure power x_i^(d/a_i) or a
+    monomial x_i^m * x_j, m >= 1, which quasismoothness implies), ambient and
+    hypersurface well-formedness, then ``terminal(ws)`` when a terminality
+    test is given, and quasismoothness last.  Without ``terminal``, None at
+    index >= 1 means exactly ``membership_report(ws).accepted``.  The first
+    three stages run on the plain integers, so most rejected search
     candidates never build a WeightSystem.
     """
     a, d = weights, degree
+    if sum(a) <= d:
+        return "Fano index"
     if d in a:
         return "linear cone"
     for ai in a:

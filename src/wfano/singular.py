@@ -16,7 +16,7 @@ from math import gcd
 from typing import Iterator
 
 from .membership import StratumSelector, format_stratum, rejection
-from .wspace import NVARS, VARIABLES, WeightSystem
+from .wspace import NVARS, VARIABLES, WeightSystem, count_monomials
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,9 @@ class SingularityBasket:
     non_isolated: tuple[tuple[StratumSelector, str], ...] = field(default_factory=tuple)
 
     @property
-    def terminal_eligible(self) -> bool:
-        return not self.non_isolated
-
-    @property
     def terminal(self) -> bool:
         """Isolated singular points only, each terminal by Reid--Tai."""
-        return self.terminal_eligible and all(reid_tai_terminal(p.singularity) for p in self.points)
+        return not self.non_isolated and all(reid_tai_terminal(p.singularity) for p in self.points)
 
     def to_strings(self) -> list[str]:
         return [
@@ -101,33 +97,6 @@ def reid_tai_terminal(q: QuotientSingularity) -> bool:
     return True
 
 
-def _edge_monomial_count(ai: int, aj: int, d: int) -> int:
-    return sum(1 for alpha in range(d // ai + 1) if (d - alpha * ai) % aj == 0)
-
-
-def _stratum_monomial_count(weights: tuple[int, int, int], d: int, cap: int = 2) -> int:
-    """Number of monomials of degree d in three variables of the given
-    weights, counted up to ``cap``."""
-    x, y, z = weights
-    count = 0
-    for rest in range(d, -1, -z):
-        for r in range(rest, -1, -y):
-            if r % x == 0:
-                count += 1
-                if count >= cap:
-                    return count
-    return count
-
-
-def _vertex_solving_indices(ws: WeightSystem, i: int) -> list[int]:
-    a, d = ws.weights, ws.degree
-    return [
-        j
-        for j in range(NVARS)
-        if j != i and d - a[j] >= a[i] and (d - a[j]) % a[i] == 0
-    ]
-
-
 def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSelector, str]]:
     """The singular locus of a general member, one stratum at a time.
 
@@ -144,7 +113,7 @@ def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSe
         q = gcd(*wts)
         if q <= 1:
             continue
-        n = _stratum_monomial_count(wts, d, cap=2)
+        n = count_monomials(wts, d)
         if n == 0:
             yield subset, f"stratum with weight gcd {q} lies inside X"
         elif n >= 2:
@@ -155,7 +124,8 @@ def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSe
         ai = a[i]
         if ai == 1 or d % ai == 0:
             continue  # smooth point, or vertex off X (pure power present)
-        js = _vertex_solving_indices(ws, i)
+        # the j with a monomial x_i^m * x_j, m >= 1, of degree d
+        js = [j for j in range(NVARS) if j != i and d - a[j] >= ai and (d - a[j]) % ai == 0]
         if not js:
             raise ValueError(f"{ws}: vertex {VARIABLES[i]} is not covered, so X is not quasismooth")
         types = [tuple(a[k] % ai for k in range(NVARS) if k not in (i, j)) for j in js]
@@ -181,7 +151,7 @@ def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSe
         q = gcd(a[i], a[j])
         if q <= 1:
             continue
-        n = _edge_monomial_count(a[i], a[j], d)
+        n = count_monomials((a[i], a[j]), d)
         location = f"edge {VARIABLES[i]}{VARIABLES[j]}"
         if n == 0:
             yield (i, j), f"edge with weight gcd {q} lies inside X"

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 VARIABLES = ("x", "y", "z", "t", "w")
 NVARS = 5
+
+#: the most bits ``count_monomials`` packs its series into (2 MiB); a larger
+#: degree raises ValueError instead of exhausting memory
+MAX_SERIES_BITS = 1 << 24
 
 #: exponent vector over (x, y, z, t, w)
 Monomial = tuple[int, int, int, int, int]
@@ -132,19 +136,29 @@ def enumerate_monomials(ws: WeightSystem, k: int) -> list[Monomial]:
     return out
 
 
-def count_monomials(ws: WeightSystem, k: int) -> int:
-    """Number of monomials of weighted degree k (coin-counting DP).
-
-    Agrees with the coefficient of q^k in prod_i 1/(1 - q^(a_i)).
+def count_monomials(weights: tuple[int, ...], k: int) -> int:
+    """Number of monomials of weighted degree k in variables of the given
+    positive weights, the coefficient of q^k in prod_i 1/(1 - q^(a_i)); the
+    one monomial counter.  The series is packed into one integer with a B-bit
+    slot per degree <= k, and 1/(1 - q^a) = prod_t (1 + q^(a * 2^t)) costs one
+    shift-add per a * 2^t <= k.  A degree-j monomial is fixed by its other
+    exponents, which sum to at most j, so C(k+n-1, n-1) bounds every slot.
     """
-    if k < 0:
-        raise ValueError("count_monomials: negative degree")
-    counts = [0] * (k + 1)
-    counts[0] = 1
-    for a in ws.weights:
-        for v in range(a, k + 1):
-            counts[v] += counts[v - a]
-    return counts[k]
+    if k < 0 or not weights:
+        raise ValueError("count_monomials: need a degree >= 0 and one or more weights")
+    width = comb(k + len(weights) - 1, len(weights) - 1).bit_length()
+    if (bits := (k + 1) * width) > MAX_SERIES_BITS:
+        raise ValueError(f"count_monomials: degree {k} needs {bits} bits, over {MAX_SERIES_BITS}")
+    mask = (1 << bits) - 1
+    series = 1
+    for a in weights:
+        if a <= 0:
+            raise ValueError("count_monomials: weights must be positive")
+        while a <= k:
+            series += series << a * width
+            a *= 2
+        series &= mask  # slots past k may overflow, but carries only move up
+    return series >> k * width
 
 
 def wps_well_formed(ws: WeightSystem) -> bool:

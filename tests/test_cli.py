@@ -172,9 +172,15 @@ BAD_INPUTS = [
     bad("monomials-out-missing-dir", "monomials", "--weights", "1,1,1,1,1", "--degree", "4",
         "--out", "{tmp}/missing/x.json", error="No such file or directory"),
     bad("monomials-no-degree", "monomials", "--weights", "1,1,1,1,1", code=2),
+    bad("monomials-over-cap", "monomials", "--weights", "1,1,1,1,1", "--degree", "200",
+        error="has 70058751 monomials of degree 200, more than the limit of 50000"),
     bad("check-short", "check", "--septuple", "1,2,3", error="expected 6 or 7 integers"),
     bad("check-zero-weight", "check", "--septuple", "0,1,1,1,1,4", error="weights must be positive"),
     bad("check-wrong-index", "check", "--septuple", "1,1,1,1,1,4,5", error="inconsistent septuple"),
+    bad("check-negative-index", "check", "--septuple", "1,1,1,1,1,9",
+        error="fails the Fano index stage: index -4 < 1"),
+    bad("check-huge-degree", "check", "--septuple", "1,1,1,1,100000000,100000001",
+        error="count_monomials: degree 100000001 needs 100000002 bits"),
     bad("classify-zero-weight", "classify", "--max-weight", "0", error="bounds must be positive"),
     bad("classify-negative-degree", "classify", "--max-degree", "-3", error="bounds must be positive"),
     bad("classify-unknown-flag", "classify", "--no-such-flag", code=2),
@@ -182,16 +188,22 @@ BAD_INPUTS = [
     bad("basket-bad-family", "basket", "--septuple", "1,1,1,1,4,7",
         error="fails the membership predicates"),
     bad("basket-short", "basket", "--septuple", "1,1,1,1,1", error="expected 6 or 7 integers"),
+    bad("basket-negative-index", "basket", "--septuple", "1,1,1,1,1,9",
+        error="fails the Fano index stage: index -4 < 1"),
     bad("normalize-unknown-family", "normalize", "--family", "2", error="unknown family number 2"),
     bad("normalize-non-integer", "normalize", "--family", "x", code=2),
     bad("autgroup-unknown-family", "autgroup", "--family", "2", error="unknown family number 2"),
     bad("autgroup-no-input", "autgroup", error="need --septuple"),
+    bad("autgroup-over-cap", "autgroup", "--septuple", "1,1,1,1,1,31",
+        error="has 52360 monomials of degree 31, more than the limit of 50000"),
     bad("stabilizer-two-points", "stabilizer", "--points", "0,1", error="fewer than 3 points"),
     bad("stabilizer-zero-denominator", "stabilizer", "--points", "1/0", error="zero denominator"),
     bad("stabilizer-not-a-number", "stabilizer", "--points", "abc", error="Invalid literal"),
     bad("stabilizer-repeated", "stabilizer", "--points", "0,1,1,inf", error="must be distinct"),
     bad("verdict-rejected-family", "verdict", "--septuple", "1,1,1,1,3,4", error="is not terminal"),
     bad("verdict-wrong-index", "verdict", "--septuple", "1,1,1,1,1,4,2", error="inconsistent septuple"),
+    bad("verdict-zero-index", "verdict", "--septuple", "1,1,1,1,1,5",
+        error="fails the Fano index stage: index 0 < 1"),
     bad("verdict-no-septuple", "verdict", code=2),
     bad("report-zero-weight", "report", "--max-weight", "0", error="bounds must be positive"),
     bad("report-catalog-list", "report", "--catalog", "{tmp}/list.json", error="JSON object"),

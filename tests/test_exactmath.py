@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from wfano.exactmath import (
+    SmithForm,
     binary_form,
     gcd_tuple,
     mat_det,
@@ -55,6 +56,37 @@ def test_smith_normal_form_hand_checked():
     s = smith_normal_form([[2, 4], [4, 2]])
     assert s.diagonal == (2, 6)
     assert s.verify([[2, 4], [4, 2]])
+
+
+def test_smith_form_verify_rejects_forgeries():
+    a = [[2, 4], [4, 2]]
+    right = smith_normal_form(a).right
+    # wrong diagonals: column 0 of A * R is 2 * u_0 with u_0 primitive
+    assert not SmithForm((1, 12), right).verify(a)
+    assert not SmithForm((4, 3), right).verify(a)
+    assert not SmithForm((2,), right).verify(a)
+    # non-unimodular right transform; everything else would pass
+    assert SmithForm((2,), ((1,),)).verify([[2]])
+    assert not SmithForm((2,), ((2,),)).verify([[1]])
+    # non-primitive columns: no unimodular L maps 2 to 1
+    assert not SmithForm((1,), ((1,),)).verify([[2]])
+    # each column primitive, but together they span an index-2 lattice
+    assert not SmithForm((1, 1), ((1, 0), (0, 1))).verify([[1, 1], [1, -1]])
+    assert smith_normal_form([[1, 1], [1, -1]]).diagonal == (1, 2)
+    # a column past the rank that is not zero
+    assert not SmithForm((1,), ((1, 0), (0, 1))).verify([[1, 1]])
+
+
+def test_smith_form_verify_rejects_scaled_divisors():
+    rng = random.Random(13)
+    for _ in range(100):
+        a = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]]
+        a += [[rng.randint(-9, 9) for _ in range(len(a[0]))] for _ in range(rng.randint(0, 4))]
+        s = smith_normal_form(a)
+        for k, d in enumerate(s.diagonal):
+            if d:
+                forged = s.diagonal[:k] + (2 * d,) + s.diagonal[k + 1 :]
+                assert not SmithForm(forged, s.right).verify(a)
 
 
 def _minor_gcd(matrix, k):

@@ -8,6 +8,7 @@ from wfano.membership import (
     is_linear_cone,
     membership_report,
     quasismooth_general,
+    rejection,
 )
 from wfano.wspace import enumerate_monomials, weight_system
 
@@ -117,3 +118,14 @@ def test_membership_report_failing_strata_nonempty_on_failure():
     rep = membership_report(weight_system(1, 1, 1, 1, 4, 7))
     assert not rep.quasismooth_general
     assert rep.failing_strata
+
+
+def test_rejection_fano_index_is_the_first_stage():
+    assert rejection((1, 1, 1, 1, 1), 9) == "Fano index"
+    assert rejection((1, 1, 1, 1, 1), 5) == "Fano index"
+    # index -2, and the w vertex is not covered either
+    assert rejection((1, 1, 1, 1, 4), 10) == "Fano index"
+    assert rejection((1, 1, 1, 1, 4), 7) == "vertex coverage"
+    assert rejection((1, 1, 1, 1, 1), 4) is None
+    # the predicates themselves accept the index -4 quintic's weights
+    assert membership_report(weight_system(1, 1, 1, 1, 1, 9)).accepted

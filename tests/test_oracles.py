@@ -9,15 +9,6 @@ the singularity analysis that changes a family or its basket shows here.
 from fractions import Fraction
 from math import prod
 
-import pytest
-
-from wfano.catalog import SearchBounds, classify
-
-
-@pytest.fixture(scope="module")
-def catalog():
-    return classify(SearchBounds())
-
 
 def hilbert_series(weights, degree, top):
     """Coefficients of t^0..t^top in (1 - t^degree) / prod_i (1 - t^a_i), the
@@ -55,7 +46,8 @@ def riemann_roch(record, n):
     return Fraction(n * (n + 1) * (2 * n + 1), 12) * cube + 2 * n + 1 - correction
 
 
-def test_orbifold_riemann_roch_index_one(catalog):
+def test_orbifold_riemann_roch_index_one(default_catalog):
+    catalog, _ = default_catalog
     index_one = [r for r in catalog if r.ws.index == 1]
     assert len(index_one) == 95
     for record in index_one:
@@ -64,7 +56,8 @@ def test_orbifold_riemann_roch_index_one(catalog):
             assert h0[n] == riemann_roch(record, n), (record.septuple, n)
 
 
-def test_kawamata_bound(catalog):
+def test_kawamata_bound(default_catalog):
+    catalog, _ = default_catalog
     assert len(catalog) == 130
     for record in catalog:
         total = sum(

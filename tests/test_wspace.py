@@ -88,21 +88,44 @@ def test_single_variable_monomials_present():
 
 def test_count_matches_enumeration_and_series():
     ws = weight_system(1, 3, 5, 6, 7, 21)
-    assert count_monomials(ws, 21) == len(enumerate_monomials(ws, 21)) == 66
-    assert count_monomials(ws, 0) == 1
+    assert count_monomials(ws.weights, 21) == len(enumerate_monomials(ws, 21)) == 66
+    assert count_monomials(ws.weights, 0) == 1
     rng = random.Random(5)
     for _ in range(1000):
         weights = tuple(sorted(rng.randint(1, 9) for _ in range(5)))
         k = rng.randint(0, 30)
         ws = weight_system(*weights, max(sum(weights) - 1, 1))
-        assert count_monomials(ws, k) == series_count(weights, k)
+        assert count_monomials(ws.weights, k) == series_count(weights, k)
 
 
 def test_count_on_catalog_style_degrees():
     for sept in ((1, 1, 1, 1, 1, 4), (1, 2, 3, 3, 4, 12), (1, 7, 8, 9, 12, 36)):
         ws = weight_system(*sept)
         for k in range(0, 2 * ws.degree + 1, max(1, ws.degree // 3)):
-            assert count_monomials(ws, k) == series_count(ws.weights, k)
+            assert count_monomials(ws.weights, k) == series_count(ws.weights, k)
+
+
+def test_count_on_strata_and_edges():
+    # the 1-, 2- and 3-weight tuples of coordinate strata, edges and vertices
+    rng = random.Random(9)
+    for _ in range(600):
+        weights = tuple(sorted(rng.randint(1, 12) for _ in range(rng.randint(1, 3))))
+        k = rng.randint(0, 60)
+        expected = series_count(weights, k)
+        assert count_monomials(weights, k) == expected
+        if k <= 30:
+            assert len(brute_monomials(weights, k)) == expected
+    # the largest slot holds C(k+n-1, n-1) exactly: all weights 1
+    assert count_monomials((1, 1, 1), 200) == 201 * 202 // 2
+    assert count_monomials((1,), 0) == count_monomials((7,), 14) == 1
+    assert count_monomials((7,), 13) == count_monomials((4, 6), 9) == 0
+    with pytest.raises(ValueError):
+        count_monomials((2, 3), -1)
+    with pytest.raises(ValueError):
+        count_monomials((0, 3), 6)
+    # a huge degree is refused before its series is built
+    with pytest.raises(ValueError, match="bits"):
+        count_monomials((1, 1, 1, 1, 1), 10**9)
 
 
 def test_wps_well_formed():
