@@ -2,8 +2,11 @@
 
 Everything here is exact: arbitrary-precision integers, ``fractions.Fraction``
 for rationals, Smith normal form over the integers with its right transform,
-and squarefree analysis of binary forms.  No floating point anywhere; the
-genericity decisions downstream depend on these answers being exact.
+squarefree analysis of binary forms, and ranks over F_p.  The genericity and
+quasismoothness decisions downstream depend on these answers being exact.
+The one use of floating point is ``rank_mod_p``, whose float64 values are
+integers below 2^52 in absolute value, all represented exactly; numpy is
+imported there, not at module level, so ``import wfano`` does not load it.
 """
 
 from __future__ import annotations
@@ -192,6 +195,124 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
 
     diag = [a[i][i] for i in range(limit)]
     return SmithForm(diagonal=tuple(diag), right=tuple(tuple(r) for r in right))
+
+
+# ---------------------------------------------------------------------------
+# matrices over F_p in float64
+
+#: float64 holds every integer of absolute value below this exactly (with a
+#: bit to spare); every intermediate of the mod-p routines stays below it
+EXACT_BOUND = 1 << 52
+#: columns per panel of ``rank_mod_p``: a trailing update sums PANEL products
+PANEL = 32
+#: rows per block of a reduction or a product, bounding the temporaries
+ROW_BLOCK = 64
+#: most multiply-adds in one BLAS call.  OpenBLAS runs a product of at most
+#: 64^3 on the calling thread; a larger one wakes its thread pool, and two
+#: processes on two cores then spin against each other: a compression shaped
+#: like the quartic's (1365 columns) took 0.36 s alone and 13 s with two
+#: processes at once in whole-row products, against 0.63-0.74 s with both in
+#: products this small (2-vCPU host, OpenBLAS 0.3.31)
+PRODUCT_SIZE = 64**3
+
+
+def add_product(out, left, right) -> None:
+    """out += left @ right, as BLAS calls of at most PRODUCT_SIZE multiply-adds.
+
+    Each column tile of ``right`` is copied to contiguous memory once, which
+    saves more than the copy costs across the row blocks that read it.
+    """
+    import numpy as np
+
+    width = max(1, PRODUCT_SIZE // (ROW_BLOCK * max(1, left.shape[1])))
+    for c in range(0, out.shape[1], width):
+        tile = np.ascontiguousarray(right[:, c : c + width])
+        column = out[:, c : c + width]
+        for r in range(0, out.shape[0], ROW_BLOCK):
+            column[r : r + ROW_BLOCK] += left[r : r + ROW_BLOCK] @ tile
+
+
+def rank_mod_p(matrix, p: int) -> int:
+    """Rank over F_p of an integer matrix, p a prime with 32 * (p-1)^2 < 2^52.
+
+    A float64 array is reduced and eliminated in place; any other array-like
+    is first copied into one.  Right-looking blocked LU: each panel of PANEL
+    columns is eliminated column by column with row pivoting inside the
+    panel, a short loop brings the pivot rows' trailing block up to date, and
+    the rows below take the panel's update as BLAS products (``add_product``).
+
+    Exactness: residues are kept in [0, p) by ``x -= p*floor(x/p)``, which is
+    exact for |x| < EXACT_BOUND because x/p is correctly rounded (an integer
+    when p | x, at least 1/p away from one otherwise).  A product of residues
+    sums at most PANEL terms below (p-1)^2.  The trailing block is reduced
+    only when a panel reaches it, so an entry collects at most one such sum
+    per panel; the first check below bounds them all, and raises ValueError
+    when p or the width is too large.
+    """
+    import numpy as np
+
+    def mod(x) -> None:
+        x -= p * np.floor(x / p)
+
+    a = np.asarray(matrix)
+    if a.dtype != np.float64:
+        a = np.asarray(np.asarray(matrix, dtype=np.int64) % p, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError("rank_mod_p: need a 2-D matrix")
+    rows, cols = a.shape
+    panels = -(-cols // PANEL)
+    if p + (panels + 1) * PANEL * (p - 1) ** 2 >= EXACT_BOUND:
+        raise ValueError(f"rank_mod_p: p = {p} with {cols} columns is past exact float64")
+    if a.size and not (-EXACT_BOUND < a.min() and a.max() < EXACT_BOUND):
+        raise ValueError("rank_mod_p: entries past exact float64")
+    for r in range(0, rows, ROW_BLOCK):
+        mod(a[r : r + ROW_BLOCK])
+    rank = 0
+    for c0 in range(0, cols, PANEL):
+        if rank == rows:
+            break
+        c1 = min(c0 + PANEL, cols)
+        top = rank
+        # the panel's live rows, contiguous; no column left of c1 is read again
+        panel = a[top:, c0:c1].copy()
+        mod(panel)
+        pivots: list[int] = []
+        inverses: list[int] = []
+        for c in range(c1 - c0):
+            r = rank - top
+            column = panel[r:, c]
+            mod(column)
+            nonzero = np.flatnonzero(column)
+            if nonzero.size == 0:
+                continue
+            pivot = r + int(nonzero[0])
+            if pivot != r:
+                panel[[r, pivot]] = panel[[pivot, r]]
+                a[[rank, top + pivot], c1:] = a[[top + pivot, rank], c1:]
+            inverses.append(pow(int(panel[r, c]), -1, p))
+            head = panel[r, c:]
+            mod(head)
+            head *= inverses[-1]
+            mod(head)
+            # rows below keep their multiplier in column c (the L factor)
+            panel[r + 1 :, c + 1 :] -= np.outer(panel[r + 1 :, c], head[1:])
+            pivots.append(c)
+            rank += 1
+            if rank == rows:
+                break
+        if not pivots or c1 == cols or rank == rows:
+            continue
+        # U12, row by row: scale pivot row j, then take it off the later pivot rows
+        k = rank - top
+        upper = a[top:rank, c1:]
+        for j, (c, inv) in enumerate(zip(pivots, inverses)):
+            row = upper[j]
+            mod(row)
+            row *= inv
+            mod(row)
+            upper[j + 1 :] -= np.outer(panel[j + 1 : k, c], row)
+        add_product(a[rank:, c1:], -panel[k:, pivots], upper)
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ grade.  On top of the arithmetic sit the pieces needed to put a general member
 of a named family into its reduced shape: seeded sampling with designated
 rational root structure, triangular coordinate substitutions solved pass by
 pass, the built-in reduction plans, stratum restrictions, the binary-cubic
-normal form, and a member-level quasismoothness check.
+normal form, and a member-level quasismoothness check that returns its
+Jacobian-criterion certificate (Macaulay-matrix ranks modulo a prime).
 """
 
 from __future__ import annotations
@@ -13,13 +14,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from .exactmath import (
+    EXACT_BOUND,
+    ROW_BLOCK,
     BinaryForm,
+    add_product,
     binary_form,
     common_interior_degree,
+    rank_mod_p,
     rational_roots,
     squarefree_and_root_count,
     univariate_rational_roots,
@@ -30,6 +35,7 @@ from .wspace import (
     VARIABLES,
     Monomial,
     WeightSystem,
+    count_monomials,
     enumerate_monomials,
     format_monomial,
     parse_monomial,
@@ -1163,29 +1169,56 @@ def cubic_normal_form(f: GradedPolynomial) -> CubicNormalForm:
 
 
 @dataclass(frozen=True)
+class MacaulayCheck:
+    """One degree of the Jacobian certificate: the rank modulo ``prime`` of
+    the degree-``degree`` Macaulay matrix, compressed to ``columns`` rows.
+    It proves that the degree is full when rank == columns."""
+
+    degree: int
+    columns: int
+    rank: int
+    prime: int
+
+
+@dataclass(frozen=True)
 class MemberVerdict:
     status: str  # "quasismooth" | "singular" | "indeterminate"
     witness: str | None = None
     detail: str = ""
+    #: the Jacobian certificate, set once the axis and edge checks pass
+    sigma: int | None = None
+    checks: tuple[MacaulayCheck, ...] = ()
 
     def __bool__(self) -> bool:
         raise TypeError("MemberVerdict is tri-state; compare .status explicitly")
 
 
-_PRIME_LADDER = (10007, 100003)
+#: primes tried in turn for each Macaulay matrix; 32 * (p-1)^2 < 2^52
+MACAULAY_PRIMES = (32003, 31991, 32009)
+#: the most columns a Macaulay matrix may have: its compression is a dense
+#: float64 square (128 MiB at the limit); a larger one gives "indeterminate"
+MAX_MACAULAY_COLUMNS = 4096
 
 
 def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
-    """Check a specific member for quasismoothness.
+    """Check a specific member for quasismoothness, with a certificate.
 
     Coordinate axes and edges are decided exactly over the rationals (partials
-    restricted to the axis, and binary-form gcds on the edges).  Everything
-    else is covered by a dehomogenization ladder: for k = 4, 3, 2 the points
-    with x_k != 0 = x_{k+1} = ... = x_4 are checked by scaling x_k to 1 and
-    testing emptiness of the partials' common zeros with Groebner bases over
-    two finite fields.  Empty over both primes counts as smooth; a point found
-    is returned as a witness; anything else is reported indeterminate, never a
-    silent pass.
+    restricted to the axis, and binary-form gcds on the edges); they are the
+    one source of "singular" verdicts.  The rest is the Jacobian criterion
+    (Macaulay 1916; Lazard 1983): f of degree d in weights a_1..a_5 is
+    quasismooth iff its Jacobian ideal J contains every monomial of degree
+    greater than sigma = sum(d - 2 a_i).  For the least multiple k of each a_i
+    above sigma, full column rank of the degree-k Macaulay matrix A of J
+    (rows: monomial times partial, with f's denominators and content cleared;
+    columns: the degree-k monomials) shows that x_i^(k/a_i) lies in J, and
+    with a power of every variable in J the partials have no common zero but
+    the origin.  The rank is taken modulo a prime, of B = R*A for a seeded
+    random R with as many rows as A has columns: rank(B) <= rank(A), and a
+    nonzero minor mod p is nonzero over the integers, so full rank of B mod p
+    is a proof.  A degree that stays deficient at every prime of
+    MACAULAY_PRIMES proves nothing: the verdict is then "indeterminate",
+    never "quasismooth", and its certificate ends with that degree.
     """
     from itertools import combinations
 
@@ -1199,11 +1232,36 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
         verdict = _check_edge(partials, pair)
         if verdict is not None:
             return verdict
-    for k in (4, 3, 2):
-        verdict = _check_chart(partials, k)
-        if verdict is not None:
-            return verdict
-    return MemberVerdict(status="quasismooth")
+
+    weights = f.ws.weights
+    sigma = sum(f.grade - 2 * a for a in weights)
+    # for sigma < 0 the variables themselves (degree a_i > sigma) must lie in J
+    degrees = sorted({(max(sigma, 0) // a + 1) * a for a in weights})
+    columns = {k: count_monomials(weights, k) for k in degrees}
+    if max(columns.values()) > MAX_MACAULAY_COLUMNS:
+        return MemberVerdict(
+            status="indeterminate",
+            detail=f"Macaulay matrices of degrees {degrees} have {list(columns.values())} "
+            f"columns, more than the limit of {MAX_MACAULAY_COLUMNS}",
+            sigma=sigma,
+        )
+    scale = _integer_scale(f)
+    checks = []
+    for k in degrees:
+        for p in MACAULAY_PRIMES:
+            rank = _macaulay_rank(partials, scale, k, p)
+            if rank == columns[k]:
+                break
+        checks.append(MacaulayCheck(degree=k, columns=columns[k], rank=rank, prime=p))
+        if rank < columns[k]:
+            return MemberVerdict(
+                status="indeterminate",
+                detail=f"Macaulay matrix of degree {k} has rank {rank} < {columns[k]} "
+                f"modulo each of {MACAULAY_PRIMES}",
+                sigma=sigma,
+                checks=tuple(checks),
+            )
+    return MemberVerdict(status="quasismooth", sigma=sigma, checks=tuple(checks))
 
 
 def _check_axis(partials: list[GradedPolynomial], i: int) -> MemberVerdict | None:
@@ -1242,76 +1300,54 @@ def _check_edge(partials: list[GradedPolynomial], pair: tuple[int, int]) -> Memb
     return None
 
 
-def _check_chart(partials: list[GradedPolynomial], k: int) -> MemberVerdict | None:
-    """Points with x_k nonzero and all later variables zero, x_k scaled to 1.
+def _integer_scale(f: GradedPolynomial) -> Fraction:
+    """The factor that clears f's denominators and content (J is unchanged)."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return Fraction(den, gcd(*(int(c * den) for c in f.terms.values())))
 
-    Over the algebraic closure every cone point with x_k != 0 is equivalent to
-    one with x_k = 1, so emptiness of the dehomogenized system covers all
-    strata whose largest variable is x_k at once.
+
+def _macaulay_rank(partials: list[GradedPolynomial], scale: Fraction, k: int, p: int) -> int:
+    """Rank mod p of R*A, where A is the degree-k Macaulay matrix of the
+    partials times scale and R a seeded random matrix, one row per column.
+
+    A is never held whole: ROW_BLOCK rows at a time are built and folded into
+    R*A, skipping the column tiles they leave zero.  The sum is reduced mod p
+    only at the end, in ``rank_mod_p``; the row check keeps it exact.
     """
-    import sympy
+    import numpy as np
 
-    free = list(range(k))
-    names = [VARIABLES[i] for i in free]
-    syms = sympy.symbols(names) if names else []
-    sym_of = dict(zip(free, syms))
+    ws = partials[0].ws
+    base = k + 1  # exponents are at most k, so keys add without carries
+    if base**NVARS >= 1 << 63:
+        raise ValueError(f"Macaulay degree {k} is past int64 monomial keys")
 
-    def to_expr(g: GradedPolynomial):
-        expr = sympy.Integer(0)
-        for m, c in g.terms.items():
-            if any(m[i] for i in range(k + 1, NVARS)):
-                continue  # later variables are zero on this chart
-            term = sympy.Rational(c.numerator, c.denominator)
-            for i in free:
-                if m[i]:
-                    term *= sym_of[i] ** m[i]
-            expr += term  # x_k itself contributes 1
-        return expr
-
-    exprs = [e for e in (to_expr(p) for p in partials) if e != 0]
-    chart = VARIABLES[k] + "=1," + ",".join(VARIABLES[i] for i in range(k + 1, NVARS)) + "=0"
-    if not exprs:
-        return MemberVerdict(
-            status="singular", witness=None, detail=f"all partials vanish on chart {chart}"
+    def keys(monomials) -> "np.ndarray":
+        return np.array(
+            [(((m[0] * base + m[1]) * base + m[2]) * base + m[3]) * base + m[4] for m in monomials],
+            dtype=np.int64,
         )
-    if not any(e.free_symbols for e in exprs):
-        return None  # a nonzero constant partial: no zeros on the chart
-    for p in _PRIME_LADDER:
-        basis = sympy.groebner(exprs, *syms, order="grevlex", modulus=p)
-        if list(basis.exprs) == [sympy.Integer(1)]:
-            return None
-    witness = _chart_witness_search(partials, k, _PRIME_LADDER[0])
-    if witness is not None:
-        return MemberVerdict(
-            status="singular", witness=witness, detail=f"finite-field point on chart {chart}"
-        )
-    return MemberVerdict(
-        status="indeterminate",
-        detail=f"chart {chart}: nonempty modulo {_PRIME_LADDER}, no witness found",
-    )
 
-
-def _eval_mod_p(g: GradedPolynomial, point: dict[int, int], p: int) -> int:
-    total = 0
-    for m, c in g.terms.items():
-        if any(m[k] for k in range(NVARS) if k not in point):
-            continue
-        v = (c.numerator * pow(c.denominator, -1, p)) % p
-        for k, e in point.items():
-            if m[k]:
-                v = v * pow(e, m[k], p) % p
-        total = (total + v) % p
-    return total
-
-
-def _chart_witness_search(
-    partials: list[GradedPolynomial], k: int, p: int, budget: int = 20000
-) -> str | None:
-    rng = random.Random(1729)
-    for _ in range(budget):
-        point = {i: rng.randrange(0, p) for i in range(k)}
-        point[k] = 1
-        if all(_eval_mod_p(g, point, p) == 0 for g in partials):
-            coords = ":".join(str(point.get(i, 0)) for i in range(NVARS))
-            return f"[{coords}] mod {p}"
-    return None
+    column_keys = keys(enumerate_monomials(ws, k))  # ascending, as the monomials are
+    n = len(column_keys)
+    row_sets = []  # per partial: its monomials, its coefficients mod p, the multipliers
+    for g in partials:
+        if g.terms and g.grade <= k:
+            coefficients = [int(c * scale) % p for c in g.terms.values()]
+            multipliers = keys(enumerate_monomials(ws, k - g.grade))
+            row_sets.append((keys(g.terms), np.array(coefficients, dtype=np.float64), multipliers))
+    rows = sum(len(multipliers) for _, _, multipliers in row_sets)
+    if rows * (p - 1) ** 2 >= EXACT_BOUND:
+        raise ValueError(f"Macaulay matrix of {rows} rows is past exact float64")
+    rng = np.random.default_rng(0)  # a fixed R, so the certificate repeats
+    compressed = np.zeros((n, n))
+    for term_keys, values, multipliers in row_sets:
+        for s in range(0, len(multipliers), ROW_BLOCK):
+            chunk = multipliers[s : s + ROW_BLOCK]
+            cols = np.searchsorted(column_keys, chunk[:, None] + term_keys[None, :])
+            dense = np.zeros((len(chunk), n))
+            dense[np.arange(len(chunk))[:, None], cols] = values
+            mix = rng.integers(0, p, size=(n, len(chunk))).astype(np.float64)
+            # about half of the column tiles of a chunk are zero
+            for t in np.unique(cols // ROW_BLOCK) * ROW_BLOCK:
+                add_product(compressed[:, t : t + ROW_BLOCK], mix, dense[:, t : t + ROW_BLOCK])
+    return rank_mod_p(compressed, p)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,20 @@ def test_monomials_json(capsys):
     payload = json.loads(out)
     assert payload["count"] == 65
     assert "w^3" in payload["monomials"]
+
+
+def test_monomials_walks_only_feasible_remainders():
+    # odd degree on even weights: the walk prunes at the root (it used to
+    # visit 2.7e9 exponent prefixes); a regression fails at the timeout
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = ["monomials", "--weights", "2,2,2,2,2", "--degree", "1001"]
+    result = subprocess.run(
+        [sys.executable, "-m", "wfano", *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert (payload["count"], payload["monomials"]) == (0, [])
 
 
 def test_monomials_markdown(capsys):

@@ -10,6 +10,7 @@ from wfano.exactmath import (
     gcd_tuple,
     mat_det,
     mat_mul,
+    rank_mod_p,
     rational_roots,
     smith_normal_form,
     squarefree_and_root_count,
@@ -216,3 +217,86 @@ def test_mat_mul_and_det_agree_with_float_oracle():
         a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         assert mat_det(mat_mul(a, b)) == mat_det(a) * mat_det(b)
+
+
+def reference_rank_mod_p(matrix, p):
+    """Gaussian elimination over F_p on Python integers."""
+    rows = [[v % p for v in row] for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def random_rank_matrix(rng, n, m, r, p):
+    """An n x m integer matrix of rank at most r modulo p (a product n x r by r x m)."""
+    left = [[rng.randrange(p) for _ in range(r)] for _ in range(n)]
+    right = [[rng.randrange(p) for _ in range(m)] for _ in range(r)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+@pytest.mark.parametrize("p", [32003, 31991, 32009])
+def test_rank_mod_p_low_rank_against_reference(p):
+    # shapes cross the 32-column panels and the 64-row blocks
+    rng = random.Random(p)
+    for n, m, r in [(100, 70, 45), (70, 100, 33), (97, 97, 96), (65, 40, 40), (33, 65, 1)]:
+        matrix = random_rank_matrix(rng, n, m, r, p)
+        assert rank_mod_p(matrix, p) == reference_rank_mod_p(matrix, p)
+
+
+def test_rank_mod_p_rectangular_and_signed():
+    p = 32003
+    rng = random.Random(7)
+    for n, m in [(150, 20), (20, 150), (1, 40), (40, 1), (64, 33)]:
+        matrix = [[rng.randint(-10**6, 10**6) for _ in range(m)] for _ in range(n)]
+        assert rank_mod_p(matrix, p) == reference_rank_mod_p(matrix, p) == min(n, m)
+    # multiples of p vanish: a full-rank integer matrix can be deficient mod p
+    assert rank_mod_p([[p, 0], [0, 1]], p) == 1
+    assert rank_mod_p([[1, 2], [3, 6 + p]], p) == 1
+
+
+def test_rank_mod_p_sparse_needs_row_swaps():
+    # most pivots are not on the diagonal, so rows swap inside the panels
+    p = 32003
+    rng = random.Random(13)
+    for n, m, density in [(100, 90, 0.04), (90, 100, 0.02), (70, 70, 0.08)]:
+        matrix = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(m)] for _ in range(n)]
+        assert rank_mod_p(matrix, p) == reference_rank_mod_p(matrix, p)
+
+
+def test_rank_mod_p_zero_columns():
+    p = 32003
+    rng = random.Random(11)
+    matrix = random_rank_matrix(rng, 80, 90, 50, p)
+    for row in matrix:
+        for c in (0, 1, 31, 32, 33, 63, 89):
+            row[c] = 0
+    assert rank_mod_p(matrix, p) == reference_rank_mod_p(matrix, p)
+    assert rank_mod_p([[0] * 40] * 70, p) == 0
+    assert rank_mod_p([[] for _ in range(3)], p) == 0
+
+
+def test_rank_mod_p_works_in_place_on_float64():
+    import numpy as np
+
+    p = 32003
+    matrix = random_rank_matrix(random.Random(3), 90, 90, 60, p)
+    array = np.array(matrix, dtype=np.int64).astype(np.float64)  # entries below 2^52
+    assert rank_mod_p(array, p) == 60
+    assert not np.array_equal(array, np.array(matrix, dtype=np.float64))  # eliminated
+
+
+def test_rank_mod_p_refuses_inexact_input():
+    with pytest.raises(ValueError, match="past exact float64"):
+        rank_mod_p([[1]], (1 << 31) - 1)  # 32 * (p-1)^2 is past 2^52
+    with pytest.raises(ValueError, match="past exact float64"):
+        rank_mod_p([[float(1 << 53)]], 32003)

@@ -1,12 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 
 from wfano.exactmath import rational_roots, squarefree_and_root_count
 from wfano.symalg import (
+    MACAULAY_PRIMES,
     GenericityError,
     GradedPolynomial,
+    MacaulayCheck,
     Substitution,
     builtin_plan,
     cubic_normal_form,
@@ -16,6 +23,7 @@ from wfano.symalg import (
     normalize,
     normalized_member,
     parse_polynomial,
+    partial_derivative,
     quasismooth_member,
     reference_support,
     sample_family_member,
@@ -262,33 +270,33 @@ def test_polynomial_text_round_trip():
     assert f.coefficient(parse_monomial("x^2*y*w^2")) == Fraction(-3, 2)
 
 
+QUARTIC = weight_system(1, 1, 1, 1, 1, 4)
+
+
+def quartic(text):
+    return parse_polynomial(text, QUARTIC, 4)
+
+
 def test_quasismooth_member_fermat():
-    ws = weight_system(1, 1, 1, 1, 1, 4)
-    terms = {}
-    for i in range(5):
-        m = [0] * 5
-        m[i] = 4
-        terms[tuple(m)] = Fraction(1)
-    verdict = quasismooth_member(GradedPolynomial(ws, 4, terms))
+    verdict = quasismooth_member(quartic("x^4 + y^4 + z^4 + t^4 + w^4"))
     assert verdict.status == "quasismooth"
+    # sigma = 5 * (4 - 2) = 10; x^11 in J proves quasismoothness on P^4
+    assert verdict.sigma == 10
+    assert verdict.checks == (MacaulayCheck(degree=11, columns=1365, rank=1365, prime=32003),)
 
 
 def test_quasismooth_member_cone_with_witness():
-    ws = weight_system(1, 1, 1, 1, 1, 4)
-    terms = {}
-    for i in range(4):
-        m = [0] * 5
-        m[i] = 4
-        terms[tuple(m)] = Fraction(1)
-    verdict = quasismooth_member(GradedPolynomial(ws, 4, terms))
+    verdict = quasismooth_member(quartic("x^4 + y^4 + z^4 + t^4"))
     assert verdict.status == "singular"
     assert verdict.witness == "[0:0:0:0:1]"
+    assert verdict.checks == ()
 
 
 def test_quasismooth_member_sampled_quartic():
     ws = weight_system(1, 1, 1, 1, 1, 4)
     verdict = quasismooth_member(sample_general_member(ws, seed=0))
     assert verdict.status == "quasismooth"
+    assert [(c.degree, c.columns, c.rank) for c in verdict.checks] == [(11, 1365, 1365)]
 
 
 def test_quasismooth_member_is_tristate():
@@ -298,18 +306,67 @@ def test_quasismooth_member_is_tristate():
         bool(verdict)
 
 
-def test_quasismooth_member_propagates_groebner_errors(monkeypatch):
-    # a failure inside the chart check (a timeout, a bug) is not a verdict
-    import sympy
+def test_quasismooth_member_tries_the_next_prime():
+    # d/dx vanishes modulo 32003, so the certificate comes from 31991
+    verdict = quasismooth_member(quartic("32003*x^4 + y^4 + z^4 + t^4 + w^4"))
+    assert verdict.status == "quasismooth"
+    assert verdict.checks == (MacaulayCheck(degree=11, columns=1365, rank=1365, prime=31991),)
 
-    def fail(*args, **kwargs):
-        raise RuntimeError("groebner interrupted")
 
-    monkeypatch.setattr(sympy, "groebner", fail)
-    ws = weight_system(1, 1, 1, 1, 1, 4)
-    terms = {tuple(4 * (k == i) for k in range(5)): Fraction(1) for i in range(5)}
-    with pytest.raises(RuntimeError, match="groebner interrupted"):
-        quasismooth_member(GradedPolynomial(ws, 4, terms))
+def test_quasismooth_member_deficient_at_every_prime_is_indeterminate():
+    # smooth over Q, but d/dx vanishes modulo every prime of the ladder:
+    # no certificate, so never "quasismooth"
+    scale = 1
+    for p in MACAULAY_PRIMES:
+        scale *= p
+    verdict = quasismooth_member(quartic(f"{scale}*x^4 + y^4 + z^4 + t^4 + w^4"))
+    assert verdict.status == "indeterminate"
+    (check,) = verdict.checks
+    assert check.rank < check.columns == 1365
+    assert check.prime == MACAULAY_PRIMES[-1]
+
+
+def test_quasismooth_member_off_axis_singular_point_is_indeterminate():
+    # (x^2 - x*y)^2 + (y^2 - y*z)^2 + (z^2 - z*x)^2 + t^4 + w^4 is singular at
+    # [1:1:1:0:0], on no coordinate axis or edge: the exact checks pass it and
+    # no degree can have full rank
+    f = quartic(
+        "x^4 - 2*x^3*y + x^2*y^2 + y^4 - 2*y^3*z + y^2*z^2 + z^4 - 2*z^3*x + z^2*x^2 + t^4 + w^4"
+    )
+    point = (1, 1, 1, 0, 0)
+    for k in range(5):
+        terms = partial_derivative(f, k).terms.items()
+        assert sum(c * prod(v**e for v, e in zip(point, m)) for m, c in terms) == 0
+    verdict = quasismooth_member(f)
+    assert verdict.status == "indeterminate"
+    assert verdict.witness is None
+    (check,) = verdict.checks
+    assert check.rank < check.columns
+
+
+def test_quasismooth_member_refuses_oversized_matrices():
+    # the octic on P^4 has sigma = 30: the degree-31 matrix would have 52,360 columns
+    octic = parse_polynomial("x^8 + y^8 + z^8 + t^8 + w^8", weight_system(1, 1, 1, 1, 1, 8), 8)
+    verdict = quasismooth_member(octic)
+    assert verdict.status == "indeterminate"
+    assert "more than the limit of 4096" in verdict.detail
+    assert verdict.sigma == 30 and verdict.checks == ()
+
+
+def test_quasismooth_member_imports_no_sympy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; import wfano; "
+        "assert 'numpy' not in sys.modules and 'sympy' not in sys.modules, 'import'; "
+        "from wfano.symalg import quasismooth_member, parse_polynomial; "
+        "from wfano.wspace import weight_system; "
+        "f = parse_polynomial('x^2 + y^2 + z^2 + t^2 + w^2', weight_system(1, 1, 1, 1, 1, 2), 2); "
+        "assert quasismooth_member(f).status == 'quasismooth'; "
+        "assert 'sympy' not in sys.modules, 'check'"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_canonical_rational_root_rules():
@@ -327,10 +384,12 @@ def test_canonical_rational_root_rules():
     assert canonical(-2, 0, 1) is None  # no rational root
 
 
-@pytest.mark.slow
 def test_quasismooth_member_family_19():
     verdict = quasismooth_member(sample_family_member(19, seed=0))
     assert verdict.status == "quasismooth"
+    assert verdict.sigma == 34
+    assert [(c.degree, c.columns) for c in verdict.checks] == [(35, 1695), (36, 1870)]
+    assert all(c.rank == c.columns for c in verdict.checks)
 
 
 def test_default_checks_cover_all_plan_families():

@@ -65,6 +65,18 @@ def test_enumerate_against_brute_oracle():
         assert parse_monomial(name) in mons
 
 
+@pytest.mark.parametrize(
+    "weights", [(2, 3, 4, 5, 7), (2, 2, 4, 6, 6), (3, 4, 5, 6, 7), (2, 4, 6, 9, 9), (4, 6, 6, 10, 15)]
+)
+def test_enumerate_against_brute_oracle_when_weights_share_factors(weights):
+    # the walk steps each exponent through the residues the smaller weights allow
+    ws = weight_system(*weights, sum(weights) - 1)
+    for k in range(31):
+        mons = enumerate_monomials(ws, k)
+        assert mons == sorted(brute_monomials(weights, k))
+        assert len(mons) == count_monomials(weights, k)
+
+
 def test_enumerate_family_84_row():
     ws = weight_system(1, 7, 8, 9, 12, 36)
     mons = set(enumerate_monomials(ws, 36))
