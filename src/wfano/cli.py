@@ -23,7 +23,6 @@ from .wspace import (
     count_monomials,
     enumerate_monomials,
     format_monomial,
-    parse_weight_system,
     weight_system,
 )
 
@@ -49,12 +48,18 @@ def _emit(args, payload: dict, markdown: str | None = None) -> None:
         sys.stdout.write(text)
 
 
+def _integers(text: str) -> list[int]:  # argparse type of --septuple and --weights
+    try:
+        return [int(p) for p in text.replace(" ", "").split(",") if p]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}") from None
+
+
 def _ws_from_args(args) -> WeightSystem:
     if getattr(args, "septuple", None):
-        return parse_weight_system(args.septuple)
+        return weight_system(*args.septuple)
     if getattr(args, "weights", None) and getattr(args, "degree", None):
-        weights = [int(v) for v in args.weights.split(",")]
-        return weight_system(*weights, args.degree)
+        return weight_system(*args.weights, args.degree)
     raise DomainError("need --septuple a1,..,a5,d[,I] or --weights a1,..,a5 with --degree")
 
 
@@ -265,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("monomials", help="enumerate weighted monomials of a degree")
-    p.add_argument("--weights", required=True)
+    p.add_argument("--weights", type=_integers, required=True)
     p.add_argument("--degree", type=int, required=True)
     common(p)
     p.set_defaults(func=cmd_monomials, septuple=None)
 
     p = sub.add_parser("check", help="membership predicates of a septuple")
-    p.add_argument("--septuple", required=True)
+    p.add_argument("--septuple", type=_integers, required=True)
     common(p)
     p.set_defaults(func=cmd_check)
 
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("basket", help="singular points of a general member")
-    p.add_argument("--septuple", required=True)
+    p.add_argument("--septuple", type=_integers, required=True)
     common(p)
     p.set_defaults(func=cmd_basket)
 
@@ -292,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("autgroup", help="diagonal symmetry group / certificate")
     p.add_argument("--family", type=int, default=None)
-    p.add_argument("--septuple", default=None)
-    p.add_argument("--weights", default=None)
+    p.add_argument("--septuple", type=_integers, default=None)
+    p.add_argument("--weights", type=_integers, default=None)
     p.add_argument("--degree", type=int, default=None)
     common(p, seed=True)
     p.set_defaults(func=cmd_autgroup)
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stabilizer)
 
     p = sub.add_parser("verdict", help="degree of irrationality of a family")
-    p.add_argument("--septuple", required=True)
+    p.add_argument("--septuple", type=_integers, required=True)
     common(p)
     p.set_defaults(func=cmd_verdict)
 

@@ -320,6 +320,9 @@ def rank_mod_p(matrix, p: int) -> int:
 
 Q = Fraction
 
+#: longest end coefficient whose divisors the root finder enumerates (2^20 trials)
+MAX_ROOT_COEFF_BITS = 40
+
 
 @dataclass(frozen=True)
 class BinaryForm:
@@ -445,8 +448,10 @@ def univariate_rational_roots(coefficients: Sequence[Fraction | int]) -> list[Fr
     """Distinct rational roots of a nonzero polynomial, in increasing order.
 
     ``coefficients[i]`` multiplies s^i.  Denominators and content are cleared,
-    a root at 0 is split off, and every candidate +-p/q with p | a0 and q | an
-    is tried (rational root theorem).
+    a root at 0 is split off, and every candidate +-p/q with p | a0, q | an and
+    gcd(p, q) = 1 is tested in integers as sum(a_i p^i q^(n-i)) == 0 (rational
+    root theorem).  End coefficients past ``MAX_ROOT_COEFF_BITS`` bits are
+    refused: their divisors take sqrt(|a|) trial divisions.
     """
     coeffs = [Fraction(c) for c in coefficients]
     den = lcm(*(c.denominator for c in coeffs))
@@ -465,12 +470,20 @@ def univariate_rational_roots(coefficients: Sequence[Fraction | int]) -> list[Fr
     if len(ic) > 1:
         cont = gcd(*ic)
         ic = [c // cont for c in ic]
+        bits = max(abs(ic[0]).bit_length(), abs(ic[-1]).bit_length())
+        if bits > MAX_ROOT_COEFF_BITS:
+            raise ValueError(
+                f"univariate_rational_roots: an end coefficient has {bits} bits, "
+                f"more than the limit of {MAX_ROOT_COEFF_BITS}"
+            )
+        n = len(ic) - 1
         qs = _divisors(abs(ic[-1]))
         for p in _divisors(abs(ic[0])):
             for q in qs:
-                for s in (Fraction(p, q), Fraction(-p, q)):
-                    if _poly_eval(ic, s) == 0:
-                        roots.add(s)
+                if gcd(p, q) == 1:
+                    for s in (p, -p):
+                        if sum(c * s**i * q ** (n - i) for i, c in enumerate(ic)) == 0:
+                            roots.add(Fraction(s, q))
     return sorted(roots)
 
 
@@ -487,13 +500,6 @@ def rational_roots(b: BinaryForm) -> list[tuple[int, int]]:
     if b.coefficients[-1] == 0:
         roots.append((0, 1))  # u = 0
     return roots
-
-
-def _poly_eval(p: Sequence[int], s: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * s + c
-    return acc
 
 
 def _divisors(n: int) -> list[int]:

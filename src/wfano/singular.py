@@ -108,15 +108,12 @@ def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSe
     a, d = ws.weights, ws.degree
 
     # 2-dimensional singular strata: X meets them in a curve of singular points
-    # unless the restricted equation is a single monomial.
+    # unless the restricted equation is a single monomial.  A stratum inside X
+    # (no monomial at all) fails hypersurface well-formedness, which both
+    # callers have passed.
     for subset, wts in zip(combinations(range(NVARS), 3), combinations(a, 3)):
         q = gcd(*wts)
-        if q <= 1:
-            continue
-        n = count_monomials(wts, d)
-        if n == 0:
-            yield subset, f"stratum with weight gcd {q} lies inside X"
-        elif n >= 2:
+        if q > 1 and count_monomials(wts, d) >= 2:
             yield subset, f"X meets the gcd-{q} stratum in a curve of singular points"
 
     # vertices
@@ -203,10 +200,10 @@ def terminal_general(ws: WeightSystem) -> bool:
     """True iff the general member has only terminal singularities.
 
     This is the terminality stage of ``membership.rejection``: it assumes the
-    earlier stages passed (every vertex covered; an uncovered one raises
-    ValueError) and does not check them again.  It stops at the first
-    positive-dimensional stratum or non-terminal point, and agrees with
-    ``singular_points_general(ws).terminal``.
+    earlier stages passed (every vertex covered, where an uncovered one raises
+    ValueError; no singular stratum inside X) and does not check them again.
+    It stops at the first positive-dimensional stratum or non-terminal point,
+    and agrees with ``singular_points_general(ws).terminal``.
     """
     for entry in _singular_strata(ws):
         if not isinstance(entry, BasketPoint) or not reid_tai_terminal(entry.singularity):

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import add
 from typing import Sequence
 
 from .exactmath import (
@@ -158,16 +159,21 @@ def parse_polynomial(text: str, ws: WeightSystem, grade: int) -> GradedPolynomia
 
 
 def poly_mul(a: GradedPolynomial, b: GradedPolynomial) -> GradedPolynomial:
-    terms: dict[Monomial, Fraction] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            v = terms.get(m, Fraction(0)) + ca * cb
+    return GradedPolynomial(a.ws, a.grade + b.grade, _mul_terms(a.terms, b.terms))
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two monomial -> coefficient maps (int or Fraction), zeros dropped."""
+    terms: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(add, ma, mb))
+            v = terms.get(m, 0) + ca * cb
             if v:
                 terms[m] = v
             else:
                 terms.pop(m, None)
-    return GradedPolynomial(a.ws, a.grade + b.grade, terms)
+    return terms
 
 
 def partial_derivative(f: GradedPolynomial, var: int) -> GradedPolynomial:
@@ -217,33 +223,38 @@ class Substitution:
 
 
 def substitute(f: GradedPolynomial, sub: Substitution) -> GradedPolynomial:
-    """Exact expansion of f after x_j -> x_j + tail."""
+    """Exact expansion of f after x_j -> x_j + tail, in integers: with f = F/D,
+    tail = T/q (lcms of the denominators) and E the top power of x_j in f, each
+    F_m * x^m contributes F_m * q^(E-m_j) * (q*x_j + T)^m_j over D * q^E."""
     ws = f.ws
     j = sub.target
     if sub.tail.ws.septuple != ws.septuple:
         raise ValueError("substitute: weight system mismatch")
     if sub.is_identity:
         return f
-    # replacement powers (x_j + tail)^e, computed once per exponent
-    one = GradedPolynomial(ws, ws.weights[j], {_unit(j): Fraction(1)})
-    repl = one + sub.tail
-    powers: list[GradedPolynomial] = [GradedPolynomial(ws, 0, {_unit(None): Fraction(1)})]
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    q = lcm(*(c.denominator for c in sub.tail.terms.values()))
+    repl = {_unit(j): q} | {m: c.numerator * (q // c.denominator) for m, c in sub.tail.terms.items()}
+    # the integer powers (q*x_j + T)^e, computed once per exponent
+    powers: list[dict[Monomial, int]] = [{_unit(None): 1}]
     max_e = max((m[j] for m in f.terms), default=0)
     for _ in range(max_e):
-        powers.append(poly_mul(powers[-1], repl))
-    out: dict[Monomial, Fraction] = {}
+        powers.append(_mul_terms(powers[-1], repl))
+    out: dict[Monomial, int] = {}
     for m, c in f.terms.items():
         e = m[j]
+        scale = c.numerator * (den // c.denominator) * q ** (max_e - e)
         rest = list(m)
         rest[j] = 0
-        for mm, cc in powers[e].terms.items():
-            key = tuple(a + b for a, b in zip(rest, mm))
-            v = out.get(key, Fraction(0)) + c * cc
+        for mm, cc in powers[e].items():
+            key = tuple(map(add, rest, mm))
+            v = out.get(key, 0) + scale * cc
             if v:
                 out[key] = v
             else:
                 out.pop(key, None)
-    return GradedPolynomial(ws, f.grade, out)
+    total = den * q**max_e
+    return GradedPolynomial(ws, f.grade, {m: Fraction(v, total) for m, v in out.items()})
 
 
 def _unit(var: int | None) -> Monomial:

@@ -183,8 +183,7 @@ def bad(id, *argv, code=1, error=""):
 #: every subcommand with inputs it must reject: exit 1 with a JSON error, or
 #: exit 2 with a usage message for argparse errors; never a traceback
 BAD_INPUTS = [
-    bad("monomials-bad-weight", "monomials", "--weights", "1,1,x,1,1", "--degree", "4",
-        error="invalid literal"),
+    bad("monomials-bad-weight", "monomials", "--weights", "1,1,x,1,1", "--degree", "4", code=2),
     bad("monomials-two-weights", "monomials", "--weights", "1,1", "--degree", "4",
         error="expected 6 or 7 integers"),
     bad("monomials-out-missing-dir", "monomials", "--weights", "1,1,1,1,1", "--degree", "4",
@@ -193,6 +192,7 @@ BAD_INPUTS = [
     bad("monomials-over-cap", "monomials", "--weights", "1,1,1,1,1", "--degree", "200",
         error="has 70058751 monomials of degree 200, more than the limit of 50000"),
     bad("check-short", "check", "--septuple", "1,2,3", error="expected 6 or 7 integers"),
+    bad("check-non-integer", "check", "--septuple", "1,1,1,1,1,2.5", code=2),
     bad("check-zero-weight", "check", "--septuple", "0,1,1,1,1,4", error="weights must be positive"),
     bad("check-wrong-index", "check", "--septuple", "1,1,1,1,1,4,5", error="inconsistent septuple"),
     bad("check-negative-index", "check", "--septuple", "1,1,1,1,1,9",
@@ -212,6 +212,7 @@ BAD_INPUTS = [
     bad("normalize-non-integer", "normalize", "--family", "x", code=2),
     bad("autgroup-unknown-family", "autgroup", "--family", "2", error="unknown family number 2"),
     bad("autgroup-no-input", "autgroup", error="need --septuple"),
+    bad("autgroup-non-integer", "autgroup", "--weights", "1,1,1,1,1.5", "--degree", "4", code=2),
     bad("autgroup-over-cap", "autgroup", "--septuple", "1,1,1,1,1,31",
         error="has 52360 monomials of degree 31, more than the limit of 50000"),
     bad("stabilizer-two-points", "stabilizer", "--points", "0,1", error="fewer than 3 points"),

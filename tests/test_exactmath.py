@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 from wfano.exactmath import (
+    MAX_ROOT_COEFF_BITS,
     SmithForm,
     binary_form,
     gcd_tuple,
@@ -188,6 +190,54 @@ def test_univariate_rational_roots_edge_cases():
     assert univariate_rational_roots([Fraction(-1, 4), 0, 1]) == [Fraction(-1, 2), Fraction(1, 2)]
     with pytest.raises(ValueError):
         univariate_rational_roots([0, 0])
+
+
+def brute_force_roots(poly):
+    """Roots among every +-p/q, p | a_lo and q | a_n found by trial, each
+    evaluated in Fraction (plus 0 when a_0 = 0)."""
+    den = 1
+    for c in poly:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ic = [int(c * den) for c in poly]
+    while not ic[-1]:
+        ic.pop()
+    lo = next(i for i, c in enumerate(ic) if c)
+    roots = {Fraction(0)} if lo else set()
+    ps = [p for p in range(1, abs(ic[lo]) + 1) if ic[lo] % p == 0]
+    qs = [q for q in range(1, abs(ic[-1]) + 1) if ic[-1] % q == 0]
+    for p in ps:
+        for q in qs:
+            for s in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * s**i for i, c in enumerate(poly)) == 0:
+                    roots.add(s)
+    return sorted(roots)
+
+
+def test_univariate_rational_roots_against_brute_force():
+    # zero roots, repeated roots, and end coefficients sharing factors, so
+    # that many candidate pairs p, q are not coprime
+    rng = random.Random(37)
+    for _ in range(300):
+        roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+        roots += roots[: rng.randint(0, 2)]
+        poly = from_roots(roots, lead=rng.choice((1, 2, 6, 12)))
+        if rng.random() < 0.5:  # a factor without rational roots: s^2 + k
+            k = rng.randint(1, 6)
+            poly = [k * a + b for a, b in zip(poly + [0, 0], [0, 0] + poly)]
+        assert univariate_rational_roots(poly) == brute_force_roots(poly), poly
+
+
+def test_univariate_rational_roots_refuses_long_end_coefficients():
+    prime41, prime20 = 1099511627791, 524309  # primes of 41 and 20 bits
+    assert prime41.bit_length() == MAX_ROOT_COEFF_BITS + 1
+    for poly in ([-prime41, 1], [1, 0, prime41], [prime41, 0, 3, 5]):
+        with pytest.raises(ValueError, match="41 bits"):
+            univariate_rational_roots(poly)
+    assert univariate_rational_roots([-prime20, 1]) == [prime20]
+    assert univariate_rational_roots([-1, 0, 0, prime20]) == []
+    assert univariate_rational_roots([-1, prime20, 0]) == [Fraction(1, prime20)]
+    # the content is cleared before the limit applies
+    assert univariate_rational_roots([-3 * prime41, prime41]) == [3]
 
 
 def test_rational_roots_order_against_known_roots():

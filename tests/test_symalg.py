@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -86,6 +86,50 @@ def test_substitute_invertible_randomized():
         g = substitute(f, s)
         assert g.grade == 12
         assert substitute(g, s.inverse()).terms == f.terms
+
+
+def fraction_substitute(f, sub):
+    """x_j -> x_j + tail by the binomial theorem, every step in Fraction."""
+    j, zero = sub.target, (0,) * 5
+    tail_powers = [{zero: Fraction(1)}]
+    for _ in range(max((m[j] for m in f.terms), default=0)):
+        nxt = {}
+        for ma, ca in tail_powers[-1].items():
+            for mb, cb in sub.tail.terms.items():
+                m = tuple(a + b for a, b in zip(ma, mb))
+                nxt[m] = nxt.get(m, Fraction(0)) + ca * cb
+        tail_powers.append(nxt)
+    out = {}
+    for m, c in f.terms.items():
+        e = m[j]
+        for i in range(e + 1):  # comb(e, i) * x_j^(e - i) * tail^i
+            for mt, ct in tail_powers[i].items():
+                key = tuple(a + b for a, b in zip(m, mt))
+                key = key[:j] + (key[j] - i,) + key[j + 1 :]
+                out[key] = out.get(key, Fraction(0)) + c * comb(e, i) * ct
+    return {m: v for m, v in out.items() if v}
+
+
+@pytest.mark.parametrize("family", (19, 39, 66, 84))
+def test_substitute_against_fraction_expansion(family):
+    # rational members and multi-term tails with denominators
+    rng = random.Random(family)
+    f = sample_family_member(family, seed=3)
+    ws = f.ws
+    for _ in range(25):
+        g = f.scale(Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 9)))
+        g = GradedPolynomial(ws, g.grade, {m: c / rng.randint(1, 5) for m, c in g.terms.items()})
+        var = rng.randrange(5)
+        tail = {
+            m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))
+            for m in enumerate_monomials(ws, ws.weights[var])
+            if m[var] == 0 and rng.random() < 0.7
+        }
+        s = Substitution(var, GradedPolynomial(ws, ws.weights[var], tail))
+        out = substitute(g, s)
+        assert out.terms == fraction_substitute(g, s)
+        assert all(type(c) is Fraction for c in out.terms.values())
+        assert substitute(out, s.inverse()) == g
 
 
 def test_substitute_kills_square_layer():
