@@ -253,18 +253,16 @@ def classify(bounds: SearchBounds | None = None, jobs: int = 1) -> list[FamilyRe
     """Septuples within bounds passing all predicates, as full records.
 
     Output is sorted by (index, degree, weights) and is identical for any
-    ``jobs`` value; ``jobs > 1`` partitions the a1-range across processes.
+    ``jobs`` value; ``jobs > 1`` maps one task per a1 across processes.
     """
     bounds = bounds or SearchBounds()
     top = min(bounds.max_weight, (bounds.max_degree + bounds.index_range[1]) // 5) + 1
     if jobs <= 1 or top <= 2:
         raw = _search_chunk((1, top, bounds))
     else:
-        step = max(1, top // (4 * jobs))
-        chunks = [(lo, min(lo + step, top), bounds) for lo in range(1, top, step)]
         raw = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_search_chunk, chunks):
+            for part in pool.map(_search_chunk, [(a1, a1 + 1, bounds) for a1 in range(1, top)]):
                 raw.extend(part)
     records = [family_record(WeightSystem(a, d)) for a, d in raw]
     records.sort(key=lambda r: (r.ws.index, r.ws.degree, r.ws.weights))

@@ -318,8 +318,6 @@ def rank_mod_p(matrix, p: int) -> int:
 # ---------------------------------------------------------------------------
 # binary forms
 
-Q = Fraction
-
 #: longest end coefficient whose divisors the root finder enumerates (2^20 trials)
 MAX_ROOT_COEFF_BITS = 40
 
@@ -388,7 +386,7 @@ def _poly_derivative(p: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _dehomogenize(b: BinaryForm) -> tuple[int, int, list[Fraction]]:
-    """Split off u- and v-power factors, return (mult_at_[0:1], mult_at_[1:0], core).
+    """Split off v- and u-power factors, return (mult_at_[1:0], mult_at_[0:1], core).
 
     The core polynomial is in s = v/u, ascending, with nonzero ends, so it has
     no roots at 0 or infinity.
@@ -401,9 +399,9 @@ def _dehomogenize(b: BinaryForm) -> tuple[int, int, list[Fraction]]:
     while hi >= lo and coeffs[hi] == 0:
         hi -= 1
     core = coeffs[lo : hi + 1]
-    # coefficients[i] multiplies u^(deg-i) v^i: leading zeros (low i) are u-powers,
-    # i.e. vanishing at v-dominant point [0:1]; trailing zeros vanish at [1:0].
-    mult_v = lo  # order of the root [1:0] (v = 0)... see note below
+    # coefficients[i] multiplies u^(deg-i) v^i: leading zeros (low i) are
+    # v-powers, vanishing at [1:0]; trailing zeros are u-powers, vanishing at [0:1].
+    mult_v = lo  # order of the root [1:0] (v = 0)
     mult_u = b.degree - hi  # order of the root [0:1] (u = 0)
     return mult_v, mult_u, core
 

@@ -12,7 +12,7 @@ Jacobian-criterion certificate (Macaulay-matrix ranks modulo a prime).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add
@@ -103,9 +103,6 @@ class GradedPolynomial:
             else:
                 terms.pop(m, None)
         return GradedPolynomial(self.ws, self.grade, terms)
-
-    def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        return self + other.scale(-1)
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -376,18 +373,6 @@ class SliceSplit:
 
 
 @dataclass(frozen=True)
-class SquarefreeSlice:
-    """Require a pair slice to be squarefree (distinct projective roots)."""
-
-    pair: tuple[int, int]
-    cofactor: str = "1"
-
-    def describe(self) -> str:
-        i, j = self.pair
-        return f"slice {self.cofactor}*({VARIABLES[i]},{VARIABLES[j]}) is squarefree"
-
-
-@dataclass(frozen=True)
 class SliceSplitAfterShift:
     """Require a pair slice to split after the cube-root shift of a variable.
 
@@ -410,7 +395,7 @@ class SliceSplitAfterShift:
         )
 
 
-GenericityCheck = SliceSplit | SquarefreeSlice | SliceSplitAfterShift
+GenericityCheck = SliceSplit | SliceSplitAfterShift
 
 
 def _draw_nonzero(rng: random.Random) -> int:
@@ -457,44 +442,28 @@ def sample_general_member(
     Coefficients are nonzero small integers drawn deterministically from the
     seed.  SliceSplit checks overwrite designated pair slices with products of
     distinct rational linear factors, which is what makes the reduction plans
-    and point-set certificates solvable over the rationals; SquarefreeSlice
-    checks cause a redraw until satisfied.  The member is redrawn (bounded
-    retries) until every check passes and the support is full.
+    and point-set certificates solvable over the rationals.  The member is
+    redrawn (bounded retries) until every check can be met.
     """
     monomials = enumerate_monomials(ws, ws.degree)
     for attempt in range(64):
         rng = random.Random(seed * 1000003 + attempt)
         terms = {m: Fraction(_draw_nonzero(rng)) for m in monomials}
         pools: dict[tuple[int, int], list[int]] = {}
-        ok = True
         for check in checks:
-            if isinstance(check, SliceSplit):
-                cof = parse_monomial(check.cofactor)
-                mons = slice_exponents(ws, check.pair, cof, ws.degree)
-                if len(mons) < 2:
-                    raise GenericityError(f"degenerate slice for {check.describe()}")
-                pool = pools.setdefault(check.pair, [])
-                coeffs = _draw_split_slice(rng, len(mons) - 1, pool)
-                if coeffs is None:
-                    ok = False
-                    break
-                for m, c in zip(mons, coeffs):
-                    terms[m] = c
-            elif isinstance(check, SliceSplitAfterShift):
+            if isinstance(check, SliceSplitAfterShift):
                 if not _draw_compensated_slice(rng, ws, terms, pools, check):
-                    ok = False
                     break
-        if not ok:
-            continue
-        f = GradedPolynomial(ws, ws.degree, terms)
-        for check in checks:
-            if isinstance(check, SquarefreeSlice):
-                form = slice_form(f, check.pair, parse_monomial(check.cofactor))
-                if form.is_zero() or not squarefree_and_root_count(form)[0]:
-                    ok = False
-                    break
-        if ok:
-            return f
+                continue
+            mons = slice_exponents(ws, check.pair, parse_monomial(check.cofactor), ws.degree)
+            if len(mons) < 2:
+                raise GenericityError(f"degenerate slice for {check.describe()}")
+            coeffs = _draw_split_slice(rng, len(mons) - 1, pools.setdefault(check.pair, []))
+            if coeffs is None:
+                break
+            terms.update(zip(mons, coeffs))
+        else:
+            return GradedPolynomial(ws, ws.degree, terms)
     raise GenericityError(
         f"sample_general_member: retry budget exhausted for {ws} with checks "
         f"{[c.describe() for c in checks]}"
@@ -511,42 +480,28 @@ def _draw_compensated_slice(
     """Draw a slice so that it splits after the designated cube-root shift.
 
     The shift constant is the canonical rational root of the pure
-    (template, shift-variable) cubic, which the sampler can predict; the slice
-    is then drawn as (split form) minus (constant) times the one down-shift
-    pollution term, so the reduced member's slice is the split form.
+    (template, shift-variable) cubic, which the sampler can predict: it is the
+    elimination polynomial of the template's pure power, whose coefficients
+    were already drawn (possibly split).  The slice is then drawn as (split
+    form) minus (constant) times the shift's c^1 pollution of each slice
+    monomial, so the reduced member's slice is the split form.
     """
     s = check.shift_variable
     mu = parse_monomial(check.shift_template)
-    cof = parse_monomial(check.cofactor)
-    mons = slice_exponents(ws, check.pair, cof, ws.degree)
+    mons = slice_exponents(ws, check.pair, parse_monomial(check.cofactor), ws.degree)
     if len(mons) < 2:
         raise GenericityError(f"degenerate slice for {check.describe()}")
-    # canonical root of the elimination cubic for the pure shift slice: its
-    # coefficients were already drawn (possibly split), and its rational roots
-    # determine the constant the reduction will pick
-    shift_pair = tuple(sorted((s, next(k for k in range(NVARS) if mu[k]))))
-    cubic_mons = slice_exponents(ws, shift_pair, (0, 0, 0, 0, 0), ws.degree)  # type: ignore[arg-type]
-    poly = {}
-    for m in cubic_mons:
-        poly[m[s]] = terms.get(m, Fraction(0))
-    c1 = _canonical_rational_root({k: v for k, v in poly.items() if v})
+    pure = tuple(a * (ws.degree // weighted_degree(mu, ws)) for a in mu)
+    cubic, *polluted = _elimination_polynomial(terms, s, mu, [pure, *mons])
+    c1 = _canonical_rational_root(cubic)
     if c1 is None:
         return False
-    # pollution: one shift converts x_s^(e) -> e * c1 * x_s^(e-1) * mu; the
-    # slice receives it from the monomials (slice monomial) + x_s - mu
-    pollution = []
-    for m in mons:
-        src = tuple(a + (1 if k == s else 0) - mu[k] for k, a in enumerate(m))
-        if any(v < 0 for v in src):
-            pollution.append(Fraction(0))
-        else:
-            pollution.append(terms.get(src, Fraction(0)) * src[s])
     pool = pools.setdefault(check.pair, [])
     for _ in range(50):
         coeffs = _draw_split_slice(rng, len(mons) - 1, pool)
         if coeffs is None:
             return False
-        adjusted = [c - c1 * p for c, p in zip(coeffs, pollution)]
+        adjusted = [c - c1 * poly.get(1, 0) for c, poly in zip(coeffs, polluted)]
         if all(c != 0 for c in adjusted):
             for m, c in zip(mons, adjusted):
                 terms[m] = c
@@ -615,19 +570,22 @@ class NormalizationPlan:
 
 
 def _elimination_polynomial(
-    f: GradedPolynomial, var: int, template: Monomial, target: Monomial
-) -> dict[int, Fraction]:
-    """Coefficient of the target in f(x_var -> x_var + c*template), as poly in c."""
-    out: dict[int, Fraction] = {}
-    for m, coeff in f.terms.items():
+    terms: dict[Monomial, Fraction], var: int, template: Monomial, targets: Sequence[Monomial]
+) -> list[dict[int, Fraction]]:
+    """Coefficient of each target in f(x_var -> x_var + c*template), as poly in c.
+
+    The template is free of x_var (as a Substitution tail must be), so the c^i
+    part of a target comes from the one monomial target + i*(x_var - template),
+    and a single pass over f's terms reads every target at once.
+    """
+    out: list[dict[int, Fraction]] = [{} for _ in targets]
+    for m, coeff in terms.items():
         e = m[var]
-        for i in range(e + 1):
-            key = list(m)
-            key[var] -= i
-            mm = tuple(a + i * b for a, b in zip(key, template))
-            if mm == target:
-                out[i] = out.get(i, Fraction(0)) + coeff * comb(e, i)
-    return {k: v for k, v in out.items() if v}
+        for poly, t in zip(out, targets):
+            i = e - t[var]
+            if i >= 0 and all(a + i * b == c for k, (a, b, c) in enumerate(zip(m, template, t)) if k != var):
+                poly[i] = poly.get(i, 0) + coeff * comb(e, i)
+    return [{i: v for i, v in poly.items() if v} for poly in out]
 
 
 def _canonical_rational_root(poly: dict[int, Fraction]) -> Fraction | None:
@@ -664,8 +622,7 @@ def _solve_step_univariate(
     f: GradedPolynomial, var: int, template: Monomial, target: Monomial
 ) -> tuple[GradedPolynomial, Substitution]:
     """Kill one target with one constant by exact univariate root extraction."""
-    poly = _elimination_polynomial(f, var, template, target)
-    root = _canonical_rational_root(poly)
+    root = _canonical_rational_root(_elimination_polynomial(f.terms, var, template, [target])[0])
     if root is None:
         raise GenericityError(
             f"cannot eliminate {format_monomial(target)} via "
@@ -689,44 +646,31 @@ def _apply_level(
 
     The plan validation guarantees every two template x-degrees in the level
     sum to more than the target level, so multiple conversions land strictly
-    above it and the residual map constants -> target coefficients is affine;
-    it is recovered exactly by probing at 0 and the unit vectors, and the
-    solution is verified on the actual substitution.
+    above it and the map constants -> target coefficients is affine: its base
+    is f's own target coefficients and column i the c^1 coefficient of step i.
+    The solution is verified on the actual substitution.
     """
-    ws = f.ws
-    k = len(steps)
-
-    def run(constants: Sequence[Fraction]) -> tuple[GradedPolynomial, list[Substitution]]:
-        g = f
-        subs = []
-        for (var, template, _), c in zip(steps, constants):
-            tail = GradedPolynomial(ws, ws.weights[var], {template: c} if c else {})
-            sub = Substitution(var, tail)
-            subs.append(sub)
-            g = substitute(g, sub)
-        return g, subs
-
-    def residual(g: GradedPolynomial) -> list[Fraction]:
-        return [g.coefficient(target) for (_, _, target) in steps]
-
-    base = residual(run([Fraction(0)] * k)[0])
-    columns = []
-    for i in range(k):
-        probe = [Fraction(1) if j == i else Fraction(0) for j in range(k)]
-        col = residual(run(probe)[0])
-        columns.append([col[r] - base[r] for r in range(k)])
+    targets = [target for (_, _, target) in steps]
+    base = [f.coefficient(t) for t in targets]
+    columns = [
+        [poly.get(1, Fraction(0)) for poly in _elimination_polynomial(f.terms, var, template, targets)]
+        for var, template, _ in steps
+    ]
     solution = _solve_linear(columns, [-b for b in base])
     if solution is None:
         raise GenericityError(
-            "level solve is singular for targets "
-            + ", ".join(format_monomial(t) for (_, _, t) in steps)
+            "level solve is singular for targets " + ", ".join(format_monomial(t) for t in targets)
         )
-    g, subs = run(solution)
-    if any(v != 0 for v in residual(g)):
+    g = f
+    subs = []
+    for (var, template, _), c in zip(steps, solution):
+        subs.append(Substitution(var, GradedPolynomial(f.ws, f.ws.weights[var], {template: c} if c else {})))
+        g = substitute(g, subs[-1])
+    if any(g.coefficient(t) != 0 for t in targets):
         raise PlanOrderError(
             "joint level solve failed to close; the plan violates the x-degree "
             "filtration for targets "
-            + ", ".join(format_monomial(t) for (_, _, t) in steps)
+            + ", ".join(format_monomial(t) for t in targets)
         )
     return g, subs
 

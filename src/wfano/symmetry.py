@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from operator import mul
 
 from .exactmath import rational_roots, smith_normal_form
 from .symalg import (
@@ -117,53 +118,20 @@ def has_diagonal_involution(
     """Is there a sign-vector symmetry beyond the weighted scaling torus?
 
     Any order-2 element of the symmetry group modulo the torus is represented
-    by a sign vector, so this reduces to linear algebra over F_2: the answer is
-    yes iff the mod-2 kernel of the difference matrix is larger than the span
-    of the mod-2 weight vector.  The witness is the lexicographically smallest
-    nontrivial solution, as a +-1 vector encoded by its sign pattern.
+    by a sign vector, i.e. a vector v of F_2^5 with row . v = 0 mod 2 for every
+    exponent difference row.  The 32 vectors are tested in lexicographic
+    order against the distinct mod-2 rows; the answer is yes iff one besides
+    0 and the mod-2 weight vector passes, and the first such is the witness,
+    as a +-1 vector encoded by its sign pattern.
     """
     if not support:
         raise ValueError("has_diagonal_involution: empty support")
-    rows = [[x % 2 for x in r] for r in _difference_rows(support)]
-    kernel = _f2_kernel(rows)
-    torus = tuple(a % 2 for a in ws.weights)
-    solutions = sorted(v for v in kernel if v != (0,) * NVARS and v != torus)
-    if not solutions:
-        return False, None
-    return True, solutions[0]
-
-
-def _f2_kernel(rows: list[list[int]]) -> list[tuple[int, ...]]:
-    """All vectors v in F_2^5 with row . v = 0 for every row."""
-    mat = [r[:] for r in rows if any(r)]
-    pivots: list[int] = []
-    rank = 0
-    for c in range(NVARS):
-        pr = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[rank], mat[pr] = mat[pr], mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c]:
-                mat[i] = [a ^ b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(NVARS) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * NVARS
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = sum(mat[i][j] & v[j] for j in free) % 2
-        basis.append(v)
-    out = []
-    for mask in range(1 << len(basis)):
-        v = [0] * NVARS
-        for b in range(len(basis)):
-            if mask >> b & 1:
-                v = [a ^ c for a, c in zip(v, basis[b])]
-        out.append(tuple(v))
-    return out
+    rows = {tuple(x % 2 for x in r) for r in _difference_rows(support)}
+    trivial = ((0,) * NVARS, tuple(a % 2 for a in ws.weights))
+    for v in product((0, 1), repeat=NVARS):
+        if v not in trivial and all(sum(map(mul, r, v)) % 2 == 0 for r in rows):
+            return True, v
+    return False, None
 
 
 def signs_from_witness(witness: tuple[int, ...]) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import comb, gcd
+from operator import mul
 
 VARIABLES = ("x", "y", "z", "t", "w")
 NVARS = 5
@@ -71,7 +72,7 @@ def parse_weight_system(text: str) -> WeightSystem:
 
 
 def weighted_degree(m: Monomial, ws: WeightSystem) -> int:
-    return sum(e * a for e, a in zip(m, ws.weights))
+    return sum(map(mul, m, ws.weights))
 
 
 def format_monomial(m: Monomial) -> str:

@@ -14,6 +14,8 @@ from wfano.symalg import (
     GenericityError,
     GradedPolynomial,
     MacaulayCheck,
+    NormalizationPlan,
+    ShiftPass,
     Substitution,
     builtin_plan,
     cubic_normal_form,
@@ -237,6 +239,40 @@ def test_normalize_genericity_error_names_the_monomial():
     broken = GradedPolynomial(ws, 18, terms)
     with pytest.raises(GenericityError, match="w\\^3"):
         normalize(broken, builtin_plan(39))
+
+
+def _plan_39(*steps):
+    """A one-pass plan shifting t on family 39 (weights 1,3,4,5,6; d = 18)."""
+    ws = family_weight_system(39)
+    shift = ShiftPass(3, tuple((parse_monomial(a), parse_monomial(b)) for a, b in steps))
+    return NormalizationPlan(ws=ws, passes=(shift,))
+
+
+@pytest.mark.parametrize(
+    "steps,message",
+    [
+        # the template x*z sits above the x-degree-0 target
+        ((("x*z", "t^3*y"),), "template x-degree exceeds its target"),
+        # two x^1 conversions fall back onto level 2
+        ((("x*z", "x^2*z^4"),), "level 2 is not affine"),
+        # level-3 constants (template x-degree 2) reach the level-2 target
+        ((("x^2*y", "t^2*y^2*x^2"), ("x^2*y", "x^3*y^5")), "level-3 constants could pollute level 2"),
+    ],
+    ids=["template-above-target", "non-affine-level", "level-reaches-earlier"],
+)
+def test_normalize_rejects_bad_plans(steps, message):
+    f = sample_family_member(39, seed=0)
+    with pytest.raises(ValueError, match=message) as excinfo:
+        normalize(f, _plan_39(*steps))
+    assert not isinstance(excinfo.value, GenericityError)
+
+
+def test_normalize_singular_level_solve():
+    # one template for two level-1 targets: the two columns of the solve agree
+    plan = _plan_39(("x*z", "t^2*y*z*x"), ("x*z", "x*z^3*t"))
+    targets = r"x\*y\*z\*t\^2, x\*z\^3\*t"
+    with pytest.raises(GenericityError, match=f"level solve is singular for targets {targets}"):
+        normalize(sample_family_member(39, seed=0), plan)
 
 
 def test_stratum_restriction_family_19():
