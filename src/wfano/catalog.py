@@ -54,15 +54,8 @@ FAMILY_LABELS: dict[tuple[int, ...], int] = {
 }
 
 #: the eight index-1 families whose general member has trivial automorphisms
-EXCEPTIONAL_EIGHT: tuple[tuple[int, ...], ...] = (
-    (1, 1, 1, 1, 1, 4, 1),
-    (1, 2, 3, 3, 4, 12, 1),
-    (1, 3, 3, 4, 5, 15, 1),
-    (1, 3, 4, 5, 6, 18, 1),
-    (1, 3, 5, 6, 7, 21, 1),
-    (1, 3, 6, 7, 8, 24, 1),
-    (1, 5, 6, 7, 9, 27, 1),
-    (1, 7, 8, 9, 12, 36, 1),
+EXCEPTIONAL_EIGHT: tuple[tuple[int, ...], ...] = tuple(
+    s for s, n in FAMILY_LABELS.items() if n in (1, 19, 28, 39, 49, 59, 66, 84)
 )
 
 

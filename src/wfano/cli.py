@@ -173,7 +173,7 @@ def cmd_normalize(args) -> None:
 
 
 def cmd_autgroup(args) -> None:
-    if args.family:
+    if args.family is not None:
         cert = symmetry.certify_trivial_automorphisms(args.family, seed=args.seed)
         payload = json.loads(cert.to_json())
         md = f"# automorphism certificate, family {args.family}\n\n" + "\n".join(

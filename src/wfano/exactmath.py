@@ -14,19 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
-
-
-def gcd_tuple(values: Sequence[int]) -> int:
-    """Greatest common divisor of a nonempty sequence of positive integers."""
-    if not values:
-        raise ValueError("gcd_tuple: empty sequence")
-    g = 0
-    for v in values:
-        if v <= 0:
-            raise ValueError(f"gcd_tuple: nonpositive entry {v}")
-        g = gcd(g, v)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +25,30 @@ def gcd_tuple(values: Sequence[int]) -> int:
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     if not a or not b:
         return []
-    n, k, m = len(a), len(b), len(b[0])
-    assert all(len(r) == k for r in a), "dimension mismatch"
-    return [[sum(a[i][s] * b[s][j] for s in range(k)) for j in range(m)] for i in range(n)]
+    assert all(len(r) == len(b) for r in a), "dimension mismatch"
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, column)) for column in columns] for row in a]
+
+
+def adjugate(m: Sequence[Sequence[int]]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The adjugate of a 2x2 matrix: its inverse times its determinant."""
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))
+
+
+def triple_matrix(points: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The matrix sending [1:0], [0:1], [1:1] to three distinct points (p, q).
+
+    Its columns are lam*(p0, q0) and mu*(p1, q1), where lam and mu are the
+    numerators, over det = p0*q1 - p1*q0, of the solution of
+    lam*(p0, q0) + mu*(p1, q1) = det*(p2, q2) by Cramer's rule.
+    """
+    (p0, q0), (p1, q1), (p2, q2) = points
+    lam = p2 * q1 - p1 * q2
+    mu = p0 * q2 - p2 * q0
+    if lam * mu * (p0 * q1 - p1 * q0) == 0:
+        raise ValueError("coincident points in triple")
+    return ((lam * p0, mu * p1), (lam * q0, mu * q1))
 
 
 def mat_det(m: Sequence[Sequence[int]]) -> int:

@@ -18,6 +18,7 @@ from math import comb, gcd, lcm
 from operator import add
 from typing import Sequence
 
+from .catalog import FAMILY_LABELS
 from .exactmath import (
     EXACT_BOUND,
     ROW_BLOCK,
@@ -28,6 +29,7 @@ from .exactmath import (
     rank_mod_p,
     rational_roots,
     squarefree_and_root_count,
+    triple_matrix,
     univariate_rational_roots,
 )
 from .membership import StratumSelector
@@ -92,24 +94,8 @@ class GradedPolynomial:
             return GradedPolynomial(self.ws, self.grade, {})
         return GradedPolynomial(self.ws, self.grade, {m: v * c for m, v in self.terms.items()})
 
-    def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        if other.grade != self.grade:
-            raise ValueError("grade mismatch in addition")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            v = terms.get(m, Fraction(0)) + c
-            if v:
-                terms[m] = v
-            else:
-                terms.pop(m, None)
-        return GradedPolynomial(self.ws, self.grade, terms)
-
     def __str__(self) -> str:
         return format_polynomial(self)
-
-
-def poly_from_terms(ws: WeightSystem, grade: int, terms: dict[Monomial, Fraction]) -> GradedPolynomial:
-    return GradedPolynomial(ws, grade, {m: Fraction(c) for m, c in terms.items() if c != 0})
 
 
 def format_polynomial(f: GradedPolynomial) -> str:
@@ -152,7 +138,7 @@ def parse_polynomial(text: str, ws: WeightSystem, grade: int) -> GradedPolynomia
                 mono_parts.append(fct)
         m = parse_monomial("*".join(mono_parts)) if mono_parts else (0, 0, 0, 0, 0)
         terms[m] = terms.get(m, Fraction(0)) + coeff
-    return poly_from_terms(ws, grade, terms)
+    return GradedPolynomial(ws, grade, {m: c for m, c in terms.items() if c != 0})
 
 
 def poly_mul(a: GradedPolynomial, b: GradedPolynomial) -> GradedPolynomial:
@@ -574,18 +560,31 @@ def _elimination_polynomial(
 ) -> list[dict[int, Fraction]]:
     """Coefficient of each target in f(x_var -> x_var + c*template), as poly in c.
 
-    The template is free of x_var (as a Substitution tail must be), so the c^i
-    part of a target comes from the one monomial target + i*(x_var - template),
-    and a single pass over f's terms reads every target at once.
+    The c^i part of a target t comes from the one monomial t + i*(x_var -
+    template), times binomial(its x_var-degree, i); the walk over i stops at
+    the first negative exponent.  It would never stop for the template x_var
+    or 1, which is no shift by a monomial free of x_var (a ValueError).
     """
-    out: list[dict[int, Fraction]] = [{} for _ in targets]
-    for m, coeff in terms.items():
-        e = m[var]
-        for poly, t in zip(out, targets):
-            i = e - t[var]
-            if i >= 0 and all(a + i * b == c for k, (a, b, c) in enumerate(zip(m, template, t)) if k != var):
-                poly[i] = poly.get(i, 0) + coeff * comb(e, i)
-    return [{i: v for i, v in poly.items() if v} for poly in out]
+    step = [-b for b in template]
+    step[var] += 1
+    if min(step) >= 0:
+        raise ValueError(
+            f"{VARIABLES[var]} -> {VARIABLES[var]} + c*{format_monomial(template)} "
+            f"is not a shift by a monomial free of {VARIABLES[var]}"
+        )
+    out: list[dict[int, Fraction]] = []
+    for t in targets:
+        poly = {}
+        m = t
+        i = 0
+        while min(m) >= 0:
+            c = terms.get(m, 0) * comb(m[var], i)
+            if c:
+                poly[i] = c
+            i += 1
+            m = tuple(map(add, m, step))
+        out.append(poly)
+    return out
 
 
 def _canonical_rational_root(poly: dict[int, Fraction]) -> Fraction | None:
@@ -776,25 +775,13 @@ def normalize(
 
 _M = parse_monomial
 
-_SEPTUPLES: dict[int, tuple[int, ...]] = {
-    1: (1, 1, 1, 1, 1, 4),
-    9: (1, 1, 2, 3, 3, 9),
-    17: (1, 1, 3, 4, 4, 12),
-    19: (1, 2, 3, 3, 4, 12),
-    27: (1, 2, 3, 5, 5, 15),
-    28: (1, 3, 3, 4, 5, 15),
-    39: (1, 3, 4, 5, 6, 18),
-    49: (1, 3, 5, 6, 7, 21),
-    59: (1, 3, 6, 7, 8, 24),
-    66: (1, 5, 6, 7, 9, 27),
-    84: (1, 7, 8, 9, 12, 36),
-}
-
-
 def family_weight_system(number: int) -> WeightSystem:
-    if number not in _SEPTUPLES:
+    """The weight system of a family with a sampler: the eight exceptional
+    ones and the three of the binary-cubic normal form."""
+    if number not in (1, 9, 17, 19, 27, 28, 39, 49, 59, 66, 84):
         raise ValueError(f"unknown family number {number}")
-    return weight_system(*_SEPTUPLES[number])
+    (septuple,) = (s for s, n in FAMILY_LABELS.items() if n == number)
+    return weight_system(*septuple)
 
 
 X, Y, Z, T, W = 0, 1, 2, 3, 4
@@ -1098,13 +1085,11 @@ def cubic_normal_form(f: GradedPolynomial) -> CubicNormalForm:
             "cubic_normal_form: (t,w) cubic does not split over the rationals "
             f"(found {len(roots)} rational roots of {nroots})"
         )
-    r1, r2, r3 = (tuple(map(Fraction, r)) for r in roots[:3])
-    # columns lambda*r2, mu*r1 with lambda*r2 + mu*r1 = r3 send [1:0],[0:1],[1:1]
-    # to r2, r1, r3 respectively
+    r1, r2, r3 = roots[:3]
+    # send [1:0], [0:1], [1:1] to r2, r1, r3 by the matrix with columns
+    # lambda*r2 and mu*r1, where lambda*r2 + mu*r1 = r3
     det = r2[0] * r1[1] - r2[1] * r1[0]
-    lam = (r3[0] * r1[1] - r3[1] * r1[0]) / det
-    mu = (r2[0] * r3[1] - r2[1] * r3[0]) / det
-    matrix = ((lam * r2[0], mu * r1[0]), (lam * r2[1], mu * r1[1]))
+    matrix = tuple(tuple(Fraction(x, det) for x in row) for row in triple_matrix((r2, r1, r3)))
     g = apply_pair_map(f, T, W, matrix)
     # after the move the cubic is c * t*w*(w - t); read c off the t*w^2 slot
     m_tw2: Monomial = (0, 0, 0, 1, 2)

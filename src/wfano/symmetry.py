@@ -17,9 +17,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd
 from operator import mul
+from typing import Sequence
 
-from .exactmath import rational_roots, smith_normal_form
+from .exactmath import adjugate, mat_mul, rational_roots, smith_normal_form, triple_matrix
 from .symalg import (
     GenericityError,
     builtin_plan,
@@ -34,6 +36,7 @@ from .wspace import (
     WeightSystem,
     enumerate_monomials,
     format_monomial,
+    parse_monomial,
     weight_system,
     weighted_degree,
 )
@@ -190,13 +193,10 @@ class MoebiusMap:
         return _normalize_pair(u, v)
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        (a, b), (c, d) = self.matrix
-        (e, f), (g, h) = other.matrix
-        return moebius_map(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
+        return moebius_map(mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "MoebiusMap":
-        (a, b), (c, d) = self.matrix
-        return moebius_map(((d, -b), (-c, a)))
+        return moebius_map(adjugate(self.matrix))
 
     @property
     def is_identity(self) -> bool:
@@ -216,64 +216,27 @@ class MoebiusMap:
         return f"[u:v] -> [{lin(a, b)} : {lin(c, d)}]"
 
 
-def _normalize_pair(u: int, v: int) -> P1Point:
-    from math import gcd as _g
+def _canonical(*values: int) -> tuple[int, ...]:
+    """Integers, not all zero, divided by their gcd and signed so that the
+    first nonzero one is positive: the canonical form of a point or a map."""
+    g = gcd(*values)
+    if next(filter(None, values)) < 0:
+        g = -g
+    return tuple([x // g for x in values])
 
+
+def _normalize_pair(u: int, v: int) -> P1Point:
     if u == 0 and v == 0:
         raise ValueError("degenerate projective point")
-    g = _g(abs(u), abs(v))
-    u, v = u // g, v // g
-    if u < 0 or (u == 0 and v < 0):
-        u, v = -u, -v
-    return (u, v)
+    return _canonical(u, v)  # type: ignore[return-value]
 
 
-def moebius_map(matrix: tuple[tuple[int, int], tuple[int, int]]) -> MoebiusMap:
+def moebius_map(matrix: Sequence[Sequence[int]]) -> MoebiusMap:
     (a, b), (c, d) = matrix
     if a * d - b * c == 0:
         raise ValueError("moebius_map: singular matrix")
-    from math import gcd as _g
-
-    g = 0
-    for x in (a, b, c, d):
-        g = _g(g, abs(x))
-    a, b, c, d = a // g, b // g, c // g, d // g
-    for x in (a, b, c, d):
-        if x != 0:
-            if x < 0:
-                a, b, c, d = -a, -b, -c, -d
-            break
+    a, b, c, d = _canonical(a, b, c, d)
     return MoebiusMap(((a, b), (c, d)))
-
-
-def _map_through_triple(src: tuple[P1Point, P1Point, P1Point], dst: tuple[P1Point, P1Point, P1Point]) -> MoebiusMap:
-    """The unique fractional-linear map sending the source triple to the target."""
-
-    def to_standard(t: tuple[P1Point, P1Point, P1Point]) -> tuple[tuple[int, int], tuple[int, int]]:
-        # matrix sending [1:0], [0:1], [1:1] to the triple (p_i, q_i)
-        (p0, q0), (p1, q1), (p2, q2) = t
-        det = p0 * q1 - p1 * q0
-        lam = p2 * q1 - p1 * q2
-        mu = p0 * q2 - p2 * q0
-        m = ((lam * p0, mu * p1), (lam * q0, mu * q1))
-        if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
-            raise ValueError("coincident points in triple")
-        return m
-
-    ms = to_standard(src)
-    md = to_standard(dst)
-    inv_ms = ((ms[1][1], -ms[0][1]), (-ms[1][0], ms[0][0]))
-    prod = (
-        (
-            md[0][0] * inv_ms[0][0] + md[0][1] * inv_ms[1][0],
-            md[0][0] * inv_ms[0][1] + md[0][1] * inv_ms[1][1],
-        ),
-        (
-            md[1][0] * inv_ms[0][0] + md[1][1] * inv_ms[1][0],
-            md[1][0] * inv_ms[0][1] + md[1][1] * inv_ms[1][1],
-        ),
-    )
-    return moebius_map(prod)
 
 
 def pgl2_set_stabilizer(points: list[P1Point]) -> list[MoebiusMap]:
@@ -288,11 +251,12 @@ def pgl2_set_stabilizer(points: list[P1Point]) -> list[MoebiusMap]:
         raise ValueError("pgl2_set_stabilizer: points must be distinct")
     if len(pts) < 3:
         raise ValueError("pgl2_set_stabilizer: fewer than 3 points has infinite stabilizer")
-    base = tuple(pts[:3])
+    # the map sending the base triple pts[:3] to [1:0], [0:1], [1:1] (up to scale)
+    from_base = adjugate(triple_matrix(pts[:3]))
     point_set = set(pts)
     found: dict[tuple[tuple[int, int], tuple[int, int]], MoebiusMap] = {}
     for triple in permutations(pts, 3):
-        m = _map_through_triple(base, triple)  # type: ignore[arg-type]
+        m = moebius_map(mat_mul(triple_matrix(triple), from_base))
         if m.matrix in found:
             continue
         if all(m(p) in point_set for p in pts):
@@ -387,8 +351,6 @@ def certify_trivial_automorphisms(family: int, seed: int = 0) -> AutomorphismCer
     if family in _LINE_SLICES:
         pair, cofactors = _LINE_SLICES[family]
         pts: list[P1Point] = []
-        from .wspace import parse_monomial
-
         for cof in cofactors:
             form = slice_form(g, pair, parse_monomial(cof))
             roots = rational_roots(form)

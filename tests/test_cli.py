@@ -211,6 +211,7 @@ BAD_INPUTS = [
     bad("normalize-unknown-family", "normalize", "--family", "2", error="unknown family number 2"),
     bad("normalize-non-integer", "normalize", "--family", "x", code=2),
     bad("autgroup-unknown-family", "autgroup", "--family", "2", error="unknown family number 2"),
+    bad("autgroup-family-zero", "autgroup", "--family", "0", error="unknown family number 0"),
     bad("autgroup-no-input", "autgroup", error="need --septuple"),
     bad("autgroup-non-integer", "autgroup", "--weights", "1,1,1,1,1.5", "--degree", "4", code=2),
     bad("autgroup-over-cap", "autgroup", "--septuple", "1,1,1,1,1,31",

@@ -9,13 +9,13 @@ from wfano.exactmath import (
     MAX_ROOT_COEFF_BITS,
     SmithForm,
     binary_form,
-    gcd_tuple,
     mat_det,
     mat_mul,
     rank_mod_p,
     rational_roots,
     smith_normal_form,
     squarefree_and_root_count,
+    triple_matrix,
     univariate_rational_roots,
 )
 
@@ -32,17 +32,19 @@ def from_roots(roots, lead=1):
     return poly
 
 
-def test_gcd_tuple_examples():
-    assert gcd_tuple((1, 1, 1, 1)) == 1
-    assert gcd_tuple((2, 2, 4, 4)) == 2
-    assert gcd_tuple((6, 22, 33)) == 1
-
-
-def test_gcd_tuple_rejects_empty_and_nonpositive():
-    with pytest.raises(ValueError):
-        gcd_tuple(())
-    with pytest.raises(ValueError):
-        gcd_tuple((3, 0))
+def test_triple_matrix_sends_the_standard_triple():
+    rng = random.Random(3)
+    for _ in range(200):
+        points = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]
+        cross = [p[0] * q[1] - p[1] * q[0] for p, q in combinations(points, 2)]
+        if 0 in cross:
+            with pytest.raises(ValueError, match="coincident points in triple"):
+                triple_matrix(points)
+            continue
+        m = triple_matrix(points)
+        for (u, v), (p, q) in zip(((1, 0), (0, 1), (1, 1)), points):
+            image = [row[0] * u + row[1] * v for row in m]
+            assert image[0] * q == image[1] * p and image != [0, 0]
 
 
 def test_smith_normal_form_trivial_cases():

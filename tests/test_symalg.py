@@ -257,8 +257,10 @@ def _plan_39(*steps):
         ((("x*z", "x^2*z^4"),), "level 2 is not affine"),
         # level-3 constants (template x-degree 2) reach the level-2 target
         ((("x^2*y", "t^2*y^2*x^2"), ("x^2*y", "x^3*y^5")), "level-3 constants could pollute level 2"),
+        # the template t is the shifted variable itself
+        ((("t", "t^3*y"),), "is not a shift by a monomial free of t"),
     ],
-    ids=["template-above-target", "non-affine-level", "level-reaches-earlier"],
+    ids=["template-above-target", "non-affine-level", "level-reaches-earlier", "template-is-its-variable"],
 )
 def test_normalize_rejects_bad_plans(steps, message):
     f = sample_family_member(39, seed=0)
