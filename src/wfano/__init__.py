@@ -10,7 +10,6 @@ from .wspace import (
     enumerate_monomials,
     format_monomial,
     parse_monomial,
-    parse_weight_system,
     weight_system,
     wps_well_formed,
 )
@@ -45,11 +44,9 @@ from .symalg import (
     builtin_plan,
     cubic_normal_form,
     normalize,
-    normalized_member,
     quasismooth_member,
     reference_support,
     sample_general_member,
-    stratum_restriction,
     substitute,
 )
 from .symmetry import (
@@ -59,7 +56,7 @@ from .symmetry import (
     has_diagonal_involution,
     pgl2_set_stabilizer,
 )
-from .irrational import IrrationalityVerdict, decide, projection_degree
+from .irrational import IrrationalityVerdict, decide
 
 __version__ = "0.1.0"
 
@@ -70,7 +67,6 @@ __all__ = [
     "enumerate_monomials",
     "format_monomial",
     "parse_monomial",
-    "parse_weight_system",
     "weight_system",
     "wps_well_formed",
     "MembershipReport",
@@ -97,11 +93,9 @@ __all__ = [
     "builtin_plan",
     "cubic_normal_form",
     "normalize",
-    "normalized_member",
     "quasismooth_member",
     "reference_support",
     "sample_general_member",
-    "stratum_restriction",
     "substitute",
     "DiagonalSymmetryGroup",
     "certify_trivial_automorphisms",
@@ -110,5 +104,4 @@ __all__ = [
     "pgl2_set_stabilizer",
     "IrrationalityVerdict",
     "decide",
-    "projection_degree",
 ]

@@ -89,25 +89,6 @@ def top_variable_degree(ws: WeightSystem) -> int:
     return max((e for e in range(d // a[4] + 1) if representable(a[:4], d - e * a[4])), default=0)
 
 
-def projection_degree(record: FamilyRecord) -> int | str:
-    """Generic degree of the projection dropping the top-weight coordinate.
-
-    Returns 2 when the family provably projects 2-to-1 (top-variable degree 2,
-    or the d = 3*a5, a4 = a5 normal-form route), and "unresolved" otherwise;
-    for the eight exceptional families the projection bound alone does not
-    settle the degree of irrationality.
-    """
-    ws = record.ws
-    if ws.weights[0] != 1:
-        raise ValueError("projection_degree: expects a1 = 1 (holds on index-1 records)")
-    k = top_variable_degree(ws)
-    if k == 2:
-        return 2
-    if ws.degree == 3 * ws.weights[4] and ws.weights[3] == ws.weights[4]:
-        return 2  # after the binary-cubic normal form the top variable has degree 2
-    return "unresolved"
-
-
 def decide(record: FamilyRecord) -> IrrationalityVerdict:
     """The main verdict: d(X) as a value or value set, with justification.
 

@@ -4,7 +4,7 @@ Polynomials carry exact rational coefficients on weighted monomials of a fixed
 grade.  On top of the arithmetic sit the pieces needed to put a general member
 of a named family into its reduced shape: seeded sampling with designated
 rational root structure, triangular coordinate substitutions solved pass by
-pass, the built-in reduction plans, stratum restrictions, the binary-cubic
+pass, the built-in reduction plans as a text table, the binary-cubic
 normal form, and a member-level quasismoothness check that returns its
 Jacobian-criterion certificate (Macaulay-matrix ranks modulo a prime).
 """
@@ -32,7 +32,6 @@ from .exactmath import (
     triple_matrix,
     univariate_rational_roots,
 )
-from .membership import StratumSelector
 from .wspace import (
     NVARS,
     VARIABLES,
@@ -141,13 +140,10 @@ def parse_polynomial(text: str, ws: WeightSystem, grade: int) -> GradedPolynomia
     return GradedPolynomial(ws, grade, {m: c for m, c in terms.items() if c != 0})
 
 
-def poly_mul(a: GradedPolynomial, b: GradedPolynomial) -> GradedPolynomial:
-    return GradedPolynomial(a.ws, a.grade + b.grade, _mul_terms(a.terms, b.terms))
-
-
-def _mul_terms(a: dict, b: dict) -> dict:
-    """Product of two monomial -> coefficient maps (int or Fraction), zeros dropped."""
-    terms: dict = {}
+def _mul_terms(a: dict, b: dict, terms: dict | None = None) -> dict:
+    """Product of two monomial -> coefficient maps (int or Fraction), added
+    into ``terms`` (a new map by default), zeros dropped."""
+    terms = {} if terms is None else terms
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = tuple(map(add, ma, mb))
@@ -261,33 +257,22 @@ def apply_pair_map(
     m10, m11 = Fraction(matrix[1][0]), Fraction(matrix[1][1])
     if m00 * m11 - m01 * m10 == 0:
         raise ValueError("apply_pair_map: singular matrix")
-    wt = ws.weights[i]
-    ri = GradedPolynomial(ws, wt, {k: v for k, v in ((_unit(i), m00), (_unit(j), m01)) if v})
-    rj = GradedPolynomial(ws, wt, {k: v for k, v in ((_unit(i), m10), (_unit(j), m11)) if v})
-    const = GradedPolynomial(ws, 0, {_unit(None): Fraction(1)})
-    pow_i: dict[int, GradedPolynomial] = {0: const}
-    pow_j: dict[int, GradedPolynomial] = {0: const}
-    for e in range(1, max((m[i] for m in f.terms), default=0) + 1):
-        pow_i[e] = poly_mul(pow_i[e - 1], ri)
-    for e in range(1, max((m[j] for m in f.terms), default=0) + 1):
-        pow_j[e] = poly_mul(pow_j[e - 1], rj)
+    powers = []  # per variable, the powers of its image
+    for var, image in ((i, (m00, m01)), (j, (m10, m11))):
+        linear = {k: v for k, v in zip((_unit(i), _unit(j)), image) if v}
+        powers.append([{_unit(None): Fraction(1)}])
+        for _ in range(max((m[var] for m in f.terms), default=0)):
+            powers[-1].append(_mul_terms(powers[-1][-1], linear))
     out: dict[Monomial, Fraction] = {}
     for m, c in f.terms.items():
         rest = list(m)
         rest[i] = rest[j] = 0
-        prod = poly_mul(pow_i[m[i]], pow_j[m[j]])
-        for mm, cc in prod.terms.items():
-            key = tuple(a + b for a, b in zip(rest, mm))
-            v = out.get(key, Fraction(0)) + c * cc
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+        _mul_terms({tuple(rest): c}, _mul_terms(powers[0][m[i]], powers[1][m[j]]), out)
     return GradedPolynomial(ws, f.grade, out)
 
 
 # ---------------------------------------------------------------------------
-# slices and restrictions
+# slices
 
 
 def slice_exponents(ws: WeightSystem, pair: tuple[int, int], cofactor: Monomial, grade: int) -> list[Monomial]:
@@ -318,19 +303,6 @@ def slice_form(f: GradedPolynomial, pair: tuple[int, int], cofactor: Monomial | 
     if not mons:
         raise ValueError("slice_form: empty slice")
     return binary_form([f.coefficient(m) for m in mons])
-
-
-def stratum_restriction(f: GradedPolynomial, stratum: StratumSelector) -> BinaryForm | GradedPolynomial:
-    """f with all variables outside the stratum set to zero.
-
-    Two-variable strata come back as a BinaryForm over the slice; any other
-    size returns the restricted GradedPolynomial.
-    """
-    stratum = tuple(sorted(stratum))
-    if len(stratum) == 2:
-        return slice_form(f, stratum)  # type: ignore[arg-type]
-    keep = {m: c for m, c in f.terms.items() if all(m[k] == 0 for k in range(NVARS) if k not in stratum)}
-    return GradedPolynomial(f.ws, f.grade, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +664,6 @@ def _solve_linear(columns: list[list[Fraction]], rhs: list[Fraction]) -> list[Fr
     return [aug[i][k] for i in range(k)]
 
 
-def _x_degree(m: Monomial) -> int:
-    return m[0]
-
-
 def normalize(
     f: GradedPolynomial, plan: NormalizationPlan
 ) -> tuple[GradedPolynomial, list[Substitution]]:
@@ -717,26 +685,29 @@ def normalize(
     if plan.ws.septuple != f.ws.septuple:
         raise ValueError("normalize: plan and polynomial weight systems differ")
     depress: list[DepressPass] = []
-    zero_steps: list[tuple[int, Monomial, Monomial]] = []
     levels: dict[int, list[tuple[int, Monomial, Monomial]]] = {}
     for p in plan.passes:
         if isinstance(p, DepressPass):
             depress.append(p)
             continue
         for template, target in p.steps:
-            lvl = _x_degree(target)
-            if _x_degree(template) > lvl:
+            want = (f.ws.weights[p.variable], f.grade)
+            got = (weighted_degree(template, f.ws), weighted_degree(target, f.ws))
+            if got != want:
+                raise ValueError(
+                    f"normalize: template {format_monomial(template)} and target "
+                    f"{format_monomial(target)} have degrees {got}, not {want}"
+                )
+            lvl = target[0]  # the x-degree
+            if template[0] > lvl:
                 raise ValueError(
                     "normalize: template x-degree exceeds its target "
                     f"({format_monomial(template)} -> {format_monomial(target)})"
                 )
-            if lvl == 0:
-                zero_steps.append((p.variable, template, target))
-            else:
-                levels.setdefault(lvl, []).append((p.variable, template, target))
-    ordered = sorted(levels)
+            levels.setdefault(lvl, []).append((p.variable, template, target))
+    ordered = sorted(levels.keys() - {0})
     for pos, lvl in enumerate(ordered):
-        degrees = [_x_degree(t) for (_, t, _) in levels[lvl]]
+        degrees = [t[0] for (_, t, _) in levels[lvl]]
         if min(a + b for a in degrees for b in degrees) <= lvl:
             raise ValueError(
                 f"normalize: level {lvl} is not affine (template degrees {degrees})"
@@ -752,7 +723,7 @@ def normalize(
     for p in depress:
         g, sub = _apply_depress(g, p)
         applied.append(sub)
-    for var, template, target in zero_steps:
+    for var, template, target in levels.get(0, []):
         g, sub = _solve_step_univariate(g, var, template, target)
         applied.append(sub)
     for lvl in ordered:
@@ -773,179 +744,96 @@ def normalize(
 # ---------------------------------------------------------------------------
 # built-in reductions for the named families
 
-_M = parse_monomial
+X, Y, Z, T, W = 0, 1, 2, 3, 4
+
+#: Sampling requirements that make each family's reduction and certificates
+#: solvable over the rationals.  The keys are the families with a sampler: the
+#: eight exceptional ones and the three of the binary-cubic normal form.
+_CHECKS: dict[int, tuple[GenericityCheck, ...]] = {
+    1: (), 39: (), 66: (), 84: (),
+    9: (SliceSplit((T, W)),), 17: (SliceSplit((T, W)),), 27: (SliceSplit((T, W)),),
+    19: (SliceSplit((Z, T)), SliceSplit((Y, W)), SliceSplitAfterShift((Z, T), "y^3", W, "y^2")),
+    28: (SliceSplit((Y, Z)),), 49: (SliceSplit((Y, T)),), 59: (SliceSplit((Y, Z)),),
+}
+
+#: The reduction plans of the seven symmetry-route families, one pass per
+#: string: "depress w" is a DepressPass, "t: z>z^4, ..." a ShiftPass of t by
+#: (template>target) steps.  Pass order matters: equal-weight shears that move
+#: designated rational roots to the coordinate points run before the
+#: upper-triangular shifts, and each shift pass is ordered so every solve is
+#: reachable from live pivots.
+_PLANS: dict[int, tuple[str, ...]] = {
+    # the first two passes move two roots of the pure (z,t) quartic to the coordinate points
+    19: ("t: z>z^4",
+         "z: t>t^4",
+         "w: y^2>y^6, y*x^2>y^5*x^2, x*z>y^4*x*z, x*t>y^4*x*t",
+         "y: x^2>w*y^3*x^2",
+         "z: x*y>t^3*x*y, x^3>t^3*x^3",
+         "t: x*y>z^3*x*y, x^3>z^3*x^3"),
+    # the two passes after the depression do the same for the pure (y,z) quintic
+    28: ("depress w",
+         "z: y>y^5",
+         "y: z>z^5",
+         "z: x^3>y^4*x^3",
+         "y: x^3>t^3*x^3",
+         "t: z*x>t^2*z^2*x, y*x>t^2*z*y*x, x^4>t^2*z*x^4"),
+    39: ("depress w",
+         "y: x^3>t^3*x^3",
+         "t: x*z>t^2*y*z*x, x^2*y>t^2*y^2*x^2, x^5>t^2*y*x^5",
+         "z: x*y>z^2*w*y*x, x^4>z^2*w*x^4"),
+    49: ("depress w",
+         "y: x^3>t^3*x^3",
+         "t: y^2>y^7, x*z>y^5*x*z, x^3*y>y^6*x^3, x^6>y^5*x^6",
+         "z: x^2*y>z^3*x^3*y, x^5>z^3*x^6"),
+    59: ("depress w",
+         "y: x^3>t^3*x^3",
+         "t: x*y^2>t^2*y^3*x, x*z>t^2*y*x*z, x^7>t^2*y*x^7",
+         "z: y^2>y^8, y*x^3>y^7*x^3, x^6>y^6*x^6"),
+    66: ("depress w",
+         "z: x*y>t^3*x*y, x^6>t^3*x^6",
+         "t: x*z>y^4*x*z, x^2*y>y^5*x^2, x^7>y^4*x^7",
+         "y: x^5>y^3*t*x^5"),
+    84: ("depress w",
+         "z: x*y>y^5*x, x^8>y^4*x^8",
+         "y: x^7>y^3*z*x^7",
+         "t: x*z>t^3*x*z, x^2*y>t^3*x^2*y, x^9>t^3*x^9"),
+}
+
+
+def _parse_pass(text: str) -> PlanPass:
+    if text.startswith("depress "):
+        return DepressPass(VARIABLES.index(text.split()[1]))
+    var, steps = text.split(":")
+    pairs = (tuple(map(parse_monomial, step.split(">"))) for step in steps.split(","))
+    return ShiftPass(VARIABLES.index(var), tuple(pairs))  # type: ignore[arg-type]
+
 
 def family_weight_system(number: int) -> WeightSystem:
-    """The weight system of a family with a sampler: the eight exceptional
-    ones and the three of the binary-cubic normal form."""
-    if number not in (1, 9, 17, 19, 27, 28, 39, 49, 59, 66, 84):
+    """The weight system of a family with a sampler."""
+    if number not in _CHECKS:
         raise ValueError(f"unknown family number {number}")
     (septuple,) = (s for s, n in FAMILY_LABELS.items() if n == number)
     return weight_system(*septuple)
 
 
-X, Y, Z, T, W = 0, 1, 2, 3, 4
-
-
 def builtin_plan(number: int) -> NormalizationPlan:
-    """The reduction plan for one of the seven symmetry-route families.
-
-    Pass order matters: equal-weight shears that move designated rational
-    roots to the coordinate points run before the upper-triangular shifts, and
-    each shift pass is ordered so every solve is reachable from live pivots.
-    """
+    """The reduction plan for one of the seven symmetry-route families."""
     ws = family_weight_system(number)
-    P: list[PlanPass] = []
-    if number == 19:
-        P = [
-            # move two roots of the pure (z,t) quartic to the coordinate points
-            ShiftPass(T, ((_M("z"), _M("z^4")),)),
-            ShiftPass(Z, ((_M("t"), _M("t^4")),)),
-            ShiftPass(
-                W,
-                (
-                    (_M("y^2"), _M("y^6")),
-                    (_M("y*x^2"), _M("y^5*x^2")),
-                    (_M("x*z"), _M("y^4*x*z")),
-                    (_M("x*t"), _M("y^4*x*t")),
-                ),
-            ),
-            ShiftPass(Y, ((_M("x^2"), _M("w*y^3*x^2")),)),
-            ShiftPass(Z, ((_M("x*y"), _M("t^3*x*y")), (_M("x^3"), _M("t^3*x^3")))),
-            ShiftPass(T, ((_M("x*y"), _M("z^3*x*y")), (_M("x^3"), _M("z^3*x^3")))),
-        ]
-    elif number == 28:
-        P = [
-            DepressPass(W),
-            # move two roots of the pure (y,z) quintic to the coordinate points
-            ShiftPass(Z, ((_M("y"), _M("y^5")),)),
-            ShiftPass(Y, ((_M("z"), _M("z^5")),)),
-            ShiftPass(Z, ((_M("x^3"), _M("y^4*x^3")),)),
-            ShiftPass(Y, ((_M("x^3"), _M("t^3*x^3")),)),
-            ShiftPass(
-                T,
-                (
-                    (_M("z*x"), _M("t^2*z^2*x")),
-                    (_M("y*x"), _M("t^2*z*y*x")),
-                    (_M("x^4"), _M("t^2*z*x^4")),
-                ),
-            ),
-        ]
-    elif number == 39:
-        P = [
-            DepressPass(W),
-            ShiftPass(Y, ((_M("x^3"), _M("t^3*x^3")),)),
-            ShiftPass(
-                T,
-                (
-                    (_M("x*z"), _M("t^2*y*z*x")),
-                    (_M("x^2*y"), _M("t^2*y^2*x^2")),
-                    (_M("x^5"), _M("t^2*y*x^5")),
-                ),
-            ),
-            ShiftPass(Z, ((_M("x*y"), _M("z^2*w*y*x")), (_M("x^4"), _M("z^2*w*x^4")))),
-        ]
-    elif number == 49:
-        P = [
-            DepressPass(W),
-            ShiftPass(Y, ((_M("x^3"), _M("t^3*x^3")),)),
-            ShiftPass(
-                T,
-                (
-                    (_M("y^2"), _M("y^7")),
-                    (_M("x*z"), _M("y^5*x*z")),
-                    (_M("x^3*y"), _M("y^6*x^3")),
-                    (_M("x^6"), _M("y^5*x^6")),
-                ),
-            ),
-            ShiftPass(Z, ((_M("x^2*y"), _M("z^3*x^3*y")), (_M("x^5"), _M("z^3*x^6")))),
-        ]
-    elif number == 59:
-        P = [
-            DepressPass(W),
-            ShiftPass(Y, ((_M("x^3"), _M("t^3*x^3")),)),
-            ShiftPass(
-                T,
-                (
-                    (_M("x*y^2"), _M("t^2*y^3*x")),
-                    (_M("x*z"), _M("t^2*y*x*z")),
-                    (_M("x^7"), _M("t^2*y*x^7")),
-                ),
-            ),
-            ShiftPass(
-                Z,
-                (
-                    (_M("y^2"), _M("y^8")),
-                    (_M("y*x^3"), _M("y^7*x^3")),
-                    (_M("x^6"), _M("y^6*x^6")),
-                ),
-            ),
-        ]
-    elif number == 66:
-        P = [
-            DepressPass(W),
-            ShiftPass(Z, ((_M("x*y"), _M("t^3*x*y")), (_M("x^6"), _M("t^3*x^6")))),
-            ShiftPass(
-                T,
-                (
-                    (_M("x*z"), _M("y^4*x*z")),
-                    (_M("x^2*y"), _M("y^5*x^2")),
-                    (_M("x^7"), _M("y^4*x^7")),
-                ),
-            ),
-            ShiftPass(Y, ((_M("x^5"), _M("y^3*t*x^5")),)),
-        ]
-    elif number == 84:
-        P = [
-            DepressPass(W),
-            ShiftPass(Z, ((_M("x*y"), _M("y^5*x")), (_M("x^8"), _M("y^4*x^8")))),
-            ShiftPass(Y, ((_M("x^7"), _M("y^3*z*x^7")),)),
-            ShiftPass(
-                T,
-                (
-                    (_M("x*z"), _M("t^3*x*z")),
-                    (_M("x^2*y"), _M("t^3*x^2*y")),
-                    (_M("x^9"), _M("t^3*x^9")),
-                ),
-            ),
-        ]
-    else:
+    if number not in _PLANS:
         raise ValueError(f"no built-in plan for family {number}")
-    return NormalizationPlan(ws=ws, passes=tuple(P), family=number)
+    return NormalizationPlan(ws=ws, passes=tuple(map(_parse_pass, _PLANS[number])), family=number)
 
 
 def default_genericity_checks(number: int) -> tuple[GenericityCheck, ...]:
-    """Sampling requirements that make the family's reduction and certificates
-    solvable over the rationals."""
-    if number == 19:
-        return (
-            SliceSplit((Z, T), "1"),
-            SliceSplit((Y, W), "1"),
-            SliceSplitAfterShift((Z, T), "y^3", W, "y^2"),
-        )
-    if number == 28:
-        return (SliceSplit((Y, Z), "1"),)
-    if number == 49:
-        return (SliceSplit((Y, T), "1"),)
-    if number == 59:
-        return (SliceSplit((Y, Z), "1"),)
-    if number in (9, 17, 27):
-        return (SliceSplit((T, W), "1"),)
-    if number in (1, 39, 66, 84):
-        return ()
-    raise ValueError(f"no default checks for family {number}")
+    if number not in _CHECKS:
+        raise ValueError(f"no default checks for family {number}")
+    return _CHECKS[number]
 
 
 def sample_family_member(number: int, seed: int = 0) -> GradedPolynomial:
     return sample_general_member(
         family_weight_system(number), seed=seed, checks=default_genericity_checks(number)
     )
-
-
-def normalized_member(number: int, seed: int = 0) -> tuple[GradedPolynomial, list[Substitution]]:
-    """Sampled general member pushed through the family's built-in plan."""
-    f = sample_family_member(number, seed=seed)
-    return normalize(f, builtin_plan(number))
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,6 @@ def weight_system(*values: int) -> WeightSystem:
     raise ValueError("weight_system: expected 6 or 7 integers")
 
 
-def parse_weight_system(text: str) -> WeightSystem:
-    parts = [int(p) for p in text.replace(" ", "").split(",") if p]
-    return weight_system(*parts)
-
-
 def weighted_degree(m: Monomial, ws: WeightSystem) -> int:
     return sum(map(mul, m, ws.weights))
 

@@ -210,8 +210,10 @@ BAD_INPUTS = [
         error="fails the Fano index stage: index -4 < 1"),
     bad("normalize-unknown-family", "normalize", "--family", "2", error="unknown family number 2"),
     bad("normalize-non-integer", "normalize", "--family", "x", code=2),
+    bad("normalize-no-plan", "normalize", "--family", "9", error="no built-in plan for family 9"),
     bad("autgroup-unknown-family", "autgroup", "--family", "2", error="unknown family number 2"),
     bad("autgroup-family-zero", "autgroup", "--family", "0", error="unknown family number 0"),
+    bad("autgroup-no-plan", "autgroup", "--family", "9", error="no built-in plan for family 9"),
     bad("autgroup-no-input", "autgroup", error="need --septuple"),
     bad("autgroup-non-integer", "autgroup", "--weights", "1,1,1,1,1.5", "--degree", "4", code=2),
     bad("autgroup-over-cap", "autgroup", "--septuple", "1,1,1,1,1,31",
@@ -220,6 +222,8 @@ BAD_INPUTS = [
     bad("stabilizer-zero-denominator", "stabilizer", "--points", "1/0", error="zero denominator"),
     bad("stabilizer-not-a-number", "stabilizer", "--points", "abc", error="Invalid literal"),
     bad("stabilizer-repeated", "stabilizer", "--points", "0,1,1,inf", error="must be distinct"),
+    bad("stabilizer-over-cap", "stabilizer", "--points", ",".join(map(str, range(33))),
+        error="33 points, more than the limit of 32"),
     bad("verdict-rejected-family", "verdict", "--septuple", "1,1,1,1,3,4", error="is not terminal"),
     bad("verdict-wrong-index", "verdict", "--septuple", "1,1,1,1,1,4,2", error="inconsistent septuple"),
     bad("verdict-zero-index", "verdict", "--septuple", "1,1,1,1,1,5",

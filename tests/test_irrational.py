@@ -1,7 +1,7 @@
 import pytest
 
 from wfano.catalog import FAMILY_LABELS, FamilyRecord, SearchBounds, classify
-from wfano.irrational import RULE_CITATIONS, decide, projection_degree, top_variable_degree
+from wfano.irrational import RULE_CITATIONS, decide, top_variable_degree
 from wfano.membership import membership_report
 from wfano.singular import singular_points_general
 from wfano.wspace import weight_system
@@ -81,15 +81,6 @@ def test_top_variable_degree():
     assert top_variable_degree(weight_system(1, 1, 1, 1, 1, 4)) == 4
     assert top_variable_degree(weight_system(1, 1, 1, 1, 2, 5)) == 2
     assert top_variable_degree(weight_system(1, 2, 3, 3, 4, 12)) == 3
-
-
-def test_projection_degree_values():
-    assert projection_degree(make_record(1, 1, 2, 3, 3, 9)) == 2
-    assert projection_degree(make_record(1, 1, 1, 1, 2, 5)) == 2
-    # the quartic projects 4:1 from outside, 3:1 from a point of itself: the
-    # elimination bound alone leaves its degree of irrationality unresolved
-    assert projection_degree(make_record(1, 1, 1, 1, 1, 4)) == "unresolved"
-    assert projection_degree(make_record(1, 2, 3, 3, 4, 12)) == "unresolved"
 
 
 def test_rule_citation_table_is_total():

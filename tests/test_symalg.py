@@ -23,7 +23,6 @@ from wfano.symalg import (
     family_weight_system,
     format_polynomial,
     normalize,
-    normalized_member,
     parse_polynomial,
     partial_derivative,
     quasismooth_member,
@@ -31,7 +30,6 @@ from wfano.symalg import (
     sample_family_member,
     sample_general_member,
     slice_form,
-    stratum_restriction,
     substitute,
 )
 from wfano.symalg import _canonical_rational_root
@@ -175,7 +173,7 @@ def test_sampler_split_slices_family_19():
 
 @pytest.mark.parametrize("family", SYMMETRY_FAMILIES)
 def test_normalized_support_matches_reference(family):
-    g, subs = normalized_member(family, seed=0)
+    g, subs = normalize(sample_family_member(family, seed=0), builtin_plan(family))
     assert g.support == reference_support(family)
     assert subs  # audit trail present
 
@@ -183,7 +181,7 @@ def test_normalized_support_matches_reference(family):
 @pytest.mark.parametrize("family", SYMMETRY_FAMILIES)
 def test_plan_eliminations_and_pivots(family):
     plan = builtin_plan(family)
-    g, _ = normalized_member(family, seed=0)
+    g, _ = normalize(sample_family_member(family, seed=0), plan)
     for target in plan.eliminated():
         assert g.coefficient(target) == 0, format_monomial(target)
     # the named pivots stay alive
@@ -217,7 +215,7 @@ def test_reference_tables_transcription_deltas():
 
 def test_normalize_idempotent():
     plan = builtin_plan(39)
-    g, _ = normalized_member(39, seed=0)
+    g, _ = normalize(sample_family_member(39, seed=0), plan)
     g2, subs = normalize(g, plan)
     assert g2.terms == g.terms
     assert all(s.is_identity for s in subs)
@@ -241,37 +239,49 @@ def test_normalize_genericity_error_names_the_monomial():
         normalize(broken, builtin_plan(39))
 
 
-def _plan_39(*steps):
-    """A one-pass plan shifting t on family 39 (weights 1,3,4,5,6; d = 18)."""
-    ws = family_weight_system(39)
+def _shift_t_plan(family, *steps):
+    """A one-pass plan shifting t, on family 39 (weights 1,3,4,5,6; d = 18)
+    or 19 (weights 1,2,3,3,4; d = 12)."""
+    ws = family_weight_system(family)
     shift = ShiftPass(3, tuple((parse_monomial(a), parse_monomial(b)) for a, b in steps))
     return NormalizationPlan(ws=ws, passes=(shift,))
 
 
 @pytest.mark.parametrize(
-    "steps,message",
+    "family,steps,message",
     [
         # the template x*z sits above the x-degree-0 target
-        ((("x*z", "t^3*y"),), "template x-degree exceeds its target"),
+        (39, (("x*z", "t^3*y"),), "template x-degree exceeds its target"),
         # two x^1 conversions fall back onto level 2
-        ((("x*z", "x^2*z^4"),), "level 2 is not affine"),
+        (39, (("x*z", "x^2*z^4"),), "level 2 is not affine"),
         # level-3 constants (template x-degree 2) reach the level-2 target
-        ((("x^2*y", "t^2*y^2*x^2"), ("x^2*y", "x^3*y^5")), "level-3 constants could pollute level 2"),
+        (39, (("x^2*y", "t^2*y^2*x^2"), ("x^2*y", "x^3*y^5")), "level-3 constants could pollute level 2"),
         # the template t is the shifted variable itself
-        ((("t", "t^3*y"),), "is not a shift by a monomial free of t"),
+        (39, (("t", "t^3*y"),), "is not a shift by a monomial free of t"),
+        # a target of degree 9, which no member has: a claimed identity step
+        (19, (("z", "z^3"),), r"template z and target z\^3 have degrees \(3, 9\), not \(3, 12\)"),
+        # a template of degree 6 for t of weight 3: once blamed on the draw
+        (19, (("z^2", "z^4"),), r"template z\^2 and target z\^4 have degrees \(6, 12\), not \(3, 12\)"),
     ],
-    ids=["template-above-target", "non-affine-level", "level-reaches-earlier", "template-is-its-variable"],
+    ids=[
+        "template-above-target",
+        "non-affine-level",
+        "level-reaches-earlier",
+        "template-is-its-variable",
+        "target-wrong-degree",
+        "template-wrong-weight",
+    ],
 )
-def test_normalize_rejects_bad_plans(steps, message):
-    f = sample_family_member(39, seed=0)
+def test_normalize_rejects_bad_plans(family, steps, message):
+    f = sample_family_member(family, seed=0)
     with pytest.raises(ValueError, match=message) as excinfo:
-        normalize(f, _plan_39(*steps))
+        normalize(f, _shift_t_plan(family, *steps))
     assert not isinstance(excinfo.value, GenericityError)
 
 
 def test_normalize_singular_level_solve():
     # one template for two level-1 targets: the two columns of the solve agree
-    plan = _plan_39(("x*z", "t^2*y*z*x"), ("x*z", "x*z^3*t"))
+    plan = _shift_t_plan(39, ("x*z", "t^2*y*z*x"), ("x*z", "x*z^3*t"))
     targets = r"x\*y\*z\*t\^2, x\*z\^3\*t"
     with pytest.raises(GenericityError, match=f"level solve is singular for targets {targets}"):
         normalize(sample_family_member(39, seed=0), plan)
@@ -279,18 +289,14 @@ def test_normalize_singular_level_solve():
 
 def test_stratum_restriction_family_19():
     f = sample_family_member(19, seed=0)
-    form = stratum_restriction(f, (2, 3))
+    form = slice_form(f, (2, 3))
     assert form.degree == 4
     assert squarefree_and_root_count(form)[1] == 4  # four distinct points
-    single = stratum_restriction(f, (0,))
-    assert len(single.terms) == 1  # x^12 survives
-    big = stratum_restriction(f, (0, 1, 4))
-    assert all(m[2] == 0 and m[3] == 0 for m in big.terms)
 
 
 def test_stratum_restriction_family_28():
     f = sample_family_member(28, seed=0)
-    form = stratum_restriction(f, (1, 2))
+    form = slice_form(f, (1, 2))
     assert form.degree == 5
     assert squarefree_and_root_count(form)[1] == 5  # five distinct points
 
@@ -491,6 +497,6 @@ def test_restriction_commutes_with_disjoint_substitution():
         # w -> w + c*x*z has a template meeting the (z,t) stratum; use x^2 on y
         tail = GradedPolynomial(ws, 2, {parse_monomial("x^2"): Fraction(rng.randint(1, 5))})
         s = Substitution(1, tail)
-        before = stratum_restriction(f, (2, 3))
-        after = stratum_restriction(substitute(f, s), (2, 3))
+        before = slice_form(f, (2, 3))
+        after = slice_form(substitute(f, s), (2, 3))
         assert before.coefficients == after.coefficients

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from wfano.symalg import normalized_member, reference_support
+from wfano.symalg import builtin_plan, normalize, reference_support, sample_family_member
 from wfano.symmetry import (
     certify_trivial_automorphisms,
     diagonal_symmetry_group,
     has_diagonal_involution,
-    involution_template_support,
     moebius_map,
     p1_point,
     pgl2_set_stabilizer,
@@ -65,7 +64,10 @@ def test_reference_supports_are_rigid(family):
 
 
 def test_involution_template():
-    support, ws = involution_template_support()
+    # the quartics invariant under (t, w) -> (-t, -w): even total (t, w)-degree,
+    # h4(x,y,z) + t^2 a2 + t w b2 + w^2 c2 + g4(t,w)
+    ws = weight_system(1, 1, 1, 1, 1, 4)
+    support = frozenset(m for m in enumerate_monomials(ws, 4) if (m[3] + m[4]) % 2 == 0)
     assert len(support) == 38
     invol, witness = has_diagonal_involution(support, ws)
     assert invol
@@ -192,5 +194,5 @@ def test_certificates(family):
 
 def test_certificate_support_matches_pipeline():
     cert = certify_trivial_automorphisms(84, seed=0)
-    g, _ = normalized_member(84, seed=0)
+    g, _ = normalize(sample_family_member(84, seed=0), builtin_plan(84))
     assert cert.support == g.support == reference_support(84)

@@ -8,7 +8,6 @@ from wfano.wspace import (
     enumerate_monomials,
     format_monomial,
     parse_monomial,
-    parse_weight_system,
     weight_system,
     weighted_degree,
     wps_well_formed,
@@ -45,7 +44,7 @@ def test_weight_system_validation():
         weight_system(2, 1, 3, 3, 4, 12)  # unsorted
     with pytest.raises(ValueError):
         weight_system(1, 2, 3, 3, 4, 12, 2)  # wrong index
-    ws = parse_weight_system("1,2,3,3,4,12")
+    ws = weight_system(1, 2, 3, 3, 4, 12)
     assert ws.index == 1
     assert ws.septuple == (1, 2, 3, 3, 4, 12, 1)
 
