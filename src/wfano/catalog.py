@@ -23,6 +23,7 @@ index 1 and 130 in total.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -246,15 +247,17 @@ def classify(bounds: SearchBounds | None = None, jobs: int = 1) -> list[FamilyRe
     """Septuples within bounds passing all predicates, as full records.
 
     Output is sorted by (index, degree, weights) and is identical for any
-    ``jobs`` value; ``jobs > 1`` maps one task per a1 across processes.
+    ``jobs`` value; ``jobs > 1`` maps one task per a1 across at most one
+    process per task and per CPU (the pool forks all its workers at once).
     """
     bounds = bounds or SearchBounds()
     top = min(bounds.max_weight, (bounds.max_degree + bounds.index_range[1]) // 5) + 1
-    if jobs <= 1 or top <= 2:
+    workers = min(jobs, top - 1, os.cpu_count() or 1)
+    if workers <= 1:
         raw = _search_chunk((1, top, bounds))
     else:
         raw = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_search_chunk, [(a1, a1 + 1, bounds) for a1 in range(1, top)]):
                 raw.extend(part)
     records = [family_record(WeightSystem(a, d)) for a, d in raw]

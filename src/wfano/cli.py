@@ -324,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         args.func(args)
     except (DomainError, ValueError, OSError) as exc:  # GenericityError is a ValueError

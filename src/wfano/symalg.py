@@ -202,38 +202,56 @@ class Substitution:
 
 
 def substitute(f: GradedPolynomial, sub: Substitution) -> GradedPolynomial:
-    """Exact expansion of f after x_j -> x_j + tail, in integers: with f = F/D,
-    tail = T/q (lcms of the denominators) and E the top power of x_j in f, each
-    F_m * x^m contributes F_m * q^(E-m_j) * (q*x_j + T)^m_j over D * q^E."""
-    ws = f.ws
-    j = sub.target
-    if sub.tail.ws.septuple != ws.septuple:
+    """Exact expansion of f after x_j -> x_j + tail (see ``_substitute_ints``)."""
+    if sub.tail.ws.septuple != f.ws.septuple:
         raise ValueError("substitute: weight system mismatch")
     if sub.is_identity:
         return f
+    num, den = _substitute_ints(*_integers(f), sub.target, sub.tail)
+    return GradedPolynomial(f.ws, f.grade, {m: Fraction(v, den) for m, v in num.items()})
+
+
+IntegerForm = tuple[dict[Monomial, int], int]  # integer numerators over one positive denominator
+
+
+def _integers(f: GradedPolynomial) -> IntegerForm:
+    """f as an integer form with gcd(den, *num) = 1."""
     den = lcm(*(c.denominator for c in f.terms.values()))
-    q = lcm(*(c.denominator for c in sub.tail.terms.values()))
-    repl = {_unit(j): q} | {m: c.numerator * (q // c.denominator) for m, c in sub.tail.terms.items()}
-    # the integer powers (q*x_j + T)^e, computed once per exponent
+    return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
+
+
+def _substitute_ints(num: dict[Monomial, int], den: int, j: int, tail: GradedPolynomial) -> IntegerForm:
+    """num/den after x_j -> x_j + tail, reduced to gcd 1.  With tail = T/q and E
+    the top power of x_j, F_m * x^m becomes F_m * q^(E-m_j) * (q*x_j + T)^m_j
+    over den * q^E: the output starts as num * q^E, and the rest is added."""
+    q = lcm(*(c.denominator for c in tail.terms.values()))
+    # (q*x_j + T)^e / x_j^e is the e-th power of q + T/x_j
+    repl = {_unit(None): q} | {
+        tuple(a - (k == j) for k, a in enumerate(m)): c.numerator * (q // c.denominator)
+        for m, c in tail.terms.items()
+    }
+    max_e = max((m[j] for m in num), default=0)
     powers: list[dict[Monomial, int]] = [{_unit(None): 1}]
-    max_e = max((m[j] for m in f.terms), default=0)
     for _ in range(max_e):
         powers.append(_mul_terms(powers[-1], repl))
-    out: dict[Monomial, int] = {}
-    for m, c in f.terms.items():
-        e = m[j]
-        scale = c.numerator * (den // c.denominator) * q ** (max_e - e)
-        rest = list(m)
-        rest[j] = 0
-        for mm, cc in powers[e].items():
-            key = tuple(map(add, rest, mm))
+    rests = [[(mm, cc) for mm, cc in p.items() if any(mm)] for p in powers]  # all but q^e
+    top = q**max_e
+    out = {m: c * top for m, c in num.items()} if top != 1 else dict(num)
+    for m, c in num.items():
+        scale = c * q ** (max_e - m[j])
+        for mm, cc in rests[m[j]]:
+            key = tuple(map(add, m, mm))
             v = out.get(key, 0) + scale * cc
             if v:
                 out[key] = v
             else:
-                out.pop(key, None)
-    total = den * q**max_e
-    return GradedPolynomial(ws, f.grade, {m: Fraction(v, total) for m, v in out.items()})
+                del out[key]
+    # the degree check of GradedPolynomial, on the monomials num did not have
+    new = {m: out[m] for m in out.keys() - num.keys()}
+    GradedPolynomial(tail.ws, weighted_degree(next(iter(num), _unit(None)), tail.ws), new)
+    den *= top
+    g = gcd(den, *out.values())
+    return ({m: v // g for m, v in out.items()}, den // g) if g != 1 else (out, den)
 
 
 def _unit(var: int | None) -> Monomial:
@@ -528,8 +546,8 @@ class NormalizationPlan:
 
 
 def _elimination_polynomial(
-    terms: dict[Monomial, Fraction], var: int, template: Monomial, targets: Sequence[Monomial]
-) -> list[dict[int, Fraction]]:
+    terms: dict[Monomial, Fraction | int], var: int, template: Monomial, targets: Sequence[Monomial]
+) -> list[dict[int, Fraction | int]]:
     """Coefficient of each target in f(x_var -> x_var + c*template), as poly in c.
 
     The c^i part of a target t comes from the one monomial t + i*(x_var -
@@ -559,7 +577,7 @@ def _elimination_polynomial(
     return out
 
 
-def _canonical_rational_root(poly: dict[int, Fraction]) -> Fraction | None:
+def _canonical_rational_root(poly: dict[int, Fraction | int]) -> Fraction | None:
     """Deterministic rational root choice: smallest |root|, positive first."""
     if not poly:
         return Fraction(0)
@@ -570,40 +588,33 @@ def _canonical_rational_root(poly: dict[int, Fraction]) -> Fraction | None:
     return min(roots, key=lambda r: (abs(r), r < 0), default=None)
 
 
-def _apply_depress(f: GradedPolynomial, p: DepressPass) -> tuple[GradedPolynomial, Substitution]:
-    ws = f.ws
-    j = p.variable
+def _apply_depress(f: IntegerForm, ws: WeightSystem, p: DepressPass) -> tuple[IntegerForm, Substitution]:
+    num, j = f[0], p.variable
     cube: Monomial = tuple(3 if k == j else 0 for k in range(NVARS))  # type: ignore[assignment]
-    pivot = f.coefficient(cube)
+    pivot = num.get(cube, 0)
     if pivot == 0:
         raise GenericityError(
             f"depress pass: pivot {format_monomial(cube)} has zero coefficient"
         )
-    tail_terms: dict[Monomial, Fraction] = {}
-    for m, c in f.terms.items():
-        if m[j] == 2:
-            mm = list(m)
-            mm[j] = 0
-            tail_terms[tuple(mm)] = tail_terms.get(tuple(mm), Fraction(0)) - c / (3 * pivot)
-    sub = Substitution(j, GradedPolynomial(ws, ws.weights[j], tail_terms))
-    return substitute(f, sub), sub
+    tail = {m[:j] + (0,) + m[j + 1 :]: Fraction(-c, 3 * pivot) for m, c in num.items() if m[j] == 2}
+    sub = Substitution(j, GradedPolynomial(ws, ws.weights[j], tail))
+    return _substitute_ints(*f, j, sub.tail), sub
 
 
 def _solve_step_univariate(
-    f: GradedPolynomial, var: int, template: Monomial, target: Monomial
-) -> tuple[GradedPolynomial, Substitution]:
+    f: IntegerForm, ws: WeightSystem, var: int, template: Monomial, target: Monomial
+) -> tuple[IntegerForm, Substitution]:
     """Kill one target with one constant by exact univariate root extraction."""
-    root = _canonical_rational_root(_elimination_polynomial(f.terms, var, template, [target])[0])
+    root = _canonical_rational_root(_elimination_polynomial(f[0], var, template, [target])[0])
     if root is None:
         raise GenericityError(
             f"cannot eliminate {format_monomial(target)} via "
             f"{VARIABLES[var]} -> {VARIABLES[var]} + c*{format_monomial(template)}: "
             "no rational solution (genericity/pivot failure)"
         )
-    tail = GradedPolynomial(f.ws, f.ws.weights[var], {template: root} if root else {})
-    sub = Substitution(var, tail)
-    g = substitute(f, sub)
-    if g.coefficient(target) != 0:
+    sub = Substitution(var, GradedPolynomial(ws, ws.weights[var], {template: root} if root else {}))
+    g = _substitute_ints(*f, var, sub.tail)
+    if g[0].get(target, 0) != 0:
         raise GenericityError(
             f"elimination of {format_monomial(target)} did not close (bad root)"
         )
@@ -611,42 +622,42 @@ def _solve_step_univariate(
 
 
 def _apply_level(
-    f: GradedPolynomial, steps: list[tuple[int, Monomial, Monomial]]
-) -> tuple[GradedPolynomial, list[Substitution]]:
+    f: IntegerForm, ws: WeightSystem, steps: list[tuple[int, Monomial, Monomial]]
+) -> tuple[IntegerForm, list[Substitution]]:
     """Jointly kill one x-level's targets by an exact linear solve.
 
     The plan validation guarantees every two template x-degrees in the level
     sum to more than the target level, so multiple conversions land strictly
     above it and the map constants -> target coefficients is affine: its base
-    is f's own target coefficients and column i the c^1 coefficient of step i.
+    is f's own target coefficients and column i the c^1 coefficient of step i,
+    both read from f's numerators (scaling by den leaves the solution alone).
     The solution is verified on the actual substitution.
     """
+    num, den = f
     targets = [target for (_, _, target) in steps]
-    base = [f.coefficient(t) for t in targets]
     columns = [
-        [poly.get(1, Fraction(0)) for poly in _elimination_polynomial(f.terms, var, template, targets)]
+        [poly.get(1, 0) for poly in _elimination_polynomial(num, var, template, targets)]
         for var, template, _ in steps
     ]
-    solution = _solve_linear(columns, [-b for b in base])
+    solution = _solve_linear(columns, [-num.get(t, 0) for t in targets])
     if solution is None:
         raise GenericityError(
             "level solve is singular for targets " + ", ".join(format_monomial(t) for t in targets)
         )
-    g = f
     subs = []
     for (var, template, _), c in zip(steps, solution):
-        subs.append(Substitution(var, GradedPolynomial(f.ws, f.ws.weights[var], {template: c} if c else {})))
-        g = substitute(g, subs[-1])
-    if any(g.coefficient(t) != 0 for t in targets):
+        subs.append(Substitution(var, GradedPolynomial(ws, ws.weights[var], {template: c} if c else {})))
+        num, den = _substitute_ints(num, den, var, subs[-1].tail)
+    if any(num.get(t, 0) != 0 for t in targets):
         raise PlanOrderError(
             "joint level solve failed to close; the plan violates the x-degree "
             "filtration for targets "
             + ", ".join(format_monomial(t) for t in targets)
         )
-    return g, subs
+    return (num, den), subs
 
 
-def _solve_linear(columns: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+def _solve_linear(columns: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
     """Solve sum_j x_j * columns[j] = rhs exactly; None when singular."""
     k = len(rhs)
     aug = [[columns[j][i] for j in range(k)] + [rhs[i]] for i in range(k)]
@@ -655,7 +666,7 @@ def _solve_linear(columns: list[list[Fraction]], rhs: list[Fraction]) -> list[Fr
         if pivot_row is None:
             return None
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = 1 / aug[col][col]
+        inv = Fraction(1, aug[col][col])
         aug[col] = [v * inv for v in aug[col]]
         for r in range(k):
             if r != col and aug[r][col] != 0:
@@ -719,26 +730,27 @@ def normalize(
                 )
 
     applied: list[Substitution] = []
-    g = f
+    g = _integers(f)
     for p in depress:
-        g, sub = _apply_depress(g, p)
+        g, sub = _apply_depress(g, f.ws, p)
         applied.append(sub)
     for var, template, target in levels.get(0, []):
-        g, sub = _solve_step_univariate(g, var, template, target)
+        g, sub = _solve_step_univariate(g, f.ws, var, template, target)
         applied.append(sub)
     for lvl in ordered:
-        g, subs = _apply_level(g, levels[lvl])
+        g, subs = _apply_level(g, f.ws, levels[lvl])
         applied.extend(subs)
+    num, den = g
 
-    stale = [m for m in plan.eliminated() if g.coefficient(m) != 0]
+    stale = [m for m in plan.eliminated() if num.get(m, 0) != 0]
     for p in depress:
-        stale.extend(m for m in g.terms if m[p.variable] == 2)
+        stale.extend(m for m in num if m[p.variable] == 2)
     if stale:
         raise PlanOrderError(
             "eliminations did not close; still present: "
             + ", ".join(format_monomial(m) for m in stale)
         )
-    return g, applied
+    return GradedPolynomial(f.ws, f.grade, {m: Fraction(v, den) for m, v in num.items()}), applied
 
 
 # ---------------------------------------------------------------------------
@@ -1073,7 +1085,8 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
             f"columns, more than the limit of {MAX_MACAULAY_COLUMNS}",
             sigma=sigma,
         )
-    scale = _integer_scale(f)
+    num, den = _integers(f)
+    scale = Fraction(den, gcd(*num.values()))
     checks = []
     for k in degrees:
         for p in MACAULAY_PRIMES:
@@ -1126,12 +1139,6 @@ def _check_edge(partials: list[GradedPolynomial], pair: tuple[int, int]) -> Memb
             detail=f"common interior root on edge {VARIABLES[i]}{VARIABLES[j]}: gcd degree {degree}",
         )
     return None
-
-
-def _integer_scale(f: GradedPolynomial) -> Fraction:
-    """The factor that clears f's denominators and content (J is unchanged)."""
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    return Fraction(den, gcd(*(int(c * den) for c in f.terms.values())))
 
 
 def _macaulay_rank(partials: list[GradedPolynomial], scale: Fraction, k: int, p: int) -> int:

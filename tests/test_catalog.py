@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from wfano import catalog
 from wfano.catalog import (
     EXCEPTIONAL_EIGHT,
     FAMILY_LABELS,
@@ -119,6 +120,37 @@ def test_markdown_report(small_catalog):
     assert lines[0].startswith("| № | a1 ")
     assert len(lines) == 7
     assert "| 1 | 1 | 1 | 1 | 1 | 1 | 4 | 1 |" in md
+
+
+def test_parallel_classify_matches_serial():
+    bounds = SearchBounds(max_weight=10, max_degree=24)
+    assert catalog_json(classify(bounds, jobs=2)) == catalog_json(classify(bounds, jobs=1))
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, 5), (2, 2)])
+def test_classify_pool_is_bounded(monkeypatch, small_catalog, cpus, workers):
+    # the pool forks all its workers at the first submit, so --jobs 10000
+    # must get no more than one per a1 task (5 here) and per CPU
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(catalog, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(catalog.os, "cpu_count", lambda: cpus)
+    records = classify(SearchBounds(max_weight=5, max_degree=25, index_range=(1, 15)), jobs=10_000)
+    assert requested == [workers]
+    assert catalog_json(records) == catalog_json(small_catalog)
 
 
 def test_family_labels_match_weights():

@@ -203,6 +203,7 @@ BAD_INPUTS = [
     bad("classify-negative-degree", "classify", "--max-degree", "-3", error="bounds must be positive"),
     bad("classify-unknown-flag", "classify", "--no-such-flag", code=2),
     bad("classify-non-integer", "classify", "--max-weight", "x", code=2),
+    bad("classify-zero-jobs", "classify", "--jobs", "0", code=2),
     bad("basket-bad-family", "basket", "--septuple", "1,1,1,1,4,7",
         error="fails the membership predicates"),
     bad("basket-short", "basket", "--septuple", "1,1,1,1,1", error="expected 6 or 7 integers"),

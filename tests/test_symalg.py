@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,7 @@ from wfano.symalg import (
     slice_form,
     substitute,
 )
-from wfano.symalg import _canonical_rational_root
+from wfano.symalg import _canonical_rational_root, _integers, _substitute_ints
 from wfano.wspace import enumerate_monomials, format_monomial, parse_monomial, weight_system
 
 SYMMETRY_FAMILIES = (19, 28, 39, 49, 59, 66, 84)
@@ -73,7 +73,9 @@ def test_substitute_identity_and_grade():
     rng = random.Random(2)
     f = random_polynomial(ws, 12, rng)
     ident = Substitution(4, GradedPolynomial(ws, 4, {}))
-    assert substitute(f, ident).terms == f.terms
+    assert substitute(f, ident) is f
+    num, den = _integers(f)
+    assert _substitute_ints(num, den, 4, ident.tail) == (num, den)
 
 
 def test_substitute_invertible_randomized():
@@ -130,6 +132,41 @@ def test_substitute_against_fraction_expansion(family):
         assert out.terms == fraction_substitute(g, s)
         assert all(type(c) is Fraction for c in out.terms.values())
         assert substitute(out, s.inverse()) == g
+
+
+def test_substitute_cancellation_stores_no_zero():
+    # t -> t - 3/4*x^3 on 2/3*t*z^3 + 1/2*x^3*z^3 cancels the x^3*z^3 term
+    ws = weight_system(1, 2, 3, 3, 4, 12)
+    f = parse_polynomial("2/3*t*z^3 + 1/2*x^3*z^3", ws, 12)
+    sub = Substitution(3, GradedPolynomial(ws, 3, {parse_monomial("x^3"): Fraction(-3, 4)}))
+    assert substitute(f, sub).terms == {parse_monomial("t*z^3"): Fraction(2, 3)}
+    assert _substitute_ints(*_integers(f), 3, sub.tail) == ({parse_monomial("t*z^3"): 2}, 3)
+
+
+def test_substitute_rational_tail_on_integer_member():
+    # a tail with denominator q > 1 on a member with integer coefficients
+    f = sample_family_member(39, seed=1)
+    assert all(c.denominator == 1 for c in f.terms.values())
+    ws = f.ws
+    tail = {parse_monomial("x*y"): Fraction(5, 6), parse_monomial("x^4"): Fraction(-7, 4)}
+    s = Substitution(2, GradedPolynomial(ws, ws.weights[2], tail))
+    num, den = _substitute_ints(*_integers(f), 2, s.tail)
+    assert den > 1 and gcd(den, *num.values()) == 1
+    assert {m: Fraction(v, den) for m, v in num.items()} == fraction_substitute(f, s)
+    assert substitute(f, s).terms == fraction_substitute(f, s)
+
+
+@pytest.mark.parametrize("family", SYMMETRY_FAMILIES)
+def test_normalize_replays_with_fraction_substitution(family):
+    # the integer plan agrees with replaying its substitutions in Fraction
+    for seed in (0, 1, 2, 3, 4, 35):
+        f = sample_family_member(family, seed=seed)
+        g, applied = normalize(f, builtin_plan(family))
+        h = f
+        for sub in applied:
+            h = GradedPolynomial(f.ws, f.grade, fraction_substitute(h, sub))
+        assert h.terms == g.terms, seed
+        assert all(type(c) is Fraction for c in g.terms.values())
 
 
 def test_substitute_kills_square_layer():
