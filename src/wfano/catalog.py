@@ -7,11 +7,23 @@ P(a1, ..., a5) is quasismooth only if for every i some monomial x_i^m or
 x_i^m * x_j has degree d.  The Fano index is at least 1, so d < 5*a5: the a5
 condition makes d = k*a5 + c with 1 <= k <= 4 and c in {0, a1, a2, a3, a4},
 and the a4 condition asks a4 to divide d - e for some e in {0, a1, a2, a3,
-a5}.  For each a1 <= a2 <= a3, ``_top_pairs`` solves both for (a4, a5, d) in
-closed form: residue classes of a5 when k = 1, divisors of a few small
-integers when k >= 2.  A congruence test for the a3 vertex follows.  The
-candidates that pass the vertex checks are exactly those an exhaustive walk
-over the box would find, each once.
+a5}.
+
+When c > 0 the vertex P5 lies on X, and its local type is 1/a5 of the three
+weights other than a5 and c.  A 3-fold cyclic quotient 1/r(w1, w2, w3) with
+every wi coprime to r is terminal iff two of the wi sum to 0 mod r
+(Morrison--Stevens, *Terminal quotient singularities in dimensions three
+and four*, 1984; Reid, *Young person's guide to canonical singularities*,
+1987).  Those three weights lie below a5 (a weight equal to a5 leaves P5
+non-isolated), so P5 can be terminal only if a5 is the sum of two of them.
+
+For each a1 <= a2 <= a3, ``_top_pairs`` solves these conditions for (a4, a5,
+d) in closed form: at most three values of a5 when c > 0, divisors of a few
+small integers otherwise.  A congruence test for the a3 vertex follows.
+Every pair the generator drops fails the a5 vertex, the a4 vertex, the a3
+vertex or the terminality of P5, so the candidates are a superset of the
+accepted families, each once; they are not every pair that passes the
+vertex checks.
 
 Every candidate then goes through the predicate chain
 ``membership.rejection``: linear cone, vertex coverage, ambient and
@@ -120,60 +132,66 @@ def _dividing(lo: int, hi: int, values: Sequence[int], divisors: list[list[int]]
     return found
 
 
-def _in_classes(first: int, last: int, m: int, classes: Iterable[int]) -> Iterator[int]:
-    """The integers in [first, last] whose residue mod m lies in classes."""
-    for r in classes:
-        yield from range(first + (r - first) % m, last + 1, m)
-
-
 def _top_pairs(
     a1: int, a2: int, a3: int, bounds: SearchBounds, divisors: list[list[int]]
 ) -> Iterator[tuple[int, int, int]]:
     """Each (a4, a5, d) in bounds with a3 <= a4 <= a5 that the vertex
-    conditions of a5 and a4 allow, exactly once.
+    conditions of a5 and a4 allow and whose point P5 can be terminal, once.
 
     The a5 vertex puts d = k*a5 + c with 1 <= k <= 4 and c < a5 one of 0, a1,
     a2, a3, a4 (d < 5*a5 since the index is positive; c = a5 would be
     (k+1)*a5 + 0).  The a4 vertex needs a4 | d - e for some e in 0, a1, a2,
-    a3, a5.  Each branch below solves both for one shape of (k, c).
+    a3, a5.  When c > 0, P5 lies on X with local weights the three weights
+    other than a5 and c, each below a5; it is terminal only if a5 is the sum
+    of two of them (the terminal lemma in the module docstring).  Each
+    branch below solves all three conditions for one shape of (k, c); the
+    c = 0 branches (P5 off X) solve the first two.
     """
     max_w, max_d = bounds.max_weight, bounds.max_degree
     imin, imax = bounds.index_range
     s3 = a1 + a2 + a3
     low = (0, a1, a2, a3)
+    # a5 candidates when c = a4, where P5 has local weights a1, a2, a3
+    sums = {a1 + a2, a1 + a3, a2 + a3}
 
-    # k = 1, c = a4 < a5: the index is s3 and x4*x5 covers the a4 vertex, so
-    # only the a3 vertex restricts a5, to a few classes mod a3
+    # k = 1, c = a4 < a5: the index is s3 and x4*x5 covers the a4 vertex
     if imin <= s3 <= imax:
-        for a4 in range(a3, max_w):
-            if a4 % a3 == 0:
-                a5s = range(a4 + 1, min(max_w, max_d - a4) + 1)
-            else:
-                classes = {(e - a4) % a3 for e in (0, a1, a2, a4)}
-                a5s = _in_classes(a4 + 1, min(max_w, max_d - a4), a3, classes)
-            for a5 in a5s:
-                yield a4, a5, a5 + a4
+        for a5 in sums:
+            if a5 <= max_w:
+                for a4 in range(a3, min(a5, max_d - a5 + 1)):
+                    yield a4, a5, a5 + a4
 
     for c in set(low):
         lo4 = max(a3, c + 1)
-        # k = 1, 0 < c < a4: the index s3 + a4 - c fixes a4, and the a4
-        # vertex puts a5 in the classes of e - c mod a4
         if c:
+            # for c < a4, P5 has local weights x, y (the low weights but c) and a4
+            others = [a1, a2, a3]
+            others.remove(c)
+            x, y = others
+            # k = 1: the index s3 + a4 - c fixes a4, and the a4 vertex needs
+            # a4 | a5 + c - e
+            top = min(max_w, max_d - c)
             for index in range(max(imin, s3 + 1), imax + 1):
                 a4 = index - s3 + c
                 if a4 > max_w:
                     break
                 if a4 >= a3:
-                    classes = {(e - c) % a4 for e in low}
-                    for a5 in _in_classes(a4, min(max_w, max_d - c), a4, classes):
-                        yield a4, a5, a5 + c
+                    for a5 in {x + y, a4 + x, a4 + y}:
+                        if a4 <= a5 <= top and any((a5 + c - e) % a4 == 0 for e in low):
+                            yield a4, a5, a5 + c
         # k >= 2, c < a4: with a5 = a4 + delta the index is
         # s3 - c - (k-1)*delta - (k-2)*a4, and a4 divides k*delta + c - e
-        # (e < a4) or (k-1)*delta + c (e = a5)
+        # (e < a4) or (k-1)*delta + c (e = a5); for c > 0 delta is x or y,
+        # or else a5 = x + y
         for k in (2, 3, 4):
             # below this delta the index would exceed imax for every a4 <= max_w
             first = max(0, s3 - c - imax - (k - 2) * max_w)
-            for delta in range(first, max_w - lo4 + 1):
+            if c:
+                # ascending (x <= y) and once each, as the breaks below need
+                deltas = [v for v in dict.fromkeys((x, y)) if v >= first]
+            else:
+                deltas = range(first, max_w - lo4 + 1)
+            for delta in deltas:
                 rest = s3 - c - (k - 1) * delta
                 if k == 2:
                     if rest < imin:
@@ -190,6 +208,13 @@ def _top_pairs(
                 values = [k * delta + c - e for e in low] + [(k - 1) * delta + c]
                 for a4 in _dividing(lo, hi, values, divisors):
                     yield a4, a4 + delta, k * (a4 + delta) + c
+            if c and x + y <= max_w and k * (x + y) + c <= max_d:
+                # d is fixed, so the index fixes a4; a4 = y or x is delta = x
+                # or y above
+                a5, d = x + y, k * (x + y) + c
+                for a4 in range(max(lo4, imin + d - a5 - s3), min(a5, imax + d - a5 - s3) + 1):
+                    if a4 not in (x, y) and any((d - e) % a4 == 0 for e in (*low, a5)):
+                        yield a4, a5, d
 
     # k >= 2, c = a4 < a5: the index s3 - (k-1)*a5 fixes a5, and a4 divides
     # k*a5 - e (e < a4) or (k-1)*a5 (e = a5)
@@ -198,7 +223,7 @@ def _top_pairs(
             a5, r = divmod(s3 - index, k - 1)
             if a5 <= a3:
                 break
-            if r or a5 > max_w or k * a5 + a3 > max_d:
+            if r or a5 > max_w or k * a5 + a3 > max_d or a5 not in sums:
                 continue
             values = [k * a5 - e for e in low] + [(k - 1) * a5]
             for a4 in _dividing(a3, min(a5 - 1, max_d - k * a5), values, divisors):
@@ -207,7 +232,8 @@ def _top_pairs(
 
 def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each (weights, d) with a1 in [lo, hi) whose a5, a4 and a3 vertices can
-    be covered, exactly once; a superset of the accepted families."""
+    be covered and whose P5 can be terminal, exactly once; a superset of the
+    accepted families."""
     max_w, max_d = bounds.max_weight, bounds.max_degree
     max_sum = max_d + bounds.index_range[1]
     # every divisibility test in _top_pairs is on an integer of size <= max(max_d, max_w)

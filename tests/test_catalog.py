@@ -1,5 +1,6 @@
 import json
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
+from math import gcd
 
 import pytest
 
@@ -19,6 +20,7 @@ from wfano.catalog import (
 from wfano.membership import membership_report, rejection
 from wfano.singular import (
     BasketPoint,
+    QuotientSingularity,
     _singular_strata,
     reid_tai_terminal,
     singular_points_general,
@@ -162,11 +164,17 @@ def test_family_labels_match_weights():
         assert number >= 1
 
 
+def _covers(a, d, i):
+    """Some monomial x_i^m or x_i^m * x_j, m >= 1, has degree d."""
+    return any(d - e >= a[i] and (d - e) % a[i] == 0 for e in (0, *a))
+
+
 def _brute_force(bounds):
     """Reference walk over every sorted 5-tuple and every index in the box.
 
-    Returns the pairs (weights, d) that pass the linear-cone and vertex
-    checks, and those that the public predicates accept."""
+    Returns the pairs (weights, d) that are no linear cone and whose a3, a4
+    and a5 vertices are covered (the conditions the generator solves), and
+    those that the public predicates accept."""
     max_w, max_d = bounds.max_weight, bounds.max_degree
     imin, imax = bounds.index_range
     covered, kept = set(), set()
@@ -174,7 +182,7 @@ def _brute_force(bounds):
         for index in range(imin, imax + 1):
             d = sum(a) - index
             if 2 <= d <= max_d:
-                if rejection(a, d) not in ("linear cone", "vertex coverage"):
+                if d not in a and all(_covers(a, d, i) for i in (2, 3, 4)):
                     covered.add((a, d))
                 ws = WeightSystem(a, d)
                 if membership_report(ws).accepted and terminal_general(ws):
@@ -182,22 +190,44 @@ def _brute_force(bounds):
     return covered, kept
 
 
+def _p5_may_be_terminal(a, d):
+    """P5 is off X, or its type is isolated and terminal by Reid--Tai; the
+    type is taken as in ``singular._singular_strata``, from the first x_j
+    with a monomial x5^m * x_j of degree d."""
+    a5 = a[4]
+    if d % a5 == 0:
+        return True
+    j = next(j for j in range(4) if d - a[j] >= a5 and (d - a[j]) % a5 == 0)
+    wts = tuple(sorted(a[k] % a5 for k in range(4) if k != j))
+    return all(gcd(w, a5) == 1 for w in wts) and reid_tai_terminal(QuotientSingularity(a5, wts))
+
+
 @pytest.mark.parametrize(
     "bounds",
     [
         SearchBounds(max_weight=7, max_degree=21, index_range=(1, 15)),
         SearchBounds(max_weight=10, max_degree=26, index_range=(2, 4)),
+        SearchBounds(max_weight=13, max_degree=30, index_range=(1, 6)),
     ],
-    ids=["default-index-range", "index-2-to-4"],
+    ids=["default-index-range", "index-2-to-4", "index-1-to-6"],
 )
 def test_constraint_search_matches_brute_force(bounds):
     top = min(bounds.max_weight, (bounds.max_degree + bounds.index_range[1]) // 5) + 1
     candidates = list(_candidates(1, top, bounds))
     covered, kept = _brute_force(bounds)
-    # each candidate once, and every pair past the vertex check among them,
-    # so that the later predicates see the same pairs as an exhaustive walk
+    # each candidate once and covered; the generator drops only covered pairs
+    # whose P5 the terminality stage would reject, so that the later
+    # predicates see every pair that can be accepted
     assert len(candidates) == len(set(candidates))
-    assert covered <= set(candidates)
+    assert set(candidates) <= covered
+    assert {p for p in covered if _p5_may_be_terminal(*p)} <= set(candidates)
+    # and the prune is in force: where P5 lies on X, a5 is the sum of two of
+    # the weights other than a5 and c = d mod a5
+    for a, d in candidates:
+        if d % a[4]:
+            rest = list(a[:4])
+            rest.remove(d % a[4])
+            assert a[4] in {x + y for x, y in combinations(rest, 2)}, (a, d)
     found = {(r.ws.weights, r.ws.degree) for r in classify(bounds)}
     assert found == kept
     # the short-circuit terminality agrees with the full basket wherever the

@@ -15,6 +15,9 @@ in-process through ``cli.main``:
 ``cubic_normal_form`` holds, keyed ``F/s``, the sha256 of the JSON of the
 binary-cubic normal form of ``sample_family_member(F, s)`` (its sorted terms,
 pair matrix and scale, or the error) for families 9, 17 and 27 at seeds 0-9.
+``catalog`` holds the sha256 of ``catalog_json`` and of ``render_markdown``
+of the catalog at the default search bounds.
+
 A change that alters any of these outputs names the case.
 """
 
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from wfano.catalog import FAMILY_LABELS
+from wfano.catalog import FAMILY_LABELS, catalog_json, render_markdown
 from wfano.cli import main
 from wfano.symalg import cubic_normal_form, sample_family_member
 from wfano.wspace import format_monomial
@@ -70,6 +73,7 @@ def test_golden_file_covers_the_draws():
         "stabilizer": sorted(str(s) for s in POINT_SEEDS),
         "verdict": sorted(SEPTUPLES),
         "cubic_normal_form": sorted(f"{f}/{s}" for f, s in CUBIC_DRAWS),
+        "catalog": ["catalog_json", "render_markdown"],
     }
 
 
@@ -104,3 +108,10 @@ def cubic_record(family: int, seed: int) -> list:
 @pytest.mark.parametrize("family,seed", CUBIC_DRAWS, ids=[f"{f}-{s}" for f, s in CUBIC_DRAWS])
 def test_golden_cubic_normal_form(family, seed):
     assert _digest(cubic_record(family, seed)) == GOLDEN["cubic_normal_form"][f"{family}/{seed}"]
+
+
+@pytest.mark.parametrize("render", [catalog_json, render_markdown], ids=lambda f: f.__name__)
+def test_golden_catalog(default_catalog, render):
+    records, _ = default_catalog
+    digest = hashlib.sha256(render(records).encode()).hexdigest()
+    assert digest == GOLDEN["catalog"][render.__name__]

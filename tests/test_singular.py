@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -31,6 +32,19 @@ def test_classical_terminal_series():
         for a in range(1, r):
             if gcd(a, r) == 1:
                 assert reid_tai_terminal(QuotientSingularity(r, (1, a, r - a)))
+
+
+def test_terminal_lemma():
+    # Morrison-Stevens: an isolated 1/r(w1, w2, w3) is terminal iff two of
+    # the weights sum to r; the search prunes its candidates with this
+    checked = 0
+    for r in range(2, 61):
+        units = [w for w in range(1, r) if gcd(w, r) == 1]
+        for wts in combinations_with_replacement(units, 3):
+            pair = any(wts[i] + wts[j] == r for i, j in ((0, 1), (0, 2), (1, 2)))
+            assert reid_tai_terminal(QuotientSingularity(r, wts)) == pair, (r, wts)
+            checked += 1
+    assert checked == 197_909
 
 
 def test_reid_tai_generator_change_invariance():
