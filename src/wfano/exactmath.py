@@ -219,11 +219,16 @@ PANEL = 32
 ROW_BLOCK = 64
 #: most multiply-adds in one BLAS call.  OpenBLAS runs a product of at most
 #: 64^3 on the calling thread; a larger one wakes its thread pool, and two
-#: processes on two cores then spin against each other: a compression shaped
-#: like the quartic's (1365 columns) took 0.36 s alone and 13 s with two
-#: processes at once in whole-row products, against 0.63-0.74 s with both in
-#: products this small (2-vCPU host, OpenBLAS 0.3.31)
+#: processes on two cores then spin against each other: a random compression
+#: R*A of the quartic's Macaulay matrix (1365 columns) took 0.36 s alone and
+#: 13 s with two processes at once in whole-row products, against 0.63-0.74 s
+#: with both in products this small (2-vCPU host, OpenBLAS 0.3.31)
 PRODUCT_SIZE = 64**3
+#: most columns of a matrix that ``rank_mod_p`` eliminates whole instead of in
+#: panels: its cost is then the number of numpy calls per pivot, not
+#: arithmetic, and whole elimination makes the fewest (Macaulay matrices of
+#: 35-84 columns in 40-75 % of the time; from about 90 columns the two draw level)
+WHOLE_COLUMNS = 96
 
 
 def add_product(out, left, right) -> None:
@@ -250,6 +255,8 @@ def rank_mod_p(matrix, p: int) -> int:
     columns is eliminated column by column with row pivoting inside the
     panel, a short loop brings the pivot rows' trailing block up to date, and
     the rows below take the panel's update as BLAS products (``add_product``).
+    A matrix of at most WHOLE_COLUMNS columns is eliminated whole instead
+    (``_eliminate_whole``).
 
     Exactness: residues are kept in [0, p) by ``x -= p*floor(x/p)``, which is
     exact for |x| < EXACT_BOUND because x/p is correctly rounded (an integer
@@ -277,6 +284,8 @@ def rank_mod_p(matrix, p: int) -> int:
         raise ValueError("rank_mod_p: entries past exact float64")
     for r in range(0, rows, ROW_BLOCK):
         mod(a[r : r + ROW_BLOCK])
+    if cols <= WHOLE_COLUMNS:
+        return _eliminate_whole(a, p)
     rank = 0
     for c0 in range(0, cols, PANEL):
         if rank == rows:
@@ -322,6 +331,41 @@ def rank_mod_p(matrix, p: int) -> int:
             mod(row)
             upper[j + 1 :] -= np.outer(panel[j + 1 : k, c], row)
         add_product(a[rank:, c1:], -panel[k:, pivots], upper)
+    return rank
+
+
+def _eliminate_whole(a, p: int) -> int:
+    """Rank over F_p of a float64 matrix with entries in [0, p), eliminated
+    in place one column at a time, each pivot updating the whole trailing
+    block with one outer product.
+
+    Only the pivot column and the pivot row are reduced at each step, so an
+    entry collects at most one product below (p-1)^2 per column, which
+    ``rank_mod_p``'s bound covers.  ``np.remainder`` reduces them in one call
+    where ``mod`` makes four: it is fmod, exact, plus p when the sign is
+    wrong, exact for integers below 2^52.
+    """
+    import numpy as np
+
+    rows, cols = a.shape
+    rank = 0
+    for c in range(cols):
+        column = a[rank:, c]
+        np.remainder(column, p, out=column)
+        nonzero = np.flatnonzero(column)
+        if nonzero.size == 0:
+            continue
+        pivot = rank + int(nonzero[0])
+        if pivot != rank:
+            a[[rank, pivot], c:] = a[[pivot, rank], c:]
+        head = a[rank, c + 1 :]
+        np.remainder(head, p, out=head)
+        head *= pow(int(a[rank, c]), -1, p)
+        np.remainder(head, p, out=head)
+        a[rank + 1 :, c + 1 :] -= np.outer(a[rank + 1 :, c], head)
+        rank += 1
+        if rank == rows:
+            break
     return rank
 
 

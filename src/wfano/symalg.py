@@ -21,9 +21,7 @@ from typing import Sequence
 from .catalog import FAMILY_LABELS
 from .exactmath import (
     EXACT_BOUND,
-    ROW_BLOCK,
     BinaryForm,
-    add_product,
     binary_form,
     common_interior_degree,
     rank_mod_p,
@@ -1011,8 +1009,8 @@ def cubic_normal_form(f: GradedPolynomial) -> CubicNormalForm:
 @dataclass(frozen=True)
 class MacaulayCheck:
     """One degree of the Jacobian certificate: the rank modulo ``prime`` of
-    the degree-``degree`` Macaulay matrix, compressed to ``columns`` rows.
-    It proves that the degree is full when rank == columns."""
+    rows chosen from the degree-``degree`` Macaulay matrix, which has
+    ``columns`` columns.  It proves that the degree is full when rank == columns."""
 
     degree: int
     columns: int
@@ -1035,9 +1033,14 @@ class MemberVerdict:
 
 #: primes tried in turn for each Macaulay matrix; 32 * (p-1)^2 < 2^52
 MACAULAY_PRIMES = (32003, 31991, 32009)
-#: the most columns a Macaulay matrix may have: its compression is a dense
+#: the most columns a Macaulay matrix may have: its chosen rows form a dense
 #: float64 square (128 MiB at the limit); a larger one gives "indeterminate"
 MAX_MACAULAY_COLUMNS = 4096
+#: random rows of the Macaulay matrix added to the chosen square, for the
+#: columns a chosen row could not cover or a choice that is singular
+EXTRA_ROWS = 8
+#: products summed by one bincount while the random rows are built (2 MiB per temporary)
+MIX_ENTRIES = 1 << 18
 
 
 def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
@@ -1053,12 +1056,13 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
     (rows: monomial times partial, with f's denominators and content cleared;
     columns: the degree-k monomials) shows that x_i^(k/a_i) lies in J, and
     with a power of every variable in J the partials have no common zero but
-    the origin.  The rank is taken modulo a prime, of B = R*A for a seeded
-    random R with as many rows as A has columns: rank(B) <= rank(A), and a
-    nonzero minor mod p is nonzero over the integers, so full rank of B mod p
-    is a proof.  A degree that stays deficient at every prime of
-    MACAULAY_PRIMES proves nothing: the verdict is then "indeterminate",
-    never "quasismooth", and its certificate ends with that degree.
+    the origin.  The rank is taken modulo a prime, of Macaulay's choice of one
+    row of A per column plus a few seeded random combinations of A's rows
+    (``_macaulay_rank``): all lie in A's row space, and a nonzero minor mod p
+    is nonzero over the integers, so their full rank mod p is a proof.  A
+    degree that stays deficient at every prime of MACAULAY_PRIMES proves
+    nothing: the verdict is then "indeterminate", never "quasismooth", and
+    its certificate ends with that degree.
     """
     from itertools import combinations
 
@@ -1142,12 +1146,19 @@ def _check_edge(partials: list[GradedPolynomial], pair: tuple[int, int]) -> Memb
 
 
 def _macaulay_rank(partials: list[GradedPolynomial], scale: Fraction, k: int, p: int) -> int:
-    """Rank mod p of R*A, where A is the degree-k Macaulay matrix of the
-    partials times scale and R a seeded random matrix, one row per column.
+    """Rank mod p of chosen rows of A, the degree-k Macaulay matrix of the
+    partials times scale: one row per column, plus EXTRA_ROWS random ones.
 
-    A is never held whole: ROW_BLOCK rows at a time are built and folded into
-    R*A, skipping the column tiles they leave zero.  The sum is reduced mod p
-    only at the end, in ``rank_mod_p``; the row check keeps it exact.
+    The choice is Macaulay's (1902; Lazard 1983).  Each variable x_i gets a
+    pure power x_i^e that is a term, nonzero mod p, of a partial d_j f that
+    no other variable has taken: the variables with the fewest such terms
+    choose first, each the smallest e, then the first partial.  Power by
+    power, each column m still without a row that x_i^e divides gets the row
+    (m / x_i^e) * d_j f at m's own index, so the coefficient of x_i^e sits on
+    the diagonal; rows of distinct partials, or of distinct quotients, are
+    distinct.  The columns left without a row, and EXTRA_ROWS more, take
+    seeded random combinations of all rows of A.  Every row lies in A's row
+    space, so full rank mod p still proves that A has full rank.
     """
     import numpy as np
 
@@ -1155,34 +1166,55 @@ def _macaulay_rank(partials: list[GradedPolynomial], scale: Fraction, k: int, p:
     base = k + 1  # exponents are at most k, so keys add without carries
     if base**NVARS >= 1 << 63:
         raise ValueError(f"Macaulay degree {k} is past int64 monomial keys")
+    place = base ** np.arange(NVARS - 1, -1, -1, dtype=np.int64)
 
-    def keys(monomials) -> "np.ndarray":
-        return np.array(
-            [(((m[0] * base + m[1]) * base + m[2]) * base + m[3]) * base + m[4] for m in monomials],
-            dtype=np.int64,
-        )
+    def exponents(monomials) -> "np.ndarray":
+        return np.array(monomials, dtype=np.int64).reshape(-1, NVARS)
 
-    column_keys = keys(enumerate_monomials(ws, k))  # ascending, as the monomials are
+    columns = exponents(enumerate_monomials(ws, k))
+    column_keys = columns @ place  # ascending, as the monomials are
     n = len(column_keys)
-    row_sets = []  # per partial: its monomials, its coefficients mod p, the multipliers
+    row_sets = []  # per partial: term keys, coefficients mod p, multipliers, {i: e} of its pure powers
     for g in partials:
         if g.terms and g.grade <= k:
-            coefficients = [int(c * scale) % p for c in g.terms.values()]
-            multipliers = keys(enumerate_monomials(ws, k - g.grade))
-            row_sets.append((keys(g.terms), np.array(coefficients, dtype=np.float64), multipliers))
-    rows = sum(len(multipliers) for _, _, multipliers in row_sets)
+            # scale clears every denominator, so the floor division is exact
+            coefficients = [
+                c.numerator * scale.numerator // (c.denominator * scale.denominator) % p for c in g.terms.values()
+            ]
+            pure = {m.index(e): e for m, c in zip(g.terms, coefficients) if c and 0 < (e := max(m)) == sum(m)}
+            term_keys = exponents(list(g.terms)) @ place
+            multipliers = exponents(enumerate_monomials(ws, k - g.grade)) @ place  # ascending
+            row_sets.append((term_keys, np.array(coefficients, dtype=np.float64), multipliers, pure))
+    rows = sum(len(multipliers) for _, _, multipliers, _ in row_sets)
     if rows * (p - 1) ** 2 >= EXACT_BOUND:
         raise ValueError(f"Macaulay matrix of {rows} rows is past exact float64")
-    rng = np.random.default_rng(0)  # a fixed R, so the certificate repeats
-    compressed = np.zeros((n, n))
-    for term_keys, values, multipliers in row_sets:
-        for s in range(0, len(multipliers), ROW_BLOCK):
-            chunk = multipliers[s : s + ROW_BLOCK]
-            cols = np.searchsorted(column_keys, chunk[:, None] + term_keys[None, :])
-            dense = np.zeros((len(chunk), n))
-            dense[np.arange(len(chunk))[:, None], cols] = values
-            mix = rng.integers(0, p, size=(n, len(chunk))).astype(np.float64)
-            # about half of the column tiles of a chunk are zero
-            for t in np.unique(cols // ROW_BLOCK) * ROW_BLOCK:
-                add_product(compressed[:, t : t + ROW_BLOCK], mix, dense[:, t : t + ROW_BLOCK])
-    return rank_mod_p(compressed, p)
+
+    options = [[(pure[i], s) for s, (*_, pure) in enumerate(row_sets) if i in pure] for i in range(NVARS)]
+    matrix = np.zeros((n + EXTRA_ROWS, n))
+    free = np.ones(n, dtype=bool)
+    used = set()
+    for i in sorted(range(NVARS), key=lambda i: len(options[i])):
+        fresh = [option for option in options[i] if option[1] not in used]
+        if not fresh:
+            continue  # the columns that no other power divides take random rows
+        e, s = min(fresh)
+        used.add(s)
+        term_keys, values, _, _ = row_sets[s]
+        owners = np.flatnonzero(free & (columns[:, i] >= e))
+        quotients = column_keys[owners] - e * place[i]
+        matrix[owners[:, None], np.searchsorted(column_keys, quotients[:, None] + term_keys)] = values
+        free[owners] = False
+
+    # the random rows, summed exactly in float64 (the row check above bounds them)
+    spare = np.concatenate([np.flatnonzero(free), np.arange(n, n + EXTRA_ROWS)])
+    offsets = np.arange(len(spare))[:, None, None] * n
+    mixed = np.zeros(len(spare) * n)
+    rng = np.random.default_rng(0)  # fixed, so the certificate repeats
+    for term_keys, values, multipliers, _ in row_sets:
+        step = max(1, MIX_ENTRIES // (len(spare) * len(term_keys)))
+        for chunk in np.split(multipliers, range(step, len(multipliers), step)):
+            cols = np.searchsorted(column_keys, chunk[:, None] + term_keys)
+            mix = rng.integers(0, p, size=(len(spare), len(chunk), 1)).astype(np.float64)
+            mixed += np.bincount((offsets + cols).ravel(), (mix * values).ravel(), minlength=mixed.size)
+    matrix[spare] = mixed.reshape(len(spare), n)
+    return rank_mod_p(matrix, p)

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from wfano import exactmath
 from wfano.exactmath import (
     MAX_ROOT_COEFF_BITS,
     SmithForm,
@@ -345,6 +346,26 @@ def test_rank_mod_p_works_in_place_on_float64():
     array = np.array(matrix, dtype=np.int64).astype(np.float64)  # entries below 2^52
     assert rank_mod_p(array, p) == 60
     assert not np.array_equal(array, np.array(matrix, dtype=np.float64))  # eliminated
+
+
+@pytest.mark.parametrize("whole_columns", [0, 1 << 20])
+def test_rank_mod_p_panels_and_whole_elimination_agree(monkeypatch, whole_columns):
+    # the cases above fall on either side of WHOLE_COLUMNS; here every case
+    # runs in panels (0) or whole (1 << 20)
+    monkeypatch.setattr(exactmath, "WHOLE_COLUMNS", whole_columns)
+    p = 32003
+    rng = random.Random(17)
+    shapes = [(100, 70, 45), (70, 100, 33), (97, 97, 96), (33, 65, 1)]
+    cases = [random_rank_matrix(rng, n, m, r, p) for n, m, r in shapes]
+    cases.append([[rng.randrange(1, p) if rng.random() < 0.04 else 0 for _ in range(90)] for _ in range(100)])
+    cases.append([[rng.randint(-(10**6), 10**6) for _ in range(20)] for _ in range(150)])
+    zero_columns = random_rank_matrix(rng, 80, 90, 50, p)
+    for row in zero_columns:
+        for c in (0, 1, 31, 32, 33, 63, 89):
+            row[c] = 0
+    cases.append(zero_columns)
+    for matrix in cases:
+        assert rank_mod_p(matrix, p) == reference_rank_mod_p(matrix, p)
 
 
 def test_rank_mod_p_refuses_inexact_input():

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from wfano.exactmath import rational_roots, squarefree_and_root_count
+from wfano import symalg
+from wfano.exactmath import rank_mod_p, rational_roots, squarefree_and_root_count
 from wfano.symalg import (
     MACAULAY_PRIMES,
+    MAX_MACAULAY_COLUMNS,
     GenericityError,
     GradedPolynomial,
     MacaulayCheck,
@@ -32,8 +34,8 @@ from wfano.symalg import (
     slice_form,
     substitute,
 )
-from wfano.symalg import _canonical_rational_root, _integers, _substitute_ints
-from wfano.wspace import enumerate_monomials, format_monomial, parse_monomial, weight_system
+from wfano.symalg import _canonical_rational_root, _integers, _macaulay_rank, _substitute_ints
+from wfano.wspace import count_monomials, enumerate_monomials, format_monomial, parse_monomial, weight_system
 
 SYMMETRY_FAMILIES = (19, 28, 39, 49, 59, 66, 84)
 
@@ -447,7 +449,9 @@ def test_quasismooth_member_deficient_at_every_prime_is_indeterminate():
     verdict = quasismooth_member(quartic(f"{scale}*x^4 + y^4 + z^4 + t^4 + w^4"))
     assert verdict.status == "indeterminate"
     (check,) = verdict.checks
-    assert check.rank < check.columns == 1365
+    # mod p, J = (y^3, z^3, t^3, w^3) misses the 3^4 monomials of degree 11
+    # with y, z, t and w all below the cube
+    assert check.rank == 1365 - 81 and check.columns == 1365
     assert check.prime == MACAULAY_PRIMES[-1]
 
 
@@ -515,6 +519,93 @@ def test_quasismooth_member_family_19():
     assert verdict.sigma == 34
     assert [(c.degree, c.columns) for c in verdict.checks] == [(35, 1695), (36, 1870)]
     assert all(c.rank == c.columns for c in verdict.checks)
+
+
+def test_quasismooth_member_fills_uncovered_columns_with_random_rows(monkeypatch):
+    # no chosen pure power divides 9 of the columns at each degree; only the
+    # random combinations of A's rows in those slots make the rank full
+    uncovered = []
+
+    def spy(matrix, p):
+        n = matrix.shape[1]
+        # chosen rows hold coefficients mod p, random rows unreduced sums
+        uncovered.append(int((matrix[:n] >= p).any(axis=1).sum()))
+        return rank_mod_p(matrix, p)
+
+    monkeypatch.setattr(symalg, "rank_mod_p", spy)
+    verdict = quasismooth_member(sample_general_member(weight_system(2, 3, 4, 5, 7, 14), seed=1))
+    assert verdict.status == "quasismooth"
+    assert [(c.degree, c.columns) for c in verdict.checks] == [(30, 130), (32, 158), (35, 207)]
+    assert all(c.rank == c.columns and c.prime == 32003 for c in verdict.checks)
+    assert uncovered == [9, 9, 9]
+
+
+def full_macaulay_rank(f, k, p):
+    """Rank mod p of every row mu * d_j f of the degree-k Macaulay matrix,
+    with f's denominators and content cleared, built term by term."""
+    num, den = _integers(f)
+    scale = Fraction(den, gcd(*num.values()))
+    columns = {m: c for c, m in enumerate(enumerate_monomials(f.ws, k))}
+    rows = []
+    for j in range(5):
+        g = partial_derivative(f, j)
+        if not g.terms or g.grade > k:
+            continue
+        for mu in enumerate_monomials(f.ws, k - g.grade):
+            row = [0] * len(columns)
+            for m, c in g.terms.items():
+                row[columns[tuple(a + b for a, b in zip(mu, m))]] = int(c * scale) % p
+            rows.append(row)
+    return rank_mod_p(rows, p), len(columns)
+
+
+# (x-y)^2*z + (y-z)^2*x + (z-x)^2*y + t^3 + w^3: singular at [1:1:1:0:0],
+# on no coordinate axis or edge, so its one matrix (degree 6, 210 columns)
+# is deficient
+SINGULAR_CUBIC = parse_polynomial(
+    "x^2*y + x^2*z + x*y^2 + y^2*z + x*z^2 + y*z^2 - 6*x*y*z + t^3 + w^3", weight_system(1, 1, 1, 1, 1, 3), 3
+)
+
+
+@pytest.mark.parametrize(
+    "f, full_rank",
+    [
+        (sample_general_member(weight_system(1, 2, 3, 3, 5, 6), seed=1), True),
+        (sample_general_member(weight_system(3, 4, 5, 6, 7, 12), seed=1), True),
+        (sample_general_member(weight_system(2, 3, 4, 5, 7, 10), seed=1), True),
+        (SINGULAR_CUBIC, False),
+    ],
+    ids=["X6(1,2,3,3,5)", "X12(3,4,5,6,7)", "X10(2,3,4,5,7)", "singular-cubic"],
+)
+def test_macaulay_rank_against_the_whole_matrix(f, full_rank):
+    partials = [partial_derivative(f, j) for j in range(5)]
+    num, den = _integers(f)
+    scale = Fraction(den, gcd(*num.values()))
+    sigma = sum(f.grade - 2 * a for a in f.ws.weights)
+    for k in sorted({(max(sigma, 0) // a + 1) * a for a in f.ws.weights}):
+        for p in MACAULAY_PRIMES:
+            full, columns = full_macaulay_rank(f, k, p)
+            assert (full == columns) == full_rank
+            rank = _macaulay_rank(partials, scale, k, p)
+            assert rank == full if full_rank else rank <= full
+
+
+@pytest.mark.slow
+def test_quasismooth_member_certifies_every_family_under_the_cap(default_catalog):
+    records, _ = default_catalog
+    certified = 0
+    for record in records:
+        ws = record.ws
+        sigma = sum(ws.degree - 2 * a for a in ws.weights)
+        degrees = sorted({(max(sigma, 0) // a + 1) * a for a in ws.weights})
+        if max(count_monomials(ws.weights, k) for k in degrees) > MAX_MACAULAY_COLUMNS:
+            continue
+        verdict = quasismooth_member(sample_general_member(ws, seed=0))
+        assert verdict.status == "quasismooth", ws.septuple
+        assert [c.degree for c in verdict.checks] == degrees
+        assert all(c.rank == c.columns and c.prime == 32003 for c in verdict.checks), ws.septuple
+        certified += 1
+    assert certified == 90
 
 
 def test_default_checks_cover_all_plan_families():
