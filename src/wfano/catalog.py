@@ -216,18 +216,14 @@ def _top_pairs(
                     if a4 not in (x, y) and any((d - e) % a4 == 0 for e in (*low, a5)):
                         yield a4, a5, d
 
-    # k >= 2, c = a4 < a5: the index s3 - (k-1)*a5 fixes a5, and a4 divides
+    # k >= 2, c = a4 < a5: the index is s3 - (k-1)*a5, and a4 divides
     # k*a5 - e (e < a4) or (k-1)*a5 (e = a5)
     for k in (2, 3, 4):
-        for index in range(imin, imax + 1):
-            a5, r = divmod(s3 - index, k - 1)
-            if a5 <= a3:
-                break
-            if r or a5 > max_w or k * a5 + a3 > max_d or a5 not in sums:
-                continue
-            values = [k * a5 - e for e in low] + [(k - 1) * a5]
-            for a4 in _dividing(a3, min(a5 - 1, max_d - k * a5), values, divisors):
-                yield a4, a5, k * a5 + a4
+        for a5 in sums:
+            if a3 < a5 <= max_w and k * a5 + a3 <= max_d and imin <= s3 - (k - 1) * a5 <= imax:
+                values = [k * a5 - e for e in low] + [(k - 1) * a5]
+                for a4 in _dividing(a3, min(a5 - 1, max_d - k * a5), values, divisors):
+                    yield a4, a5, k * a5 + a4
 
 
 def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[int, ...], int]]:

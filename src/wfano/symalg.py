@@ -1033,8 +1033,9 @@ class MemberVerdict:
 
 #: primes tried in turn for each Macaulay matrix; 32 * (p-1)^2 < 2^52
 MACAULAY_PRIMES = (32003, 31991, 32009)
-#: the most columns a Macaulay matrix may have: its chosen rows form a dense
-#: float64 square (128 MiB at the limit); a larger one gives "indeterminate"
+#: the most columns a checked Macaulay matrix may have: its chosen rows form a
+#: dense float64 square (128 MiB at the limit); a member whose candidate
+#: degrees cover three variables only with a larger one gets "indeterminate"
 MAX_MACAULAY_COLUMNS = 4096
 #: random rows of the Macaulay matrix added to the chosen square, for the
 #: columns a chosen row could not cover or a choice that is singular
@@ -1051,13 +1052,21 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
     one source of "singular" verdicts.  The rest is the Jacobian criterion
     (Macaulay 1916; Lazard 1983): f of degree d in weights a_1..a_5 is
     quasismooth iff its Jacobian ideal J contains every monomial of degree
-    greater than sigma = sum(d - 2 a_i).  For the least multiple k of each a_i
-    above sigma, full column rank of the degree-k Macaulay matrix A of J
-    (rows: monomial times partial, with f's denominators and content cleared;
-    columns: the degree-k monomials) shows that x_i^(k/a_i) lies in J, and
-    with a power of every variable in J the partials have no common zero but
-    the origin.  The rank is taken modulo a prime, of Macaulay's choice of one
-    row of A per column plus a few seeded random combinations of A's rows
+    greater than sigma = sum(d - 2 a_i).  Full column rank of the degree-k
+    Macaulay matrix A of J (rows: monomial times partial, with f's
+    denominators and content cleared; columns: the degree-k monomials) shows
+    that x_i^(k/a_i) lies in J for every a_i dividing k.  With a power of
+    each of three variables in J, every common zero of the partials lies on
+    the coordinate edge of the other two, where the exact checks found none
+    but the origin.  So the candidate degrees are the least multiples of
+    each a_i above sigma, and the certificate checks only some of them:
+    among the subsets that cover three variables and stay within
+    MAX_MACAULAY_COLUMNS, the one with the least sum of squared column
+    counts, the first in ``combinations`` order over ascending degrees on a
+    tie.  If no subset fits, the verdict is "indeterminate" at once.
+
+    The rank is taken modulo a prime, of Macaulay's choice of one row of A
+    per column plus a few seeded random combinations of A's rows
     (``_macaulay_rank``): all lie in A's row space, and a nonzero minor mod p
     is nonzero over the integers, so their full rank mod p is a proof.  A
     degree that stays deficient at every prime of MACAULAY_PRIMES proves
@@ -1082,17 +1091,25 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
     # for sigma < 0 the variables themselves (degree a_i > sigma) must lie in J
     degrees = sorted({(max(sigma, 0) // a + 1) * a for a in weights})
     columns = {k: count_monomials(weights, k) for k in degrees}
-    if max(columns.values()) > MAX_MACAULAY_COLUMNS:
+    covering = [
+        chosen
+        for r in range(1, len(degrees) + 1)
+        for chosen in combinations(degrees, r)
+        if sum(any(k % a == 0 for k in chosen) for a in weights) >= NVARS - 2
+        and all(columns[k] <= MAX_MACAULAY_COLUMNS for k in chosen)
+    ]
+    if not covering:
         return MemberVerdict(
             status="indeterminate",
             detail=f"Macaulay matrices of degrees {degrees} have {list(columns.values())} "
-            f"columns, more than the limit of {MAX_MACAULAY_COLUMNS}",
+            f"columns: every choice covering {NVARS - 2} variables needs one with more "
+            f"than the limit of {MAX_MACAULAY_COLUMNS}",
             sigma=sigma,
         )
     num, den = _integers(f)
     scale = Fraction(den, gcd(*num.values()))
     checks = []
-    for k in degrees:
+    for k in min(covering, key=lambda chosen: sum(columns[k] ** 2 for k in chosen)):
         for p in MACAULAY_PRIMES:
             rank = _macaulay_rank(partials, scale, k, p)
             if rank == columns[k]:
