@@ -239,8 +239,6 @@ def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[
         for n in range(m, size, m):
             divisors[n].append(m)
     for a1 in range(lo, hi):
-        if 5 * a1 > max_sum:
-            break
         for a2 in range(a1, max_w + 1):
             if a1 + 4 * a2 > max_sum:
                 break

@@ -229,7 +229,7 @@ def cmd_verdict(args) -> None:
 
 def cmd_report(args) -> None:
     path = args.catalog or os.environ.get(CATALOG_ENV)
-    if path and os.path.exists(path):
+    if path:
         records = cat.load_catalog(path)
     else:
         records = cat.classify(_bounds_from_args(args), jobs=args.jobs)

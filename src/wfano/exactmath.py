@@ -217,12 +217,12 @@ EXACT_BOUND = 1 << 52
 PANEL = 32
 #: rows per block of a reduction or a product, bounding the temporaries
 ROW_BLOCK = 64
-#: most multiply-adds in one BLAS call.  OpenBLAS runs a product of at most
-#: 64^3 on the calling thread; a larger one wakes its thread pool, and two
-#: processes on two cores then spin against each other: a random compression
-#: R*A of the quartic's Macaulay matrix (1365 columns) took 0.36 s alone and
-#: 13 s with two processes at once in whole-row products, against 0.63-0.74 s
-#: with both in products this small (2-vCPU host, OpenBLAS 0.3.31)
+#: most multiply-adds in one BLAS call of the blocked LU's trailing update
+#: (``add_product``).  OpenBLAS runs a product of at most 64^3 on the calling
+#: thread; a larger one wakes its thread pool, and two processes on two cores
+#: then spin against each other: one unsplit product per panel took the
+#: ``member`` benchmark's peak RSS from 57 to 70-72 MB and its two-process
+#: wall time from 0.38-0.42 to 0.57-0.68 s (2-vCPU host, OpenBLAS 0.3.31)
 PRODUCT_SIZE = 64**3
 #: most columns of a matrix that ``rank_mod_p`` eliminates whole instead of in
 #: panels: its cost is then the number of numpy calls per pivot, not
@@ -376,30 +376,11 @@ def _eliminate_whole(a, p: int) -> int:
 MAX_ROOT_COEFF_BITS = 40
 
 
-@dataclass(frozen=True)
-class BinaryForm:
-    """Homogeneous form of the given degree in an ordered pair of variables.
-
-    ``coefficients[i]`` multiplies u^(degree-i) * v^i, where (u, v) is the
-    variable pair in stratum order.  A projective root [p : q] means the form
-    vanishes at (u, v) = (p, q); [1 : 0] is the "point at infinity" of the
-    v-chart.
-    """
-
-    degree: int
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != self.degree + 1:
-            raise ValueError("BinaryForm: need degree+1 coefficients")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
-
-def binary_form(coefficients: Sequence[Fraction | int]) -> BinaryForm:
-    coeffs = tuple(Fraction(c) for c in coefficients)
-    return BinaryForm(degree=len(coeffs) - 1, coefficients=coeffs)
+#: a binary form of degree n is the sequence of its n + 1 coefficients: entry i
+#: multiplies u^(n-i) * v^i, where (u, v) is the variable pair in stratum order.
+#: A projective root [p : q] means the form vanishes at (u, v) = (p, q); [1 : 0]
+#: is the "point at infinity" of the v-chart.
+BinaryForm = Sequence[Fraction | int]
 
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
@@ -445,7 +426,7 @@ def _dehomogenize(b: BinaryForm) -> tuple[int, int, list[Fraction]]:
     The core polynomial is in s = v/u, ascending, with nonzero ends, so it has
     no roots at 0 or infinity.
     """
-    coeffs = list(b.coefficients)
+    coeffs = [Fraction(c) for c in b]
     lo = 0
     while lo < len(coeffs) and coeffs[lo] == 0:
         lo += 1
@@ -453,10 +434,10 @@ def _dehomogenize(b: BinaryForm) -> tuple[int, int, list[Fraction]]:
     while hi >= lo and coeffs[hi] == 0:
         hi -= 1
     core = coeffs[lo : hi + 1]
-    # coefficients[i] multiplies u^(deg-i) v^i: leading zeros (low i) are
-    # v-powers, vanishing at [1:0]; trailing zeros are u-powers, vanishing at [0:1].
+    # leading zeros (low i) are v-powers, vanishing at [1:0]; trailing zeros
+    # are u-powers, vanishing at [0:1]
     mult_v = lo  # order of the root [1:0] (v = 0)
-    mult_u = b.degree - hi  # order of the root [0:1] (u = 0)
+    mult_u = len(coeffs) - 1 - hi  # order of the root [0:1] (u = 0)
     return mult_v, mult_u, core
 
 
@@ -467,7 +448,7 @@ def squarefree_and_root_count(b: BinaryForm) -> tuple[bool, int]:
     end coefficients; the interior roots are counted over the algebraic closure
     as degree of the squarefree part of the dehomogenized core.
     """
-    if b.is_zero():
+    if not any(b):
         raise ValueError("squarefree_and_root_count: zero form")
     mult_v, mult_u, core = _dehomogenize(b)
     count = (1 if mult_v > 0 else 0) + (1 if mult_u > 0 else 0)
@@ -546,10 +527,10 @@ def rational_roots(b: BinaryForm) -> list[tuple[int, int]]:
     (0, 1) for the root at u = 0.  Finite roots come first in increasing order
     of v/u, then (0, 1) last.
     """
-    if b.is_zero():
+    if not any(b):
         raise ValueError("rational_roots: zero form")
-    roots = [(s.denominator, s.numerator) for s in univariate_rational_roots(b.coefficients)]
-    if b.coefficients[-1] == 0:
+    roots = [(s.denominator, s.numerator) for s in univariate_rational_roots(b)]
+    if b[-1] == 0:
         roots.append((0, 1))  # u = 0
     return roots
 

@@ -21,8 +21,6 @@ from typing import Sequence
 from .catalog import FAMILY_LABELS
 from .exactmath import (
     EXACT_BOUND,
-    BinaryForm,
-    binary_form,
     common_interior_degree,
     rank_mod_p,
     rational_roots,
@@ -308,8 +306,9 @@ def slice_exponents(ws: WeightSystem, pair: tuple[int, int], cofactor: Monomial,
     return out  # type: ignore[return-value]
 
 
-def slice_form(f: GradedPolynomial, pair: tuple[int, int], cofactor: Monomial | None = None) -> BinaryForm:
-    """The coefficients of f along a pair slice, as a binary form.
+def slice_form(f: GradedPolynomial, pair: tuple[int, int], cofactor: Monomial | None = None) -> tuple[Fraction, ...]:
+    """The coefficients of f along a pair slice, as a binary form
+    (``exactmath.BinaryForm``).
 
     Entry k of the form corresponds to the k-th monomial of the slice in rising
     x_j order; for equal weights this is the usual binary form on the pair.
@@ -318,7 +317,7 @@ def slice_form(f: GradedPolynomial, pair: tuple[int, int], cofactor: Monomial | 
     mons = slice_exponents(f.ws, pair, cof, f.grade)
     if not mons:
         raise ValueError("slice_form: empty slice")
-    return binary_form([f.coefficient(m) for m in mons])
+    return tuple(f.coefficient(m) for m in mons)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +529,6 @@ PlanPass = ShiftPass | DepressPass
 class NormalizationPlan:
     ws: WeightSystem
     passes: tuple[PlanPass, ...]
-    family: int | None = None
 
     def eliminated(self) -> list[Monomial]:
         out = []
@@ -831,7 +829,7 @@ def builtin_plan(number: int) -> NormalizationPlan:
     ws = family_weight_system(number)
     if number not in _PLANS:
         raise ValueError(f"no built-in plan for family {number}")
-    return NormalizationPlan(ws=ws, passes=tuple(map(_parse_pass, _PLANS[number])), family=number)
+    return NormalizationPlan(ws=ws, passes=tuple(map(_parse_pass, _PLANS[number])))
 
 
 def default_genericity_checks(number: int) -> tuple[GenericityCheck, ...]:
@@ -972,7 +970,7 @@ def cubic_normal_form(f: GradedPolynomial) -> CubicNormalForm:
     if f.grade != 3 * a[4] or a[3] != a[4]:
         raise ValueError("cubic_normal_form: needs d = 3*a5 and a4 = a5")
     cubic = slice_form(f, (T, W))
-    if cubic.is_zero():
+    if not any(cubic):
         raise GenericityError("cubic_normal_form: pure (t,w) part vanishes")
     squarefree, nroots = squarefree_and_root_count(cubic)
     if not squarefree:
@@ -997,7 +995,7 @@ def cubic_normal_form(f: GradedPolynomial) -> CubicNormalForm:
     g = g.scale(Fraction(1) / c)
     check = slice_form(g, (T, W))
     # slots by rising w-power: t^3, t^2 w, t w^2, w^3 must read 0, -1, 1, 0
-    if tuple(check.coefficients) != (Fraction(0), Fraction(-1), Fraction(1), Fraction(0)):
+    if check != (0, -1, 1, 0):
         raise RuntimeError("cubic_normal_form: normal form check failed")
     return CubicNormalForm(polynomial=g, pair_matrix=matrix, scale=c)
 
@@ -1047,8 +1045,8 @@ MIX_ENTRIES = 1 << 18
 def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
     """Check a specific member for quasismoothness, with a certificate.
 
-    Coordinate axes and edges are decided exactly over the rationals (partials
-    restricted to the axis, and binary-form gcds on the edges); they are the
+    Coordinate axes and edges are decided exactly over the rationals (f's
+    terms x_i^e and x_i^e * x_k, and binary-form gcds on the edges); they are the
     one source of "singular" verdicts.  The rest is the Jacobian criterion
     (Macaulay 1916; Lazard 1983): f of degree d in weights a_1..a_5 is
     quasismooth iff its Jacobian ideal J contains every monomial of degree
@@ -1078,9 +1076,11 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
     partials = [partial_derivative(f, k) for k in range(NVARS)]
 
     for i in range(NVARS):
-        verdict = _check_axis(partials, i)
-        if verdict is not None:
-            return verdict
+        # a partial holds a pure power of x_i only from a term x_i^e or x_i^e * x_k
+        # of f; by the Euler relation, P_i is singular iff no partial does
+        if all(sum(m) - m[i] > 1 for m in f.terms):
+            point = ":".join("1" if k == i else "0" for k in range(NVARS))
+            return MemberVerdict(status="singular", witness=f"[{point}]", detail=f"axis {VARIABLES[i]}")
     for pair in combinations(range(NVARS), 2):
         verdict = _check_edge(partials, pair)
         if verdict is not None:
@@ -1126,16 +1126,6 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
     return MemberVerdict(status="quasismooth", sigma=sigma, checks=tuple(checks))
 
 
-def _check_axis(partials: list[GradedPolynomial], i: int) -> MemberVerdict | None:
-    # by the Euler relation it is enough that some partial survives on the axis
-    for k in range(NVARS):
-        for m in partials[k].terms:
-            if all(m[l] == 0 for l in range(NVARS) if l != i):
-                return None
-    point = ":".join("1" if k == i else "0" for k in range(NVARS))
-    return MemberVerdict(status="singular", witness=f"[{point}]", detail=f"axis {VARIABLES[i]}")
-
-
 def _check_edge(partials: list[GradedPolynomial], pair: tuple[int, int]) -> MemberVerdict | None:
     i, j = pair
     forms = []
@@ -1144,14 +1134,10 @@ def _check_edge(partials: list[GradedPolynomial], pair: tuple[int, int]) -> Memb
             form = slice_form(g, pair)
         except ValueError:
             continue  # no monomial of this grade on the edge
-        if not form.is_zero():
+        if any(form):
             forms.append(form)
-    if not forms:
-        return MemberVerdict(
-            status="singular",
-            witness=None,
-            detail=f"all partials vanish identically on edge {VARIABLES[i]}{VARIABLES[j]}",
-        )
+    # never empty: the axis checks passed, so the partial holding a pure power
+    # of x_i has a nonzero slice here
     degree = common_interior_degree(forms)
     if degree:
         return MemberVerdict(

@@ -230,6 +230,7 @@ BAD_INPUTS = [
     bad("verdict-zero-index", "verdict", "--septuple", "1,1,1,1,1,5",
         error="fails the Fano index stage: index 0 < 1"),
     bad("verdict-no-septuple", "verdict", code=2),
+    bad("verdict-non-member", "verdict", "--septuple", "1,1,1,1,4,7", error="is not an accepted family"),
     bad("report-zero-weight", "report", "--max-weight", "0", error="bounds must be positive"),
     bad("report-catalog-list", "report", "--catalog", "{tmp}/list.json", error="JSON object"),
     bad("report-catalog-no-records", "report", "--catalog", "{tmp}/norecords.json",
@@ -242,6 +243,8 @@ BAD_INPUTS = [
     bad("report-catalog-version", "report", "--catalog", "{tmp}/version.json",
         error="unsupported schemaVersion"),
     bad("report-catalog-not-json", "report", "--catalog", "{tmp}/text.json", error="Expecting value"),
+    bad("report-catalog-missing", "report", "--catalog", "{tmp}/missing.json",
+        error="No such file or directory"),
 ]
 
 

@@ -9,7 +9,6 @@ from wfano import exactmath
 from wfano.exactmath import (
     MAX_ROOT_COEFF_BITS,
     SmithForm,
-    binary_form,
     mat_det,
     mat_mul,
     rank_mod_p,
@@ -133,16 +132,16 @@ def test_smith_normal_form_randomized_chain_large():
 
 def test_squarefree_examples():
     # u^3: triple root at one point
-    assert squarefree_and_root_count(binary_form([1, 0, 0, 0])) == (False, 1)
+    assert squarefree_and_root_count([1, 0, 0, 0]) == (False, 1)
     # w^3 + t^3 in either variable order
-    assert squarefree_and_root_count(binary_form([1, 0, 0, 1])) == (True, 3)
+    assert squarefree_and_root_count([1, 0, 0, 1]) == (True, 3)
     # w*t*(w - t), written by rising second-variable power
-    assert squarefree_and_root_count(binary_form([0, -1, 1, 0])) == (True, 3)
+    assert squarefree_and_root_count([0, -1, 1, 0]) == (True, 3)
 
 
 def test_squarefree_rejects_zero():
     with pytest.raises(ValueError):
-        squarefree_and_root_count(binary_form([0, 0, 0]))
+        squarefree_and_root_count([0, 0, 0])
 
 
 def test_square_of_form_never_squarefree():
@@ -152,24 +151,23 @@ def test_square_of_form_never_squarefree():
         coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(deg + 1)]
         if all(c == 0 for c in coeffs):
             continue
-        b = binary_form(coeffs)
         sq = [Fraction(0)] * (2 * deg + 1)
         for i, ci in enumerate(coeffs):
             for j, cj in enumerate(coeffs):
                 sq[i + j] += ci * cj
-        squarefree, _ = squarefree_and_root_count(binary_form(sq))
+        squarefree, _ = squarefree_and_root_count(sq)
         assert not squarefree
 
 
 def test_rational_roots_of_split_form():
     # (v - u)(v - 2u)(v + 3u): roots at v/u = 1, 2, -3
-    roots = rational_roots(binary_form(from_roots((1, 2, -3))))
+    roots = rational_roots(from_roots((1, 2, -3)))
     assert roots == [(1, -3), (1, 1), (1, 2)]
 
 
 def test_rational_roots_includes_coordinate_points():
     # u * v * (v - u): roots at [1:0], [0:1], [1:1]
-    roots = rational_roots(binary_form([0, -1, 1, 0]))
+    roots = rational_roots([0, -1, 1, 0])
     assert set(roots) == {(1, 0), (0, 1), (1, 1)}
 
 
@@ -250,7 +248,7 @@ def test_rational_roots_order_against_known_roots():
         finite = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 4))]
         poly = from_roots(finite, lead=rng.choice((-3, 1, 2)))
         at_u0 = rng.random() < 0.5  # a factor u vanishes at [0 : 1]
-        form = binary_form(poly + [0] * at_u0)
+        form = poly + [0] * at_u0
         expected = [(rho.denominator, rho.numerator) for rho in sorted(set(finite))]
         assert rational_roots(form) == expected + [(0, 1)] * at_u0
 

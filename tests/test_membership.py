@@ -126,6 +126,7 @@ def test_rejection_fano_index_is_the_first_stage():
     # index -2, and the w vertex is not covered either
     assert rejection((1, 1, 1, 1, 4), 10) == "Fano index"
     assert rejection((1, 1, 1, 1, 4), 7) == "vertex coverage"
+    assert rejection((1, 1, 1, 1, 4), 4) == "linear cone"
     assert rejection((1, 1, 1, 1, 1), 4) is None
     # the predicates themselves accept the index -4 quintic's weights
     assert membership_report(weight_system(1, 1, 1, 1, 1, 9)).accepted

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from wfano.symalg import builtin_plan, normalize, reference_support, sample_family_member
+from wfano import symmetry
+from wfano.symalg import GenericityError, builtin_plan, normalize, reference_support, sample_family_member
 from wfano.symmetry import (
     certify_trivial_automorphisms,
     diagonal_symmetry_group,
@@ -196,3 +197,27 @@ def test_certificate_support_matches_pipeline():
     cert = certify_trivial_automorphisms(84, seed=0)
     g, _ = normalize(sample_family_member(84, seed=0), builtin_plan(84))
     assert cert.support == g.support == reference_support(84)
+
+
+@pytest.mark.parametrize("failures", [0, 3, 7, 8])
+def test_certificate_resamples_degenerate_draws(monkeypatch, failures):
+    # the first `failures` draws are degenerate; the certificate uses the next
+    # seed and names it, and after eight degenerate draws it gives up
+    seeds = []
+
+    def draw(family, seed):
+        seeds.append(seed)
+        if len(seeds) <= failures:
+            raise GenericityError(f"degenerate draw {seed}")
+        return sample_family_member(family, seed=seed)
+
+    monkeypatch.setattr(symmetry, "sample_family_member", draw)
+    if failures == 8:
+        with pytest.raises(GenericityError, match="sampling stage failed for family 84: degenerate draw 12"):
+            certify_trivial_automorphisms(84, seed=5)
+        assert seeds == list(range(5, 13))
+        return
+    cert = certify_trivial_automorphisms(84, seed=5)
+    assert seeds == list(range(5, 6 + failures))
+    assert cert.checks[0] == f"sampled general member (seed {5 + failures}) and reduced it"
+    assert cert.trivial
