@@ -232,8 +232,8 @@ def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[
     accepted families."""
     max_w, max_d = bounds.max_weight, bounds.max_degree
     max_sum = max_d + bounds.index_range[1]
-    # every divisibility test in _top_pairs is on an integer of size <= max(max_d, max_w)
-    size = max(max_d, max_w) + 1
+    # _top_pairs's values are at most max_d (its hi bound) and 5*max_w (k <= 4)
+    size = min(max_d, 5 * max_w) + 1
     divisors: list[list[int]] = [[] for _ in range(size)]
     for m in range(size - 1, 0, -1):
         for n in range(m, size, m):

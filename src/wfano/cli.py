@@ -129,10 +129,7 @@ def cmd_classify(args) -> None:
 
 def cmd_basket(args) -> None:
     ws = _fano_ws_from_args(args)
-    report = membership_report(ws)
-    if not report.accepted:
-        raise DomainError(f"{ws} fails the membership predicates: {report.to_dict()}")
-    basket = singular_points_general(ws)
+    basket = singular_points_general(ws)  # raises ValueError naming the failed stage
     payload = {
         "septuple": list(ws.septuple),
         "basket": basket.to_strings(),

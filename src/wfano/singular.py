@@ -78,11 +78,7 @@ class SingularityBasket:
         return not self.non_isolated and all(reid_tai_terminal(p.singularity) for p in self.points)
 
     def to_strings(self) -> list[str]:
-        return [
-            f"{p.count} x 1/{p.singularity.order}"
-            f"({','.join(str(w) for w in p.singularity.local_weights)})"
-            for p in self.points
-        ]
+        return [f"{p.count} x {p.singularity}" for p in self.points]
 
 
 def reid_tai_terminal(q: QuotientSingularity) -> bool:
@@ -121,27 +117,18 @@ def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSe
         ai = a[i]
         if ai == 1 or d % ai == 0:
             continue  # smooth point, or vertex off X (pure power present)
-        # the j with a monomial x_i^m * x_j, m >= 1, of degree d
-        js = [j for j in range(NVARS) if j != i and d - a[j] >= ai and (d - a[j]) % ai == 0]
-        if not js:
+        # a j with a monomial x_i^m * x_j, m >= 1, of degree d; any one gives
+        # the type, since each has a_j = d (mod a_i) and so removes the same residue
+        j = next((j for j in range(NVARS) if j != i and d - a[j] >= ai and (d - a[j]) % ai == 0), None)
+        if j is None:
             raise ValueError(f"{ws}: vertex {VARIABLES[i]} is not covered, so X is not quasismooth")
-        types = [tuple(a[k] % ai for k in range(NVARS) if k not in (i, j)) for j in js]
-        wts = types[0]
-        location = f"vertex {VARIABLES[i]}"
+        wts = tuple(a[k] % ai for k in range(NVARS) if k not in (i, j))
         # gcd(0, ai) = ai >= 2 also catches a weight reduced to 0
         if any(gcd(w, ai) != 1 for w in wts):
             yield (i,), f"vertex type 1/{ai}{wts} has a non-coprime weight"
             continue
         sing = QuotientSingularity(ai, tuple(sorted(wts)))  # type: ignore[arg-type]
-        for other in types[1:]:
-            if any(gcd(w, ai) != 1 for w in other):
-                continue
-            alt = QuotientSingularity(ai, tuple(sorted(other)))  # type: ignore[arg-type]
-            if alt != sing and not sing.equivalent_to(alt):
-                raise RuntimeError(
-                    f"inconsistent vertex types at {location}: {sing} vs {alt}"
-                )
-        yield BasketPoint(location, 1, sing)
+        yield BasketPoint(f"vertex {VARIABLES[i]}", 1, sing)
 
     # edges
     for i, j in combinations(range(NVARS), 2):
@@ -169,10 +156,10 @@ def singular_points_general(ws: WeightSystem) -> SingularityBasket:
 
     Vertices: a coordinate point P_i with a_i >= 2 lies on X iff a_i does not
     divide d; its local type is 1/a_i of the three weights other than a_i and
-    the solving variable a_j (the smallest-index j with a monomial x_i^m x_j),
-    reduced mod a_i.  Edges with weight gcd q >= 2 meet X in (#edge monomials
-    - 1) points of transverse type 1/q(other three weights mod q), or lie
-    inside X when there are no edge monomials.  Any configuration with a
+    the solving variable a_j (any partner j with a monomial x_i^m x_j; all
+    give the same type), reduced mod a_i.  Edges with weight gcd q >= 2 meet
+    X in (#edge monomials - 1) points of transverse type 1/q(other three
+    weights mod q), or lie inside X when there are no edge monomials.  Any configuration with a
     positive-dimensional singular locus (contained edge, reduced local weight
     0 or sharing a factor with the order, or a 3-variable stratum with weight
     gcd > 1 meeting X in a curve) is recorded in non_isolated.

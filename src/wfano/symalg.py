@@ -22,6 +22,7 @@ from .catalog import FAMILY_LABELS
 from .exactmath import (
     EXACT_BOUND,
     common_interior_degree,
+    mat_det,
     rank_mod_p,
     rational_roots,
     squarefree_and_root_count,
@@ -111,31 +112,6 @@ def format_polynomial(f: GradedPolynomial) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def parse_polynomial(text: str, ws: WeightSystem, grade: int) -> GradedPolynomial:
-    """Parse the text form emitted by format_polynomial ("-3/2*x^2*y*w + w^3")."""
-    terms: dict[Monomial, Fraction] = {}
-    text = text.replace("- ", "+ -").replace(" ", "")
-    if text in ("", "0"):
-        return GradedPolynomial(ws, grade, {})
-    for chunk in text.split("+"):
-        if not chunk:
-            continue
-        sign = Fraction(1)
-        if chunk.startswith("-"):
-            sign, chunk = Fraction(-1), chunk[1:]
-        factors = chunk.split("*")
-        coeff = sign
-        mono_parts = []
-        for fct in factors:
-            if fct and (fct[0].isdigit() or "/" in fct):
-                coeff *= Fraction(fct)
-            else:
-                mono_parts.append(fct)
-        m = parse_monomial("*".join(mono_parts)) if mono_parts else (0, 0, 0, 0, 0)
-        terms[m] = terms.get(m, Fraction(0)) + coeff
-    return GradedPolynomial(ws, grade, {m: c for m, c in terms.items() if c != 0})
-
-
 def _mul_terms(a: dict, b: dict, terms: dict | None = None) -> dict:
     """Product of two monomial -> coefficient maps (int or Fraction), added
     into ``terms`` (a new map by default), zeros dropped."""
@@ -219,7 +195,8 @@ def _integers(f: GradedPolynomial) -> IntegerForm:
 def _substitute_ints(num: dict[Monomial, int], den: int, j: int, tail: GradedPolynomial) -> IntegerForm:
     """num/den after x_j -> x_j + tail, reduced to gcd 1.  With tail = T/q and E
     the top power of x_j, F_m * x^m becomes F_m * q^(E-m_j) * (q*x_j + T)^m_j
-    over den * q^E: the output starts as num * q^E, and the rest is added."""
+    over den * q^E: the output starts as num * q^E, and the rest is added.
+    New monomials keep f's degree, since ``Substitution`` gives T x_j's grade."""
     q = lcm(*(c.denominator for c in tail.terms.values()))
     # (q*x_j + T)^e / x_j^e is the e-th power of q + T/x_j
     repl = {_unit(None): q} | {
@@ -242,9 +219,6 @@ def _substitute_ints(num: dict[Monomial, int], den: int, j: int, tail: GradedPol
                 out[key] = v
             else:
                 del out[key]
-    # the degree check of GradedPolynomial, on the monomials num did not have
-    new = {m: out[m] for m in out.keys() - num.keys()}
-    GradedPolynomial(tail.ws, weighted_degree(next(iter(num), _unit(None)), tail.ws), new)
     den *= top
     g = gcd(den, *out.values())
     return ({m: v // g for m, v in out.items()}, den // g) if g != 1 else (out, den)
@@ -654,21 +628,13 @@ def _apply_level(
 
 
 def _solve_linear(columns: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """Solve sum_j x_j * columns[j] = rhs exactly; None when singular."""
-    k = len(rhs)
-    aug = [[columns[j][i] for j in range(k)] + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        pivot_row = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = Fraction(1, aug[col][col])
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][k] for i in range(k)]
+    """Solve sum_j x_j * columns[j] = rhs exactly by Cramer's rule; None when
+    singular.  A matrix and its transpose have one determinant, so the
+    columns serve as the rows of ``mat_det``."""
+    det = mat_det(columns)
+    if det == 0:
+        return None
+    return [Fraction(mat_det(columns[:j] + [rhs] + columns[j + 1 :]), det) for j in range(len(columns))]
 
 
 def normalize(
@@ -1073,14 +1039,16 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
     """
     from itertools import combinations
 
-    partials = [partial_derivative(f, k) for k in range(NVARS)]
-
     for i in range(NVARS):
         # a partial holds a pure power of x_i only from a term x_i^e or x_i^e * x_k
         # of f; by the Euler relation, P_i is singular iff no partial does
         if all(sum(m) - m[i] > 1 for m in f.terms):
             point = ":".join("1" if k == i else "0" for k in range(NVARS))
             return MemberVerdict(status="singular", witness=f"[{point}]", detail=f"axis {VARIABLES[i]}")
+    # the partials of f's primitive integer multiple (f is nonzero, as its axes passed)
+    num, den = _integers(f)
+    primitive = f.scale(Fraction(den, gcd(*num.values())))
+    partials = [partial_derivative(primitive, k) for k in range(NVARS)]
     for pair in combinations(range(NVARS), 2):
         verdict = _check_edge(partials, pair)
         if verdict is not None:
@@ -1106,12 +1074,10 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
             f"than the limit of {MAX_MACAULAY_COLUMNS}",
             sigma=sigma,
         )
-    num, den = _integers(f)
-    scale = Fraction(den, gcd(*num.values()))
     checks = []
     for k in min(covering, key=lambda chosen: sum(columns[k] ** 2 for k in chosen)):
         for p in MACAULAY_PRIMES:
-            rank = _macaulay_rank(partials, scale, k, p)
+            rank = _macaulay_rank(partials, k, p)
             if rank == columns[k]:
                 break
         checks.append(MacaulayCheck(degree=k, columns=columns[k], rank=rank, prime=p))
@@ -1148,9 +1114,9 @@ def _check_edge(partials: list[GradedPolynomial], pair: tuple[int, int]) -> Memb
     return None
 
 
-def _macaulay_rank(partials: list[GradedPolynomial], scale: Fraction, k: int, p: int) -> int:
+def _macaulay_rank(partials: list[GradedPolynomial], k: int, p: int) -> int:
     """Rank mod p of chosen rows of A, the degree-k Macaulay matrix of the
-    partials times scale: one row per column, plus EXTRA_ROWS random ones.
+    integer partials: one row per column, plus EXTRA_ROWS random ones.
 
     The choice is Macaulay's (1902; Lazard 1983).  Each variable x_i gets a
     pure power x_i^e that is a term, nonzero mod p, of a partial d_j f that
@@ -1180,10 +1146,7 @@ def _macaulay_rank(partials: list[GradedPolynomial], scale: Fraction, k: int, p:
     row_sets = []  # per partial: term keys, coefficients mod p, multipliers, {i: e} of its pure powers
     for g in partials:
         if g.terms and g.grade <= k:
-            # scale clears every denominator, so the floor division is exact
-            coefficients = [
-                c.numerator * scale.numerator // (c.denominator * scale.denominator) % p for c in g.terms.values()
-            ]
+            coefficients = [c.numerator % p for c in g.terms.values()]
             pure = {m.index(e): e for m, c in zip(g.terms, coefficients) if c and 0 < (e := max(m)) == sum(m)}
             term_keys = exponents(list(g.terms)) @ place
             multipliers = exponents(enumerate_monomials(ws, k - g.grade)) @ place  # ascending

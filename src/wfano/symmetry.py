@@ -250,9 +250,8 @@ def pgl2_set_stabilizer(points: list[P1Point]) -> list[MoebiusMap]:
     point_set = set(pts)
     found: dict[tuple[tuple[int, int], tuple[int, int]], MoebiusMap] = {}
     for triple in permutations(pts, 3):
+        # distinct target triples give distinct maps, as the base triple is distinct
         m = moebius_map(mat_mul(triple_matrix(triple), from_base))
-        if m.matrix in found:
-            continue
         if all(m(p) in point_set for p in pts):
             found[m.matrix] = m
     maps = list(found.values())

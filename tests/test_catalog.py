@@ -208,8 +208,10 @@ def _p5_may_be_terminal(a, d):
         SearchBounds(max_weight=7, max_degree=21, index_range=(1, 15)),
         SearchBounds(max_weight=10, max_degree=26, index_range=(2, 4)),
         SearchBounds(max_weight=13, max_degree=30, index_range=(1, 6)),
+        # max_degree > 5 * max_weight: the divisor table is cut at 5 * max_weight
+        SearchBounds(max_weight=6, max_degree=40),
     ],
-    ids=["default-index-range", "index-2-to-4", "index-1-to-6"],
+    ids=["default-index-range", "index-2-to-4", "index-1-to-6", "degree-past-five-weights"],
 )
 def test_constraint_search_matches_brute_force(bounds):
     top = min(bounds.max_weight, (bounds.max_degree + bounds.index_range[1]) // 5) + 1
@@ -250,6 +252,13 @@ def test_constraint_search_matches_brute_force(bounds):
             )
         reached += 1
     assert reached > len(found)
+
+
+def test_degree_bound_past_five_weights_changes_nothing():
+    # d < 5 * a5 <= 50 for weights up to 10, so a degree bound of 10^6 finds
+    # the (10, 50) catalog, with a divisor table of 5 * max_weight entries
+    wide = classify(SearchBounds(max_weight=10, max_degree=10**6))
+    assert catalog_json(wide) == catalog_json(classify(SearchBounds(max_weight=10, max_degree=50)))
 
 
 def test_load_catalog_rejects_non_member(tmp_path, small_catalog):

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from wfano.catalog import SearchBounds, _candidates
 from wfano.singular import (
     QuotientSingularity,
     reid_tai_terminal,
@@ -133,3 +134,38 @@ def test_catalog_baskets_all_classical_form():
                 (canon[i] + canon[j]) % r == 0 for i in range(3) for j in range(3) if i != j
             )
             assert reid_tai_terminal(p.singularity)
+
+
+def partner_types(a, d):
+    """Per vertex P_i on X (a_i >= 2 not dividing d), the set over every
+    partner j (a monomial x_i^m * x_j of degree d) of the sorted residues
+    mod a_i of the three weights other than a_i and a_j."""
+    return {
+        i: {
+            tuple(sorted(a[k] % a[i] for k in range(5) if k not in (i, j)))
+            for j in range(5)
+            if j != i and d - a[j] >= a[i] and (d - a[j]) % a[i] == 0
+        }
+        for i in range(5)
+        if a[i] > 1 and d % a[i]
+    }
+
+
+def test_every_vertex_partner_gives_one_type(default_catalog):
+    # the basket takes each vertex type from one partner j; every partner has
+    # a_j = d (mod a_i), so all of them must give the same residues
+    records, _ = default_catalog
+    for record in records:
+        a, d = record.ws.weights, record.ws.degree
+        types = partner_types(a, d)
+        assert all(len(t) == 1 for t in types.values()), record.septuple
+        vertices = {p.location: p.singularity.local_weights for p in record.basket.points}
+        expected = {f"vertex {'xyztw'[i]}": t.pop() for i, t in types.items()}
+        assert {k: v for k, v in vertices.items() if k.startswith("vertex")} == expected, record.septuple
+    bounds = SearchBounds(max_weight=13, max_degree=30, index_range=(1, 6))
+    checked = 0
+    for a, d in _candidates(1, bounds.max_weight + 1, bounds):
+        # a candidate's a1 and a2 vertices may have no partner at all
+        assert all(len(t) <= 1 for t in partner_types(a, d).values()), (a, d)
+        checked += 1
+    assert checked > 1000

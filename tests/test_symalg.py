@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 from math import comb, gcd, prod
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from wfano.symalg import (
     family_weight_system,
     format_polynomial,
     normalize,
-    parse_polynomial,
     partial_derivative,
     quasismooth_member,
     reference_support,
@@ -34,8 +34,10 @@ from wfano.symalg import (
     slice_form,
     substitute,
 )
-from wfano.symalg import _canonical_rational_root, _integers, _macaulay_rank, _substitute_ints
+from wfano.symalg import _canonical_rational_root, _integers, _macaulay_rank, _solve_linear, _substitute_ints
 from wfano.wspace import count_monomials, enumerate_monomials, format_monomial, parse_monomial, weight_system
+
+from conftest import parse_polynomial
 
 SYMMETRY_FAMILIES = (19, 28, 39, 49, 59, 66, 84)
 
@@ -326,6 +328,35 @@ def test_normalize_singular_level_solve():
         normalize(sample_family_member(39, seed=0), plan)
 
 
+def leibniz_det(rows):
+    """The determinant as a signed sum over permutations, independent of ``mat_det``."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_solve_linear_solves_or_reports_singular():
+    rng = random.Random(11)
+    singular = 0
+    for k in range(1, 5):
+        for _ in range(200):
+            # small entries, so that some systems are singular
+            columns = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+            rhs = [rng.randint(-20, 20) for _ in range(k)]
+            x = _solve_linear(columns, rhs)
+            if leibniz_det(columns) == 0:
+                assert x is None, columns
+                singular += 1
+                continue
+            assert all(sum(xj * col[i] for xj, col in zip(x, columns)) == rhs[i] for i in range(k)), columns
+    assert singular > 0
+    assert _solve_linear([[3, -1, 2], [3, -1, 2], [1, 0, 5]], [1, 2, 3]) is None  # a repeated column
+    assert _solve_linear([[4, 1], [0, 0]], [1, 2]) is None  # a zero column
+
+
 def test_stratum_restriction_family_19():
     f = sample_family_member(19, seed=0)
     form = slice_form(f, (2, 3))
@@ -487,9 +518,11 @@ def test_quasismooth_member_imports_no_sympy():
     code = (
         "import sys; import wfano; "
         "assert 'numpy' not in sys.modules and 'sympy' not in sys.modules, 'import'; "
-        "from wfano.symalg import quasismooth_member, parse_polynomial; "
-        "from wfano.wspace import weight_system; "
-        "f = parse_polynomial('x^2 + y^2 + z^2 + t^2 + w^2', weight_system(1, 1, 1, 1, 1, 2), 2); "
+        "from fractions import Fraction; "
+        "from wfano.symalg import GradedPolynomial, quasismooth_member; "
+        "from wfano.wspace import parse_monomial, weight_system; "
+        "ws = weight_system(1, 1, 1, 1, 1, 2); "
+        "f = GradedPolynomial(ws, 2, {parse_monomial(v + '^2'): Fraction(1) for v in 'xyztw'}); "
         "assert quasismooth_member(f).status == 'quasismooth'; "
         "assert 'sympy' not in sys.modules, 'check'"
     )
@@ -556,8 +589,8 @@ def certified_variables(ws, degrees):
 def macaulay_rank(f, k, p):
     """``_macaulay_rank`` of f's partials in degree k, as ``quasismooth_member`` calls it."""
     num, den = _integers(f)
-    partials = [partial_derivative(f, j) for j in range(5)]
-    return _macaulay_rank(partials, Fraction(den, gcd(*num.values())), k, p)
+    primitive = f.scale(Fraction(den, gcd(*num.values())))
+    return _macaulay_rank([partial_derivative(primitive, j) for j in range(5)], k, p)
 
 
 @pytest.mark.parametrize("ws", [weight_system(1, 2, 3, 4, 5, 10), weight_system(2, 3, 4, 5, 7, 14)], ids=str)
