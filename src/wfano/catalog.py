@@ -343,7 +343,10 @@ def load_catalog(path: str) -> list[FamilyRecord]:
     records = []
     for entry in entries:
         try:
-            sept = tuple(int(v) for v in entry["septuple"])
+            values = entry["septuple"]
+            # int() would truncate a float, read a bool as 0 or 1 and a string digit by digit
+            integers = isinstance(values, list) and all(type(v) in (int, str) for v in values)
+            sept = tuple(map(int, values)) if integers else ()
         except (KeyError, TypeError, ValueError):
             sept = ()
         if len(sept) != 7:

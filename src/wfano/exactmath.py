@@ -2,8 +2,9 @@
 
 Everything here is exact: arbitrary-precision integers, ``fractions.Fraction``
 for rationals, Smith normal form over the integers with its right transform,
-squarefree analysis of binary forms, and ranks over F_p.  The genericity and
-quasismoothness decisions downstream depend on these answers being exact.
+common and rational roots of binary forms, and ranks over F_p.  The
+genericity and quasismoothness decisions downstream depend on these answers
+being exact.
 The one use of floating point is ``rank_mod_p``, whose float64 values are
 integers below 2^52 in absolute value, all represented exactly; numpy is
 imported there, not at module level, so ``import wfano`` does not load it.
@@ -416,62 +417,19 @@ def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return pa
 
 
-def _poly_derivative(p: Sequence[Fraction]) -> list[Fraction]:
-    return [Fraction(i) * c for i, c in enumerate(p)][1:]
-
-
-def _dehomogenize(b: BinaryForm) -> tuple[int, int, list[Fraction]]:
-    """Split off v- and u-power factors, return (mult_at_[1:0], mult_at_[0:1], core).
-
-    The core polynomial is in s = v/u, ascending, with nonzero ends, so it has
-    no roots at 0 or infinity.
-    """
-    coeffs = [Fraction(c) for c in b]
-    lo = 0
-    while lo < len(coeffs) and coeffs[lo] == 0:
-        lo += 1
-    hi = len(coeffs) - 1
-    while hi >= lo and coeffs[hi] == 0:
-        hi -= 1
-    core = coeffs[lo : hi + 1]
-    # leading zeros (low i) are v-powers, vanishing at [1:0]; trailing zeros
-    # are u-powers, vanishing at [0:1]
-    mult_v = lo  # order of the root [1:0] (v = 0)
-    mult_u = len(coeffs) - 1 - hi  # order of the root [0:1] (u = 0)
-    return mult_v, mult_u, core
-
-
-def squarefree_and_root_count(b: BinaryForm) -> tuple[bool, int]:
-    """Squarefreeness and number of distinct projective roots of a binary form.
-
-    Roots at the two coordinate points are read off the vanishing orders of the
-    end coefficients; the interior roots are counted over the algebraic closure
-    as degree of the squarefree part of the dehomogenized core.
-    """
-    if not any(b):
-        raise ValueError("squarefree_and_root_count: zero form")
-    mult_v, mult_u, core = _dehomogenize(b)
-    count = (1 if mult_v > 0 else 0) + (1 if mult_u > 0 else 0)
-    squarefree = mult_v <= 1 and mult_u <= 1
-    if len(core) > 1:
-        g = poly_gcd(core, _poly_derivative(core))
-        gdeg = len(g) - 1
-        count += (len(core) - 1) - gdeg
-        if gdeg > 0:
-            squarefree = False
-    return squarefree, count
-
-
 def common_interior_degree(forms: Sequence[BinaryForm]) -> int:
     """Degree of the gcd of the dehomogenized cores of nonzero binary forms.
 
     It is positive exactly when the forms share a root off the two coordinate
-    points [1:0] and [0:1], over the algebraic closure.
+    points [1:0] and [0:1], over the algebraic closure.  A form's core drops
+    its zero end coefficients: the leading ones are its v-power factor, which
+    vanishes at [1:0], the trailing ones its u-power factor, at [0:1].
     """
-    cores = [_dehomogenize(b)[2] for b in forms]
-    g = cores[0]
-    for core in cores[1:]:
-        g = poly_gcd(g, core)
+    g: list[Fraction] = []
+    for b in forms:
+        lo = next(i for i, c in enumerate(b) if c)
+        core = _poly_trim([Fraction(c) for c in b[lo:]])
+        g = poly_gcd(g, core) if g else core
         if len(g) <= 1:
             return 0
     return len(g) - 1
@@ -527,8 +485,6 @@ def rational_roots(b: BinaryForm) -> list[tuple[int, int]]:
     (0, 1) for the root at u = 0.  Finite roots come first in increasing order
     of v/u, then (0, 1) last.
     """
-    if not any(b):
-        raise ValueError("rational_roots: zero form")
     roots = [(s.denominator, s.numerator) for s in univariate_rational_roots(b)]
     if b[-1] == 0:
         roots.append((0, 1))  # u = 0

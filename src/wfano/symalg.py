@@ -25,7 +25,6 @@ from .exactmath import (
     mat_det,
     rank_mod_p,
     rational_roots,
-    squarefree_and_root_count,
     triple_matrix,
     univariate_rational_roots,
 )
@@ -285,13 +284,11 @@ def slice_form(f: GradedPolynomial, pair: tuple[int, int], cofactor: Monomial | 
     (``exactmath.BinaryForm``).
 
     Entry k of the form corresponds to the k-th monomial of the slice in rising
-    x_j order; for equal weights this is the usual binary form on the pair.
+    x_j order; for equal weights this is the usual binary form on the pair.  A
+    slice with no monomial of f's grade is the empty form ``()``.
     """
     cof = cofactor if cofactor is not None else _unit(None)
-    mons = slice_exponents(f.ws, pair, cof, f.grade)
-    if not mons:
-        raise ValueError("slice_form: empty slice")
-    return tuple(f.coefficient(m) for m in mons)
+    return tuple(f.coefficient(m) for m in slice_exponents(f.ws, pair, cof, f.grade))
 
 
 # ---------------------------------------------------------------------------
@@ -305,44 +302,22 @@ class SliceSplit:
     The sampler overwrites the slice coefficients with a scaled product
     prod_r (V - rho_r U) over distinct nonzero integer roots, one shared root
     pool per variable pair, so slices on the same pair get pairwise distinct
-    roots.
+    roots.  With a ``shift`` (variable s, template text mu), the slice must
+    split after the cube-root shift x_s -> x_s + c * mu (c the canonical root
+    of the pure (mu, x_s)-slice cubic), which adds c times the down-shifted
+    slice to this one: the sampler draws (split form) - c * (pollution).
     """
 
     pair: tuple[int, int]
     cofactor: str = "1"  # monomial text, e.g. "y^3"
+    shift: tuple[int, str] | None = None
 
     def describe(self) -> str:
         i, j = self.pair
-        return (
-            f"slice {self.cofactor}*({VARIABLES[i]},{VARIABLES[j]}) splits over Q "
-            "with distinct designated roots"
-        )
-
-
-@dataclass(frozen=True)
-class SliceSplitAfterShift:
-    """Require a pair slice to split after the cube-root shift of a variable.
-
-    The shift x_s -> x_s + c * mu (c the canonical root of the pure
-    (mu, x_s)-slice cubic) adds c times the down-shifted slice to the target
-    slice; the sampler draws the target slice as (split form) - c * (pollution)
-    so the slice of the reduced member splits over the rationals.
-    """
-
-    pair: tuple[int, int]
-    cofactor: str
-    shift_variable: int
-    shift_template: str  # monomial text, e.g. "y^2"
-
-    def describe(self) -> str:
-        i, j = self.pair
-        return (
-            f"slice {self.cofactor}*({VARIABLES[i]},{VARIABLES[j]}) splits over Q "
-            f"after the {VARIABLES[self.shift_variable]}-shift"
-        )
-
-
-GenericityCheck = SliceSplit | SliceSplitAfterShift
+        text = f"slice {self.cofactor}*({VARIABLES[i]},{VARIABLES[j]}) splits over Q "
+        if self.shift is None:
+            return text + "with distinct designated roots"
+        return text + f"after the {VARIABLES[self.shift[0]]}-shift"
 
 
 def _draw_nonzero(rng: random.Random) -> int:
@@ -382,7 +357,7 @@ def _draw_split_slice(rng: random.Random, n: int, pool: list[int]) -> list[Fract
 
 
 def sample_general_member(
-    ws: WeightSystem, seed: int = 0, checks: Sequence[GenericityCheck] = ()
+    ws: WeightSystem, seed: int = 0, checks: Sequence[SliceSplit] = ()
 ) -> GradedPolynomial:
     """Seeded member of the family with full monomial support.
 
@@ -398,17 +373,8 @@ def sample_general_member(
         terms = {m: Fraction(_draw_nonzero(rng)) for m in monomials}
         pools: dict[tuple[int, int], list[int]] = {}
         for check in checks:
-            if isinstance(check, SliceSplitAfterShift):
-                if not _draw_compensated_slice(rng, ws, terms, pools, check):
-                    break
-                continue
-            mons = slice_exponents(ws, check.pair, parse_monomial(check.cofactor), ws.degree)
-            if len(mons) < 2:
-                raise GenericityError(f"degenerate slice for {check.describe()}")
-            coeffs = _draw_split_slice(rng, len(mons) - 1, pools.setdefault(check.pair, []))
-            if coeffs is None:
+            if not _draw_slice(rng, ws, terms, pools, check):
                 break
-            terms.update(zip(mons, coeffs))
         else:
             return GradedPolynomial(ws, ws.degree, terms)
     raise GenericityError(
@@ -417,41 +383,43 @@ def sample_general_member(
     )
 
 
-def _draw_compensated_slice(
+def _draw_slice(
     rng: random.Random,
     ws: WeightSystem,
     terms: dict[Monomial, Fraction],
     pools: dict[tuple[int, int], list[int]],
-    check: SliceSplitAfterShift,
+    check: SliceSplit,
 ) -> bool:
-    """Draw a slice so that it splits after the designated cube-root shift.
+    """Draw a slice that splits, after the check's shift if it has one.
 
     The shift constant is the canonical rational root of the pure
     (template, shift-variable) cubic, which the sampler can predict: it is the
     elimination polynomial of the template's pure power, whose coefficients
     were already drawn (possibly split).  The slice is then drawn as (split
     form) minus (constant) times the shift's c^1 pollution of each slice
-    monomial, so the reduced member's slice is the split form.
+    monomial, so the reduced member's slice is the split form.  Without a
+    shift the pollution is 0 and the first split form is taken.
     """
-    s = check.shift_variable
-    mu = parse_monomial(check.shift_template)
     mons = slice_exponents(ws, check.pair, parse_monomial(check.cofactor), ws.degree)
     if len(mons) < 2:
         raise GenericityError(f"degenerate slice for {check.describe()}")
-    pure = tuple(a * (ws.degree // weighted_degree(mu, ws)) for a in mu)
-    cubic, *polluted = _elimination_polynomial(terms, s, mu, [pure, *mons])
-    c1 = _canonical_rational_root(cubic)
-    if c1 is None:
-        return False
+    pollution = [0] * len(mons)
+    if check.shift is not None:
+        s, mu = check.shift[0], parse_monomial(check.shift[1])
+        pure = tuple(a * (ws.degree // weighted_degree(mu, ws)) for a in mu)
+        cubic, *polluted = _elimination_polynomial(terms, s, mu, [pure, *mons])
+        c1 = _canonical_rational_root(cubic)
+        if c1 is None:
+            return False
+        pollution = [c1 * poly.get(1, 0) for poly in polluted]
     pool = pools.setdefault(check.pair, [])
     for _ in range(50):
         coeffs = _draw_split_slice(rng, len(mons) - 1, pool)
         if coeffs is None:
             return False
-        adjusted = [c - c1 * poly.get(1, 0) for c, poly in zip(coeffs, polluted)]
+        adjusted = [c - e for c, e in zip(coeffs, pollution)]
         if all(c != 0 for c in adjusted):
-            for m, c in zip(mons, adjusted):
-                terms[m] = c
+            terms.update(zip(mons, adjusted))
             return True
         del pool[len(pool) - (len(mons) - 1) :]
     return False
@@ -723,10 +691,10 @@ X, Y, Z, T, W = 0, 1, 2, 3, 4
 #: Sampling requirements that make each family's reduction and certificates
 #: solvable over the rationals.  The keys are the families with a sampler: the
 #: eight exceptional ones and the three of the binary-cubic normal form.
-_CHECKS: dict[int, tuple[GenericityCheck, ...]] = {
+_CHECKS: dict[int, tuple[SliceSplit, ...]] = {
     1: (), 39: (), 66: (), 84: (),
     9: (SliceSplit((T, W)),), 17: (SliceSplit((T, W)),), 27: (SliceSplit((T, W)),),
-    19: (SliceSplit((Z, T)), SliceSplit((Y, W)), SliceSplitAfterShift((Z, T), "y^3", W, "y^2")),
+    19: (SliceSplit((Z, T)), SliceSplit((Y, W)), SliceSplit((Z, T), "y^3", (W, "y^2"))),
     28: (SliceSplit((Y, Z)),), 49: (SliceSplit((Y, T)),), 59: (SliceSplit((Y, Z)),),
 }
 
@@ -798,16 +766,8 @@ def builtin_plan(number: int) -> NormalizationPlan:
     return NormalizationPlan(ws=ws, passes=tuple(map(_parse_pass, _PLANS[number])))
 
 
-def default_genericity_checks(number: int) -> tuple[GenericityCheck, ...]:
-    if number not in _CHECKS:
-        raise ValueError(f"no default checks for family {number}")
-    return _CHECKS[number]
-
-
 def sample_family_member(number: int, seed: int = 0) -> GradedPolynomial:
-    return sample_general_member(
-        family_weight_system(number), seed=seed, checks=default_genericity_checks(number)
-    )
+    return sample_general_member(family_weight_system(number), seed=seed, checks=_CHECKS[number])
 
 
 # ---------------------------------------------------------------------------
@@ -938,14 +898,10 @@ def cubic_normal_form(f: GradedPolynomial) -> CubicNormalForm:
     cubic = slice_form(f, (T, W))
     if not any(cubic):
         raise GenericityError("cubic_normal_form: pure (t,w) part vanishes")
-    squarefree, nroots = squarefree_and_root_count(cubic)
-    if not squarefree:
-        raise GenericityError("cubic_normal_form: (t,w) cubic has a repeated root")
     roots = rational_roots(cubic)
     if len(roots) < 3:
         raise GenericityError(
-            "cubic_normal_form: (t,w) cubic does not split over the rationals "
-            f"(found {len(roots)} rational roots of {nroots})"
+            f"cubic_normal_form: (t,w) cubic does not split: {len(roots)} distinct rational roots"
         )
     r1, r2, r3 = roots[:3]
     # send [1:0], [0:1], [1:1] to r2, r1, r3 by the matrix with columns
@@ -1094,21 +1050,13 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
 
 def _check_edge(partials: list[GradedPolynomial], pair: tuple[int, int]) -> MemberVerdict | None:
     i, j = pair
-    forms = []
-    for g in partials:
-        try:
-            form = slice_form(g, pair)
-        except ValueError:
-            continue  # no monomial of this grade on the edge
-        if any(form):
-            forms.append(form)
+    forms = [form for g in partials if any(form := slice_form(g, pair))]
     # never empty: the axis checks passed, so the partial holding a pure power
     # of x_i has a nonzero slice here
     degree = common_interior_degree(forms)
     if degree:
         return MemberVerdict(
             status="singular",
-            witness=None,
             detail=f"common interior root on edge {VARIABLES[i]}{VARIABLES[j]}: gcd degree {degree}",
         )
     return None

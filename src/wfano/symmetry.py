@@ -87,9 +87,6 @@ def diagonal_symmetry_group(
     if len(grades) != 1:
         raise ValueError("diagonal_symmetry_group: mixed grades in support")
     rows = _difference_rows(support)
-    if not rows:
-        # single monomial: every diagonal scaling fixes it up to scalar
-        return DiagonalSymmetryGroup(free_rank=NVARS, torsion=())
     snf = smith_normal_form(rows)
     divisors = [d for d in snf.diagonal if d != 0]
     rank = len(divisors)

@@ -25,17 +25,26 @@ def test_monomials_json(capsys):
     assert "w^3" in payload["monomials"]
 
 
-def test_monomials_walks_only_feasible_remainders():
-    # odd degree on even weights: the walk prunes at the root (it used to
-    # visit 2.7e9 exponent prefixes); a regression fails at the timeout
+def run_module(*argv):
+    """``python -m wfano`` in a subprocess, with this checkout's ``src`` on the path."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    argv = ["monomials", "--weights", "2,2,2,2,2", "--degree", "1001"]
     result = subprocess.run(
         [sys.executable, "-m", "wfano", *argv], env=env, capture_output=True, text=True, timeout=30
     )
     assert result.returncode == 0, result.stderr
-    payload = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_python_m_wfano_runs_the_cli():
+    payload = run_module("monomials", "--weights", "1,1,1,1,1", "--degree", "2")
+    assert payload["count"] == len(payload["monomials"]) == 15
+
+
+def test_monomials_walks_only_feasible_remainders():
+    # odd degree on even weights: the walk prunes at the root (it used to
+    # visit 2.7e9 exponent prefixes); a regression fails at the timeout
+    payload = run_module("monomials", "--weights", "2,2,2,2,2", "--degree", "1001")
     assert (payload["count"], payload["monomials"]) == (0, [])
 
 
@@ -53,6 +62,19 @@ def test_check_subcommand(capsys):
     payload = json.loads(out)
     assert payload["quasismoothGeneral"] is True
     assert payload["linearCone"] is False
+
+
+def test_check_prints_the_failing_stratum(capsys):
+    code, out, _ = run_cli(capsys, "check", "--septuple", "1,2,3,3,4,8")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["quasismoothGeneral"] is False
+    assert payload["failingStrata"] == [
+        {
+            "stratum": "{z,t}",
+            "reason": "no pure degree-8 monomial and only 1 of the required 2 outside variables admit one",
+        }
+    ]
 
 
 def test_classify_small_window(capsys):
@@ -80,6 +102,19 @@ def test_basket_subcommand(capsys):
     payload = json.loads(out)
     assert payload["terminal"] is True
     assert sorted(payload["basket"]) == ["1 x 1/2(1,1,1)", "3 x 1/3(1,1,2)"]
+
+
+def test_basket_prints_the_non_isolated_strata(capsys):
+    code, out, _ = run_cli(capsys, "basket", "--septuple", "1,1,1,2,2,3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["terminal"] is False
+    assert (payload["basket"], payload["points"]) == ([], [])
+    assert payload["nonIsolated"] == [
+        "{t}: vertex type 1/2(1, 1, 0) has a non-coprime weight",
+        "{w}: vertex type 1/2(1, 1, 0) has a non-coprime weight",
+        "{t,w}: edge with weight gcd 2 lies inside X",
+    ]
 
 
 def test_normalize_subcommand(capsys):
@@ -173,6 +208,8 @@ BAD_CATALOGS = {
     ' "paperNumber": null}]}',
     "version.json": '{"schemaVersion": 2, "records": []}',
     "text.json": "not json",
+    "float.json": '{"schemaVersion": 1, "records": [{"septuple": [1.9, 1, 1, 1, true, "4", "1"], "paperNumber": 1}]}',
+    "string.json": '{"schemaVersion": 1, "records": [{"septuple": "1111141", "paperNumber": 1}]}',
 }
 
 
@@ -237,6 +274,8 @@ BAD_INPUTS = [
         error="'records' must be a list"),
     bad("report-catalog-short-septuple", "report", "--catalog", "{tmp}/short.json",
         error="septuple of 7 integers"),
+    bad("report-catalog-float", "report", "--catalog", "{tmp}/float.json", error="septuple of 7 integers"),
+    bad("report-catalog-string", "report", "--catalog", "{tmp}/string.json", error="septuple of 7 integers"),
     bad("report-catalog-wrong-label", "report", "--catalog", "{tmp}/label.json",
         error="paperNumber 'x'"),
     bad("report-catalog-non-member", "report", "--catalog", "{tmp}/nonmember.json", error="fails"),

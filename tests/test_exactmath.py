@@ -9,12 +9,12 @@ from wfano import exactmath
 from wfano.exactmath import (
     MAX_ROOT_COEFF_BITS,
     SmithForm,
+    common_interior_degree,
     mat_det,
     mat_mul,
     rank_mod_p,
     rational_roots,
     smith_normal_form,
-    squarefree_and_root_count,
     triple_matrix,
     univariate_rational_roots,
 )
@@ -130,33 +130,29 @@ def test_smith_normal_form_randomized_chain_large():
         assert s.verify(a)
 
 
-def test_squarefree_examples():
-    # u^3: triple root at one point
-    assert squarefree_and_root_count([1, 0, 0, 0]) == (False, 1)
-    # w^3 + t^3 in either variable order
-    assert squarefree_and_root_count([1, 0, 0, 1]) == (True, 3)
-    # w*t*(w - t), written by rising second-variable power
-    assert squarefree_and_root_count([0, -1, 1, 0]) == (True, 3)
+def test_common_interior_degree():
+    # entry i multiplies u^(n-i) v^i: a leading zero is a factor v, vanishing
+    # at [1:0], and a trailing zero a factor u, vanishing at [0:1]
+    split = from_roots((1, 2))  # (v - u)(v - 2u)
+    # one form: the degree of its core, with the zero ends on both sides cut off
+    assert common_interior_degree([[0, 0, *split, 0]]) == 2
+    assert common_interior_degree([[0, 5, 0]]) == 0
+    # shared interior roots, with multiplicity and over the algebraic closure
+    assert common_interior_degree([[0, *split], [*split, 0, 0]]) == 2
+    assert common_interior_degree([from_roots((1, 1, 2)), [0, *from_roots((1, 1, 3))]]) == 2
+    # (v^2 - 2u^2)(v - u) and (v^2 - 2u^2)(v + u)
+    assert common_interior_degree([[2, -2, -1, 1], [-2, -2, 1, 1]]) == 2
+    # u*v*(v - u) and u*v*(v - 2u) share only [1:0] and [0:1]; v^2 and u^2*v only [1:0]
+    assert common_interior_degree([[0, *from_roots((1,)), 0], [0, *from_roots((2,)), 0]]) == 0
+    assert common_interior_degree([[0, 0, 1], [0, 1, 0, 0]]) == 0
+    # every two of three forms share a root, all three none
+    assert common_interior_degree([from_roots((1, 2)), from_roots((2, 3)), from_roots((1, 3))]) == 0
 
 
-def test_squarefree_rejects_zero():
-    with pytest.raises(ValueError):
-        squarefree_and_root_count([0, 0, 0])
-
-
-def test_square_of_form_never_squarefree():
-    rng = random.Random(3)
-    for _ in range(100):
-        deg = rng.randint(1, 4)
-        coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(deg + 1)]
-        if all(c == 0 for c in coeffs):
-            continue
-        sq = [Fraction(0)] * (2 * deg + 1)
-        for i, ci in enumerate(coeffs):
-            for j, cj in enumerate(coeffs):
-                sq[i + j] += ci * cj
-        squarefree, _ = squarefree_and_root_count(sq)
-        assert not squarefree
+def test_rational_roots_rejects_zero_and_empty_forms():
+    for form in [(0, 0, 0), ()]:
+        with pytest.raises(ValueError):
+            rational_roots(form)
 
 
 def test_rational_roots_of_split_form():

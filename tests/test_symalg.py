@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from wfano import symalg
-from wfano.exactmath import rank_mod_p, rational_roots, squarefree_and_root_count
+from wfano.exactmath import rank_mod_p, rational_roots
 from wfano.symalg import (
     MACAULAY_PRIMES,
     MAX_MACAULAY_COLUMNS,
@@ -22,7 +22,6 @@ from wfano.symalg import (
     Substitution,
     builtin_plan,
     cubic_normal_form,
-    default_genericity_checks,
     family_weight_system,
     format_polynomial,
     normalize,
@@ -35,6 +34,7 @@ from wfano.symalg import (
     substitute,
 )
 from wfano.symalg import _canonical_rational_root, _integers, _macaulay_rank, _solve_linear, _substitute_ints
+from wfano.symalg import _CHECKS
 from wfano.wspace import count_monomials, enumerate_monomials, format_monomial, parse_monomial, weight_system
 
 from conftest import parse_polynomial
@@ -206,7 +206,6 @@ def test_sampler_split_slices_family_19():
     f = sample_family_member(19, seed=0)
     assert len(f.terms) == 65  # full support
     quartic = slice_form(f, (2, 3))
-    assert squarefree_and_root_count(quartic) == (True, 4)
     assert len(rational_roots(quartic)) == 4
     cubic = slice_form(f, (1, 4))  # the (y, w) slice, cubic in (w : y^2)
     assert len(rational_roots(cubic)) == 3
@@ -361,14 +360,22 @@ def test_stratum_restriction_family_19():
     f = sample_family_member(19, seed=0)
     form = slice_form(f, (2, 3))
     assert len(form) == 5
-    assert squarefree_and_root_count(form)[1] == 4  # four distinct points
+    assert len(rational_roots(form)) == 4  # four distinct points
+
+
+def test_slice_form_of_an_empty_slice_is_the_empty_form():
+    f = sample_general_member(weight_system(1, 2, 3, 3, 4, 12), seed=0)
+    # d f / d x has degree 11, and no monomial in y, w (weights 2, 4) is odd
+    assert slice_form(partial_derivative(f, 0), (1, 4)) == ()
+    assert slice_form(f, (1, 4), parse_monomial("x")) == ()
+    assert len(slice_form(f, (1, 4))) == 4
 
 
 def test_stratum_restriction_family_28():
     f = sample_family_member(28, seed=0)
     form = slice_form(f, (1, 2))
     assert len(form) == 6
-    assert squarefree_and_root_count(form)[1] == 5  # five distinct points
+    assert len(rational_roots(form)) == 5  # five distinct points
 
 
 def test_cubic_normal_form_rejects_non_split():
@@ -706,9 +713,13 @@ def test_quasismooth_member_certifies_every_family_under_the_cap(default_catalog
 
 def test_default_checks_cover_all_plan_families():
     for family in SYMMETRY_FAMILIES + (1, 9, 17, 27):
-        checks = default_genericity_checks(family)
-        for c in checks:
+        for c in _CHECKS[family]:
             assert c.describe()
+    assert [c.describe() for c in _CHECKS[19]] == [
+        "slice 1*(z,t) splits over Q with distinct designated roots",
+        "slice 1*(y,w) splits over Q with distinct designated roots",
+        "slice y^3*(z,t) splits over Q after the w-shift",
+    ]
 
 
 def test_restriction_commutes_with_disjoint_substitution():
