@@ -145,22 +145,14 @@ def _top_pairs(
     other than a5 and c, each below a5; it is terminal only if a5 is the sum
     of two of them (the terminal lemma in the module docstring).  Each
     branch below solves all three conditions for one shape of (k, c); the
-    c = 0 branches (P5 off X) solve the first two.
+    c = 0 branches (P5 off X) solve the first two.  The last loop, c = a4,
+    takes k = 1..4 alike: at k = 1, d - a5 = a4 is 0 mod a4, so every a4 in
+    range passes.
     """
     max_w, max_d = bounds.max_weight, bounds.max_degree
     imin, imax = bounds.index_range
     s3 = a1 + a2 + a3
     low = (0, a1, a2, a3)
-    # a5 candidates when c = a4, where P5 has local weights a1, a2, a3
-    sums = {a1 + a2, a1 + a3, a2 + a3}
-
-    # k = 1, c = a4 < a5: the index is s3 and x4*x5 covers the a4 vertex
-    if imin <= s3 <= imax:
-        for a5 in sums:
-            if a5 <= max_w:
-                for a4 in range(a3, min(a5, max_d - a5 + 1)):
-                    yield a4, a5, a5 + a4
-
     for c in set(low):
         lo4 = max(a3, c + 1)
         if c:
@@ -216,10 +208,10 @@ def _top_pairs(
                     if a4 not in (x, y) and any((d - e) % a4 == 0 for e in (*low, a5)):
                         yield a4, a5, d
 
-    # k >= 2, c = a4 < a5: the index is s3 - (k-1)*a5, and a4 divides
-    # k*a5 - e (e < a4) or (k-1)*a5 (e = a5)
-    for k in (2, 3, 4):
-        for a5 in sums:
+    # c = a4 < a5, where P5 has local weights a1, a2, a3: the index is
+    # s3 - (k-1)*a5, and a4 divides k*a5 - e (e < a4) or (k-1)*a5 (e = a5)
+    for a5 in {a1 + a2, a1 + a3, a2 + a3}:
+        for k in (1, 2, 3, 4):
             if a3 < a5 <= max_w and k * a5 + a3 <= max_d and imin <= s3 - (k - 1) * a5 <= imax:
                 values = [k * a5 - e for e in low] + [(k - 1) * a5]
                 for a4 in _dividing(a3, min(a5 - 1, max_d - k * a5), values, divisors):
@@ -263,6 +255,11 @@ def _search_chunk(args: tuple[int, int, SearchBounds]) -> list[tuple[tuple[int, 
     ]
 
 
+def _order(ws: WeightSystem) -> tuple:
+    """The key of ``classify``'s output order."""
+    return ws.index, ws.degree, ws.weights
+
+
 def classify(bounds: SearchBounds | None = None, jobs: int = 1) -> list[FamilyRecord]:
     """Septuples within bounds passing all predicates, as full records.
 
@@ -281,7 +278,7 @@ def classify(bounds: SearchBounds | None = None, jobs: int = 1) -> list[FamilyRe
             for part in pool.map(_search_chunk, [(a1, a1 + 1, bounds) for a1 in range(1, top)]):
                 raw.extend(part)
     records = [family_record(WeightSystem(a, d)) for a, d in raw]
-    records.sort(key=lambda r: (r.ws.index, r.ws.degree, r.ws.weights))
+    records.sort(key=lambda r: _order(r.ws))
     return records
 
 
@@ -326,9 +323,9 @@ def load_catalog(path: str) -> list[FamilyRecord]:
 
     Every septuple must pass the search's predicate chain again, terminality
     included, and carry the label ``family_record`` gives it; records are
-    rebuilt from their septuples (membership and basket are recomputed) so a
-    loaded catalog is structurally identical to a fresh one.  A malformed file
-    raises ValueError.
+    rebuilt from their septuples (membership and basket are recomputed) and
+    must come once each in ``classify``'s order, so a loaded catalog is
+    structurally identical to a fresh one.  A malformed file raises ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -354,6 +351,8 @@ def load_catalog(path: str) -> list[FamilyRecord]:
         ws = WeightSystem(sept[:5], sept[5])
         if ws.index != sept[6]:
             raise ValueError(f"load_catalog: inconsistent septuple {sept}")
+        if records and _order(ws) <= _order(records[-1].ws):
+            raise ValueError(f"load_catalog: {sept} repeats a record or breaks classify's order")
         reason = rejection(ws.weights, ws.degree, terminal_general)
         if reason is not None:
             raise ValueError(f"load_catalog: {sept} fails {reason}")

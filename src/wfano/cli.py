@@ -32,10 +32,6 @@ CATALOG_ENV = "WFANO_CATALOG"
 MAX_MONOMIALS = 50_000
 
 
-class DomainError(Exception):
-    """Input was well-formed but mathematically rejected (exit status 1)."""
-
-
 def _emit(args, payload: dict, markdown: str | None = None) -> None:
     if args.format == "markdown" and markdown is not None:
         text = markdown
@@ -60,14 +56,14 @@ def _ws_from_args(args) -> WeightSystem:
         return weight_system(*args.septuple)
     if getattr(args, "weights", None) and getattr(args, "degree", None):
         return weight_system(*args.weights, args.degree)
-    raise DomainError("need --septuple a1,..,a5,d[,I] or --weights a1,..,a5 with --degree")
+    raise ValueError("need --septuple a1,..,a5,d[,I] or --weights a1,..,a5 with --degree")
 
 
 def _fano_ws_from_args(args) -> WeightSystem:
     """The septuple of args, refused when it fails the first stage of the chain."""
     ws = _ws_from_args(args)
-    if rejection(ws.weights, ws.degree) == "Fano index":
-        raise DomainError(f"{ws} fails the Fano index stage: index {ws.index} < 1")
+    if ws.index < 1:
+        raise ValueError(f"{ws} fails the Fano index stage: index {ws.index} < 1")
     return ws
 
 
@@ -75,7 +71,7 @@ def _monomials(ws: WeightSystem, degree: int) -> list:
     """The monomials of a degree, refused before any is built past the cap."""
     count = count_monomials(ws.weights, degree)
     if count > MAX_MONOMIALS:
-        raise DomainError(
+        raise ValueError(
             f"P{ws.weights} has {count} monomials of degree {degree}, "
             f"more than the limit of {MAX_MONOMIALS}"
         )
@@ -89,15 +85,14 @@ def _bounds_from_args(args) -> cat.SearchBounds:
 
 def cmd_monomials(args) -> None:
     ws = _ws_from_args(args)
-    degree = args.degree if args.degree is not None else ws.degree
-    mons = _monomials(ws, degree)
+    mons = _monomials(ws, args.degree)
     payload = {
         "weights": list(ws.weights),
-        "degree": degree,
+        "degree": args.degree,
         "count": len(mons),
         "monomials": [format_monomial(m) for m in mons],
     }
-    md = f"# monomials of degree {degree} on P{ws.weights}\n\n" + ", ".join(
+    md = f"# monomials of degree {args.degree} on P{ws.weights}\n\n" + ", ".join(
         payload["monomials"]
     ) + "\n"
     _emit(args, payload, md)
@@ -145,10 +140,7 @@ def cmd_basket(args) -> None:
 
 def cmd_normalize(args) -> None:
     family = args.family
-    try:
-        plan = symalg.builtin_plan(family)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+    plan = symalg.builtin_plan(family)
     f = symalg.sample_family_member(family, seed=args.seed)
     g, subs = symalg.normalize(f, plan)
     reference = symalg.reference_support(family)
@@ -197,11 +189,8 @@ def cmd_stabilizer(args) -> None:
         try:
             points.append(symmetry.p1_point(chunk.strip()))
         except ZeroDivisionError:
-            raise DomainError(f"point {chunk.strip()!r} has a zero denominator")
-    try:
-        maps = symmetry.pgl2_set_stabilizer(points)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+            raise ValueError(f"point {chunk.strip()!r} has a zero denominator")
+    maps = symmetry.pgl2_set_stabilizer(points)
     payload = {
         "points": [list(p) for p in points],
         "order": len(maps),
@@ -214,9 +203,9 @@ def cmd_stabilizer(args) -> None:
 def cmd_verdict(args) -> None:
     ws = _fano_ws_from_args(args)
     if rejection(ws.weights, ws.degree) is not None:
-        raise DomainError(f"{ws} is not an accepted family")
+        raise ValueError(f"{ws} is not an accepted family")
     if not terminal_general(ws):
-        raise DomainError(f"{ws} is not terminal")
+        raise ValueError(f"{ws} is not terminal")
     verdict = irrational.decide(cat.family_record(ws))
     payload = {"septuple": list(ws.septuple), **verdict.to_dict()}
     md_lines = [f"# degree of irrationality, {ws}", "", f"- values: {sorted(verdict.values)}"]
@@ -325,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         args.func(args)
-    except (DomainError, ValueError, OSError) as exc:  # GenericityError is a ValueError
+    except (ValueError, OSError) as exc:  # GenericityError is a ValueError
         json.dump({"error": str(exc)}, sys.stderr, indent=1)
         sys.stderr.write("\n")
         return 1

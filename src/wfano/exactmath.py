@@ -390,27 +390,26 @@ def _poly_trim(p: list[Fraction]) -> list[Fraction]:
     return p
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """The remainder of a divided by b (trimmed; b has a nonzero lead)."""
     a = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b) and any(a):
         if a[-1] == 0:
             a.pop()
             continue
         k = len(a) - len(b)
         c = a[-1] / b[-1]
-        q[k] = c
         for i, bc in enumerate(b):
             a[i + k] -= c * bc
         a.pop()
-    return q, _poly_trim(a)
+    return _poly_trim(a)
 
 
 def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     """Monic gcd of two univariate rational polynomials (dense, ascending)."""
     pa, pb = _poly_trim(list(a)), _poly_trim(list(b))
     while pb:
-        pa, pb = pb, _poly_divmod(pa, pb)[1]
+        pa, pb = pb, _poly_rem(pa, pb)
     if pa:
         lead = pa[-1]
         pa = [c / lead for c in pa]

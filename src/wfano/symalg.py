@@ -339,48 +339,23 @@ def _expand_roots(roots: Sequence[int]) -> list[Fraction]:
     return coeffs
 
 
-def _draw_split_slice(rng: random.Random, n: int, pool: list[int]) -> list[Fraction] | None:
-    """Extend the pair's root pool by n fresh distinct nonzero integers and
-    return the (all-nonzero) expansion coefficients, or None when stuck."""
-    start = len(pool)
-    for _ in range(200):
-        while len(pool) < start + n:
-            cand = rng.randint(-9, 9)
-            if cand != 0 and cand not in pool:
-                pool.append(cand)
-        coeffs = _expand_roots(pool[start:])
-        if all(c != 0 for c in coeffs):
-            c0 = Fraction(_draw_nonzero(rng))
-            return [c * c0 for c in coeffs]
-        del pool[start:]  # a symmetric function vanished: redraw these roots
-    return None
-
-
 def sample_general_member(
     ws: WeightSystem, seed: int = 0, checks: Sequence[SliceSplit] = ()
 ) -> GradedPolynomial:
     """Seeded member of the family with full monomial support.
 
-    Coefficients are nonzero small integers drawn deterministically from the
+    Coefficients are nonzero small integers drawn from one random stream per
     seed.  SliceSplit checks overwrite designated pair slices with products of
     distinct rational linear factors, which is what makes the reduction plans
-    and point-set certificates solvable over the rationals.  The member is
-    redrawn (bounded retries) until every check can be met.
+    and point-set certificates solvable over the rationals.  A check that
+    cannot be met raises GenericityError (``_draw_slice``).
     """
-    monomials = enumerate_monomials(ws, ws.degree)
-    for attempt in range(64):
-        rng = random.Random(seed * 1000003 + attempt)
-        terms = {m: Fraction(_draw_nonzero(rng)) for m in monomials}
-        pools: dict[tuple[int, int], list[int]] = {}
-        for check in checks:
-            if not _draw_slice(rng, ws, terms, pools, check):
-                break
-        else:
-            return GradedPolynomial(ws, ws.degree, terms)
-    raise GenericityError(
-        f"sample_general_member: retry budget exhausted for {ws} with checks "
-        f"{[c.describe() for c in checks]}"
-    )
+    rng = random.Random(seed * 1000003)
+    terms = {m: Fraction(_draw_nonzero(rng)) for m in enumerate_monomials(ws, ws.degree)}
+    pools: dict[tuple[int, int], list[int]] = {}
+    for check in checks:
+        _draw_slice(rng, ws, terms, pools, check)
+    return GradedPolynomial(ws, ws.degree, terms)
 
 
 def _draw_slice(
@@ -389,20 +364,26 @@ def _draw_slice(
     terms: dict[Monomial, Fraction],
     pools: dict[tuple[int, int], list[int]],
     check: SliceSplit,
-) -> bool:
-    """Draw a slice that splits, after the check's shift if it has one.
+) -> None:
+    """Overwrite a slice with a form that splits, after the check's shift if
+    it has one.
 
-    The shift constant is the canonical rational root of the pure
-    (template, shift-variable) cubic, which the sampler can predict: it is the
-    elimination polynomial of the template's pure power, whose coefficients
-    were already drawn (possibly split).  The slice is then drawn as (split
-    form) minus (constant) times the shift's c^1 pollution of each slice
-    monomial, so the reduced member's slice is the split form.  Without a
-    shift the pollution is 0 and the first split form is taken.
+    The roots extend the pair's pool by fresh distinct nonzero integers; the
+    form is a nonzero multiple of their product.  The shift constant is the
+    canonical rational root of the pure (template, shift-variable) cubic,
+    which the sampler can predict: it is the elimination polynomial of the
+    template's pure power, whose coefficients were already drawn (possibly
+    split).  The slice is then drawn as (split form) minus (constant) times
+    the shift's c^1 pollution of each slice monomial, so the reduced member's
+    slice is the split form.  Without a shift the pollution is 0.  When a
+    coefficient of the product or of the drawn slice is 0, the slice's roots
+    are redrawn, at most 10,000 times.
     """
     mons = slice_exponents(ws, check.pair, parse_monomial(check.cofactor), ws.degree)
-    if len(mons) < 2:
-        raise GenericityError(f"degenerate slice for {check.describe()}")
+    pool = pools.setdefault(check.pair, [])
+    start = len(pool)
+    if not 2 <= len(mons) <= 19 - start:  # the new roots are distinct, nonzero and in -9..9
+        raise GenericityError(f"{check.describe()}: {len(mons)} slice monomials, not 2 to {19 - start}")
     pollution = [0] * len(mons)
     if check.shift is not None:
         s, mu = check.shift[0], parse_monomial(check.shift[1])
@@ -410,19 +391,22 @@ def _draw_slice(
         cubic, *polluted = _elimination_polynomial(terms, s, mu, [pure, *mons])
         c1 = _canonical_rational_root(cubic)
         if c1 is None:
-            return False
+            raise GenericityError(f"{check.describe()}: the shift cubic has no rational root")
         pollution = [c1 * poly.get(1, 0) for poly in polluted]
-    pool = pools.setdefault(check.pair, [])
-    for _ in range(50):
-        coeffs = _draw_split_slice(rng, len(mons) - 1, pool)
-        if coeffs is None:
-            return False
-        adjusted = [c - e for c, e in zip(coeffs, pollution)]
-        if all(c != 0 for c in adjusted):
-            terms.update(zip(mons, adjusted))
-            return True
-        del pool[len(pool) - (len(mons) - 1) :]
-    return False
+    for _ in range(10_000):
+        while len(pool) < start + len(mons) - 1:
+            cand = rng.randint(-9, 9)
+            if cand != 0 and cand not in pool:
+                pool.append(cand)
+        coeffs = _expand_roots(pool[start:])
+        if all(coeffs):
+            scale = _draw_nonzero(rng)
+            adjusted = [c * scale - e for c, e in zip(coeffs, pollution)]
+            if all(adjusted):
+                terms.update(zip(mons, adjusted))
+                return
+        del pool[start:]
+    raise GenericityError(f"{check.describe()}: no slice in 10000 root draws")
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +510,12 @@ def _canonical_rational_root(poly: dict[int, Fraction | int]) -> Fraction | None
     return min(roots, key=lambda r: (abs(r), r < 0), default=None)
 
 
+def _shift(f: IntegerForm, ws: WeightSystem, var: int, tail: dict) -> tuple[IntegerForm, Substitution]:
+    """f after x_var -> x_var + tail, with the substitution for the audit."""
+    sub = Substitution(var, GradedPolynomial(ws, ws.weights[var], tail))
+    return _substitute_ints(*f, var, sub.tail), sub
+
+
 def _apply_depress(f: IntegerForm, ws: WeightSystem, p: DepressPass) -> tuple[IntegerForm, Substitution]:
     num, j = f[0], p.variable
     cube: Monomial = tuple(3 if k == j else 0 for k in range(NVARS))  # type: ignore[assignment]
@@ -535,8 +525,7 @@ def _apply_depress(f: IntegerForm, ws: WeightSystem, p: DepressPass) -> tuple[In
             f"depress pass: pivot {format_monomial(cube)} has zero coefficient"
         )
     tail = {m[:j] + (0,) + m[j + 1 :]: Fraction(-c, 3 * pivot) for m, c in num.items() if m[j] == 2}
-    sub = Substitution(j, GradedPolynomial(ws, ws.weights[j], tail))
-    return _substitute_ints(*f, j, sub.tail), sub
+    return _shift(f, ws, j, tail)
 
 
 def _solve_step_univariate(
@@ -550,13 +539,7 @@ def _solve_step_univariate(
             f"{VARIABLES[var]} -> {VARIABLES[var]} + c*{format_monomial(template)}: "
             "no rational solution (genericity/pivot failure)"
         )
-    sub = Substitution(var, GradedPolynomial(ws, ws.weights[var], {template: root} if root else {}))
-    g = _substitute_ints(*f, var, sub.tail)
-    if g[0].get(target, 0) != 0:
-        raise GenericityError(
-            f"elimination of {format_monomial(target)} did not close (bad root)"
-        )
-    return g, sub
+    return _shift(f, ws, var, {template: root} if root else {})
 
 
 def _apply_level(
@@ -569,30 +552,22 @@ def _apply_level(
     above it and the map constants -> target coefficients is affine: its base
     is f's own target coefficients and column i the c^1 coefficient of step i,
     both read from f's numerators (scaling by den leaves the solution alone).
-    The solution is verified on the actual substitution.
     """
-    num, den = f
     targets = [target for (_, _, target) in steps]
     columns = [
-        [poly.get(1, 0) for poly in _elimination_polynomial(num, var, template, targets)]
+        [poly.get(1, 0) for poly in _elimination_polynomial(f[0], var, template, targets)]
         for var, template, _ in steps
     ]
-    solution = _solve_linear(columns, [-num.get(t, 0) for t in targets])
+    solution = _solve_linear(columns, [-f[0].get(t, 0) for t in targets])
     if solution is None:
         raise GenericityError(
             "level solve is singular for targets " + ", ".join(format_monomial(t) for t in targets)
         )
     subs = []
     for (var, template, _), c in zip(steps, solution):
-        subs.append(Substitution(var, GradedPolynomial(ws, ws.weights[var], {template: c} if c else {})))
-        num, den = _substitute_ints(num, den, var, subs[-1].tail)
-    if any(num.get(t, 0) != 0 for t in targets):
-        raise PlanOrderError(
-            "joint level solve failed to close; the plan violates the x-degree "
-            "filtration for targets "
-            + ", ".join(format_monomial(t) for t in targets)
-        )
-    return (num, den), subs
+        f, sub = _shift(f, ws, var, {template: c} if c else {})
+        subs.append(sub)
+    return f, subs
 
 
 def _solve_linear(columns: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
@@ -619,7 +594,7 @@ def normalize(
     two facts this ordering relies on: within a level no product of two
     template degrees can fall back onto the level (affine residual), and no
     constant of a later level can reach down to an earlier one.  Every
-    elimination of every pass is re-verified simultaneously at the end.
+    elimination of every pass is verified once, together, at the end.
 
     Returns the reduced polynomial plus the applied substitutions for audit.
     """

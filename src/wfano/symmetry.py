@@ -25,7 +25,6 @@ from .exactmath import adjugate, mat_mul, rational_roots, smith_normal_form, tri
 from .symalg import (
     GenericityError,
     builtin_plan,
-    family_weight_system,
     normalize,
     sample_family_member,
     slice_form,
@@ -316,7 +315,6 @@ def certify_trivial_automorphisms(family: int, seed: int = 0) -> AutomorphismCer
     scaling torus, with no sign involution.
     """
     plan = builtin_plan(family)
-    ws = family_weight_system(family)
     checks: list[str] = []
     last_error: Exception | None = None
     for attempt in range(8):
@@ -330,8 +328,8 @@ def certify_trivial_automorphisms(family: int, seed: int = 0) -> AutomorphismCer
         raise GenericityError(f"certify: sampling stage failed for family {family}: {last_error}")
     checks.append(f"sampled general member (seed {seed + attempt}) and reduced it")
     support = g.support
-    group = diagonal_symmetry_group(support, ws)
-    invol, witness = has_diagonal_involution(support, ws)
+    group = diagonal_symmetry_group(support, plan.ws)
+    invol, witness = has_diagonal_involution(support, plan.ws)
     checks.append(
         f"diagonal group of the reduced support: free rank {group.free_rank}, "
         f"torsion {list(group.torsion)}"

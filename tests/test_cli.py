@@ -210,6 +210,10 @@ BAD_CATALOGS = {
     "text.json": "not json",
     "float.json": '{"schemaVersion": 1, "records": [{"septuple": [1.9, 1, 1, 1, true, "4", "1"], "paperNumber": 1}]}',
     "string.json": '{"schemaVersion": 1, "records": [{"septuple": "1111141", "paperNumber": 1}]}',
+    "repeated.json": '{"schemaVersion": 1, "records": [{"septuple": ["1", "1", "1", "1", "1", "4", "1"],'
+    ' "paperNumber": 1}, {"septuple": ["1", "1", "1", "1", "1", "4", "1"], "paperNumber": 1}]}',
+    "unordered.json": '{"schemaVersion": 1, "records": [{"septuple": ["1", "1", "1", "1", "3", "6", "1"],'
+    ' "paperNumber": 3}, {"septuple": ["1", "1", "1", "1", "1", "4", "1"], "paperNumber": 1}]}',
 }
 
 
@@ -279,6 +283,10 @@ BAD_INPUTS = [
     bad("report-catalog-wrong-label", "report", "--catalog", "{tmp}/label.json",
         error="paperNumber 'x'"),
     bad("report-catalog-non-member", "report", "--catalog", "{tmp}/nonmember.json", error="fails"),
+    bad("report-catalog-repeated", "report", "--catalog", "{tmp}/repeated.json",
+        error="(1, 1, 1, 1, 1, 4, 1) repeats a record or breaks classify's order"),
+    bad("report-catalog-unordered", "report", "--catalog", "{tmp}/unordered.json",
+        error="(1, 1, 1, 1, 1, 4, 1) repeats a record or breaks classify's order"),
     bad("report-catalog-version", "report", "--catalog", "{tmp}/version.json",
         error="unsupported schemaVersion"),
     bad("report-catalog-not-json", "report", "--catalog", "{tmp}/text.json", error="Expecting value"),

@@ -5,9 +5,10 @@
 in-process through ``cli.main``:
 
 - ``normalize`` and ``autgroup`` with ``--family F --seed s``, keyed
-  ``F/s``: the seven symmetry-route families at seeds 0-9 plus the eleven
+  ``F/s``: the seven symmetry-route families at seeds 0-9, the eleven
   known degenerate draws (ten lose a table monomial during reduction, 28/35
-  has a point stabilizer of order 2);
+  has a point stabilizer of order 2), and 19/52 and 19/95, whose sampler
+  redraws the roots of the shifted slice after a zero coefficient;
 - ``stabilizer --points=P`` on 40 seeded point sets, keyed by the seed; some
   hold ``inf``, a repeated point or fewer than 3 points;
 - ``verdict --septuple S`` for the 15 labelled septuples, keyed by ``S``.
@@ -37,7 +38,8 @@ GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text(enco
 
 FAMILIES = (19, 28, 39, 49, 59, 66, 84)
 DEGENERATE = ((19, 35), (28, 35), (49, 7), (59, 21), (59, 28), (59, 31), (59, 32), (59, 33), (66, 26), (66, 27), (84, 24))
-DRAWS = sorted({(f, s) for f in FAMILIES for s in range(10)} | set(DEGENERATE))
+REDRAWS = ((19, 52), (19, 95))
+DRAWS = sorted({(f, s) for f in FAMILIES for s in range(10)} | set(DEGENERATE) | set(REDRAWS))
 CASES = [(command, f, s) for command in ("normalize", "autgroup") for f, s in DRAWS]
 
 POINT_POOL = ("inf", "-2", "-1", "-1/2", "0", "1/3", "1/2", "1", "2", "3")

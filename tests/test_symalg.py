@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +19,9 @@ from wfano.symalg import (
     GradedPolynomial,
     MacaulayCheck,
     NormalizationPlan,
+    PlanOrderError,
     ShiftPass,
+    SliceSplit,
     Substitution,
     builtin_plan,
     cubic_normal_form,
@@ -211,6 +214,22 @@ def test_sampler_split_slices_family_19():
     assert len(rational_roots(cubic)) == 3
 
 
+@pytest.mark.parametrize(
+    "ws,check,reason",
+    [
+        # without the (y, w) split the pure (y^2, w) cubic, whose root is the
+        # shift constant, has no rational root: the sampler raises, not re-seeds
+        (family_weight_system(19), _CHECKS[19][2], "the shift cubic has no rational root"),
+        # 20 distinct nonzero roots do not fit in -9..9
+        (weight_system(1, 1, 1, 1, 1, 20), SliceSplit((0, 1)), "21 slice monomials, not 2 to 19"),
+    ],
+    ids=["no-shift-root", "too-many-roots"],
+)
+def test_sampler_names_a_check_it_cannot_meet(ws, check, reason):
+    with pytest.raises(GenericityError, match=re.escape(f"{check.describe()}: {reason}")):
+        sample_general_member(ws, seed=0, checks=(check,))
+
+
 @pytest.mark.parametrize("family", SYMMETRY_FAMILIES)
 def test_normalized_support_matches_reference(family):
     g, subs = normalize(sample_family_member(family, seed=0), builtin_plan(family))
@@ -325,6 +344,20 @@ def test_normalize_singular_level_solve():
     targets = r"x\*y\*z\*t\^2, x\*z\^3\*t"
     with pytest.raises(GenericityError, match=f"level solve is singular for targets {targets}"):
         normalize(sample_family_member(39, seed=0), plan)
+
+
+def test_normalize_final_check_names_what_a_wrong_constant_leaves(monkeypatch):
+    # each level solve one off in its first constant: the one verification
+    # at the end names the targets left, the first one of level 1 among them
+    solve = _solve_linear
+
+    def wrong(columns, rhs):
+        first, *rest = solve(columns, rhs)
+        return [first + 1, *rest]
+
+    monkeypatch.setattr(symalg, "_solve_linear", wrong)
+    with pytest.raises(PlanOrderError, match=r"still present: .*x\*y\^4\*z"):
+        normalize(sample_family_member(19, seed=0), builtin_plan(19))
 
 
 def leibniz_det(rows):
