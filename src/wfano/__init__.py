@@ -59,49 +59,3 @@ from .symmetry import (
 from .irrational import IrrationalityVerdict, decide
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Monomial",
-    "WeightSystem",
-    "count_monomials",
-    "enumerate_monomials",
-    "format_monomial",
-    "parse_monomial",
-    "weight_system",
-    "wps_well_formed",
-    "MembershipReport",
-    "hypersurface_well_formed",
-    "is_linear_cone",
-    "membership_report",
-    "quasismooth_general",
-    "rejection",
-    "QuotientSingularity",
-    "SingularityBasket",
-    "reid_tai_terminal",
-    "singular_points_general",
-    "terminal_general",
-    "EXCEPTIONAL_EIGHT",
-    "FamilyRecord",
-    "SearchBounds",
-    "classify",
-    "load_catalog",
-    "projection_exceptional",
-    "save_catalog",
-    "GradedPolynomial",
-    "NormalizationPlan",
-    "Substitution",
-    "builtin_plan",
-    "cubic_normal_form",
-    "normalize",
-    "quasismooth_member",
-    "reference_support",
-    "sample_general_member",
-    "substitute",
-    "DiagonalSymmetryGroup",
-    "certify_trivial_automorphisms",
-    "diagonal_symmetry_group",
-    "has_diagonal_involution",
-    "pgl2_set_stabilizer",
-    "IrrationalityVerdict",
-    "decide",
-]

@@ -17,13 +17,22 @@ and four*, 1984; Reid, *Young person's guide to canonical singularities*,
 1987).  Those three weights lie below a5 (a weight equal to a5 leaves P5
 non-isolated), so P5 can be terminal only if a5 is the sum of two of them.
 
-For each a1 <= a2 <= a3, ``_top_pairs`` solves these conditions for (a4, a5,
-d) in closed form: at most three values of a5 when c > 0, divisors of a few
-small integers otherwise.  A congruence test for the a3 vertex follows.
-Every pair the generator drops fails the a5 vertex, the a4 vertex, the a3
-vertex or the terminality of P5, so the candidates are a superset of the
-accepted families, each once; they are not every pair that passes the
-vertex checks.
+Two more conditions are cheap once all five weights are fixed.  The
+weighted projective space is well-formed only if every four weights are
+coprime, and the hypersurface only if g3 = gcd(a1, a2, a3) divides d (for
+g3 > 1 the stratum of x, y, z is singular, and X contains it unless some
+monomial of degree d in x, y, z alone exists).  For c in {0, a1, a2, a3}, g3
+divides c and is prime to a5, so it divides k.  For c = a4, a5 is the sum of
+two of a1, a2, a3, so g3 divides a5 and must be 1.
+
+For each a1 <= a2 <= a3, ``_top_pairs`` solves the a5 and a4 vertex
+conditions, the terminal lemma and g3 | k for (a4, a5, d) in closed form: at
+most three values of a5 when c > 0, divisors of a few small integers
+otherwise.  ``_candidates`` then tests the a3, a2 and a1 vertices and the
+coprime fours on the plain integers, which leaves g3 | d as well.  Every
+pair the generator drops fails one of these conditions, so the candidates
+are a superset of the accepted families, each once, and every candidate
+passes the first four stages of the chain below.
 
 Every candidate then goes through the predicate chain
 ``membership.rejection``: linear cone, vertex coverage, ambient and
@@ -38,6 +47,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .membership import MembershipReport, membership_report, rejection
@@ -117,26 +127,27 @@ def family_record(ws: WeightSystem) -> FamilyRecord:
     )
 
 
-def _dividing(lo: int, hi: int, values: Sequence[int], divisors: list[list[int]]) -> Iterable[int]:
-    """The integers in [lo, hi] that divide one of values (all of them if a
-    value is 0); divisors[n] lists the divisors of n in descending order."""
-    if 0 in values:
-        return range(lo, hi + 1)
-    found = set()
-    for v in values:
-        for m in divisors[abs(v)]:
-            if m < lo:
-                break
-            if m <= hi:
-                found.add(m)
-    return found
+class _DivisorBits(dict):
+    """n -> the int with bit m set for each m <= max_weight dividing n (every
+    bit for n = 0), each computed on first use: a table of every n up to
+    5 * max_weight would take about max_weight**2 / 2 bytes before the
+    search starts."""
+
+    def __init__(self, max_weight: int) -> None:
+        super().__init__()
+        self.max_weight = max_weight
+
+    def __missing__(self, n: int) -> int:
+        bits = self[n] = sum(1 << m for m in range(1, self.max_weight + 1) if n % m == 0)
+        return bits
 
 
 def _top_pairs(
-    a1: int, a2: int, a3: int, bounds: SearchBounds, divisors: list[list[int]]
+    a1: int, a2: int, a3: int, g3: int, bounds: SearchBounds, divisors: _DivisorBits
 ) -> Iterator[tuple[int, int, int]]:
     """Each (a4, a5, d) in bounds with a3 <= a4 <= a5 that the vertex
-    conditions of a5 and a4 allow and whose point P5 can be terminal, once.
+    conditions of a5 and a4 allow, whose point P5 can be terminal, and whose
+    k is a multiple of g3 = gcd(a1, a2, a3) where c is not a4, once.
 
     The a5 vertex puts d = k*a5 + c with 1 <= k <= 4 and c < a5 one of 0, a1,
     a2, a3, a4 (d < 5*a5 since the index is positive; c = a5 would be
@@ -145,102 +156,130 @@ def _top_pairs(
     other than a5 and c, each below a5; it is terminal only if a5 is the sum
     of two of them (the terminal lemma in the module docstring).  Each
     branch below solves all three conditions for one shape of (k, c); the
-    c = 0 branches (P5 off X) solve the first two.  The last loop, c = a4,
-    takes k = 1..4 alike: at k = 1, d - a5 = a4 is 0 mod a4, so every a4 in
-    range passes.
+    c = 0 branches (P5 off X) solve the first two.  For c in 0, a1, a2, a3,
+    well-formedness needs g3 | k (module docstring), so the k = 1 loop runs
+    only for g3 = 1.  The last loop, c = a4, takes k = 1..4 alike: at k = 1,
+    d - a5 = a4 is 0 mod a4, so every a4 in range passes.
     """
     max_w, max_d = bounds.max_weight, bounds.max_degree
     imin, imax = bounds.index_range
     s3 = a1 + a2 + a3
-    low = (0, a1, a2, a3)
-    for c in set(low):
+    for c in {0, a1, a2, a3}:
         lo4 = max(a3, c + 1)
         if c:
             # for c < a4, P5 has local weights x, y (the low weights but c) and a4
             others = [a1, a2, a3]
             others.remove(c)
             x, y = others
-            # k = 1: the index s3 + a4 - c fixes a4, and the a4 vertex needs
-            # a4 | a5 + c - e
-            top = min(max_w, max_d - c)
-            for index in range(max(imin, s3 + 1), imax + 1):
-                a4 = index - s3 + c
-                if a4 > max_w:
-                    break
-                if a4 >= a3:
+            # ascending and once each, as the breaks below need
+            deltas = (x,) if x == y else (x, y)
+            if g3 == 1:
+                # k = 1: the index s3 + a4 - c fixes a4, and the a4 vertex
+                # needs a4 | a5 + c - e
+                top = min(max_w, max_d - c)
+                for a4 in range(max(lo4, imin - s3 + c), min(top, imax - s3 + c) + 1):
                     for a5 in {x + y, a4 + x, a4 + y}:
-                        if a4 <= a5 <= top and any((a5 + c - e) % a4 == 0 for e in low):
-                            yield a4, a5, a5 + c
+                        d = a5 + c
+                        if a4 <= a5 <= top and (
+                            d % a4 == 0 or (d - a1) % a4 == 0 or (d - a2) % a4 == 0
+                            or (d - a3) % a4 == 0
+                        ):
+                            yield a4, a5, d
         # k >= 2, c < a4: with a5 = a4 + delta the index is
         # s3 - c - (k-1)*delta - (k-2)*a4, and a4 divides k*delta + c - e
         # (e < a4) or (k-1)*delta + c (e = a5); for c > 0 delta is x or y,
         # or else a5 = x + y
-        for k in (2, 3, 4):
-            # below this delta the index would exceed imax for every a4 <= max_w
-            first = max(0, s3 - c - imax - (k - 2) * max_w)
-            if c:
-                # ascending (x <= y) and once each, as the breaks below need
-                deltas = [v for v in dict.fromkeys((x, y)) if v >= first]
-            else:
-                deltas = range(first, max_w - lo4 + 1)
+        for k in range(max(2, g3), 5, g3):
+            top = min(max_w, (max_d - c) // k)
+            if not c:
+                # below this delta the index would exceed imax for every a4 <= max_w
+                deltas = range(max(0, s3 - imax - (k - 2) * max_w), top - lo4 + 1)
             for delta in deltas:
                 rest = s3 - c - (k - 1) * delta
+                hi = top - delta
                 if k == 2:
                     if rest < imin:
                         break
-                    lo, hi = lo4, max_w
+                    if rest > imax:
+                        continue
+                    lo = lo4
                 else:
-                    lo = max(lo4, -(-(rest - imax) // (k - 2)))
-                    hi = (rest - imin) // (k - 2)
-                hi = min(hi, max_w - delta, (max_d - c) // k - delta)
+                    lo = -(-(rest - imax) // (k - 2))
+                    if lo < lo4:
+                        lo = lo4
+                    h = (rest - imin) // (k - 2)
+                    if h < hi:
+                        hi = h
                 if hi < lo4:
                     break
                 if lo > hi:
                     continue
-                values = [k * delta + c - e for e in low] + [(k - 1) * delta + c]
-                for a4 in _dividing(lo, hi, values, divisors):
+                v = k * delta + c
+                fits = (
+                    divisors[v] | divisors[abs(v - a1)] | divisors[abs(v - a2)]
+                    | divisors[abs(v - a3)] | divisors[v - delta]
+                ) & (2 << hi) - (1 << lo)
+                while fits:
+                    bit = fits & -fits
+                    fits ^= bit
+                    a4 = bit.bit_length() - 1
                     yield a4, a4 + delta, k * (a4 + delta) + c
             if c and x + y <= max_w and k * (x + y) + c <= max_d:
                 # d is fixed, so the index fixes a4; a4 = y or x is delta = x
                 # or y above
                 a5, d = x + y, k * (x + y) + c
                 for a4 in range(max(lo4, imin + d - a5 - s3), min(a5, imax + d - a5 - s3) + 1):
-                    if a4 not in (x, y) and any((d - e) % a4 == 0 for e in (*low, a5)):
+                    if a4 != x and a4 != y and (
+                        d % a4 == 0 or (d - a1) % a4 == 0 or (d - a2) % a4 == 0
+                        or (d - a3) % a4 == 0 or (d - a5) % a4 == 0
+                    ):
                         yield a4, a5, d
 
     # c = a4 < a5, where P5 has local weights a1, a2, a3: the index is
     # s3 - (k-1)*a5, and a4 divides k*a5 - e (e < a4) or (k-1)*a5 (e = a5)
     for a5 in {a1 + a2, a1 + a3, a2 + a3}:
         for k in (1, 2, 3, 4):
-            if a3 < a5 <= max_w and k * a5 + a3 <= max_d and imin <= s3 - (k - 1) * a5 <= imax:
-                values = [k * a5 - e for e in low] + [(k - 1) * a5]
-                for a4 in _dividing(a3, min(a5 - 1, max_d - k * a5), values, divisors):
-                    yield a4, a5, k * a5 + a4
+            v = k * a5
+            if a3 < a5 <= max_w and v + a3 <= max_d and imin <= s3 - v + a5 <= imax:
+                for a4 in range(a3, min(a5 - 1, max_d - v) + 1):
+                    if (
+                        v % a4 == 0 or (v - a1) % a4 == 0 or (v - a2) % a4 == 0
+                        or (v - a3) % a4 == 0 or (v - a5) % a4 == 0
+                    ):
+                        yield a4, a5, v + a4
 
 
 def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each (weights, d) with a1 in [lo, hi) whose a5, a4 and a3 vertices can
-    be covered and whose P5 can be terminal, exactly once; a superset of the
-    accepted families."""
+    """Each (weights, d) with a1 in [lo, hi) that the generator's conditions
+    allow, exactly once: every vertex covered, every four weights coprime,
+    g3 = gcd(a1, a2, a3) dividing d, and P5 off X or a5 the sum of two of
+    its local weights.  Every pair the generator drops fails one of them, so
+    the candidates are a superset of the accepted families, and each passes
+    the first four stages of ``membership.rejection``."""
     max_w, max_d = bounds.max_weight, bounds.max_degree
     max_sum = max_d + bounds.index_range[1]
-    # _top_pairs's values are at most max_d (its hi bound) and 5*max_w (k <= 4)
-    size = min(max_d, 5 * max_w) + 1
-    divisors: list[list[int]] = [[] for _ in range(size)]
-    for m in range(size - 1, 0, -1):
-        for n in range(m, size, m):
-            divisors[n].append(m)
+    divisors = _DivisorBits(max_w)
     for a1 in range(lo, hi):
         for a2 in range(a1, max_w + 1):
             if a1 + 4 * a2 > max_sum:
                 break
+            g12 = gcd(a1, a2)
             for a3 in range(a2, max_w + 1):
                 if a1 + a2 + 3 * a3 > max_sum:
                     break
-                for a4, a5, d in _top_pairs(a1, a2, a3, bounds, divisors):
-                    # the a3 vertex needs a3 | d - e for an e in 0, a1, a2, a4, a5;
-                    # most pairs fail it, so test it before building a tuple
+                g3, pairs = gcd(g12, a3), g12 * gcd(a1, a3) * gcd(a2, a3)
+                for a4, a5, d in _top_pairs(a1, a2, a3, g3, bounds, divisors):
+                    # the a3, a2 and a1 vertices: a_i | d - e for an e in 0
+                    # and the other weights (d > a5, so d - e > 0)
                     if d % a3 and (d - a1) % a3 and (d - a2) % a3 and (d - a4) % a3 and (d - a5) % a3:
+                        continue
+                    if d % a2 and (d - a1) % a2 and (d - a3) % a2 and (d - a4) % a2 and (d - a5) % a2:
+                        continue
+                    if d % a1 and (d - a2) % a1 and (d - a3) % a1 and (d - a4) % a1 and (d - a5) % a1:
+                        continue
+                    # every four weights coprime: g3 is prime to a4 and a5,
+                    # and gcd(a4, a5) to each gcd(a_i, a_j) with i < j <= 3
+                    if gcd(g3, a4 * a5) > 1 or gcd(pairs, a4, a5) > 1:
                         continue
                     yield (a1, a2, a3, a4, a5), d
 

@@ -54,7 +54,7 @@ def _integers(text: str) -> list[int]:  # argparse type of --septuple and --weig
 def _ws_from_args(args) -> WeightSystem:
     if getattr(args, "septuple", None):
         return weight_system(*args.septuple)
-    if getattr(args, "weights", None) and getattr(args, "degree", None):
+    if getattr(args, "weights", None) and getattr(args, "degree", None) is not None:
         return weight_system(*args.weights, args.degree)
     raise ValueError("need --septuple a1,..,a5,d[,I] or --weights a1,..,a5 with --degree")
 
@@ -163,6 +163,8 @@ def cmd_normalize(args) -> None:
 
 def cmd_autgroup(args) -> None:
     if args.family is not None:
+        if (args.septuple, args.weights, args.degree) != (None, None, None):
+            raise ValueError("--family takes no --septuple, --weights or --degree")
         cert = symmetry.certify_trivial_automorphisms(args.family, seed=args.seed)
         payload = json.loads(cert.to_json())
         md = f"# automorphism certificate, family {args.family}\n\n" + "\n".join(

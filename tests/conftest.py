@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -17,6 +18,27 @@ def default_catalog():
     t0 = time.time()
     records = classify(SearchBounds())
     return records, time.time() - t0
+
+
+def box_pairs(bounds):
+    """Every (weights, d) of a search box with d >= 2, by a walk over each
+    sorted 5-tuple of weights and each index in range."""
+    imin, imax = bounds.index_range
+    for a in combinations_with_replacement(range(1, bounds.max_weight + 1), 5):
+        for index in range(imin, imax + 1):
+            d = sum(a) - index
+            if 2 <= d <= bounds.max_degree:
+                yield a, d
+
+
+def covers(a, d, i):
+    """Some monomial x_i^m or x_i^m * x_j, m >= 1, has degree d."""
+    return any(d - e >= a[i] and (d - e) % a[i] == 0 for e in (0, *a))
+
+
+def covered(a, d):
+    """(a, d) is no linear cone and its a3, a4 and a5 vertices are covered."""
+    return d not in a and all(covers(a, d, i) for i in (2, 3, 4))
 
 
 def parse_polynomial(text, ws, grade):

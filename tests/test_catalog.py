@@ -1,5 +1,5 @@
 import json
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -26,7 +26,9 @@ from wfano.singular import (
     singular_points_general,
     terminal_general,
 )
-from wfano.wspace import WeightSystem
+from wfano.wspace import WeightSystem, wps_well_formed
+
+from conftest import box_pairs, covered, covers
 
 
 @pytest.fixture(scope="module")
@@ -164,30 +166,37 @@ def test_family_labels_match_weights():
         assert number >= 1
 
 
-def _covers(a, d, i):
-    """Some monomial x_i^m or x_i^m * x_j, m >= 1, has degree d."""
-    return any(d - e >= a[i] and (d - e) % a[i] == 0 for e in (0, *a))
+def _terminal_lemma(a, d):
+    """P5 is off X, or a5 is the sum of two of the weights other than a5 and
+    c = d mod a5 (the terminal lemma of the catalog module docstring)."""
+    c = d % a[4]
+    if not c:
+        return True
+    rest = list(a[:4])
+    rest.remove(c)
+    return a[4] in {x + y for x, y in combinations(rest, 2)}
 
 
 def _brute_force(bounds):
     """Reference walk over every sorted 5-tuple and every index in the box.
 
-    Returns the pairs (weights, d) that are no linear cone and whose a3, a4
-    and a5 vertices are covered (the conditions the generator solves), and
-    those that the public predicates accept."""
-    max_w, max_d = bounds.max_weight, bounds.max_degree
-    imin, imax = bounds.index_range
-    covered, kept = set(), set()
-    for a in combinations_with_replacement(range(1, max_w + 1), 5):
-        for index in range(imin, imax + 1):
-            d = sum(a) - index
-            if 2 <= d <= max_d:
-                if d not in a and all(_covers(a, d, i) for i in (2, 3, 4)):
-                    covered.add((a, d))
-                ws = WeightSystem(a, d)
-                if membership_report(ws).accepted and terminal_general(ws):
-                    kept.add((a, d))
-    return covered, kept
+    Returns the covered pairs (weights, d) (see ``conftest.covered``), the
+    pairs the generator's conditions allow (covered, the a1 and a2 vertices
+    covered, P5 passing the terminal lemma, every four weights coprime and
+    gcd(a1, a2, a3) | d), and those that the public predicates accept."""
+    covered_pairs, allowed, kept = set(), set(), set()
+    for a, d in box_pairs(bounds):
+        ws = WeightSystem(a, d)
+        if covered(a, d):
+            covered_pairs.add((a, d))
+            if (
+                covers(a, d, 0) and covers(a, d, 1) and _terminal_lemma(a, d)
+                and wps_well_formed(ws) and d % gcd(*a[:3]) == 0
+            ):
+                allowed.add((a, d))
+        if membership_report(ws).accepted and terminal_general(ws):
+            kept.add((a, d))
+    return covered_pairs, allowed, kept
 
 
 def _p5_may_be_terminal(a, d):
@@ -216,20 +225,13 @@ def _p5_may_be_terminal(a, d):
 def test_constraint_search_matches_brute_force(bounds):
     top = min(bounds.max_weight, (bounds.max_degree + bounds.index_range[1]) // 5) + 1
     candidates = list(_candidates(1, top, bounds))
-    covered, kept = _brute_force(bounds)
-    # each candidate once and covered; the generator drops only covered pairs
-    # whose P5 the terminality stage would reject, so that the later
-    # predicates see every pair that can be accepted
+    covered_pairs, allowed, kept = _brute_force(bounds)
+    # each candidate once, and exactly the pairs the generator's conditions allow
     assert len(candidates) == len(set(candidates))
-    assert set(candidates) <= covered
-    assert {p for p in covered if _p5_may_be_terminal(*p)} <= set(candidates)
-    # and the prune is in force: where P5 lies on X, a5 is the sum of two of
-    # the weights other than a5 and c = d mod a5
-    for a, d in candidates:
-        if d % a[4]:
-            rest = list(a[:4])
-            rest.remove(d % a[4])
-            assert a[4] in {x + y for x, y in combinations(rest, 2)}, (a, d)
+    assert set(candidates) == allowed
+    # the terminal lemma drops no covered pair whose P5 Reid--Tai may accept,
+    # so the later predicates see every pair that can be accepted
+    assert all(_terminal_lemma(*p) for p in covered_pairs if _p5_may_be_terminal(*p))
     found = {(r.ws.weights, r.ws.degree) for r in classify(bounds)}
     assert found == kept
     # the short-circuit terminality agrees with the full basket wherever the
@@ -252,6 +254,17 @@ def test_constraint_search_matches_brute_force(bounds):
             )
         reached += 1
     assert reached > len(found)
+
+
+def test_generator_funnel_at_default_bounds():
+    # the generator tests the chain's first four stages itself: every
+    # candidate reaches hypersurface well-formedness (a terminality test that
+    # rejects everything stops the chain there), and there are few of them
+    bounds = SearchBounds()
+    candidates = list(_candidates(1, bounds.max_weight + 1, bounds))
+    assert len(set(candidates)) == len(candidates) <= 10_725
+    reasons = {rejection(a, d, lambda ws: False) for a, d in candidates}
+    assert reasons == {"hypersurface well-formedness", "terminality"}
 
 
 def test_degree_bound_past_five_weights_changes_nothing():

@@ -230,6 +230,8 @@ BAD_INPUTS = [
     bad("monomials-out-missing-dir", "monomials", "--weights", "1,1,1,1,1", "--degree", "4",
         "--out", "{tmp}/missing/x.json", error="No such file or directory"),
     bad("monomials-no-degree", "monomials", "--weights", "1,1,1,1,1", code=2),
+    bad("monomials-zero-degree", "monomials", "--weights", "1,1,1,1,1", "--degree", "0",
+        error="degree must be positive"),
     bad("monomials-over-cap", "monomials", "--weights", "1,1,1,1,1", "--degree", "200",
         error="has 70058751 monomials of degree 200, more than the limit of 50000"),
     bad("check-short", "check", "--septuple", "1,2,3", error="expected 6 or 7 integers"),
@@ -257,6 +259,14 @@ BAD_INPUTS = [
     bad("autgroup-family-zero", "autgroup", "--family", "0", error="unknown family number 0"),
     bad("autgroup-no-plan", "autgroup", "--family", "9", error="no built-in plan for family 9"),
     bad("autgroup-no-input", "autgroup", error="need --septuple"),
+    bad("autgroup-zero-degree", "autgroup", "--weights", "1,1,1,1,1", "--degree", "0",
+        error="degree must be positive"),
+    bad("autgroup-family-and-septuple", "autgroup", "--family", "19", "--septuple", "1,1,1,1,1,4",
+        error="--family takes no --septuple, --weights or --degree"),
+    bad("autgroup-family-and-weights", "autgroup", "--family", "19", "--weights", "1,1,1,1,1",
+        error="--family takes no --septuple, --weights or --degree"),
+    bad("autgroup-family-and-degree", "autgroup", "--family", "19", "--degree", "4",
+        error="--family takes no --septuple, --weights or --degree"),
     bad("autgroup-non-integer", "autgroup", "--weights", "1,1,1,1,1.5", "--degree", "4", code=2),
     bad("autgroup-over-cap", "autgroup", "--septuple", "1,1,1,1,1,31",
         error="has 52360 monomials of degree 31, more than the limit of 50000"),
