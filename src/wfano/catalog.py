@@ -17,22 +17,26 @@ and four*, 1984; Reid, *Young person's guide to canonical singularities*,
 1987).  Those three weights lie below a5 (a weight equal to a5 leaves P5
 non-isolated), so P5 can be terminal only if a5 is the sum of two of them.
 
-Two more conditions are cheap once all five weights are fixed.  The
-weighted projective space is well-formed only if every four weights are
-coprime, and the hypersurface only if g3 = gcd(a1, a2, a3) divides d (for
-g3 > 1 the stratum of x, y, z is singular, and X contains it unless some
-monomial of degree d in x, y, z alone exists).  For c in {0, a1, a2, a3}, g3
-divides c and is prime to a5, so it divides k.  For c = a4, a5 is the sum of
-two of a1, a2, a3, so g3 divides a5 and must be 1.
+One more condition is cheap once all five weights are fixed: every three
+weights are coprime.  Three weights with a common factor q > 1 span a
+surface of quotient singularities, and X needs exactly one monomial of
+degree d in their variables: with none, X contains the surface and is not
+well-formed (Iano-Fletcher 2000, section 6); with two or more, X meets it in
+a curve of singular points, and terminal 3-fold singularities are isolated
+(Reid 1987).  Exactly one never happens once every vertex is covered and
+every four weights are coprime.  With q | d, each of the three vertices is
+covered by a monomial x_i^m or x_i^m * x_j in those three variables alone
+(an outside x_j would need q | a_j, a fourth weight sharing q), and one such
+monomial covers at most two of them; with q not dividing d there is none.
 
-For each a1 <= a2 <= a3, ``_top_pairs`` solves the a5 and a4 vertex
-conditions, the terminal lemma and g3 | k for (a4, a5, d) in closed form: at
-most three values of a5 when c > 0, divisors of a few small integers
-otherwise.  ``_candidates`` then tests the a3, a2 and a1 vertices and the
-coprime fours on the plain integers, which leaves g3 | d as well.  Every
-pair the generator drops fails one of these conditions, so the candidates
-are a superset of the accepted families, each once, and every candidate
-passes the first four stages of the chain below.
+For each a1 <= a2 <= a3 with no common factor, ``_top_pairs`` solves the a5
+and a4 vertex conditions and the terminal lemma for (a4, a5, d) in closed
+form: at most three values of a5 when c > 0, divisors of a few small
+integers otherwise.  ``_candidates`` then tests the a3, a2 and a1 vertices
+and the coprime threes on the plain integers.  Every pair the generator
+drops fails one of these conditions, so the candidates are a superset of the
+accepted families, each once, and every candidate passes the first five
+stages of the chain below.
 
 Every candidate then goes through the predicate chain
 ``membership.rejection``: linear cone, vertex coverage, ambient and
@@ -143,11 +147,10 @@ class _DivisorBits(dict):
 
 
 def _top_pairs(
-    a1: int, a2: int, a3: int, g3: int, bounds: SearchBounds, divisors: _DivisorBits
+    a1: int, a2: int, a3: int, bounds: SearchBounds, divisors: _DivisorBits
 ) -> Iterator[tuple[int, int, int]]:
     """Each (a4, a5, d) in bounds with a3 <= a4 <= a5 that the vertex
-    conditions of a5 and a4 allow, whose point P5 can be terminal, and whose
-    k is a multiple of g3 = gcd(a1, a2, a3) where c is not a4, once.
+    conditions of a5 and a4 allow, and whose point P5 can be terminal, once.
 
     The a5 vertex puts d = k*a5 + c with 1 <= k <= 4 and c < a5 one of 0, a1,
     a2, a3, a4 (d < 5*a5 since the index is positive; c = a5 would be
@@ -156,10 +159,9 @@ def _top_pairs(
     other than a5 and c, each below a5; it is terminal only if a5 is the sum
     of two of them (the terminal lemma in the module docstring).  Each
     branch below solves all three conditions for one shape of (k, c); the
-    c = 0 branches (P5 off X) solve the first two.  For c in 0, a1, a2, a3,
-    well-formedness needs g3 | k (module docstring), so the k = 1 loop runs
-    only for g3 = 1.  The last loop, c = a4, takes k = 1..4 alike: at k = 1,
-    d - a5 = a4 is 0 mod a4, so every a4 in range passes.
+    c = 0 branches (P5 off X) solve the first two.  The last loop, c = a4,
+    takes k = 1..4 alike: at k = 1, d - a5 = a4 is 0 mod a4, so every a4 in
+    range passes.
     """
     max_w, max_d = bounds.max_weight, bounds.max_degree
     imin, imax = bounds.index_range
@@ -173,23 +175,22 @@ def _top_pairs(
             x, y = others
             # ascending and once each, as the breaks below need
             deltas = (x,) if x == y else (x, y)
-            if g3 == 1:
-                # k = 1: the index s3 + a4 - c fixes a4, and the a4 vertex
-                # needs a4 | a5 + c - e
-                top = min(max_w, max_d - c)
-                for a4 in range(max(lo4, imin - s3 + c), min(top, imax - s3 + c) + 1):
-                    for a5 in {x + y, a4 + x, a4 + y}:
-                        d = a5 + c
-                        if a4 <= a5 <= top and (
-                            d % a4 == 0 or (d - a1) % a4 == 0 or (d - a2) % a4 == 0
-                            or (d - a3) % a4 == 0
-                        ):
-                            yield a4, a5, d
+            # k = 1: the index s3 + a4 - c fixes a4, and the a4 vertex needs
+            # a4 | a5 + c - e
+            top = min(max_w, max_d - c)
+            for a4 in range(max(lo4, imin - s3 + c), min(top, imax - s3 + c) + 1):
+                for a5 in {x + y, a4 + x, a4 + y}:
+                    d = a5 + c
+                    if a4 <= a5 <= top and (
+                        d % a4 == 0 or (d - a1) % a4 == 0 or (d - a2) % a4 == 0
+                        or (d - a3) % a4 == 0
+                    ):
+                        yield a4, a5, d
         # k >= 2, c < a4: with a5 = a4 + delta the index is
         # s3 - c - (k-1)*delta - (k-2)*a4, and a4 divides k*delta + c - e
         # (e < a4) or (k-1)*delta + c (e = a5); for c > 0 delta is x or y,
         # or else a5 = x + y
-        for k in range(max(2, g3), 5, g3):
+        for k in (2, 3, 4):
             top = min(max_w, (max_d - c) // k)
             if not c:
                 # below this delta the index would exceed imax for every a4 <= max_w
@@ -251,11 +252,11 @@ def _top_pairs(
 
 def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each (weights, d) with a1 in [lo, hi) that the generator's conditions
-    allow, exactly once: every vertex covered, every four weights coprime,
-    g3 = gcd(a1, a2, a3) dividing d, and P5 off X or a5 the sum of two of
-    its local weights.  Every pair the generator drops fails one of them, so
-    the candidates are a superset of the accepted families, and each passes
-    the first four stages of ``membership.rejection``."""
+    allow, exactly once: every vertex covered, every three weights coprime,
+    and P5 off X or a5 the sum of two of its local weights.  Every pair the
+    generator drops fails one of them, so the candidates are a superset of
+    the accepted families, and each passes the first five stages of
+    ``membership.rejection``."""
     max_w, max_d = bounds.max_weight, bounds.max_degree
     max_sum = max_d + bounds.index_range[1]
     divisors = _DivisorBits(max_w)
@@ -267,8 +268,10 @@ def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[
             for a3 in range(a2, max_w + 1):
                 if a1 + a2 + 3 * a3 > max_sum:
                     break
-                g3, pairs = gcd(g12, a3), g12 * gcd(a1, a3) * gcd(a2, a3)
-                for a4, a5, d in _top_pairs(a1, a2, a3, g3, bounds, divisors):
+                if gcd(g12, a3) > 1:
+                    continue
+                pairs, product = g12 * gcd(a1, a3) * gcd(a2, a3), a1 * a2 * a3
+                for a4, a5, d in _top_pairs(a1, a2, a3, bounds, divisors):
                     # the a3, a2 and a1 vertices: a_i | d - e for an e in 0
                     # and the other weights (d > a5, so d - e > 0)
                     if d % a3 and (d - a1) % a3 and (d - a2) % a3 and (d - a4) % a3 and (d - a5) % a3:
@@ -277,9 +280,10 @@ def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[
                         continue
                     if d % a1 and (d - a2) % a1 and (d - a3) % a1 and (d - a4) % a1 and (d - a5) % a1:
                         continue
-                    # every four weights coprime: g3 is prime to a4 and a5,
-                    # and gcd(a4, a5) to each gcd(a_i, a_j) with i < j <= 3
-                    if gcd(g3, a4 * a5) > 1 or gcd(pairs, a4, a5) > 1:
+                    # every three weights coprime: each gcd(a_i, a_j) with
+                    # i < j <= 3 is prime to a4 and a5, and gcd(a4, a5) to
+                    # a1, a2 and a3
+                    if gcd(pairs, a4 * a5) > 1 or gcd(product, a4, a5) > 1:
                         continue
                     yield (a1, a2, a3, a4, a5), d
 

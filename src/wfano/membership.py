@@ -147,8 +147,8 @@ def rejection(
     hypersurface well-formedness, then ``terminal(ws)`` when a terminality
     test is given, and quasismoothness last.  Without ``terminal``, None at
     index >= 1 means exactly ``membership_report(ws).accepted``.  The first
-    three stages run on the plain integers, so most rejected search
-    candidates never build a WeightSystem.
+    three stages run on the plain integers, so a family they reject never
+    builds a WeightSystem.
     """
     a, d = weights, degree
     if sum(a) <= d:

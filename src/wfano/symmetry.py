@@ -116,15 +116,18 @@ def has_diagonal_involution(
 
     Any order-2 element of the symmetry group modulo the torus is represented
     by a sign vector, i.e. a vector v of F_2^5 with row . v = 0 mod 2 for every
-    exponent difference row.  The 32 vectors are tested in lexicographic
-    order against the distinct mod-2 rows; the answer is yes iff one besides
-    0 and the mod-2 weight vector passes, and the first such is the witness,
-    as a +-1 vector encoded by its sign pattern.
+    exponent difference row.  The torus's own sign vectors are 0 and
+    (a / g) mod 2 with g = gcd(a): lambda^(a_i) = +-1 for every i forces
+    lambda^(2g) = 1.  The 32 vectors are tested in lexicographic order
+    against the distinct mod-2 rows; the answer is yes iff one besides the
+    torus's passes, and the first such is the witness, as a +-1 vector
+    encoded by its sign pattern.
     """
     if not support:
         raise ValueError("has_diagonal_involution: empty support")
     rows = {tuple(x % 2 for x in r) for r in _difference_rows(support)}
-    trivial = ((0,) * NVARS, tuple(a % 2 for a in ws.weights))
+    g = gcd(*ws.weights)
+    trivial = ((0,) * NVARS, tuple(a // g % 2 for a in ws.weights))
     for v in product((0, 1), repeat=NVARS):
         if v not in trivial and all(sum(map(mul, r, v)) % 2 == 0 for r in rows):
             return True, v

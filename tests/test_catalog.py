@@ -26,7 +26,7 @@ from wfano.singular import (
     singular_points_general,
     terminal_general,
 )
-from wfano.wspace import WeightSystem, wps_well_formed
+from wfano.wspace import WeightSystem, count_monomials, wps_well_formed
 
 from conftest import box_pairs, covered, covers
 
@@ -183,7 +183,8 @@ def _brute_force(bounds):
     Returns the covered pairs (weights, d) (see ``conftest.covered``), the
     pairs the generator's conditions allow (covered, the a1 and a2 vertices
     covered, P5 passing the terminal lemma, every four weights coprime and
-    gcd(a1, a2, a3) | d), and those that the public predicates accept."""
+    exactly one degree-d monomial in any three weights with a common
+    factor), and those that the public predicates accept."""
     covered_pairs, allowed, kept = set(), set(), set()
     for a, d in box_pairs(bounds):
         ws = WeightSystem(a, d)
@@ -191,7 +192,8 @@ def _brute_force(bounds):
             covered_pairs.add((a, d))
             if (
                 covers(a, d, 0) and covers(a, d, 1) and _terminal_lemma(a, d)
-                and wps_well_formed(ws) and d % gcd(*a[:3]) == 0
+                and wps_well_formed(ws)
+                and all(count_monomials(t, d) == 1 for t in combinations(a, 3) if gcd(*t) > 1)
             ):
                 allowed.add((a, d))
         if membership_report(ws).accepted and terminal_general(ws):
@@ -257,14 +259,14 @@ def test_constraint_search_matches_brute_force(bounds):
 
 
 def test_generator_funnel_at_default_bounds():
-    # the generator tests the chain's first four stages itself: every
-    # candidate reaches hypersurface well-formedness (a terminality test that
-    # rejects everything stops the chain there), and there are few of them
+    # the generator tests the chain's first five stages itself: every
+    # candidate reaches terminality (a terminality test that rejects
+    # everything stops the chain there), and there are few of them
     bounds = SearchBounds()
     candidates = list(_candidates(1, bounds.max_weight + 1, bounds))
-    assert len(set(candidates)) == len(candidates) <= 10_725
+    assert len(set(candidates)) == len(candidates) == 2_936
     reasons = {rejection(a, d, lambda ws: False) for a, d in candidates}
-    assert reasons == {"hypersurface well-formedness", "terminality"}
+    assert reasons == {"terminality"}
 
 
 def test_degree_bound_past_five_weights_changes_nothing():

@@ -141,6 +141,15 @@ def test_autgroup_full_support(capsys):
     assert payload["hasInvolution"] is False
 
 
+def test_autgroup_common_factor_has_no_involution(capsys):
+    # (-1, ..., -1) is i^2 in the torus of P(2, 2, 2, 2, 2), so it acts trivially
+    code, out, _ = run_cli(capsys, "autgroup", "--septuple", "2,2,2,2,2,10")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["hasInvolution"] is False
+    assert payload["witnessSigns"] is None
+
+
 def test_autgroup_certificate(capsys):
     code, out, _ = run_cli(capsys, "autgroup", "--family", "84", "--seed", "0")
     assert code == 0

@@ -75,6 +75,21 @@ def test_involution_template():
     assert signs_from_witness(witness) == (1, 1, 1, -1, -1)
 
 
+def test_weighted_torus_signs_are_not_involutions():
+    # with every weight even, (-1, ..., -1) is i^2 in the weighted torus, and
+    # for (2, 2, 2, 2, 4) so is (-1, -1, -1, -1, 1): the torus's sign vectors
+    # are 0 and (a / gcd(a)) mod 2
+    for ws in (weight_system(2, 2, 2, 2, 2, 10), weight_system(2, 2, 2, 2, 4, 8)):
+        support = frozenset(enumerate_monomials(ws, ws.degree))
+        assert has_diagonal_involution(support, ws) == (False, None)
+    # w -> -w is not in the torus, and a support even in w keeps it
+    ws = weight_system(2, 2, 2, 2, 2, 10)
+    support = frozenset(m for m in enumerate_monomials(ws, 10) if m[4] % 2 == 0)
+    invol, witness = has_diagonal_involution(support, ws)
+    assert invol
+    assert signs_from_witness(witness) == (1, 1, 1, 1, -1)
+
+
 def test_adding_monomials_shrinks_the_group():
     ws = weight_system(1, 1, 1, 1, 1, 4)
     support = set(parse_monomial_set("x^4, y^4, z^4, t^4, w^4"))
