@@ -30,6 +30,10 @@ CATALOG_ENV = "WFANO_CATALOG"
 
 #: the most monomials ``monomials`` and ``autgroup --septuple`` will enumerate
 MAX_MONOMIALS = 50_000
+#: the largest --max-weight of ``classify`` and ``report``: the search time
+#: grows about as max_weight^3 (2.4 s at 80, 20.7 s at 160 and 49.5 s at 200
+#: on a 2-vCPU host), so the largest box takes under a minute
+MAX_SEARCH_WEIGHT = 200
 
 
 def _emit(args, payload: dict, markdown: str | None = None) -> None:
@@ -79,6 +83,9 @@ def _monomials(ws: WeightSystem, degree: int) -> list:
 
 
 def _bounds_from_args(args) -> cat.SearchBounds:
+    """The search box of args, refused before any search work past the cap."""
+    if args.max_weight is not None and args.max_weight > MAX_SEARCH_WEIGHT:
+        raise ValueError(f"--max-weight {args.max_weight} is more than the limit of {MAX_SEARCH_WEIGHT}")
     given = {"max_weight": args.max_weight, "max_degree": args.max_degree}
     return cat.SearchBounds(**{k: v for k, v in given.items() if v is not None})
 
@@ -172,7 +179,7 @@ def cmd_autgroup(args) -> None:
         )
         _emit(args, payload, md + f"\n- trivial: {cert.trivial}\n")
         return
-    ws = _ws_from_args(args)
+    ws = _fano_ws_from_args(args)
     support = frozenset(_monomials(ws, ws.degree))
     group = symmetry.diagonal_symmetry_group(support, ws)
     invol, witness = symmetry.has_diagonal_involution(support, ws)

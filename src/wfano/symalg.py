@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import add
 from typing import Sequence
 
 from .catalog import FAMILY_LABELS
@@ -111,13 +110,37 @@ def format_polynomial(f: GradedPolynomial) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
+def _width(grade: int) -> int:
+    """Bits per exponent in the packed keys of monomials of grade <= ``grade``:
+    (e_1, ..., e_5) packs to sum_k e_k * 2^(w*k), linearly, so a product of
+    monomials is one add.  The kernels' keys have digits in [-grade, grade]
+    (exponents, and in ``_substitute_ints`` the x_j digit of (T/x_j)^i, in
+    [-E, 0] with a_j * E <= grade), so two keys differ by digits of size at
+    most 2 * grade < 2^w, and a nonzero such difference cannot pack to 0 (its
+    lowest nonzero digit would be a multiple of 2^w): keys stay distinct.
+    A nonnegative digit reads back with one shift and one mask."""
+    return (2 * grade).bit_length()
+
+
+def _pack(m: Sequence[int], w: int) -> int:
+    key = 0
+    for e in reversed(m):
+        key = (key << w) + e
+    return key
+
+
+def _unpack(key: int, w: int) -> Monomial:
+    mask = (1 << w) - 1
+    return tuple([key >> w * k & mask for k in range(NVARS)])  # type: ignore[return-value]
+
+
 def _mul_terms(a: dict, b: dict, terms: dict | None = None) -> dict:
-    """Product of two monomial -> coefficient maps (int or Fraction), added
-    into ``terms`` (a new map by default), zeros dropped."""
+    """Product of two packed monomial -> coefficient maps (int or Fraction),
+    added into ``terms`` (a new map by default), zeros dropped."""
     terms = {} if terms is None else terms
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(map(add, ma, mb))
+            m = ma + mb
             v = terms.get(m, 0) + ca * cb
             if v:
                 terms[m] = v
@@ -178,41 +201,54 @@ def substitute(f: GradedPolynomial, sub: Substitution) -> GradedPolynomial:
         raise ValueError("substitute: weight system mismatch")
     if sub.is_identity:
         return f
-    num, den = _substitute_ints(*_integers(f), sub.target, sub.tail)
-    return GradedPolynomial(f.ws, f.grade, {m: Fraction(v, den) for m, v in num.items()})
+    return _fractions(_substitute_ints(*_integers(f), sub.target, sub.tail), f)
 
 
-IntegerForm = tuple[dict[Monomial, int], int]  # integer numerators over one positive denominator
+#: integer numerators over one positive denominator, keyed by the packed
+#: monomials of ``_width(ws.degree)``; tuples come back only in the outputs
+IntegerForm = tuple[dict[int, int], int]
 
 
 def _integers(f: GradedPolynomial) -> IntegerForm:
-    """f as an integer form with gcd(den, *num) = 1."""
+    """f as a packed integer form with gcd(den, *num) = 1."""
+    if f.grade > f.ws.degree:
+        raise ValueError(f"a grade-{f.grade} form is past the packed keys of degree {f.ws.degree}")
+    w = _width(f.ws.degree)
     den = lcm(*(c.denominator for c in f.terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
+    return {_pack(m, w): c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
 
 
-def _substitute_ints(num: dict[Monomial, int], den: int, j: int, tail: GradedPolynomial) -> IntegerForm:
+def _fractions(g: IntegerForm, f: GradedPolynomial) -> GradedPolynomial:
+    """The packed integer form g, of f's grade, as a polynomial like f."""
+    num, den = g
+    w = _width(f.ws.degree)
+    return GradedPolynomial(f.ws, f.grade, {_unpack(m, w): Fraction(v, den) for m, v in num.items()})
+
+
+def _substitute_ints(num: dict[int, int], den: int, j: int, tail: GradedPolynomial) -> IntegerForm:
     """num/den after x_j -> x_j + tail, reduced to gcd 1.  With tail = T/q and E
     the top power of x_j, F_m * x^m becomes F_m * q^(E-m_j) * (q*x_j + T)^m_j
     over den * q^E: the output starts as num * q^E, and the rest is added.
     New monomials keep f's degree, since ``Substitution`` gives T x_j's grade."""
+    w = _width(tail.ws.degree)
+    shift, mask = w * j, (1 << w) - 1
     q = lcm(*(c.denominator for c in tail.terms.values()))
     # (q*x_j + T)^e / x_j^e is the e-th power of q + T/x_j
-    repl = {_unit(None): q} | {
-        tuple(a - (k == j) for k, a in enumerate(m)): c.numerator * (q // c.denominator)
-        for m, c in tail.terms.items()
+    repl = {0: q} | {
+        _pack(m, w) - (1 << shift): c.numerator * (q // c.denominator) for m, c in tail.terms.items()
     }
-    max_e = max((m[j] for m in num), default=0)
-    powers: list[dict[Monomial, int]] = [{_unit(None): 1}]
+    exps = [m >> shift & mask for m in num]
+    max_e = max(exps, default=0)
+    powers: list[dict[int, int]] = [{0: 1}]
     for _ in range(max_e):
         powers.append(_mul_terms(powers[-1], repl))
-    rests = [[(mm, cc) for mm, cc in p.items() if any(mm)] for p in powers]  # all but q^e
+    rests = [[(mm, cc) for mm, cc in p.items() if mm] for p in powers]  # all but q^e
     top = q**max_e
     out = {m: c * top for m, c in num.items()} if top != 1 else dict(num)
-    for m, c in num.items():
-        scale = c * q ** (max_e - m[j])
-        for mm, cc in rests[m[j]]:
-            key = tuple(map(add, m, mm))
+    for (m, c), e in zip(num.items(), exps):
+        scale = c * q ** (max_e - e)
+        for mm, cc in rests[e]:
+            key = m + mm
             v = out.get(key, 0) + scale * cc
             if v:
                 out[key] = v
@@ -221,13 +257,6 @@ def _substitute_ints(num: dict[Monomial, int], den: int, j: int, tail: GradedPol
     den *= top
     g = gcd(den, *out.values())
     return ({m: v // g for m, v in out.items()}, den // g) if g != 1 else (out, den)
-
-
-def _unit(var: int | None) -> Monomial:
-    e = [0, 0, 0, 0, 0]
-    if var is not None:
-        e[var] = 1
-    return tuple(e)  # type: ignore[return-value]
 
 
 def apply_pair_map(
@@ -244,18 +273,20 @@ def apply_pair_map(
     m10, m11 = Fraction(matrix[1][0]), Fraction(matrix[1][1])
     if m00 * m11 - m01 * m10 == 0:
         raise ValueError("apply_pair_map: singular matrix")
+    w = _width(f.grade)
+    units = (1 << w * i, 1 << w * j)
     powers = []  # per variable, the powers of its image
     for var, image in ((i, (m00, m01)), (j, (m10, m11))):
-        linear = {k: v for k, v in zip((_unit(i), _unit(j)), image) if v}
-        powers.append([{_unit(None): Fraction(1)}])
+        linear = {k: v for k, v in zip(units, image) if v}
+        powers.append([{0: Fraction(1)}])
         for _ in range(max((m[var] for m in f.terms), default=0)):
             powers[-1].append(_mul_terms(powers[-1][-1], linear))
-    out: dict[Monomial, Fraction] = {}
+    out: dict[int, Fraction] = {}
     for m, c in f.terms.items():
         rest = list(m)
         rest[i] = rest[j] = 0
-        _mul_terms({tuple(rest): c}, _mul_terms(powers[0][m[i]], powers[1][m[j]]), out)
-    return GradedPolynomial(ws, f.grade, out)
+        _mul_terms({_pack(rest, w): c}, _mul_terms(powers[0][m[i]], powers[1][m[j]]), out)
+    return GradedPolynomial(ws, f.grade, {_unpack(m, w): c for m, c in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +318,7 @@ def slice_form(f: GradedPolynomial, pair: tuple[int, int], cofactor: Monomial | 
     x_j order; for equal weights this is the usual binary form on the pair.  A
     slice with no monomial of f's grade is the empty form ``()``.
     """
-    cof = cofactor if cofactor is not None else _unit(None)
+    cof = cofactor if cofactor is not None else (0,) * NVARS
     return tuple(f.coefficient(m) for m in slice_exponents(f.ws, pair, cof, f.grade))
 
 
@@ -388,7 +419,9 @@ def _draw_slice(
     if check.shift is not None:
         s, mu = check.shift[0], parse_monomial(check.shift[1])
         pure = tuple(a * (ws.degree // weighted_degree(mu, ws)) for a in mu)
-        cubic, *polluted = _elimination_polynomial(terms, s, mu, [pure, *mons])
+        w = _width(ws.degree)
+        packed = {_pack(m, w): c for m, c in terms.items()}
+        cubic, *polluted = _elimination_polynomial(packed, w, s, mu, [pure, *mons])
         c1 = _canonical_rational_root(cubic)
         if c1 is None:
             raise GenericityError(f"{check.describe()}: the shift cubic has no rational root")
@@ -468,14 +501,16 @@ class NormalizationPlan:
 
 
 def _elimination_polynomial(
-    terms: dict[Monomial, Fraction | int], var: int, template: Monomial, targets: Sequence[Monomial]
+    terms: dict[int, Fraction | int], w: int, var: int, template: Monomial, targets: Sequence[Monomial]
 ) -> list[dict[int, Fraction | int]]:
-    """Coefficient of each target in f(x_var -> x_var + c*template), as poly in c.
+    """Coefficient of each target in f(x_var -> x_var + c*template), as poly in
+    c, for f's terms keyed by the packed monomials of width w.
 
     The c^i part of a target t comes from the one monomial t + i*(x_var -
-    template), times binomial(its x_var-degree, i); the walk over i stops at
-    the first negative exponent.  It would never stop for the template x_var
-    or 1, which is no shift by a monomial free of x_var (a ValueError).
+    template), times binomial(its x_var-degree, i); the walk adds the packed
+    step up to the last i with no negative exponent.  There is no last i for
+    the template x_var or 1, which is no shift by a monomial free of x_var (a
+    ValueError).
     """
     step = [-b for b in template]
     step[var] += 1
@@ -484,17 +519,16 @@ def _elimination_polynomial(
             f"{VARIABLES[var]} -> {VARIABLES[var]} + c*{format_monomial(template)} "
             f"is not a shift by a monomial free of {VARIABLES[var]}"
         )
+    packed_step = _pack(step, w)
     out: list[dict[int, Fraction]] = []
     for t in targets:
         poly = {}
-        m = t
-        i = 0
-        while min(m) >= 0:
-            c = terms.get(m, 0) * comb(m[var], i)
+        m = _pack(t, w)
+        for i in range(min(e // -s for e, s in zip(t, step) if s < 0) + 1):
+            c = terms.get(m, 0) * comb(t[var] + i * step[var], i)
             if c:
                 poly[i] = c
-            i += 1
-            m = tuple(map(add, m, step))
+            m += packed_step
         out.append(poly)
     return out
 
@@ -517,14 +551,13 @@ def _shift(f: IntegerForm, ws: WeightSystem, var: int, tail: dict) -> tuple[Inte
 
 
 def _apply_depress(f: IntegerForm, ws: WeightSystem, p: DepressPass) -> tuple[IntegerForm, Substitution]:
-    num, j = f[0], p.variable
-    cube: Monomial = tuple(3 if k == j else 0 for k in range(NVARS))  # type: ignore[assignment]
-    pivot = num.get(cube, 0)
+    num, j, w = f[0], p.variable, _width(ws.degree)
+    shift, mask = w * j, (1 << w) - 1
+    pivot = num.get(3 << shift, 0)
     if pivot == 0:
-        raise GenericityError(
-            f"depress pass: pivot {format_monomial(cube)} has zero coefficient"
-        )
-    tail = {m[:j] + (0,) + m[j + 1 :]: Fraction(-c, 3 * pivot) for m, c in num.items() if m[j] == 2}
+        raise GenericityError(f"depress pass: pivot {VARIABLES[j]}^3 has zero coefficient")
+    layer = {m - (2 << shift): c for m, c in num.items() if m >> shift & mask == 2}
+    tail = {_unpack(m, w): Fraction(-c, 3 * pivot) for m, c in layer.items()}
     return _shift(f, ws, j, tail)
 
 
@@ -532,7 +565,8 @@ def _solve_step_univariate(
     f: IntegerForm, ws: WeightSystem, var: int, template: Monomial, target: Monomial
 ) -> tuple[IntegerForm, Substitution]:
     """Kill one target with one constant by exact univariate root extraction."""
-    root = _canonical_rational_root(_elimination_polynomial(f[0], var, template, [target])[0])
+    (poly,) = _elimination_polynomial(f[0], _width(ws.degree), var, template, [target])
+    root = _canonical_rational_root(poly)
     if root is None:
         raise GenericityError(
             f"cannot eliminate {format_monomial(target)} via "
@@ -553,12 +587,13 @@ def _apply_level(
     is f's own target coefficients and column i the c^1 coefficient of step i,
     both read from f's numerators (scaling by den leaves the solution alone).
     """
+    w = _width(ws.degree)
     targets = [target for (_, _, target) in steps]
     columns = [
-        [poly.get(1, 0) for poly in _elimination_polynomial(f[0], var, template, targets)]
+        [poly.get(1, 0) for poly in _elimination_polynomial(f[0], w, var, template, targets)]
         for var, template, _ in steps
     ]
-    solution = _solve_linear(columns, [-f[0].get(t, 0) for t in targets])
+    solution = _solve_linear(columns, [-f[0].get(_pack(t, w), 0) for t in targets])
     if solution is None:
         raise GenericityError(
             "level solve is singular for targets " + ", ".join(format_monomial(t) for t in targets)
@@ -645,17 +680,17 @@ def normalize(
     for lvl in ordered:
         g, subs = _apply_level(g, f.ws, levels[lvl])
         applied.extend(subs)
-    num, den = g
-
-    stale = [m for m in plan.eliminated() if num.get(m, 0) != 0]
+    num, w = g[0], _width(f.ws.degree)
+    mask = (1 << w) - 1
+    stale = [m for m in plan.eliminated() if num.get(_pack(m, w), 0) != 0]
     for p in depress:
-        stale.extend(m for m in num if m[p.variable] == 2)
+        stale.extend(_unpack(m, w) for m in num if m >> w * p.variable & mask == 2)
     if stale:
         raise PlanOrderError(
             "eliminations did not close; still present: "
             + ", ".join(format_monomial(m) for m in stale)
         )
-    return GradedPolynomial(f.ws, f.grade, {m: Fraction(v, den) for m, v in num.items()}), applied
+    return _fractions(g, f), applied
 
 
 # ---------------------------------------------------------------------------
@@ -976,9 +1011,10 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
         if all(sum(m) - m[i] > 1 for m in f.terms):
             point = ":".join("1" if k == i else "0" for k in range(NVARS))
             return MemberVerdict(status="singular", witness=f"[{point}]", detail=f"axis {VARIABLES[i]}")
-    # the partials of f's primitive integer multiple (f is nonzero, as its axes passed)
-    num, den = _integers(f)
-    primitive = f.scale(Fraction(den, gcd(*num.values())))
+    # the partials of f's primitive integer multiple (f is nonzero, as its axes
+    # passed): for reduced fractions its content is gcd(numerators) / lcm(denominators)
+    values = f.terms.values()
+    primitive = f.scale(Fraction(lcm(*(c.denominator for c in values)), gcd(*(c.numerator for c in values))))
     partials = [partial_derivative(primitive, k) for k in range(NVARS)]
     for pair in combinations(range(NVARS), 2):
         verdict = _check_edge(partials, pair)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from wfano.cli import build_parser, main
+from wfano import catalog
+from wfano.cli import MAX_SEARCH_WEIGHT, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -143,7 +144,7 @@ def test_autgroup_full_support(capsys):
 
 def test_autgroup_common_factor_has_no_involution(capsys):
     # (-1, ..., -1) is i^2 in the torus of P(2, 2, 2, 2, 2), so it acts trivially
-    code, out, _ = run_cli(capsys, "autgroup", "--septuple", "2,2,2,2,2,10")
+    code, out, _ = run_cli(capsys, "autgroup", "--septuple", "2,2,2,2,2,8")
     assert code == 0
     payload = json.loads(out)
     assert payload["hasInvolution"] is False
@@ -183,6 +184,15 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["count"] == 15
+
+
+def test_search_cap_refuses_before_any_search(capsys, monkeypatch):
+    monkeypatch.delenv("WFANO_CATALOG", raising=False)
+    monkeypatch.setattr(catalog, "classify", lambda *a, **k: pytest.fail("searched a box past the cap"))
+    for command in ("classify", "report"):
+        code, _, err = run_cli(capsys, command, "--max-weight", str(MAX_SEARCH_WEIGHT + 1))
+        assert code == 1
+        assert "more than the limit of 200" in json.loads(err)["error"]
 
 
 def test_report_small(tmp_path, capsys, monkeypatch):
@@ -256,6 +266,8 @@ BAD_INPUTS = [
     bad("classify-unknown-flag", "classify", "--no-such-flag", code=2),
     bad("classify-non-integer", "classify", "--max-weight", "x", code=2),
     bad("classify-zero-jobs", "classify", "--jobs", "0", code=2),
+    bad("classify-over-cap", "classify", "--max-weight", "1000000", "--max-degree", "1000000",
+        error="--max-weight 1000000 is more than the limit of 200"),
     bad("basket-bad-family", "basket", "--septuple", "1,1,1,1,4,7",
         error="fails the membership predicates"),
     bad("basket-short", "basket", "--septuple", "1,1,1,1,1", error="expected 6 or 7 integers"),
@@ -277,8 +289,12 @@ BAD_INPUTS = [
     bad("autgroup-family-and-degree", "autgroup", "--family", "19", "--degree", "4",
         error="--family takes no --septuple, --weights or --degree"),
     bad("autgroup-non-integer", "autgroup", "--weights", "1,1,1,1,1.5", "--degree", "4", code=2),
-    bad("autgroup-over-cap", "autgroup", "--septuple", "1,1,1,1,1,31",
-        error="has 52360 monomials of degree 31, more than the limit of 50000"),
+    bad("autgroup-zero-index", "autgroup", "--septuple", "2,2,2,2,2,10",
+        error="fails the Fano index stage: index 0 < 1"),
+    bad("autgroup-weights-zero-index", "autgroup", "--weights", "1,1,1,1,1", "--degree", "5",
+        error="fails the Fano index stage: index 0 < 1"),
+    bad("autgroup-over-cap", "autgroup", "--septuple", "1,1,1,1,66,69",
+        error="has 59660 monomials of degree 69, more than the limit of 50000"),
     bad("stabilizer-two-points", "stabilizer", "--points", "0,1", error="fewer than 3 points"),
     bad("stabilizer-zero-denominator", "stabilizer", "--points", "1/0", error="zero denominator"),
     bad("stabilizer-not-a-number", "stabilizer", "--points", "abc", error="Invalid literal"),
@@ -292,6 +308,7 @@ BAD_INPUTS = [
     bad("verdict-no-septuple", "verdict", code=2),
     bad("verdict-non-member", "verdict", "--septuple", "1,1,1,1,4,7", error="is not an accepted family"),
     bad("report-zero-weight", "report", "--max-weight", "0", error="bounds must be positive"),
+    bad("report-over-cap", "report", "--max-weight", "201", error="--max-weight 201 is more than the limit of 200"),
     bad("report-catalog-list", "report", "--catalog", "{tmp}/list.json", error="JSON object"),
     bad("report-catalog-no-records", "report", "--catalog", "{tmp}/norecords.json",
         error="'records' must be a list"),

@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, gcd, prod
 from pathlib import Path
 
@@ -37,6 +37,7 @@ from wfano.symalg import (
     substitute,
 )
 from wfano.symalg import _canonical_rational_root, _integers, _macaulay_rank, _solve_linear, _substitute_ints
+from wfano.symalg import _pack, _unpack, _width
 from wfano.symalg import _CHECKS
 from wfano.wspace import count_monomials, enumerate_monomials, format_monomial, parse_monomial, weight_system
 
@@ -141,13 +142,19 @@ def test_substitute_against_fraction_expansion(family):
         assert substitute(out, s.inverse()) == g
 
 
+def unpacked(num, ws):
+    """Packed integer numerators keyed by exponent tuples again."""
+    return {_unpack(m, _width(ws.degree)): v for m, v in num.items()}
+
+
 def test_substitute_cancellation_stores_no_zero():
     # t -> t - 3/4*x^3 on 2/3*t*z^3 + 1/2*x^3*z^3 cancels the x^3*z^3 term
     ws = weight_system(1, 2, 3, 3, 4, 12)
     f = parse_polynomial("2/3*t*z^3 + 1/2*x^3*z^3", ws, 12)
     sub = Substitution(3, GradedPolynomial(ws, 3, {parse_monomial("x^3"): Fraction(-3, 4)}))
     assert substitute(f, sub).terms == {parse_monomial("t*z^3"): Fraction(2, 3)}
-    assert _substitute_ints(*_integers(f), 3, sub.tail) == ({parse_monomial("t*z^3"): 2}, 3)
+    num, den = _substitute_ints(*_integers(f), 3, sub.tail)
+    assert (unpacked(num, ws), den) == ({parse_monomial("t*z^3"): 2}, 3)
 
 
 def test_substitute_rational_tail_on_integer_member():
@@ -159,8 +166,45 @@ def test_substitute_rational_tail_on_integer_member():
     s = Substitution(2, GradedPolynomial(ws, ws.weights[2], tail))
     num, den = _substitute_ints(*_integers(f), 2, s.tail)
     assert den > 1 and gcd(den, *num.values()) == 1
-    assert {m: Fraction(v, den) for m, v in num.items()} == fraction_substitute(f, s)
+    assert {m: Fraction(v, den) for m, v in unpacked(num, ws).items()} == fraction_substitute(f, s)
     assert substitute(f, s).terms == fraction_substitute(f, s)
+
+
+def test_substitute_sparse_grade_300_against_fraction_expansion():
+    # exponents past 255 need wider fields than a byte: 2^10 > 2 * 300
+    ws = weight_system(1, 1, 2, 3, 5, 300)
+    f = parse_polynomial("x^300 + 2/3*x^285*t^5 - 5/4*y^270*z^3*t^8 + 7*x*y^2*z^6*t^5*w^54", ws, 300)
+    s = Substitution(3, parse_polynomial("1/2*x^3 - 2/3*x*z + 5/7*y^3", ws, 3))
+    expected = fraction_substitute(f, s)
+    assert max(map(max, expected)) == 300 and len(expected) > 100
+    num, den = _substitute_ints(*_integers(f), 3, s.tail)
+    assert {m: Fraction(v, den) for m, v in unpacked(num, ws).items()} == expected
+    assert substitute(substitute(f, s), s.inverse()) == f
+
+
+@pytest.mark.parametrize("grade", [1, 12, 127, 128, 300])
+def test_packed_keys_round_trip_at_the_grade_width(grade):
+    w = _width(grade)
+    assert 2 ** (w - 1) <= 2 * grade < 2**w
+    monomials = enumerate_monomials(weight_system(1, 17, 19, 23, 29, grade), grade)
+    monomials += [tuple(grade if k == v else 0 for k in range(5)) for v in range(5)]
+    assert [_unpack(_pack(m, w), w) for m in monomials] == monomials
+
+
+def test_packed_keys_of_signed_digits_are_distinct():
+    # the kernel's keys have digits in [-grade, grade]: at grade 3, 7 values
+    # fit 3-bit fields, and 2-bit fields would merge some vectors
+    vectors = list(product(range(-3, 4), repeat=5))
+    assert len({_pack(v, _width(3)) for v in vectors}) == len(vectors)
+    assert len({_pack(v, 2) for v in vectors}) < len(vectors)
+    # packing is linear, so a product of monomials is a sum of keys
+    assert _pack((3, -1, 0, 2, 0), 3) + _pack((-3, 1, 0, 0, 1), 3) == _pack((0, 0, 0, 2, 1), 3)
+
+
+def test_integers_refuses_a_grade_past_the_keys():
+    ws = weight_system(1, 1, 1, 1, 1, 4)
+    with pytest.raises(ValueError, match="grade-5 form is past the packed keys of degree 4"):
+        _integers(parse_polynomial("x^5", ws, 5))
 
 
 @pytest.mark.parametrize("family", SYMMETRY_FAMILIES)
