@@ -137,6 +137,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     input.  Returns diagonal entries normalized nonnegative with the
     divisibility chain enforced.  Row operations act on the matrix alone; the
     left transform is not kept, and ``SmithForm.verify`` proves it exists.
+    Once pivot k is done, row k and column k are zero off the diagonal, so
+    the operations at pivot k touch only rows and columns >= k of the matrix.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -145,63 +147,56 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
             raise ValueError("smith_normal_form: ragged matrix")
     a = [list(r) for r in matrix]
     right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def row_op(dst: int, src: int, q: int) -> None:
-        for j in range(cols):
-            a[dst][j] -= q * a[src][j]
-
-    def col_op(dst: int, src: int, q: int) -> None:
-        for i in range(rows):
-            a[i][dst] -= q * a[i][src]
-        for i in range(cols):
-            right[i][dst] -= q * right[i][src]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
     k = 0
     limit = min(rows, cols)
     while k < limit:
-        pivot = None
+        least = 0  # a 1 cannot be beaten under the strict <, so the scan stops there
         for i in range(k, rows):
+            row = a[i]
             for j in range(k, cols):
-                v = a[i][j]
-                if v != 0 and (pivot is None or abs(v) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+                v = abs(row[j])
+                if v and (v < least or not least):
+                    least, pi, pj = v, i, j
+                    if v == 1:
+                        break
+            if least == 1:
+                break
+        if not least:
             break
-        a[k], a[pivot[0]] = a[pivot[0]], a[k]
-        swap_cols(k, pivot[1])
-        if a[k][k] < 0:
-            a[k] = [-v for v in a[k]]
+        a[k], a[pi] = a[pi], a[k]
+        if pj != k:
+            for row in a[k:] + right:
+                row[k], row[pj] = row[pj], row[k]
+        pivot = a[k]
+        if pivot[k] < 0:
+            a[k] = pivot = [-v for v in pivot]
+        d = pivot[k]
         clean = True
         for i in range(k + 1, rows):
-            if a[i][k]:
-                row_op(i, k, a[i][k] // a[k][k])
-                if a[i][k]:
-                    clean = False
+            row = a[i]
+            q = row[k] // d
+            if q:
+                for j in range(k, cols):
+                    row[j] -= q * pivot[j]
+            clean = clean and not row[k]
         for j in range(k + 1, cols):
-            if a[k][j]:
-                col_op(j, k, a[k][j] // a[k][k])
-                if a[k][j]:
-                    clean = False
+            q = pivot[j] // d
+            if q:
+                for i in range(k, rows):
+                    a[i][j] -= q * a[i][k]
+                for row in right:
+                    row[j] -= q * row[k]
+            clean = clean and not pivot[j]
         if not clean:
             continue  # remainders left nonzero entries in the border; redo pivot
-        # pivot must divide the whole remaining block
-        offender = None
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if a[i][j] % a[k][k] != 0:
-                    offender = i
-                    break
+        # the pivot must divide the whole remaining block; if a row breaks
+        # that, add it to the pivot row and redo the pivot
+        if d != 1:
+            offender = next((a[i] for i in range(k + 1, rows) if any(v % d for v in a[i][k + 1 :])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            row_op(k, offender, -1)  # add offending row, then restart this pivot
-            continue
+                for j in range(k + 1, cols):
+                    pivot[j] += offender[j]
+                continue
         k += 1
 
     diag = [a[i][i] for i in range(limit)]

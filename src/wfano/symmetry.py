@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from math import gcd
-from operator import mul
+from operator import and_, lshift, mul
 from typing import Sequence
 
 from .exactmath import adjugate, mat_mul, rational_roots, smith_normal_form, triple_matrix
@@ -35,7 +35,6 @@ from .wspace import (
     WeightSystem,
     format_monomial,
     parse_monomial,
-    weighted_degree,
 )
 
 
@@ -65,12 +64,6 @@ class DiagonalSymmetryGroup:
         }
 
 
-def _difference_rows(support: frozenset[Monomial] | set[Monomial]) -> list[list[int]]:
-    mons = sorted(support)
-    base = mons[0]
-    return [[m[i] - base[i] for i in range(NVARS)] for m in mons[1:]]
-
-
 def diagonal_symmetry_group(
     support: frozenset[Monomial] | set[Monomial], ws: WeightSystem
 ) -> DiagonalSymmetryGroup:
@@ -82,31 +75,30 @@ def diagonal_symmetry_group(
     """
     if not support:
         raise ValueError("diagonal_symmetry_group: empty support")
-    grades = {weighted_degree(m, ws) for m in support}
-    if len(grades) != 1:
+    base, *others = sorted(support)
+    rows = [[x - y for x, y in zip(m, base)] for m in others]
+    if any(sum(map(mul, r, ws.weights)) for r in rows):
         raise ValueError("diagonal_symmetry_group: mixed grades in support")
-    rows = _difference_rows(support)
     snf = smith_normal_form(rows)
-    divisors = [d for d in snf.diagonal if d != 0]
-    rank = len(divisors)
-    torsion = tuple(d for d in divisors if d > 1)
+    rank = sum(1 for d in snf.diagonal if d)
+    torsion = tuple(d for d in snf.diagonal if d > 1)
     # Character generators: with U A V = D, the transformed lattice is spanned
     # by d_k * e_k, so the character with exponent vector (column k of V)/d_k
     # pairs integrally with every difference and has order exactly d_k (the
     # column is primitive because V is unimodular).
     generators = []
-    v = snf.right
     for k, d in enumerate(snf.diagonal):
         if d > 1:
-            q = tuple(Fraction(v[i][k], d) for i in range(NVARS))
-            for row in rows:
-                pairing = sum(qi * ri for qi, ri in zip(q, row))
-                if pairing.denominator != 1:
-                    raise RuntimeError("torsion generator fails integrality check")
-            generators.append(q)
-    return DiagonalSymmetryGroup(
-        free_rank=NVARS - rank, torsion=torsion, torsion_generators=tuple(generators)
-    )
+            column = [row[k] for row in snf.right]
+            if any(sum(map(mul, column, row)) % d for row in rows):
+                raise RuntimeError("torsion generator fails integrality check")
+            generators.append(tuple(Fraction(c, d) for c in column))
+    return DiagonalSymmetryGroup(NVARS - rank, torsion, tuple(generators))
+
+
+def _sign_bits(exponents: Sequence[int]) -> int:
+    """The exponents mod 2 as the bits of an int, coordinate 0 the highest."""
+    return sum(map(lshift, map(and_, exponents, (1,) * NVARS), range(NVARS - 1, -1, -1)))
 
 
 def has_diagonal_involution(
@@ -118,19 +110,22 @@ def has_diagonal_involution(
     by a sign vector, i.e. a vector v of F_2^5 with row . v = 0 mod 2 for every
     exponent difference row.  The torus's own sign vectors are 0 and
     (a / g) mod 2 with g = gcd(a): lambda^(a_i) = +-1 for every i forces
-    lambda^(2g) = 1.  The 32 vectors are tested in lexicographic order
-    against the distinct mod-2 rows; the answer is yes iff one besides the
-    torus's passes, and the first such is the witness, as a +-1 vector
-    encoded by its sign pattern.
+    lambda^(2g) = 1.  Rows (differences from any one monomial: all span the
+    same space) and vectors are 5-bit ints, so row . v is the parity of
+    row & v and counting v up tests the 32 vectors in lexicographic order.
+    The answer is yes iff one besides the torus's passes, and the first such
+    is the witness, as a +-1 vector encoded by its sign pattern.
     """
     if not support:
         raise ValueError("has_diagonal_involution: empty support")
-    rows = {tuple(x % 2 for x in r) for r in _difference_rows(support)}
+    masks = {_sign_bits(m) for m in support}
+    base = masks.pop()
+    rows = {m ^ base for m in masks}
     g = gcd(*ws.weights)
-    trivial = ((0,) * NVARS, tuple(a // g % 2 for a in ws.weights))
-    for v in product((0, 1), repeat=NVARS):
-        if v not in trivial and all(sum(map(mul, r, v)) % 2 == 0 for r in rows):
-            return True, v
+    torus = _sign_bits([a // g for a in ws.weights])
+    for v in range(1, 1 << NVARS):
+        if v != torus and not any((r & v).bit_count() & 1 for r in rows):
+            return True, tuple(map(int, f"{v:0{NVARS}b}"))
     return False, None
 
 
@@ -148,8 +143,8 @@ P1Point = tuple[int, int]
 INFINITY: P1Point = (0, 1)
 
 #: the most points pgl2_set_stabilizer takes: it tries n(n-1)(n-2) ordered
-#: triples, each against up to n points (on a 2-core host 0.3-0.6 s at 32
-#: points, 5-8 s at 80)
+#: triples, each by cross-ratios against up to n points (on a 2-core host
+#: 0.03-0.06 s at 32 small points, 0.3 s at 32 of 100 digits, 0.6 s at 80)
 MAX_STABILIZER_POINTS = 32
 
 
@@ -160,10 +155,8 @@ def p1_point(value: Fraction | int | str) -> P1Point:
     for a finite rational v and (0, 1) for infinity, matching the root pairs
     produced by the binary-form machinery.
     """
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinity", "oo"):
-            return INFINITY
-        value = Fraction(value)
+    if isinstance(value, str) and value.strip().lower() in ("inf", "infinity", "oo"):
+        return INFINITY
     v = Fraction(value)
     return (v.denominator, v.numerator)
 
@@ -194,12 +187,8 @@ class MoebiusMap:
 
     def describe(self) -> str:
         def lin(p: int, q: int) -> str:
-            parts = []
-            if p:
-                parts.append(f"{p:+d}u".replace("+1u", "+u").replace("-1u", "-u"))
-            if q:
-                parts.append(f"{q:+d}v".replace("+1v", "+v").replace("-1v", "-v"))
-            return "".join(parts).lstrip("+") or "0"
+            terms = (("+-"[c < 0] if abs(c) == 1 else f"{c:+d}") + x for c, x in ((p, "u"), (q, "v")) if c)
+            return "".join(terms).lstrip("+") or "0"
 
         (a, b), (c, d) = self.matrix
         return f"[u:v] -> [{lin(a, b)} : {lin(c, d)}]"
@@ -233,7 +222,10 @@ def pgl2_set_stabilizer(points: list[P1Point]) -> list[MoebiusMap]:
 
     Built by mapping a fixed base triple to every ordered triple of targets
     and keeping the maps that preserve the set; closure under composition and
-    inverses is verified before returning.
+    inverses is verified before returning.  A map sending the base triple to
+    (a, b, c) keeps the cross-ratio CR(a, b, c; y) = det(a, c) det(b, y) :
+    det(a, y) det(b, c), so a target triple is skipped before its map is built
+    once a point y outside it has a CR that no point outside the base has.
     """
     pts = [_normalize_pair(*p) for p in points]
     if len(set(pts)) != len(pts):
@@ -244,13 +236,21 @@ def pgl2_set_stabilizer(points: list[P1Point]) -> list[MoebiusMap]:
         raise ValueError(
             f"pgl2_set_stabilizer: {len(pts)} points, more than the limit of {MAX_STABILIZER_POINTS}"
         )
+    det = [[p * v - q * u for u, v in pts] for p, q in pts]
+
+    def cross_ratio(i: int, j: int, k: int, t: int) -> tuple[int, ...]:
+        return _canonical(det[i][k] * det[j][t], det[i][t] * det[j][k])
+
+    base_ratios = {cross_ratio(0, 1, 2, t) for t in range(3, len(pts))}
     # the map sending the base triple pts[:3] to [1:0], [0:1], [1:1] (up to scale)
     from_base = adjugate(triple_matrix(pts[:3]))
     point_set = set(pts)
     found: dict[tuple[tuple[int, int], tuple[int, int]], MoebiusMap] = {}
-    for triple in permutations(pts, 3):
+    for i, j, k in permutations(range(len(pts)), 3):
+        if any(cross_ratio(i, j, k, t) not in base_ratios for t in range(len(pts)) if t not in (i, j, k)):
+            continue
         # distinct target triples give distinct maps, as the base triple is distinct
-        m = moebius_map(mat_mul(triple_matrix(triple), from_base))
+        m = moebius_map(mat_mul(triple_matrix((pts[i], pts[j], pts[k])), from_base))
         if all(m(p) in point_set for p in pts):
             found[m.matrix] = m
     maps = list(found.values())
@@ -341,11 +341,7 @@ def certify_trivial_automorphisms(family: int, seed: int = 0) -> AutomorphismCer
     stab_order: int | None = None
     if family in _LINE_SLICES:
         pair, cofactors = _LINE_SLICES[family]
-        pts: list[P1Point] = []
-        for cof in cofactors:
-            form = slice_form(g, pair, parse_monomial(cof))
-            roots = rational_roots(form)
-            pts.extend(roots)
+        pts = [p for cof in cofactors for p in rational_roots(slice_form(g, pair, parse_monomial(cof)))]
         if len(set(pts)) != len(pts):
             raise GenericityError(f"certify: designated points collide for family {family}")
         stab = pgl2_set_stabilizer(pts)

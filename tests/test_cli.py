@@ -301,6 +301,12 @@ BAD_INPUTS = [
     bad("stabilizer-repeated", "stabilizer", "--points", "0,1,1,inf", error="must be distinct"),
     bad("stabilizer-over-cap", "stabilizer", "--points", ",".join(map(str, range(33))),
         error="33 points, more than the limit of 32"),
+    bad("stabilizer-huge-exponent", "stabilizer", "--points", "0,1,1e1000000,2",
+        error="point '1e1000000' has more than 100 digits"),
+    bad("stabilizer-long-exponent", "stabilizer", "--points", "0,1,1e100000,2",
+        error="point '1e100000' has more than 100 digits"),
+    bad("stabilizer-long-literal", "stabilizer", "--points", "0,1," + "7" * 101,
+        error="has more than 100 digits"),
     bad("verdict-rejected-family", "verdict", "--septuple", "1,1,1,1,3,4", error="is not terminal"),
     bad("verdict-wrong-index", "verdict", "--septuple", "1,1,1,1,1,4,2", error="inconsistent septuple"),
     bad("verdict-zero-index", "verdict", "--septuple", "1,1,1,1,1,5",

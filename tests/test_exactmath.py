@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -18,6 +20,7 @@ from wfano.exactmath import (
     triple_matrix,
     univariate_rational_roots,
 )
+from wfano.symalg import reference_support
 
 
 def from_roots(roots, lead=1):
@@ -128,6 +131,39 @@ def test_smith_normal_form_randomized_chain_large():
         a = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
         s = smith_normal_form(a)
         assert s.verify(a)
+
+
+def _smith_cases():
+    """Seeded matrices of 0-8 rows and 1-6 columns (zero rows and columns,
+    entries scaled by 2 or 6 so that pivots are not units and the offender
+    restart runs), then the difference rows of the seven reduced supports."""
+    rng = random.Random(24)
+    cases = []
+    for _ in range(300):
+        rows, cols = rng.randint(0, 8), rng.randint(1, 6)
+        scale = rng.choice((1, 1, 2, 6))
+        a = [[scale * rng.choice((0, 0, rng.randint(-4, 4), rng.randint(-40, 40))) for _ in range(cols)] for _ in range(rows)]
+        if rows and rng.random() < 0.3:
+            a[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in a:
+                row[j] = 0
+        cases.append(a)
+    for family in (19, 28, 39, 49, 59, 66, 84):
+        base, *others = sorted(reference_support(family))
+        cases.append([[x - y for x, y in zip(m, base)] for m in others])
+    return cases
+
+
+def test_smith_normal_form_output_is_pinned():
+    # the whole output, diagonal and right transform (which sets the torsion
+    # generators autgroup prints), as the textbook elimination gave it: a
+    # faster elimination must take the same pivots
+    forms = [smith_normal_form(a) for a in _smith_cases()]
+    payload = json.dumps([[s.diagonal, s.right] for s in forms]).encode()
+    assert hashlib.sha256(payload).hexdigest() == "5fa32dafc6e48dda0a57c498833e736860f079a2b7e79ea6f5af776ef27eef11"
+    assert all(s.verify(a) for s, a in zip(forms, _smith_cases()))
 
 
 def test_common_interior_degree():

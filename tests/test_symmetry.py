@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
+from math import gcd
+from operator import mul
 
 import pytest
 
 from wfano import symmetry
+from wfano.exactmath import adjugate, mat_mul, triple_matrix
 from wfano.symalg import GenericityError, builtin_plan, normalize, reference_support, sample_family_member
 from wfano.symmetry import (
     certify_trivial_automorphisms,
@@ -190,6 +194,90 @@ def test_stabilizer_group_axioms_randomized():
             for other in maps:
                 assert m.compose(other).matrix in mats
         cases += len(maps) * len(maps) or 1
+
+
+def stabilizer_oracle(pts):
+    """The matrices of every map that sends the base triple to an ordered
+    triple of the set and preserves it, each map built and tested, with no
+    cross-ratio test: the reference for pgl2_set_stabilizer."""
+    from_base = adjugate(triple_matrix(pts[:3]))
+    point_set = set(pts)
+    found = set()
+    for triple in permutations(pts, 3):
+        m = moebius_map(mat_mul(triple_matrix(triple), from_base))
+        if all(m(p) in point_set for p in pts):
+            found.add(m.matrix)
+    return sorted(found)
+
+
+SYMMETRIC_SETS = [((0, 1, "inf"), 6), ((0, "inf", 1, -1), 8), ((-1, 0, Fraction(1, 2), 1, 2, "inf"), 12)]
+
+
+@pytest.mark.parametrize("values, order", SYMMETRIC_SETS)
+def test_stabilizer_matches_oracle_on_symmetric_sets(values, order):
+    pts = [p1_point(v) for v in values]
+    for shift in range(len(pts)):  # every point once in the base triple
+        moved = pts[shift:] + pts[:shift]
+        maps = pgl2_set_stabilizer(moved)
+        assert len(maps) == order
+        assert [m.matrix for m in maps] == stabilizer_oracle(moved)
+
+
+def test_stabilizer_matches_oracle_on_random_sets():
+    # random rational sets of 3-12 points, and Moebius images of the
+    # symmetric sets with extra points, whose stabilizers are not trivial
+    rng = random.Random(61)
+    orders = []
+    for case in range(240):
+        if case % 3:
+            n, vals = rng.randint(3, 12), set()
+            while len(vals) < n:
+                vals.add(Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
+            pts = [p1_point(v) for v in vals]
+        else:
+            values, _ = rng.choice(SYMMETRIC_SETS)
+            # det = +-7a - bc is not 0, as |b|, |c| <= 5
+            g = moebius_map(((rng.randint(1, 5), rng.randint(-5, 5)), (rng.randint(-5, 5), rng.choice((-7, 7)))))
+            pts = list(dict.fromkeys([g(p1_point(v)) for v in values] + [p1_point(rng.randint(-3, 3))]))
+            rng.shuffle(pts)
+        maps = pgl2_set_stabilizer(pts)
+        assert [m.matrix for m in maps] == stabilizer_oracle(pts)
+        orders.append(len(maps))
+    assert {1, 2, 4, 6, 8, 12} <= set(orders)
+
+
+def involution_oracle(support, ws):
+    """The 32 sign vectors as tuples, in lexicographic order, against the
+    mod-2 difference rows: the reference for has_diagonal_involution."""
+    base = min(support)
+    rows = {tuple((x - y) % 2 for x, y in zip(m, base)) for m in support}
+    g = gcd(*ws.weights)
+    torus = ((0,) * 5, tuple(a // g % 2 for a in ws.weights))
+    for v in product((0, 1), repeat=5):
+        if v not in torus and all(sum(map(mul, r, v)) % 2 == 0 for r in rows):
+            return True, v
+    return False, None
+
+
+def test_involution_matches_oracle_on_random_supports():
+    # random supports, some kept inside one class of a sign vector so that
+    # an involution exists; the even-weight systems have a torus sign vector
+    # besides 0, (1, 1, 1, 1, 1) or (1, 1, 1, 1, 0) or (1, 0, 0, 1, 1)
+    rng = random.Random(67)
+    systems = [weight_system(*s) for s in ((1, 1, 1, 1, 1, 4), (1, 1, 2, 2, 3, 6), (2, 2, 2, 2, 2, 10),
+                                          (2, 2, 2, 2, 4, 8), (2, 4, 4, 6, 6, 12))]
+    answers = []
+    for _ in range(600):
+        ws = rng.choice(systems)
+        mons = enumerate_monomials(ws, ws.degree)
+        if rng.random() < 0.5:
+            v, c = rng.randrange(32), rng.randrange(2)
+            mons = [m for m in mons if sum(e * (v >> (4 - i) & 1) for i, e in enumerate(m)) % 2 == c] or mons
+        support = frozenset(rng.sample(mons, rng.randint(1, min(12, len(mons)))))
+        answer = has_diagonal_involution(support, ws)
+        assert answer == involution_oracle(support, ws)
+        answers.append(answer)
+    assert len({w for _, w in answers}) > 10 and (False, None) in answers
 
 
 @pytest.mark.parametrize("family", SYMMETRY_FAMILIES)
