@@ -341,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "jobs", 1) < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
+        if getattr(args, "seed", 0) < 0:
+            # random.Random seeds with abs(n): -3 would draw the member of 3
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         args.func(args)
     except (ValueError, OSError) as exc:  # GenericityError is a ValueError
         json.dump({"error": str(exc)}, sys.stderr, indent=1)

@@ -209,12 +209,15 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
 #: float64 holds every integer of absolute value below this exactly (with a
 #: bit to spare); every intermediate of the mod-p routines stays below it
 EXACT_BOUND = 1 << 52
-#: columns per panel of ``rank_mod_p``: a trailing update sums PANEL products
-PANEL = 32
+#: columns per panel of ``rank_mod_p``: a product sums at most PANEL terms.
+#: 64 beat 32, 48, 96 and 128 on the quartic's 1365^2 Macaulay matrix, on
+#: all eight ``member`` matrices past WHOLE_COLUMNS and on a dense 1365^2, in
+#: 0.89-0.96 of the time of 32 (2-vCPU host)
+PANEL = 64
 #: rows per block of a reduction or a product, bounding the temporaries
 ROW_BLOCK = 64
-#: most multiply-adds in one BLAS call of the blocked LU's trailing update
-#: (``add_product``).  OpenBLAS runs a product of at most 64^3 on the calling
+#: most multiply-adds in one BLAS call of the blocked LU (U12 and
+#: ``add_product``).  OpenBLAS runs a product of at most 64^3 on the calling
 #: thread; a larger one wakes its thread pool, and two processes on two cores
 #: then spin against each other: one unsplit product per panel took the
 #: ``member`` benchmark's peak RSS from 57 to 70-72 MB and its two-process
@@ -222,50 +225,64 @@ ROW_BLOCK = 64
 PRODUCT_SIZE = 64**3
 #: most columns of a matrix that ``rank_mod_p`` eliminates whole instead of in
 #: panels: its cost is then the number of numpy calls per pivot, not
-#: arithmetic, and whole elimination makes the fewest (Macaulay matrices of
-#: 35-84 columns in 40-75 % of the time; from about 90 columns the two draw level)
+#: arithmetic, and whole elimination makes the fewest (against 64-column
+#: panels: 0.85-0.9 of their time on Macaulay and dense matrices of 61-80
+#: columns, level at 87-96, behind from about 110; 2-vCPU host)
 WHOLE_COLUMNS = 96
 
 
-def add_product(out, left, right) -> None:
-    """out += left @ right, as BLAS calls of at most PRODUCT_SIZE multiply-adds.
+def add_product(out, rows, left, right) -> None:
+    """out[rows] += left @ right, as BLAS calls of at most PRODUCT_SIZE multiply-adds.
 
-    Each column tile of ``right`` is copied to contiguous memory once, which
-    saves more than the copy costs across the row blocks that read it.
+    ``rows`` ascend.  Each column tile of ``right`` is copied to contiguous
+    memory once, which saves more than the copy costs across the row blocks
+    that read it, and a tile of zeros is skipped.  A block of consecutive rows
+    is updated through a view, which saves a gather and a scatter.
     """
     import numpy as np
 
     width = max(1, PRODUCT_SIZE // (ROW_BLOCK * max(1, left.shape[1])))
     for c in range(0, out.shape[1], width):
         tile = np.ascontiguousarray(right[:, c : c + width])
-        column = out[:, c : c + width]
-        for r in range(0, out.shape[0], ROW_BLOCK):
-            column[r : r + ROW_BLOCK] += left[r : r + ROW_BLOCK] @ tile
+        if not tile.any():
+            continue
+        for r in range(0, len(rows), ROW_BLOCK):
+            block = rows[r : r + ROW_BLOCK]
+            if block[-1] - block[0] == len(block) - 1:
+                block = slice(block[0], block[-1] + 1)
+            out[block, c : c + width] += left[r : r + ROW_BLOCK] @ tile
 
 
 def rank_mod_p(matrix, p: int) -> int:
-    """Rank over F_p of an integer matrix, p a prime with 32 * (p-1)^2 < 2^52.
+    """Rank over F_p of an integer matrix, p a prime with 64 * (p-1)^2 < 2^52.
 
     A float64 array is reduced and eliminated in place; any other array-like
-    is first copied into one.  Right-looking blocked LU: each panel of PANEL
-    columns is eliminated column by column with row pivoting inside the
-    panel, a short loop brings the pivot rows' trailing block up to date, and
-    the rows below take the panel's update as BLAS products (``add_product``).
-    A matrix of at most WHOLE_COLUMNS columns is eliminated whole instead
-    (``_eliminate_whole``).
+    is first copied into one.  Blocked LU with left-looking panels (Toledo
+    1997).  The rows without a pivot are kept as an index and never moved.
+    Each panel of PANEL columns is gathered from those of them with an entry
+    in it and eliminated column by column with row pivoting: column c first
+    takes the update of the j pivots before it, u = L11^-1 c[:j] and then
+    c[j:] += N u, one matrix-vector product, where N holds the negated
+    multipliers in the panel's own compacted pivot columns and row j of
+    L11^-1 is built as pivot j is found.  U12 = L11^-1 A12 is one product per
+    tile, and the panel's other rows take N U12 as BLAS products
+    (``add_product``).  A matrix of at most WHOLE_COLUMNS columns is
+    eliminated whole instead (``_eliminate_whole``).
 
     Exactness: residues are kept in [0, p) by ``x -= p*floor(x/p)``, which is
     exact for |x| < EXACT_BOUND because x/p is correctly rounded (an integer
-    when p | x, at least 1/p away from one otherwise).  A product of residues
-    sums at most PANEL terms below (p-1)^2.  The trailing block is reduced
-    only when a panel reaches it, so an entry collects at most one such sum
-    per panel; the first check below bounds them all, and raises ValueError
-    when p or the width is too large.
+    when p | x, at least 1/p away from one otherwise), or by numpy's ``%``
+    (an exact fmod) on the short vectors u and the rows of L11^-1.  A product
+    of residues sums at most PANEL terms below (p-1)^2.  The trailing block
+    is reduced only when a panel reaches it, so an entry collects at most one
+    such sum per panel; the first check below bounds them all, and raises
+    ValueError when p or the width is too large.
     """
     import numpy as np
 
     def mod(x) -> None:
-        x -= p * np.floor(x / p)
+        q = x / p  # the one temporary
+        x -= np.multiply(np.floor(q, out=q), p, out=q)
 
     a = np.asarray(matrix)
     if a.dtype != np.float64:
@@ -273,8 +290,7 @@ def rank_mod_p(matrix, p: int) -> int:
     if a.ndim != 2:
         raise ValueError("rank_mod_p: need a 2-D matrix")
     rows, cols = a.shape
-    panels = -(-cols // PANEL)
-    if p + (panels + 1) * PANEL * (p - 1) ** 2 >= EXACT_BOUND:
+    if p + (-(-cols // PANEL) + 1) * PANEL * (p - 1) ** 2 >= EXACT_BOUND:
         raise ValueError(f"rank_mod_p: p = {p} with {cols} columns is past exact float64")
     if a.size and not (-EXACT_BOUND < a.min() and a.max() < EXACT_BOUND):
         raise ValueError("rank_mod_p: entries past exact float64")
@@ -282,52 +298,46 @@ def rank_mod_p(matrix, p: int) -> int:
         mod(a[r : r + ROW_BLOCK])
     if cols <= WHOLE_COLUMNS:
         return _eliminate_whole(a, p)
-    rank = 0
+    rest = np.arange(rows)  # the rows without a pivot
+    inverse = np.zeros((PANEL, PANEL))  # L11^-1, lower triangular
     for c0 in range(0, cols, PANEL):
-        if rank == rows:
-            break
         c1 = min(c0 + PANEL, cols)
-        top = rank
-        # the panel's live rows, contiguous; no column left of c1 is read again
-        panel = a[top:, c0:c1].copy()
+        panel = a[rest, c0:c1]
         mod(panel)
-        pivots: list[int] = []
-        inverses: list[int] = []
+        live = panel.any(axis=1)  # the other rows take no part in this panel
+        panel, live = np.asfortranarray(panel[live]), rest[live]
+        j = 0  # pivots found, on the panel's first j rows
         for c in range(c1 - c0):
-            r = rank - top
-            column = panel[r:, c]
-            mod(column)
-            nonzero = np.flatnonzero(column)
-            if nonzero.size == 0:
-                continue
-            pivot = r + int(nonzero[0])
-            if pivot != r:
-                panel[[r, pivot]] = panel[[pivot, r]]
-                a[[rank, top + pivot], c1:] = a[[top + pivot, rank], c1:]
-            inverses.append(pow(int(panel[r, c]), -1, p))
-            head = panel[r, c:]
-            mod(head)
-            head *= inverses[-1]
-            mod(head)
-            # rows below keep their multiplier in column c (the L factor)
-            panel[r + 1 :, c + 1 :] -= np.outer(panel[r + 1 :, c], head[1:])
-            pivots.append(c)
-            rank += 1
-            if rank == rows:
+            if j == len(live):
                 break
-        if not pivots or c1 == cols or rank == rows:
-            continue
-        # U12, row by row: scale pivot row j, then take it off the later pivot rows
-        k = rank - top
-        upper = a[top:rank, c1:]
-        for j, (c, inv) in enumerate(zip(pivots, inverses)):
-            row = upper[j]
-            mod(row)
-            row *= inv
-            mod(row)
-            upper[j + 1 :] -= np.outer(panel[j + 1 : k, c], row)
-        add_product(a[rank:, c1:], -panel[k:, pivots], upper)
-    return rank
+            column = panel[:, c]
+            if j:
+                u = inverse[:j, :j] @ column[:j] % p
+                column[j:] += panel[j:, :j] @ u
+            tail = column[j:]
+            mod(tail)
+            r = j + int((tail != 0).argmax())
+            if not column[r]:
+                continue
+            if r != j:
+                panel[[j, r]] = panel[[r, j]]
+                live[[j, r]] = live[[r, j]]
+            inverse[j, j] = inv = pow(int(column[j]), -1, p)
+            inverse[j, :j] = (panel[j, :j] @ inverse[:j, :j]) % p * inv % p
+            np.negative(column[j + 1 :], out=panel[j + 1 :, j])
+            j += 1
+        rest = np.setdiff1d(rest, live[:j], assume_unique=True)
+        if j < len(live) and c1 < cols:
+            upper = a[live[:j], c1:]
+            mod(upper)
+            width = max(1, PRODUCT_SIZE // j**2)  # j > 0: a live row holds a pivot
+            for t in range(0, cols - c1, width):
+                upper[:, t : t + width] = inverse[:j, :j] @ upper[:, t : t + width]
+            mod(upper)
+            order = np.argsort(live[j:])
+            add_product(a[:, c1:], live[j:][order], panel[j:, :j][order], upper)
+            del upper  # before the next panel's gather
+    return rows - len(rest)
 
 
 def _eliminate_whole(a, p: int) -> int:

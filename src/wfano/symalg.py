@@ -961,7 +961,7 @@ class MemberVerdict:
         raise TypeError("MemberVerdict is tri-state; compare .status explicitly")
 
 
-#: primes tried in turn for each Macaulay matrix; 32 * (p-1)^2 < 2^52
+#: primes tried in turn for each Macaulay matrix; 64 * (p-1)^2 < 2^52
 MACAULAY_PRIMES = (32003, 31991, 32009)
 #: the most columns a checked Macaulay matrix may have: its chosen rows form a
 #: dense float64 square (128 MiB at the limit); a member whose candidate
@@ -1102,14 +1102,14 @@ def _macaulay_rank(partials: list[GradedPolynomial], k: int, p: int) -> int:
     columns = exponents(enumerate_monomials(ws, k))
     column_keys = columns @ place  # ascending, as the monomials are
     n = len(column_keys)
+    by_grade = {d: exponents(enumerate_monomials(ws, k - d)) @ place for d in {g.grade for g in partials} if d <= k}
     row_sets = []  # per partial: term keys, coefficients mod p, multipliers, {i: e} of its pure powers
     for g in partials:
         if g.terms and g.grade <= k:
             coefficients = [c.numerator % p for c in g.terms.values()]
             pure = {m.index(e): e for m, c in zip(g.terms, coefficients) if c and 0 < (e := max(m)) == sum(m)}
             term_keys = exponents(list(g.terms)) @ place
-            multipliers = exponents(enumerate_monomials(ws, k - g.grade)) @ place  # ascending
-            row_sets.append((term_keys, np.array(coefficients, dtype=np.float64), multipliers, pure))
+            row_sets.append((term_keys, np.array(coefficients, dtype=np.float64), by_grade[g.grade], pure))
     rows = sum(len(multipliers) for _, _, multipliers, _ in row_sets)
     if rows * (p - 1) ** 2 >= EXACT_BOUND:
         raise ValueError(f"Macaulay matrix of {rows} rows is past exact float64")

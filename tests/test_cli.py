@@ -276,9 +276,13 @@ BAD_INPUTS = [
     bad("normalize-unknown-family", "normalize", "--family", "2", error="unknown family number 2"),
     bad("normalize-non-integer", "normalize", "--family", "x", code=2),
     bad("normalize-no-plan", "normalize", "--family", "9", error="no built-in plan for family 9"),
+    bad("normalize-negative-seed", "normalize", "--family", "19", "--seed", "-3",
+        error="--seed must be non-negative, got -3"),
     bad("autgroup-unknown-family", "autgroup", "--family", "2", error="unknown family number 2"),
     bad("autgroup-family-zero", "autgroup", "--family", "0", error="unknown family number 0"),
     bad("autgroup-no-plan", "autgroup", "--family", "9", error="no built-in plan for family 9"),
+    bad("autgroup-negative-seed", "autgroup", "--family", "28", "--seed", "-5",
+        error="--seed must be non-negative, got -5"),
     bad("autgroup-no-input", "autgroup", error="need --septuple"),
     bad("autgroup-zero-degree", "autgroup", "--weights", "1,1,1,1,1", "--degree", "0",
         error="degree must be positive"),

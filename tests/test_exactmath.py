@@ -329,7 +329,7 @@ def random_rank_matrix(rng, n, m, r, p):
 
 @pytest.mark.parametrize("p", [32003, 31991, 32009])
 def test_rank_mod_p_low_rank_against_reference(p):
-    # shapes cross the 32-column panels and the 64-row blocks
+    # shapes fall on both sides of WHOLE_COLUMNS and cross the 64-row blocks
     rng = random.Random(p)
     for n, m, r in [(100, 70, 45), (70, 100, 33), (97, 97, 96), (65, 40, 40), (33, 65, 1)]:
         matrix = random_rank_matrix(rng, n, m, r, p)
@@ -378,11 +378,14 @@ def test_rank_mod_p_works_in_place_on_float64():
     assert not np.array_equal(array, np.array(matrix, dtype=np.float64))  # eliminated
 
 
-@pytest.mark.parametrize("whole_columns", [0, 1 << 20])
-def test_rank_mod_p_panels_and_whole_elimination_agree(monkeypatch, whole_columns):
+@pytest.mark.parametrize(
+    "whole_columns, panel", [(0, 64), (1 << 20, 64), (0, 4)], ids=["0", "1048576", "0-panel4"]
+)
+def test_rank_mod_p_panels_and_whole_elimination_agree(monkeypatch, whole_columns, panel):
     # the cases above fall on either side of WHOLE_COLUMNS; here every case
-    # runs in panels (0) or whole (1 << 20)
+    # runs in panels (0), of 64 or 4 columns, or whole (1 << 20)
     monkeypatch.setattr(exactmath, "WHOLE_COLUMNS", whole_columns)
+    monkeypatch.setattr(exactmath, "PANEL", panel)
     p = 32003
     rng = random.Random(17)
     shapes = [(100, 70, 45), (70, 100, 33), (97, 97, 96), (33, 65, 1)]
@@ -398,8 +401,60 @@ def test_rank_mod_p_panels_and_whole_elimination_agree(monkeypatch, whole_column
         assert rank_mod_p(matrix, p) == reference_rank_mod_p(matrix, p)
 
 
+@pytest.fixture(scope="module")
+def panel_cases():
+    """(matrix, rank) pairs at p = 32003 whose columns span several 64-column
+    panels, with the rank from the reference elimination."""
+    import numpy as np
+
+    p = 32003
+    rng = np.random.default_rng(31)
+
+    def low_rank(n, m, r):
+        return rng.integers(0, p, (n, r)) @ rng.integers(0, p, (r, m))
+
+    # rank below the column count: some panels hold columns without a pivot
+    matrices = [low_rank(150, 200, 130), low_rank(300, 130, 129)]
+    # columns 64-159 are zero, so the panel of columns 64-127 has no pivot at all
+    zero_block = low_rank(120, 260, 100)
+    zero_block[:, 64:160] = 0
+    matrices.append(zero_block)
+    # full rank 40 = rows, reached at column 40 of the first panel
+    matrices.append(low_rank(40, 200, 40))
+    # sparse: most pivots lie off the diagonal, so each panel takes its pivot
+    # rows out of order, and the rows it leaves carry into the next panels
+    for density in (0.01, 0.02, 0.04):
+        matrices.append(rng.integers(1, p, (200, 200)) * (rng.random((200, 200)) < density))
+    # products of sparse factors: the rows a panel leaves come out of order,
+    # some of them a block of consecutive rows that add_product must not take
+    # for a view
+    for _ in range(40):
+        n, m = rng.integers(10, 70), rng.integers(97, 160)
+        r = rng.integers(1, n + 1)
+        left = rng.integers(0, p, (n, r)) * (rng.random((n, r)) < 0.1)
+        matrices.append(left @ (rng.integers(0, p, (r, m)) * (rng.random((r, m)) < 0.3)))
+    return [(m.tolist(), reference_rank_mod_p(m.tolist(), p)) for m in matrices]
+
+
+@pytest.mark.parametrize(
+    "whole_columns, panel", [(0, 64), (0, 4), (1 << 20, 64)], ids=["panel64", "panel4", "whole"]
+)
+def test_rank_mod_p_across_64_column_panels(monkeypatch, panel_cases, whole_columns, panel):
+    monkeypatch.setattr(exactmath, "WHOLE_COLUMNS", whole_columns)
+    monkeypatch.setattr(exactmath, "PANEL", panel)
+    ranks = [rank for _, rank in panel_cases]
+    assert ranks[:4] == [130, 129, 100, 40]
+    assert 0 < ranks[4] < ranks[5] < ranks[6] <= 200
+    for matrix, rank in panel_cases:
+        assert rank_mod_p(matrix, 32003) == rank
+
+
 def test_rank_mod_p_refuses_inexact_input():
     with pytest.raises(ValueError, match="past exact float64"):
-        rank_mod_p([[1]], (1 << 31) - 1)  # 32 * (p-1)^2 is past 2^52
+        rank_mod_p([[1]], (1 << 31) - 1)  # 64 * (p-1)^2 is past 2^52
+    # one column is one panel: p + 2 * 64 * (p-1)^2 passes 2^52 between these primes
+    with pytest.raises(ValueError, match="past exact float64"):
+        rank_mod_p([[1]], 5931649)
+    assert rank_mod_p([[1]], 5931641) == 1
     with pytest.raises(ValueError, match="past exact float64"):
         rank_mod_p([[float(1 << 53)]], 32003)

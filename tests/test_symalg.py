@@ -584,8 +584,8 @@ def test_quasismooth_member_off_axis_singular_point_is_indeterminate():
     verdict = quasismooth_member(f)
     assert verdict.status == "indeterminate"
     assert verdict.witness is None
-    (check,) = verdict.checks
-    assert check.rank < check.columns
+    # pins a rank-deficient elimination of 1365 columns, in 64-column panels
+    assert verdict.checks == (MacaulayCheck(degree=11, columns=1365, rank=1356, prime=32009),)
 
 
 def test_quasismooth_member_refuses_oversized_matrices():
