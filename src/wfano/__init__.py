@@ -42,7 +42,6 @@ from .symalg import (
     NormalizationPlan,
     Substitution,
     builtin_plan,
-    cubic_normal_form,
     normalize,
     quasismooth_member,
     reference_support,

@@ -442,15 +442,18 @@ def common_interior_degree(forms: Sequence[BinaryForm]) -> int:
 def univariate_rational_roots(coefficients: Sequence[Fraction | int]) -> list[Fraction]:
     """Distinct rational roots of a nonzero polynomial, in increasing order.
 
-    ``coefficients[i]`` multiplies s^i.  Denominators and content are cleared,
-    a root at 0 is split off, and every candidate +-p/q with p | a0, q | an and
+    ``coefficients[i]`` multiplies s^i; ints are taken as they are, and
+    Fractions over their common denominator.  The content is cleared, a root
+    at 0 is split off, and every candidate +-p/q with p | a0, q | an and
     gcd(p, q) = 1 is tested in integers as sum(a_i p^i q^(n-i)) == 0 (rational
-    root theorem).  End coefficients past ``MAX_ROOT_COEFF_BITS`` bits are
-    refused: their divisors take sqrt(|a|) trial divisions.
+    root theorem).  By Gauss's lemma a root r/q makes f = (q*s - r) * g with g
+    integral, so q - r divides f(1) and q + r divides f(-1): a candidate that
+    fails either is skipped, and +-1 is a root iff f(+-1) = 0.  End
+    coefficients past ``MAX_ROOT_COEFF_BITS`` bits are refused: their divisors
+    take sqrt(|a|) trial divisions.
     """
-    coeffs = [Fraction(c) for c in coefficients]
-    den = lcm(*(c.denominator for c in coeffs))
-    ic = [int(c * den) for c in coeffs]
+    den = lcm(*(c.denominator for c in coefficients))
+    ic = [c.numerator * (den // c.denominator) for c in coefficients]
     while ic and ic[-1] == 0:
         ic.pop()
     if not ic:
@@ -472,12 +475,18 @@ def univariate_rational_roots(coefficients: Sequence[Fraction | int]) -> list[Fr
                 f"more than the limit of {MAX_ROOT_COEFF_BITS}"
             )
         n = len(ic) - 1
+        at_one, at_minus_one = sum(ic), sum(ic[::2]) - sum(ic[1::2])
+        roots.update(Fraction(s) for s, value in ((1, at_one), (-1, at_minus_one)) if value == 0)
         qs = _divisors(abs(ic[-1]))
         for p in _divisors(abs(ic[0])):
             for q in qs:
-                if gcd(p, q) == 1:
+                if gcd(p, q) == 1 and p + q > 2:  # p = q = 1 is +-1
                     for s in (p, -p):
-                        if sum(c * s**i * q ** (n - i) for i, c in enumerate(ic)) == 0:
+                        if (
+                            at_one % (q - s) == 0
+                            and at_minus_one % (q + s) == 0
+                            and sum(c * s**i * q ** (n - i) for i, c in enumerate(ic)) == 0
+                        ):
                             roots.add(Fraction(s, q))
     return sorted(roots)
 

@@ -1,12 +1,13 @@
 """Sparse quasihomogeneous polynomial algebra and coordinate normalization.
 
 Polynomials carry exact rational coefficients on weighted monomials of a fixed
-grade.  On top of the arithmetic sit the pieces needed to put a general member
-of a named family into its reduced shape: seeded sampling with designated
-rational root structure, triangular coordinate substitutions solved pass by
-pass, the built-in reduction plans as a text table, the binary-cubic
-normal form, and a member-level quasismoothness check that returns its
-Jacobian-criterion certificate (Macaulay-matrix ranks modulo a prime).
+grade, stored as integer numerators over one denominator.  On top of the
+arithmetic sit the pieces needed to put a general member of a named family
+into its reduced shape: seeded sampling with designated rational root
+structure, triangular coordinate substitutions solved pass by pass, the
+built-in reduction plans as a text table, and a member-level quasismoothness
+check that returns its Jacobian-criterion certificate (Macaulay-matrix ranks
+modulo a prime).
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from math import comb, gcd, lcm
+from types import MappingProxyType
 from typing import Sequence
 
 from .catalog import FAMILY_LABELS
@@ -23,8 +26,7 @@ from .exactmath import (
     common_interior_degree,
     mat_det,
     rank_mod_p,
-    rational_roots,
-    triple_matrix,
+    rational_roots,  # unused here; perfbench/tracing.py wraps this name
     univariate_rational_roots,
 )
 from .wspace import (
@@ -54,42 +56,97 @@ class PlanOrderError(RuntimeError):
 # polynomial core
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GradedPolynomial:
-    """Quasihomogeneous polynomial: finite map monomial -> nonzero rational."""
+    """Quasihomogeneous polynomial: finite map monomial -> nonzero rational.
+
+    The coefficients are stored once, as integer numerators ``num`` over one
+    denominator ``den`` > 0 with gcd(den, *num) = 1, keyed by the packed
+    monomials of ``_width(ws.degree)``, so the grade is at most ws.degree.  It
+    is built from a map monomial -> rational (Fraction or int); ``terms`` is
+    that map again, a read-only view built on first access.
+    """
 
     ws: WeightSystem
     grade: int
-    terms: dict[Monomial, Fraction]
+    num: dict[int, int]
+    den: int
 
-    def __post_init__(self) -> None:
-        for m, c in self.terms.items():
-            if c == 0:
-                raise ValueError("GradedPolynomial: zero coefficient stored")
-            if weighted_degree(m, self.ws) != self.grade:
+    def __new__(cls, ws: WeightSystem, grade: int, terms: dict[Monomial, Fraction | int]) -> "GradedPolynomial":
+        for m in terms:  # before packing: an exponent past the key width would read as another monomial
+            if weighted_degree(m, ws) != grade:
                 raise ValueError(
-                    f"GradedPolynomial: {format_monomial(m)} has degree "
-                    f"{weighted_degree(m, self.ws)}, not {self.grade}"
+                    f"GradedPolynomial: {format_monomial(m)} has degree {weighted_degree(m, ws)}, not {grade}"
                 )
+        w = _width(ws.degree)
+        return _form(ws, grade, *_over_lcm({_pack(m, w): c for m, c in terms.items()}))
+
+    def __reduce__(self):
+        return _form, (self.ws, self.grade, self.num, self.den)
+
+    @cached_property
+    def terms(self) -> MappingProxyType:
+        return MappingProxyType({m: Fraction(v, self.den) for m, v in zip(self.monomials(), self.num.values())})
+
+    def monomials(self) -> list[Monomial]:
+        """The monomials of the terms, in the order of ``num``."""
+        return list(map(_grade_monomials(self.ws, self.grade).__getitem__, self.num))
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+        return Fraction(self.num.get(_pack(m, _width(self.ws.degree)), 0), self.den)
 
     @property
     def support(self) -> frozenset[Monomial]:
-        return frozenset(self.terms)
+        return frozenset(self.monomials())
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def scale(self, c: Fraction | int) -> "GradedPolynomial":
         c = Fraction(c)
-        if c == 0:
-            return GradedPolynomial(self.ws, self.grade, {})
-        return GradedPolynomial(self.ws, self.grade, {m: v * c for m, v in self.terms.items()})
+        num = {m: v * c.numerator for m, v in self.num.items()} if c else {}
+        return _form(self.ws, self.grade, *_reduced(num, self.den * c.denominator))
 
     def __str__(self) -> str:
         return format_polynomial(self)
+
+
+#: integer numerators over one positive denominator, keyed by the packed
+#: monomials of ``_width(ws.degree)``: what a GradedPolynomial stores, and what
+#: the kernels pass between the steps of ``normalize``
+IntegerForm = tuple[dict[int, int], int]
+
+
+def _form(ws: WeightSystem, grade: int, num: dict[int, int], den: int) -> GradedPolynomial:
+    """The polynomial num / den, checked as the constructor checks it."""
+    if grade > ws.degree:
+        raise ValueError(f"a grade-{grade} form is past the packed keys of degree {ws.degree}")
+    if not all(num.values()):
+        raise ValueError("GradedPolynomial: zero coefficient stored")
+    w, known = _width(ws.degree), _grade_monomials(ws, grade)
+    for k in num.keys() - known.keys():
+        m = _unpack(k, w)
+        if weighted_degree(m, ws) != grade or _pack(m, w) != k:
+            raise ValueError(f"GradedPolynomial: {format_monomial(m)} has degree {weighted_degree(m, ws)}, not {grade}")
+        known[k] = m
+    if den <= 0 or gcd(den, *num.values()) != 1:
+        raise ValueError(f"GradedPolynomial: denominator {den} is not positive and prime to the numerators")
+    f = object.__new__(GradedPolynomial)
+    f.__dict__.update(ws=ws, grade=grade, num=num, den=den)
+    return f
+
+
+def _over_lcm(terms: dict[int, Fraction | int]) -> IntegerForm:
+    """Rationals as integer numerators over their least common denominator;
+    the gcd is 1, since some numerator is prime to each prime of that lcm."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
+def _reduced(num: dict[int, int], den: int) -> IntegerForm:
+    """num / den (den > 0) with gcd 1."""
+    g = gcd(den, *num.values())
+    return ({m: v // g for m, v in num.items()}, den // g) if g != 1 else (num, den)
 
 
 def format_polynomial(f: GradedPolynomial) -> str:
@@ -134,6 +191,19 @@ def _unpack(key: int, w: int) -> Monomial:
     return tuple([key >> w * k & mask for k in range(NVARS)])  # type: ignore[return-value]
 
 
+@cache
+def _grade_monomials(ws: WeightSystem, grade: int) -> dict[int, Monomial]:
+    """Packed key -> monomial for the keys of one grade that ``_form`` has
+    checked so far: each key is unpacked and checked once."""
+    return {}
+
+
+@cache
+def _member_keys(ws: WeightSystem) -> list[int]:
+    """The packed monomials of degree d, in the order of ``enumerate_monomials``."""
+    return [_pack(m, _width(ws.degree)) for m in enumerate_monomials(ws, ws.degree)]
+
+
 def _mul_terms(a: dict, b: dict, terms: dict | None = None) -> dict:
     """Product of two packed monomial -> coefficient maps (int or Fraction),
     added into ``terms`` (a new map by default), zeros dropped."""
@@ -150,13 +220,10 @@ def _mul_terms(a: dict, b: dict, terms: dict | None = None) -> dict:
 
 
 def partial_derivative(f: GradedPolynomial, var: int) -> GradedPolynomial:
-    terms: dict[Monomial, Fraction] = {}
-    for m, c in f.terms.items():
-        if m[var]:
-            mm = list(m)
-            mm[var] -= 1
-            terms[tuple(mm)] = c * m[var]
-    return GradedPolynomial(f.ws, f.grade - f.ws.weights[var], terms)
+    w = _width(f.ws.degree)
+    shift, mask = w * var, (1 << w) - 1
+    num = {m - (1 << shift): c * e for m, c in f.num.items() if (e := m >> shift & mask)}
+    return _form(f.ws, f.grade - f.ws.weights[var], *_reduced(num, f.den))
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +244,9 @@ class Substitution:
     def __post_init__(self) -> None:
         if self.tail.grade != self.tail.ws.weights[self.target]:
             raise ValueError("Substitution: tail grade must equal the target weight")
-        for m in self.tail.terms:
-            if m[self.target]:
-                raise ValueError("Substitution: tail must not involve the target variable")
+        w = _width(self.tail.ws.degree)
+        if any(m >> w * self.target & (1 << w) - 1 for m in self.tail.num):
+            raise ValueError("Substitution: tail must not involve the target variable")
 
     @property
     def is_identity(self) -> bool:
@@ -201,28 +268,7 @@ def substitute(f: GradedPolynomial, sub: Substitution) -> GradedPolynomial:
         raise ValueError("substitute: weight system mismatch")
     if sub.is_identity:
         return f
-    return _fractions(_substitute_ints(*_integers(f), sub.target, sub.tail), f)
-
-
-#: integer numerators over one positive denominator, keyed by the packed
-#: monomials of ``_width(ws.degree)``; tuples come back only in the outputs
-IntegerForm = tuple[dict[int, int], int]
-
-
-def _integers(f: GradedPolynomial) -> IntegerForm:
-    """f as a packed integer form with gcd(den, *num) = 1."""
-    if f.grade > f.ws.degree:
-        raise ValueError(f"a grade-{f.grade} form is past the packed keys of degree {f.ws.degree}")
-    w = _width(f.ws.degree)
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    return {_pack(m, w): c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
-
-
-def _fractions(g: IntegerForm, f: GradedPolynomial) -> GradedPolynomial:
-    """The packed integer form g, of f's grade, as a polynomial like f."""
-    num, den = g
-    w = _width(f.ws.degree)
-    return GradedPolynomial(f.ws, f.grade, {_unpack(m, w): Fraction(v, den) for m, v in num.items()})
+    return _form(f.ws, f.grade, *_substitute_ints(f.num, f.den, sub.target, sub.tail))
 
 
 def _substitute_ints(num: dict[int, int], den: int, j: int, tail: GradedPolynomial) -> IntegerForm:
@@ -232,11 +278,9 @@ def _substitute_ints(num: dict[int, int], den: int, j: int, tail: GradedPolynomi
     New monomials keep f's degree, since ``Substitution`` gives T x_j's grade."""
     w = _width(tail.ws.degree)
     shift, mask = w * j, (1 << w) - 1
-    q = lcm(*(c.denominator for c in tail.terms.values()))
+    q = tail.den
     # (q*x_j + T)^e / x_j^e is the e-th power of q + T/x_j
-    repl = {0: q} | {
-        _pack(m, w) - (1 << shift): c.numerator * (q // c.denominator) for m, c in tail.terms.items()
-    }
+    repl = {0: q} | {m - (1 << shift): c for m, c in tail.num.items()}
     exps = [m >> shift & mask for m in num]
     max_e = max(exps, default=0)
     powers: list[dict[int, int]] = [{0: 1}]
@@ -254,39 +298,7 @@ def _substitute_ints(num: dict[int, int], den: int, j: int, tail: GradedPolynomi
                 out[key] = v
             else:
                 del out[key]
-    den *= top
-    g = gcd(den, *out.values())
-    return ({m: v // g for m, v in out.items()}, den // g) if g != 1 else (out, den)
-
-
-def apply_pair_map(
-    f: GradedPolynomial, i: int, j: int, matrix: Sequence[Sequence[Fraction | int]]
-) -> GradedPolynomial:
-    """Invertible linear change on two equal-weight variables.
-
-    Substitutes x_i -> m00*x_i + m01*x_j and x_j -> m10*x_i + m11*x_j.
-    """
-    ws = f.ws
-    if ws.weights[i] != ws.weights[j]:
-        raise ValueError("apply_pair_map: variables must have equal weights")
-    m00, m01 = Fraction(matrix[0][0]), Fraction(matrix[0][1])
-    m10, m11 = Fraction(matrix[1][0]), Fraction(matrix[1][1])
-    if m00 * m11 - m01 * m10 == 0:
-        raise ValueError("apply_pair_map: singular matrix")
-    w = _width(f.grade)
-    units = (1 << w * i, 1 << w * j)
-    powers = []  # per variable, the powers of its image
-    for var, image in ((i, (m00, m01)), (j, (m10, m11))):
-        linear = {k: v for k, v in zip(units, image) if v}
-        powers.append([{0: Fraction(1)}])
-        for _ in range(max((m[var] for m in f.terms), default=0)):
-            powers[-1].append(_mul_terms(powers[-1][-1], linear))
-    out: dict[int, Fraction] = {}
-    for m, c in f.terms.items():
-        rest = list(m)
-        rest[i] = rest[j] = 0
-        _mul_terms({_pack(rest, w): c}, _mul_terms(powers[0][m[i]], powers[1][m[j]]), out)
-    return GradedPolynomial(ws, f.grade, {_unpack(m, w): c for m, c in out.items()})
+    return _reduced(out, den * top)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +330,15 @@ def slice_form(f: GradedPolynomial, pair: tuple[int, int], cofactor: Monomial | 
     x_j order; for equal weights this is the usual binary form on the pair.  A
     slice with no monomial of f's grade is the empty form ``()``.
     """
+    return tuple(Fraction(v, f.den) for v in slice_numerators(f, pair, cofactor))
+
+
+def slice_numerators(f: GradedPolynomial, pair: tuple[int, int], cofactor: Monomial | None = None) -> tuple[int, ...]:
+    """``slice_form`` times f.den: the same binary form up to a positive
+    factor, so with the same roots, in integers."""
     cof = cofactor if cofactor is not None else (0,) * NVARS
-    return tuple(f.coefficient(m) for m in slice_exponents(f.ws, pair, cof, f.grade))
+    w = _width(f.ws.degree)
+    return tuple(f.num.get(_pack(m, w), 0) for m in slice_exponents(f.ws, pair, cof, f.grade))
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +377,11 @@ def _draw_nonzero(rng: random.Random) -> int:
     return v
 
 
-def _expand_roots(roots: Sequence[int]) -> list[Fraction]:
+def _expand_roots(roots: Sequence[int]) -> list[int]:
     """Coefficients of prod_r (V - rho_r U) by rising V-power."""
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for rho in roots:
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        nxt = [0] * (len(coeffs) + 1)
         for k, c in enumerate(coeffs):
             nxt[k + 1] += c  # times V
             nxt[k] += c * (-rho)  # times -rho*U
@@ -382,22 +401,22 @@ def sample_general_member(
     cannot be met raises GenericityError (``_draw_slice``).
     """
     rng = random.Random(seed * 1000003)
-    terms = {m: Fraction(_draw_nonzero(rng)) for m in enumerate_monomials(ws, ws.degree)}
+    terms = {m: _draw_nonzero(rng) for m in _member_keys(ws)}
     pools: dict[tuple[int, int], list[int]] = {}
     for check in checks:
         _draw_slice(rng, ws, terms, pools, check)
-    return GradedPolynomial(ws, ws.degree, terms)
+    return _form(ws, ws.degree, *_over_lcm(terms))
 
 
 def _draw_slice(
     rng: random.Random,
     ws: WeightSystem,
-    terms: dict[Monomial, Fraction],
+    terms: dict[int, Fraction | int],
     pools: dict[tuple[int, int], list[int]],
     check: SliceSplit,
 ) -> None:
-    """Overwrite a slice with a form that splits, after the check's shift if
-    it has one.
+    """Overwrite a slice of terms (keyed by packed monomials) with a form that
+    splits, after the check's shift if it has one.
 
     The roots extend the pair's pool by fresh distinct nonzero integers; the
     form is a nonzero multiple of their product.  The shift constant is the
@@ -410,6 +429,7 @@ def _draw_slice(
     coefficient of the product or of the drawn slice is 0, the slice's roots
     are redrawn, at most 10,000 times.
     """
+    w = _width(ws.degree)
     mons = slice_exponents(ws, check.pair, parse_monomial(check.cofactor), ws.degree)
     pool = pools.setdefault(check.pair, [])
     start = len(pool)
@@ -419,9 +439,7 @@ def _draw_slice(
     if check.shift is not None:
         s, mu = check.shift[0], parse_monomial(check.shift[1])
         pure = tuple(a * (ws.degree // weighted_degree(mu, ws)) for a in mu)
-        w = _width(ws.degree)
-        packed = {_pack(m, w): c for m, c in terms.items()}
-        cubic, *polluted = _elimination_polynomial(packed, w, s, mu, [pure, *mons])
+        cubic, *polluted = _elimination_polynomial(terms, w, s, mu, [pure, *mons])
         c1 = _canonical_rational_root(cubic)
         if c1 is None:
             raise GenericityError(f"{check.describe()}: the shift cubic has no rational root")
@@ -436,7 +454,7 @@ def _draw_slice(
             scale = _draw_nonzero(rng)
             adjusted = [c * scale - e for c, e in zip(coeffs, pollution)]
             if all(adjusted):
-                terms.update(zip(mons, adjusted))
+                terms.update(zip([_pack(m, w) for m in mons], adjusted))
                 return
         del pool[start:]
     raise GenericityError(f"{check.describe()}: no slice in 10000 root draws")
@@ -540,13 +558,13 @@ def _canonical_rational_root(poly: dict[int, Fraction | int]) -> Fraction | None
     deg = max(poly)
     if deg == 0:
         return None  # nonzero constant: target unreachable
-    roots = univariate_rational_roots([poly.get(k, Fraction(0)) for k in range(deg + 1)])
+    roots = univariate_rational_roots([poly.get(k, 0) for k in range(deg + 1)])
     return min(roots, key=lambda r: (abs(r), r < 0), default=None)
 
 
-def _shift(f: IntegerForm, ws: WeightSystem, var: int, tail: dict) -> tuple[IntegerForm, Substitution]:
-    """f after x_var -> x_var + tail, with the substitution for the audit."""
-    sub = Substitution(var, GradedPolynomial(ws, ws.weights[var], tail))
+def _shift(f: IntegerForm, ws: WeightSystem, var: int, tail: dict[int, Fraction]) -> tuple[IntegerForm, Substitution]:
+    """f after x_var -> x_var + tail (packed keys), with the substitution for the audit."""
+    sub = Substitution(var, _form(ws, ws.weights[var], *_over_lcm(tail)))
     return _substitute_ints(*f, var, sub.tail), sub
 
 
@@ -556,9 +574,8 @@ def _apply_depress(f: IntegerForm, ws: WeightSystem, p: DepressPass) -> tuple[In
     pivot = num.get(3 << shift, 0)
     if pivot == 0:
         raise GenericityError(f"depress pass: pivot {VARIABLES[j]}^3 has zero coefficient")
-    layer = {m - (2 << shift): c for m, c in num.items() if m >> shift & mask == 2}
-    tail = {_unpack(m, w): Fraction(-c, 3 * pivot) for m, c in layer.items()}
-    return _shift(f, ws, j, tail)
+    layer = {m - (2 << shift): Fraction(-c, 3 * pivot) for m, c in num.items() if m >> shift & mask == 2}
+    return _shift(f, ws, j, layer)
 
 
 def _solve_step_univariate(
@@ -573,7 +590,7 @@ def _solve_step_univariate(
             f"{VARIABLES[var]} -> {VARIABLES[var]} + c*{format_monomial(template)}: "
             "no rational solution (genericity/pivot failure)"
         )
-    return _shift(f, ws, var, {template: root} if root else {})
+    return _shift(f, ws, var, {_pack(template, _width(ws.degree)): root} if root else {})
 
 
 def _apply_level(
@@ -600,7 +617,7 @@ def _apply_level(
         )
     subs = []
     for (var, template, _), c in zip(steps, solution):
-        f, sub = _shift(f, ws, var, {template: c} if c else {})
+        f, sub = _shift(f, ws, var, {_pack(template, w): c} if c else {})
         subs.append(sub)
     return f, subs
 
@@ -670,7 +687,7 @@ def normalize(
                 )
 
     applied: list[Substitution] = []
-    g = _integers(f)
+    g = f.num, f.den
     for p in depress:
         g, sub = _apply_depress(g, f.ws, p)
         applied.append(sub)
@@ -690,7 +707,7 @@ def normalize(
             "eliminations did not close; still present: "
             + ", ".join(format_monomial(m) for m in stale)
         )
-    return _fractions(g, f), applied
+    return _form(f.ws, f.grade, *g), applied
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +785,7 @@ def family_weight_system(number: int) -> WeightSystem:
     return weight_system(*septuple)
 
 
+@cache
 def builtin_plan(number: int) -> NormalizationPlan:
     """The reduction plan for one of the seven symmetry-route families."""
     ws = family_weight_system(number)
@@ -884,55 +902,6 @@ def reference_support(number: int, corrected: bool = True) -> frozenset[Monomial
 
 
 # ---------------------------------------------------------------------------
-# binary-cubic normal form (d = 3*a5, a4 = a5)
-
-
-@dataclass(frozen=True)
-class CubicNormalForm:
-    polynomial: GradedPolynomial
-    pair_matrix: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-    scale: Fraction  # the whole equation was divided by this
-
-
-def cubic_normal_form(f: GradedPolynomial) -> CubicNormalForm:
-    """Linear change in (t, w) making the pure (t, w) part exactly w*t*(w - t).
-
-    Needs the pure (t, w) cubic to have three distinct rational roots (the
-    designated-root sampling provides them); the three roots are moved to the
-    points [t:w] = [0:1], [1:0], [1:1] and the equation is rescaled.
-    """
-    ws = f.ws
-    a = ws.weights
-    if f.grade != 3 * a[4] or a[3] != a[4]:
-        raise ValueError("cubic_normal_form: needs d = 3*a5 and a4 = a5")
-    cubic = slice_form(f, (T, W))
-    if not any(cubic):
-        raise GenericityError("cubic_normal_form: pure (t,w) part vanishes")
-    roots = rational_roots(cubic)
-    if len(roots) < 3:
-        raise GenericityError(
-            f"cubic_normal_form: (t,w) cubic does not split: {len(roots)} distinct rational roots"
-        )
-    r1, r2, r3 = roots[:3]
-    # send [1:0], [0:1], [1:1] to r2, r1, r3 by the matrix with columns
-    # lambda*r2 and mu*r1, where lambda*r2 + mu*r1 = r3
-    det = r2[0] * r1[1] - r2[1] * r1[0]
-    matrix = tuple(tuple(Fraction(x, det) for x in row) for row in triple_matrix((r2, r1, r3)))
-    g = apply_pair_map(f, T, W, matrix)
-    # after the move the cubic is c * t*w*(w - t); read c off the t*w^2 slot
-    m_tw2: Monomial = (0, 0, 0, 1, 2)
-    c = g.coefficient(m_tw2)
-    if c == 0:
-        raise GenericityError("cubic_normal_form: degenerate root configuration")
-    g = g.scale(Fraction(1) / c)
-    check = slice_form(g, (T, W))
-    # slots by rising w-power: t^3, t^2 w, t w^2, w^3 must read 0, -1, 1, 0
-    if check != (0, -1, 1, 0):
-        raise RuntimeError("cubic_normal_form: normal form check failed")
-    return CubicNormalForm(polynomial=g, pair_matrix=matrix, scale=c)
-
-
-# ---------------------------------------------------------------------------
 # member-level quasismoothness
 
 
@@ -1005,16 +974,16 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
     """
     from itertools import combinations
 
+    monomials = f.monomials()
     for i in range(NVARS):
         # a partial holds a pure power of x_i only from a term x_i^e or x_i^e * x_k
         # of f; by the Euler relation, P_i is singular iff no partial does
-        if all(sum(m) - m[i] > 1 for m in f.terms):
+        if all(sum(m) - m[i] > 1 for m in monomials):
             point = ":".join("1" if k == i else "0" for k in range(NVARS))
             return MemberVerdict(status="singular", witness=f"[{point}]", detail=f"axis {VARIABLES[i]}")
-    # the partials of f's primitive integer multiple (f is nonzero, as its axes
-    # passed): for reduced fractions its content is gcd(numerators) / lcm(denominators)
-    values = f.terms.values()
-    primitive = f.scale(Fraction(lcm(*(c.denominator for c in values)), gcd(*(c.numerator for c in values))))
+    # the partials of f's primitive integer multiple (f is nonzero, as its axes passed)
+    content = gcd(*f.num.values())
+    primitive = _form(f.ws, f.grade, {m: c // content for m, c in f.num.items()}, 1)
     partials = [partial_derivative(primitive, k) for k in range(NVARS)]
     for pair in combinations(range(NVARS), 2):
         verdict = _check_edge(partials, pair)
@@ -1061,7 +1030,7 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
 
 def _check_edge(partials: list[GradedPolynomial], pair: tuple[int, int]) -> MemberVerdict | None:
     i, j = pair
-    forms = [form for g in partials if any(form := slice_form(g, pair))]
+    forms = [form for g in partials if any(form := slice_numerators(g, pair))]
     # never empty: the axis checks passed, so the partial holding a pure power
     # of x_i has a nonzero slice here
     degree = common_interior_degree(forms)
@@ -1105,10 +1074,11 @@ def _macaulay_rank(partials: list[GradedPolynomial], k: int, p: int) -> int:
     by_grade = {d: exponents(enumerate_monomials(ws, k - d)) @ place for d in {g.grade for g in partials} if d <= k}
     row_sets = []  # per partial: term keys, coefficients mod p, multipliers, {i: e} of its pure powers
     for g in partials:
-        if g.terms and g.grade <= k:
-            coefficients = [c.numerator % p for c in g.terms.values()]
-            pure = {m.index(e): e for m, c in zip(g.terms, coefficients) if c and 0 < (e := max(m)) == sum(m)}
-            term_keys = exponents(list(g.terms)) @ place
+        if g.num and g.grade <= k:
+            coefficients = [c % p for c in g.num.values()]
+            monomials = g.monomials()
+            pure = {m.index(e): e for m, c in zip(monomials, coefficients) if c and 0 < (e := max(m)) == sum(m)}
+            term_keys = exponents(monomials) @ place
             row_sets.append((term_keys, np.array(coefficients, dtype=np.float64), by_grade[g.grade], pure))
     rows = sum(len(multipliers) for _, _, multipliers, _ in row_sets)
     if rows * (p - 1) ** 2 >= EXACT_BOUND:

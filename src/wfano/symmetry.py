@@ -27,7 +27,7 @@ from .symalg import (
     builtin_plan,
     normalize,
     sample_family_member,
-    slice_form,
+    slice_numerators,
 )
 from .wspace import (
     Monomial,
@@ -341,7 +341,7 @@ def certify_trivial_automorphisms(family: int, seed: int = 0) -> AutomorphismCer
     stab_order: int | None = None
     if family in _LINE_SLICES:
         pair, cofactors = _LINE_SLICES[family]
-        pts = [p for cof in cofactors for p in rational_roots(slice_form(g, pair, parse_monomial(cof)))]
+        pts = [p for cof in cofactors for p in rational_roots(slice_numerators(g, pair, parse_monomial(cof)))]
         if len(set(pts)) != len(pts):
             raise GenericityError(f"certify: designated points collide for family {family}")
         stab = pgl2_set_stabilizer(pts)

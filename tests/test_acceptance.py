@@ -32,7 +32,6 @@ from wfano.symalg import (
     GradedPolynomial,
     Substitution,
     builtin_plan,
-    cubic_normal_form,
     family_weight_system,
     normalize,
     reference_support,
@@ -53,6 +52,8 @@ from wfano.wspace import (
     parse_monomial,
     weight_system,
 )
+
+from normal_form import cubic_normal_form
 
 SYMMETRY_FAMILIES = (19, 28, 39, 49, 59, 66, 84)
 

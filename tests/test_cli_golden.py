@@ -31,8 +31,10 @@ import pytest
 
 from wfano.catalog import FAMILY_LABELS, catalog_json, render_markdown
 from wfano.cli import main
-from wfano.symalg import cubic_normal_form, sample_family_member
+from wfano.symalg import sample_family_member
 from wfano.wspace import format_monomial
+
+from normal_form import cubic_normal_form
 
 GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text(encoding="utf-8"))
 

@@ -260,6 +260,72 @@ def test_univariate_rational_roots_against_brute_force():
         assert univariate_rational_roots(poly) == brute_force_roots(poly), poly
 
 
+def unfiltered_rational_roots(coefficients):
+    """The root finder before the f(1), f(-1) filter: every coprime candidate
+    +-p/q is evaluated in full, and Fractions of every input are cleared."""
+    coeffs = [Fraction(c) for c in coefficients]
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ic = [int(c * den) for c in coeffs]
+    while ic and ic[-1] == 0:
+        ic.pop()
+    roots = set()
+    lo = 0
+    while ic[lo] == 0:
+        lo += 1
+    if lo:
+        roots.add(Fraction(0))
+    ic = ic[lo:]
+    if len(ic) > 1:
+        cont = gcd(*ic)
+        ic = [c // cont for c in ic]
+        n = len(ic) - 1
+        qs = exactmath._divisors(abs(ic[-1]))
+        for p in exactmath._divisors(abs(ic[0])):
+            for q in qs:
+                if gcd(p, q) == 1:
+                    for s in (p, -p):
+                        if sum(c * s**i * q ** (n - i) for i, c in enumerate(ic)) == 0:
+                            roots.add(Fraction(s, q))
+    return sorted(roots)
+
+
+def test_univariate_rational_roots_filter_against_unfiltered_loop():
+    # planted roots 0, +-1 and p/q with q > 1, repeated, times a content and
+    # a factor s^2 + k without rational roots, given as ints or as Fractions
+    rng = random.Random(41)
+    kinds = {"zero": 0, "one": 0, "minus-one": 0, "q>1": 0, "repeated": 0, "content": 0, "fraction": 0}
+    for _ in range(2400):
+        roots = [rng.choice((0, 1, -1, Fraction(rng.randint(-9, 9), rng.randint(2, 6)))) for _ in range(rng.randint(0, 4))]
+        roots += roots[: rng.randint(0, 2)]
+        poly = from_roots(roots, lead=rng.randint(1, 12) * rng.choice((1, -1)))
+        if rng.random() < 0.4:
+            k = rng.randint(1, 5)
+            poly = [k * a + b for a, b in zip(poly + [0, 0], [0, 0] + poly)]
+        content = rng.choice((1, 1, 2, 6, 35))
+        ints = [int(c * content * lcm_of_denominators(poly)) for c in poly]
+        given = [Fraction(c, 12) for c in ints] if rng.random() < 0.3 else ints
+        expected = unfiltered_rational_roots(given)
+        assert univariate_rational_roots(given) == expected, given
+        assert expected == sorted(set(roots)), given
+        kinds["zero"] += 0 in roots
+        kinds["one"] += 1 in roots
+        kinds["minus-one"] += -1 in roots
+        kinds["q>1"] += any(Fraction(r).denominator > 1 for r in roots)
+        kinds["repeated"] += len(set(roots)) < len(roots)
+        kinds["content"] += content > 1
+        kinds["fraction"] += given is not ints
+    assert min(kinds.values()) >= 300, kinds
+
+
+def lcm_of_denominators(poly):
+    den = 1
+    for c in poly:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return den
+
+
 def test_univariate_rational_roots_refuses_long_end_coefficients():
     prime41, prime20 = 1099511627791, 524309  # primes of 41 and 20 bits
     assert prime41.bit_length() == MAX_ROOT_COEFF_BITS + 1

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -24,7 +26,6 @@ from wfano.symalg import (
     SliceSplit,
     Substitution,
     builtin_plan,
-    cubic_normal_form,
     family_weight_system,
     format_polynomial,
     normalize,
@@ -36,12 +37,13 @@ from wfano.symalg import (
     slice_form,
     substitute,
 )
-from wfano.symalg import _canonical_rational_root, _integers, _macaulay_rank, _solve_linear, _substitute_ints
-from wfano.symalg import _pack, _unpack, _width
+from wfano.symalg import _canonical_rational_root, _macaulay_rank, _solve_linear, _substitute_ints
+from wfano.symalg import _form, _pack, _unpack, _width
 from wfano.symalg import _CHECKS
 from wfano.wspace import count_monomials, enumerate_monomials, format_monomial, parse_monomial, weight_system
 
 from conftest import parse_polynomial
+from normal_form import apply_pair_map, cubic_normal_form
 
 SYMMETRY_FAMILIES = (19, 28, 39, 49, 59, 66, 84)
 
@@ -82,8 +84,7 @@ def test_substitute_identity_and_grade():
     f = random_polynomial(ws, 12, rng)
     ident = Substitution(4, GradedPolynomial(ws, 4, {}))
     assert substitute(f, ident) is f
-    num, den = _integers(f)
-    assert _substitute_ints(num, den, 4, ident.tail) == (num, den)
+    assert _substitute_ints(f.num, f.den, 4, ident.tail) == (f.num, f.den)
 
 
 def test_substitute_invertible_randomized():
@@ -153,7 +154,7 @@ def test_substitute_cancellation_stores_no_zero():
     f = parse_polynomial("2/3*t*z^3 + 1/2*x^3*z^3", ws, 12)
     sub = Substitution(3, GradedPolynomial(ws, 3, {parse_monomial("x^3"): Fraction(-3, 4)}))
     assert substitute(f, sub).terms == {parse_monomial("t*z^3"): Fraction(2, 3)}
-    num, den = _substitute_ints(*_integers(f), 3, sub.tail)
+    num, den = _substitute_ints(f.num, f.den, 3, sub.tail)
     assert (unpacked(num, ws), den) == ({parse_monomial("t*z^3"): 2}, 3)
 
 
@@ -164,7 +165,7 @@ def test_substitute_rational_tail_on_integer_member():
     ws = f.ws
     tail = {parse_monomial("x*y"): Fraction(5, 6), parse_monomial("x^4"): Fraction(-7, 4)}
     s = Substitution(2, GradedPolynomial(ws, ws.weights[2], tail))
-    num, den = _substitute_ints(*_integers(f), 2, s.tail)
+    num, den = _substitute_ints(f.num, f.den, 2, s.tail)
     assert den > 1 and gcd(den, *num.values()) == 1
     assert {m: Fraction(v, den) for m, v in unpacked(num, ws).items()} == fraction_substitute(f, s)
     assert substitute(f, s).terms == fraction_substitute(f, s)
@@ -177,7 +178,7 @@ def test_substitute_sparse_grade_300_against_fraction_expansion():
     s = Substitution(3, parse_polynomial("1/2*x^3 - 2/3*x*z + 5/7*y^3", ws, 3))
     expected = fraction_substitute(f, s)
     assert max(map(max, expected)) == 300 and len(expected) > 100
-    num, den = _substitute_ints(*_integers(f), 3, s.tail)
+    num, den = _substitute_ints(f.num, f.den, 3, s.tail)
     assert {m: Fraction(v, den) for m, v in unpacked(num, ws).items()} == expected
     assert substitute(substitute(f, s), s.inverse()) == f
 
@@ -201,10 +202,10 @@ def test_packed_keys_of_signed_digits_are_distinct():
     assert _pack((3, -1, 0, 2, 0), 3) + _pack((-3, 1, 0, 0, 1), 3) == _pack((0, 0, 0, 2, 1), 3)
 
 
-def test_integers_refuses_a_grade_past_the_keys():
+def test_a_grade_past_the_keys_is_refused():
     ws = weight_system(1, 1, 1, 1, 1, 4)
     with pytest.raises(ValueError, match="grade-5 form is past the packed keys of degree 4"):
-        _integers(parse_polynomial("x^5", ws, 5))
+        parse_polynomial("x^5", ws, 5)
 
 
 @pytest.mark.parametrize("family", SYMMETRY_FAMILIES)
@@ -247,6 +248,67 @@ def test_sampler_full_support_and_determinism():
     assert f.terms == g.terms
     h = sample_general_member(ws, seed=1)
     assert h.terms != f.terms
+
+
+def test_sampled_members_of_the_catalog_are_pinned(default_catalog):
+    # the text of the seed-0 and seed-1 members of the 130 catalog families
+    records, _ = default_catalog
+    texts = [format_polynomial(sample_general_member(r.ws, seed)) for r in records for seed in (0, 1)]
+    assert len(texts) == 260
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "bfc343a3efbbd832a79f62dd9eb2faf87f67f5af6282db6427da345aa06e0e36"
+
+
+def test_polynomial_stores_one_integer_form():
+    ws = weight_system(1, 2, 3, 3, 4, 12)
+    f = parse_polynomial("2/3*t*z^3 - 1/2*x^3*z^3 + 5*w^3", ws, 12)
+    w = _width(12)
+    assert f.den == 6
+    assert f.num == {_pack(parse_monomial("t*z^3"), w): 4, _pack(parse_monomial("x^3*z^3"), w): -3,
+                     _pack(parse_monomial("w^3"), w): 30}
+    # ints and Fractions of equal value give one form; the view is built on demand
+    g = GradedPolynomial(ws, 12, {parse_monomial("w^3"): 5, parse_monomial("t*z^3"): Fraction(2, 3),
+                                  parse_monomial("x^3*z^3"): Fraction(-1, 2)})
+    assert g == f and "terms" not in g.__dict__
+    assert g.terms == {parse_monomial("w^3"): 5, parse_monomial("t*z^3"): Fraction(2, 3),
+                       parse_monomial("x^3*z^3"): Fraction(-1, 2)}
+    assert "terms" in g.__dict__ and g.support == frozenset(g.terms)
+    with pytest.raises(TypeError):
+        g.terms[parse_monomial("w^3")] = Fraction(1)  # a read-only view
+    # a pickled polynomial carries the integer form only, and comes back equal
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and "terms" not in back.__dict__
+    assert f.scale(Fraction(-3, 2)).num == {k: -v for k, v in f.num.items()} and f.scale(Fraction(-3, 2)).den == 4
+    assert f.scale(0).num == {} and f.scale(0).den == 1
+
+
+def key(text):
+    """The packed key of a monomial over weight_system(1, 2, 3, 3, 4, 12)."""
+    return _pack(parse_monomial(text), _width(12))
+
+
+@pytest.mark.parametrize(
+    "num,den,message",
+    [
+        ({key("w^3"): 0}, 1, "zero coefficient"),
+        ({key("w^2"): 1}, 1, "w\\^2 has degree 8, not 12"),
+        ({-1: 1}, 1, "has degree"),  # a key with a negative digit
+        ({key("w^3"): 1}, 0, "denominator 0"),
+        ({key("w^3"): 1}, -2, "denominator -2"),
+        ({key("w^3"): 4, key("t^4"): 6}, 4, "denominator 4"),  # gcd 2
+    ],
+    ids=["zero", "grade", "negative-digit", "den-zero", "den-negative", "gcd"],
+)
+def test_integer_form_is_checked(num, den, message):
+    with pytest.raises(ValueError, match=message):
+        _form(weight_system(1, 2, 3, 3, 4, 12), 12, num, den)
+
+
+def test_construction_refuses_an_exponent_past_the_key_width():
+    # x^19 has degree 19; packed in 4-bit fields it would read as x^3*y
+    ws = weight_system(1, 1, 1, 1, 1, 4)
+    with pytest.raises(ValueError, match="has degree 19, not 4"):
+        GradedPolynomial(ws, 4, {(19, 0, 0, 0, 0): Fraction(1)})
 
 
 def test_sampler_split_slices_family_19():
@@ -314,6 +376,14 @@ def test_reference_tables_transcription_deltas():
             assert delta == {parse_monomial("x^3*z^4")}
         else:
             assert not delta
+
+
+def test_builtin_plan_is_parsed_once_per_family():
+    assert builtin_plan(19) is builtin_plan(19)
+    for number, message in ((1, "no built-in plan for family 1"), (7, "unknown family number 7")):
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(ValueError, match=message):
+                builtin_plan(number)
 
 
 def test_normalize_idempotent():
@@ -481,8 +551,6 @@ def test_cubic_normal_form_split_cubic():
 
 @pytest.mark.parametrize("family", (9, 17, 27))
 def test_cubic_normal_form_on_projection_families(family):
-    from wfano.symalg import apply_pair_map
-
     f = sample_family_member(family, seed=0)
     nf = cubic_normal_form(f)
     g = nf.polynomial
@@ -588,6 +656,21 @@ def test_quasismooth_member_off_axis_singular_point_is_indeterminate():
     assert verdict.checks == (MacaulayCheck(degree=11, columns=1365, rank=1356, prime=32009),)
 
 
+def test_quasismooth_member_builds_no_terms_view(monkeypatch):
+    # the check reads numerators and packed keys: neither the member nor a
+    # partial builds its monomial -> Fraction view
+    made = []
+
+    def recording(f, var):
+        made.append(partial_derivative(f, var))
+        return made[-1]
+
+    monkeypatch.setattr(symalg, "partial_derivative", recording)
+    f = sample_general_member(weight_system(1, 2, 3, 4, 5, 10), seed=1)
+    assert quasismooth_member(f).status == "quasismooth"
+    assert len(made) == 5 and all("terms" not in g.__dict__ for g in (f, *made))
+
+
 def test_quasismooth_member_refuses_oversized_matrices():
     # the octic on P^4 has sigma = 30: the degree-31 matrix would have 52,360 columns
     octic = parse_polynomial("x^8 + y^8 + z^8 + t^8 + w^8", weight_system(1, 1, 1, 1, 1, 8), 8)
@@ -672,8 +755,7 @@ def certified_variables(ws, degrees):
 
 def macaulay_rank(f, k, p):
     """``_macaulay_rank`` of f's partials in degree k, as ``quasismooth_member`` calls it."""
-    num, den = _integers(f)
-    primitive = f.scale(Fraction(den, gcd(*num.values())))
+    primitive = f.scale(Fraction(f.den, gcd(*f.num.values())))
     return _macaulay_rank([partial_derivative(primitive, j) for j in range(5)], k, p)
 
 
@@ -724,8 +806,7 @@ def test_quasismooth_member_edge_of_the_uncertified_variables():
 def full_macaulay_rank(f, k, p):
     """Rank mod p of every row mu * d_j f of the degree-k Macaulay matrix,
     with f's denominators and content cleared, built term by term."""
-    num, den = _integers(f)
-    scale = Fraction(den, gcd(*num.values()))
+    scale = Fraction(f.den, gcd(*f.num.values()))
     columns = {m: c for c, m in enumerate(enumerate_monomials(f.ws, k))}
     rows = []
     for j in range(5):
