@@ -34,7 +34,6 @@ from .catalog import (
     SearchBounds,
     classify,
     load_catalog,
-    projection_exceptional,
     save_catalog,
 )
 from .symalg import (

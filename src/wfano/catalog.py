@@ -131,23 +131,8 @@ def family_record(ws: WeightSystem) -> FamilyRecord:
     )
 
 
-class _DivisorBits(dict):
-    """n -> the int with bit m set for each m <= max_weight dividing n (every
-    bit for n = 0), each computed on first use: a table of every n up to
-    5 * max_weight would take about max_weight**2 / 2 bytes before the
-    search starts."""
-
-    def __init__(self, max_weight: int) -> None:
-        super().__init__()
-        self.max_weight = max_weight
-
-    def __missing__(self, n: int) -> int:
-        bits = self[n] = sum(1 << m for m in range(1, self.max_weight + 1) if n % m == 0)
-        return bits
-
-
 def _top_pairs(
-    a1: int, a2: int, a3: int, bounds: SearchBounds, divisors: _DivisorBits
+    a1: int, a2: int, a3: int, bounds: SearchBounds, divisors: list[int]
 ) -> Iterator[tuple[int, int, int]]:
     """Each (a4, a5, d) in bounds with a3 <= a4 <= a5 that the vertex
     conditions of a5 and a4 allow, and whose point P5 can be terminal, once.
@@ -259,7 +244,11 @@ def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[
     ``membership.rejection``."""
     max_w, max_d = bounds.max_weight, bounds.max_degree
     max_sum = max_d + bounds.index_range[1]
-    divisors = _DivisorBits(max_w)
+    # bit m of divisors[n] is set iff m <= max_w divides n; _top_pairs reads n <= min(max_d, 5 * max_w)
+    divisors = [0] * (min(max_d, 5 * max_w) + 1)
+    for m in range(1, max_w + 1):
+        for n in range(0, len(divisors), m):
+            divisors[n] |= 1 << m
     for a1 in range(lo, hi):
         for a2 in range(a1, max_w + 1):
             if a1 + 4 * a2 > max_sum:
@@ -323,23 +312,6 @@ def classify(bounds: SearchBounds | None = None, jobs: int = 1) -> list[FamilyRe
     records = [family_record(WeightSystem(a, d)) for a, d in raw]
     records.sort(key=lambda r: _order(r.ws))
     return records
-
-
-def projection_exceptional(records: Sequence[FamilyRecord]) -> list[FamilyRecord]:
-    """Index-1 records not handled by the symmetry route with d >= 3*a5.
-
-    These are exactly the families requiring the binary-cubic normal form:
-    every returned record has d = 3*a5 and a4 = a5.
-    """
-    out = []
-    for r in records:
-        if r.ws.index != 1:
-            raise ValueError("projection_exceptional: expects index-1 records")
-        if r.septuple in EXCEPTIONAL_EIGHT:
-            continue
-        if r.ws.degree >= 3 * r.ws.weights[4]:
-            out.append(r)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -38,21 +38,6 @@ class QuotientSingularity:
                     "(non-isolated types are tracked separately)"
                 )
 
-    def canonical(self) -> tuple[int, tuple[int, int, int]]:
-        """Normal form under generator change: lexicographically least scaling."""
-        r = self.order
-        best = None
-        for c in range(1, r):
-            if gcd(c, r) != 1:
-                continue
-            scaled = tuple(sorted((c * w) % r for w in self.local_weights))
-            if best is None or scaled < best:
-                best = scaled
-        return r, best  # type: ignore[return-value]
-
-    def equivalent_to(self, other: "QuotientSingularity") -> bool:
-        return self.canonical() == other.canonical()
-
     def __str__(self) -> str:
         return f"1/{self.order}({','.join(str(w) for w in self.local_weights)})"
 
@@ -104,12 +89,12 @@ def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSe
     a, d = ws.weights, ws.degree
 
     # 2-dimensional singular strata: X meets them in a curve of singular points
-    # unless the restricted equation is a single monomial.  A stratum inside X
-    # (no monomial at all) fails hypersurface well-formedness, which both
-    # callers have passed.
+    # unless the restricted equation is a single monomial.  Both callers have
+    # passed vertex coverage and well-formedness, and then such a stratum
+    # always has at least two monomials (the lemma in ``catalog``'s docstring).
     for subset, wts in zip(combinations(range(NVARS), 3), combinations(a, 3)):
         q = gcd(*wts)
-        if q > 1 and count_monomials(wts, d) >= 2:
+        if q > 1:
             yield subset, f"X meets the gcd-{q} stratum in a curve of singular points"
 
     # vertices

@@ -92,20 +92,12 @@ class GradedPolynomial:
         """The monomials of the terms, in the order of ``num``."""
         return list(map(_grade_monomials(self.ws, self.grade).__getitem__, self.num))
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return Fraction(self.num.get(_pack(m, _width(self.ws.degree)), 0), self.den)
-
     @property
     def support(self) -> frozenset[Monomial]:
         return frozenset(self.monomials())
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def scale(self, c: Fraction | int) -> "GradedPolynomial":
-        c = Fraction(c)
-        num = {m: v * c.numerator for m, v in self.num.items()} if c else {}
-        return _form(self.ws, self.grade, *_reduced(num, self.den * c.denominator))
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -252,9 +244,6 @@ class Substitution:
     def is_identity(self) -> bool:
         return self.tail.is_zero()
 
-    def inverse(self) -> "Substitution":
-        return Substitution(self.target, self.tail.scale(-1))
-
     def describe(self) -> str:
         v = VARIABLES[self.target]
         if self.is_identity:
@@ -322,20 +311,11 @@ def slice_exponents(ws: WeightSystem, pair: tuple[int, int], cofactor: Monomial,
     return out  # type: ignore[return-value]
 
 
-def slice_form(f: GradedPolynomial, pair: tuple[int, int], cofactor: Monomial | None = None) -> tuple[Fraction, ...]:
-    """The coefficients of f along a pair slice, as a binary form
-    (``exactmath.BinaryForm``).
-
-    Entry k of the form corresponds to the k-th monomial of the slice in rising
-    x_j order; for equal weights this is the usual binary form on the pair.  A
-    slice with no monomial of f's grade is the empty form ``()``.
-    """
-    return tuple(Fraction(v, f.den) for v in slice_numerators(f, pair, cofactor))
-
-
 def slice_numerators(f: GradedPolynomial, pair: tuple[int, int], cofactor: Monomial | None = None) -> tuple[int, ...]:
-    """``slice_form`` times f.den: the same binary form up to a positive
-    factor, so with the same roots, in integers."""
+    """The coefficients of f along a pair slice times f.den: a binary form
+    (``exactmath.BinaryForm``) in integers, with the roots of f's own.  Entry k
+    belongs to the k-th monomial of the slice in rising x_j order (for equal
+    weights, the usual binary form on the pair); an empty slice gives ``()``."""
     cof = cofactor if cofactor is not None else (0,) * NVARS
     w = _width(f.ws.degree)
     return tuple(f.num.get(_pack(m, w), 0) for m in slice_exponents(f.ws, pair, cof, f.grade))
@@ -887,16 +867,13 @@ REFERENCE_TABLE_ERRATA: dict[int, str] = {
 }
 
 
-def reference_support(number: int, corrected: bool = True) -> frozenset[Monomial]:
-    """Reference reduced support for a symmetry-route family.
-
-    With corrected=True the provable omissions in the transcribed lists are
-    restored; corrected=False returns the verbatim transcription.
-    """
+def reference_support(number: int) -> frozenset[Monomial]:
+    """Reference reduced support for a symmetry-route family: the transcribed
+    list (``REFERENCE_TABLES``) with its provable omissions restored."""
     if number not in REFERENCE_TABLES:
         raise ValueError(f"no reference table for family {number}")
     support = set(parse_monomial_set(REFERENCE_TABLES[number]))
-    if corrected and number in REFERENCE_TABLE_ERRATA:
+    if number in REFERENCE_TABLE_ERRATA:
         support.add(parse_monomial(REFERENCE_TABLE_ERRATA[number]))
     return frozenset(support)
 

@@ -180,11 +180,6 @@ class MoebiusMap:
     def inverse(self) -> "MoebiusMap":
         return moebius_map(adjugate(self.matrix))
 
-    @property
-    def is_identity(self) -> bool:
-        (a, b), (c, d) = self.matrix
-        return b == 0 and c == 0 and a == d
-
     def describe(self) -> str:
         def lin(p: int, q: int) -> str:
             terms = (("+-"[c < 0] if abs(c) == 1 else f"{c:+d}") + x for c, x in ((p, "u"), (q, "v")) if c)

@@ -63,3 +63,8 @@ def parse_polynomial(text, ws, grade):
         m = parse_monomial("*".join(mono_parts)) if mono_parts else (0, 0, 0, 0, 0)
         terms[m] = terms.get(m, Fraction(0)) + coeff
     return GradedPolynomial(ws, grade, {m: c for m, c in terms.items() if c != 0})
+
+
+def scaled(f, c):
+    """c * f, built through the public constructor (c = -1 on a tail inverts its substitution)."""
+    return GradedPolynomial(f.ws, f.grade, {m: c * v for m, v in f.terms.items()} if c else {})

@@ -12,8 +12,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from wfano.exactmath import rational_roots, triple_matrix
-from wfano.symalg import T, W, GenericityError, GradedPolynomial, _mul_terms, _pack, _unpack, _width, slice_form
+from wfano.symalg import T, W, GenericityError, GradedPolynomial, _mul_terms, _pack, _unpack, _width, slice_numerators
 from wfano.wspace import Monomial
+
+from conftest import scaled
 
 
 def apply_pair_map(
@@ -64,7 +66,7 @@ def cubic_normal_form(f: GradedPolynomial) -> CubicNormalForm:
     a = ws.weights
     if f.grade != 3 * a[4] or a[3] != a[4]:
         raise ValueError("cubic_normal_form: needs d = 3*a5 and a4 = a5")
-    cubic = slice_form(f, (T, W))
+    cubic = slice_numerators(f, (T, W))
     if not any(cubic):
         raise GenericityError("cubic_normal_form: pure (t,w) part vanishes")
     roots = rational_roots(cubic)
@@ -80,12 +82,12 @@ def cubic_normal_form(f: GradedPolynomial) -> CubicNormalForm:
     g = apply_pair_map(f, T, W, matrix)
     # after the move the cubic is c * t*w*(w - t); read c off the t*w^2 slot
     m_tw2: Monomial = (0, 0, 0, 1, 2)
-    c = g.coefficient(m_tw2)
+    c = g.terms.get(m_tw2, 0)
     if c == 0:
         raise GenericityError("cubic_normal_form: degenerate root configuration")
-    g = g.scale(Fraction(1) / c)
-    check = slice_form(g, (T, W))
+    g = scaled(g, 1 / c)
+    check = slice_numerators(g, (T, W))
     # slots by rising w-power: t^3, t^2 w, t w^2, w^3 must read 0, -1, 1, 0
-    if check != (0, -1, 1, 0):
+    if check != (0, -g.den, g.den, 0):
         raise RuntimeError("cubic_normal_form: normal form check failed")
     return CubicNormalForm(polynomial=g, pair_matrix=matrix, scale=c)

@@ -6,14 +6,12 @@ import pytest
 
 from wfano import catalog
 from wfano.catalog import (
-    EXCEPTIONAL_EIGHT,
     FAMILY_LABELS,
     SearchBounds,
     _candidates,
     catalog_json,
     classify,
     load_catalog,
-    projection_exceptional,
     render_markdown,
     save_catalog,
 )
@@ -71,24 +69,6 @@ def test_paper_numbers_assigned(small_catalog):
     assert by_sept[(1, 1, 2, 3, 3, 9, 1)].paper_number == 9
     assert by_sept[(1, 1, 1, 1, 1, 2, 3)].paper_number == 104
     assert by_sept[(1, 1, 1, 2, 2, 6, 1)].paper_number is None
-
-
-def test_projection_exceptional_on_small_catalog(small_catalog):
-    index_one = [r for r in small_catalog if r.ws.index == 1]
-    special = projection_exceptional(index_one)
-    for r in special:
-        assert r.ws.degree == 3 * r.ws.weights[4]
-        assert r.ws.weights[3] == r.ws.weights[4]
-        assert r.septuple not in EXCEPTIONAL_EIGHT
-    septs = {r.septuple for r in special}
-    assert (1, 1, 2, 3, 3, 9, 1) in septs
-    assert (1, 1, 1, 2, 2, 6, 1) in septs
-    assert projection_exceptional([]) == []
-
-
-def test_projection_exceptional_requires_index_one(small_catalog):
-    with pytest.raises(ValueError):
-        projection_exceptional(small_catalog)
 
 
 def test_catalog_round_trip(tmp_path, small_catalog):

@@ -1,17 +1,18 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
 
 from wfano.catalog import SearchBounds
+from wfano.membership import rejection
 from wfano.singular import (
     QuotientSingularity,
     reid_tai_terminal,
     singular_points_general,
     terminal_general,
 )
-from wfano.wspace import weight_system
+from wfano.wspace import count_monomials, weight_system
 
 from conftest import box_pairs, covered
 
@@ -69,13 +70,6 @@ def test_reid_tai_generator_change_invariance():
         cases += 1
 
 
-def test_equivalence_classes():
-    a = QuotientSingularity(7, (1, 2, 5))
-    b = QuotientSingularity(7, (3, 6, 1))  # times 3 mod 7
-    assert a.equivalent_to(b)
-    assert not a.equivalent_to(QuotientSingularity(7, (1, 1, 6)))
-
-
 def test_basket_family_9():
     # three 1/3(1,1,2) points on the (t,w) edge, plus one half-point at the z vertex
     ws = weight_system(1, 1, 2, 3, 3, 9)
@@ -125,17 +119,17 @@ def test_rejects_non_quasismooth_input():
         singular_points_general(weight_system(1, 1, 1, 1, 4, 7))
 
 
-def test_catalog_baskets_all_classical_form():
-    # spot families: every basket point is 1/r(1,a,r-a) up to generator change
-    for sept in ((1, 1, 2, 3, 3, 9), (1, 2, 3, 3, 4, 12), (1, 7, 8, 9, 12, 36), (1, 1, 1, 2, 2, 6)):
-        ws = weight_system(*sept)
-        basket = singular_points_general(ws)
-        for p in basket.points:
-            r, canon = p.singularity.canonical()
-            assert canon[0] == 1 or any(
-                (canon[i] + canon[j]) % r == 0 for i in range(3) for j in range(3) if i != j
-            )
-            assert reid_tai_terminal(p.singularity)
+def test_catalog_baskets_all_classical_form(default_catalog):
+    # every basket point of the catalog is 1/r(1,a,r-a) up to generator
+    # change: two local weights sum to 0 mod r, which no change of generator
+    # alters (1/7(1,2,4), say, has no such pair)
+    records, _ = default_catalog
+    points = [p.singularity for r in records for p in r.basket.points]
+    assert len(points) == 316
+    for q in points:
+        r, (w1, w2, w3) = q.order, q.local_weights
+        assert (w1 + w2) % r == 0 or (w1 + w3) % r == 0 or (w2 + w3) % r == 0, str(q)
+        assert reid_tai_terminal(q)
 
 
 def partner_types(a, d):
@@ -172,3 +166,19 @@ def test_every_vertex_partner_gives_one_type(default_catalog):
             assert all(len(t) <= 1 for t in partner_types(a, d).values()), (a, d)
             checked += 1
     assert checked > 1000
+
+
+def test_gcd_strata_have_two_monomials_past_well_formedness():
+    # the lemma _singular_strata relies on (catalog's docstring): once every
+    # vertex is covered and X is well-formed, three weights with a common
+    # factor carry at least two monomials of degree d
+    pairs = strata = 0
+    for a, d in box_pairs(SearchBounds(max_weight=12, max_degree=60, index_range=(1, 60))):
+        if rejection(a, d) not in (None, "quasismoothness"):
+            continue
+        pairs += 1
+        for wts in combinations(a, 3):
+            if gcd(*wts) > 1:
+                strata += 1
+                assert count_monomials(wts, d) >= 2, (a, d, wts)
+    assert (pairs, strata) == (4602, 2063)
