@@ -86,21 +86,22 @@ EXCEPTIONAL_EIGHT: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
+#: the Fano indices the search walks; the largest index in the
+#: classification is 13
+INDEX_RANGE = (1, 15)
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     """Search box.  Defaults comfortably contain the known extremes of the
-    classification (weights up to 33, degrees up to 66, Fano index up to 13)."""
+    classification (weights up to 33, degrees up to 66)."""
 
     max_weight: int = 40
     max_degree: int = 120
-    index_range: tuple[int, int] = (1, 15)
 
     def __post_init__(self) -> None:
         if self.max_weight < 1 or self.max_degree < 1:
             raise ValueError("SearchBounds: bounds must be positive")
-        lo, hi = self.index_range
-        if lo < 1 or hi < lo:
-            raise ValueError("SearchBounds: bad index range")
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def _top_pairs(
     range passes.
     """
     max_w, max_d = bounds.max_weight, bounds.max_degree
-    imin, imax = bounds.index_range
+    imin, imax = INDEX_RANGE
     s3 = a1 + a2 + a3
     for c in {0, a1, a2, a3}:
         lo4 = max(a3, c + 1)
@@ -243,7 +244,7 @@ def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[
     the accepted families, and each passes the first five stages of
     ``membership.rejection``."""
     max_w, max_d = bounds.max_weight, bounds.max_degree
-    max_sum = max_d + bounds.index_range[1]
+    max_sum = max_d + INDEX_RANGE[1]
     # bit m of divisors[n] is set iff m <= max_w divides n; _top_pairs reads n <= min(max_d, 5 * max_w)
     divisors = [0] * (min(max_d, 5 * max_w) + 1)
     for m in range(1, max_w + 1):
@@ -300,7 +301,7 @@ def classify(bounds: SearchBounds | None = None, jobs: int = 1) -> list[FamilyRe
     process per task and per CPU (the pool forks all its workers at once).
     """
     bounds = bounds or SearchBounds()
-    top = min(bounds.max_weight, (bounds.max_degree + bounds.index_range[1]) // 5) + 1
+    top = min(bounds.max_weight, (bounds.max_degree + INDEX_RANGE[1]) // 5) + 1
     workers = min(jobs, top - 1, os.cpu_count() or 1)
     if workers <= 1:
         raw = _search_chunk((1, top, bounds))

@@ -42,11 +42,8 @@ MAX_SEARCH_WEIGHT = 200
 MAX_POINT_DIGITS = 100
 
 
-def _emit(args, payload: dict, markdown: str | None = None) -> None:
-    if args.format == "markdown" and markdown is not None:
-        text = markdown
-    else:
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+def _emit(args, payload: dict, markdown: str) -> None:
+    text = markdown if args.format == "markdown" else json.dumps(payload, indent=1, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

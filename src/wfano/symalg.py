@@ -136,8 +136,8 @@ def _over_lcm(terms: dict[int, Fraction | int]) -> IntegerForm:
 
 
 def _reduced(num: dict[int, int], den: int) -> IntegerForm:
-    """num / den (den > 0) with gcd 1."""
-    g = gcd(den, *num.values())
+    """num / den (den != 0) over a positive denominator, with gcd 1."""
+    g = gcd(den, *num.values()) * (-1 if den < 0 else 1)
     return ({m: v // g for m, v in num.items()}, den // g) if g != 1 else (num, den)
 
 
@@ -196,10 +196,10 @@ def _member_keys(ws: WeightSystem) -> list[int]:
     return [_pack(m, _width(ws.degree)) for m in enumerate_monomials(ws, ws.degree)]
 
 
-def _mul_terms(a: dict, b: dict, terms: dict | None = None) -> dict:
+def _mul_terms(a: dict, b: dict) -> dict:
     """Product of two packed monomial -> coefficient maps (int or Fraction),
-    added into ``terms`` (a new map by default), zeros dropped."""
-    terms = {} if terms is None else terms
+    zeros dropped."""
+    terms: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = ma + mb
@@ -542,9 +542,9 @@ def _canonical_rational_root(poly: dict[int, Fraction | int]) -> Fraction | None
     return min(roots, key=lambda r: (abs(r), r < 0), default=None)
 
 
-def _shift(f: IntegerForm, ws: WeightSystem, var: int, tail: dict[int, Fraction]) -> tuple[IntegerForm, Substitution]:
-    """f after x_var -> x_var + tail (packed keys), with the substitution for the audit."""
-    sub = Substitution(var, _form(ws, ws.weights[var], *_over_lcm(tail)))
+def _shift(f: IntegerForm, ws: WeightSystem, var: int, num: dict, den: int) -> tuple[IntegerForm, Substitution]:
+    """f after x_var -> x_var + num/den (packed keys), with the substitution for the audit."""
+    sub = Substitution(var, _form(ws, ws.weights[var], *_reduced(num, den)))
     return _substitute_ints(*f, var, sub.tail), sub
 
 
@@ -554,8 +554,8 @@ def _apply_depress(f: IntegerForm, ws: WeightSystem, p: DepressPass) -> tuple[In
     pivot = num.get(3 << shift, 0)
     if pivot == 0:
         raise GenericityError(f"depress pass: pivot {VARIABLES[j]}^3 has zero coefficient")
-    layer = {m - (2 << shift): Fraction(-c, 3 * pivot) for m, c in num.items() if m >> shift & mask == 2}
-    return _shift(f, ws, j, layer)
+    layer = {m - (2 << shift): -c for m, c in num.items() if m >> shift & mask == 2}
+    return _shift(f, ws, j, layer, 3 * pivot)
 
 
 def _solve_step_univariate(
@@ -570,7 +570,8 @@ def _solve_step_univariate(
             f"{VARIABLES[var]} -> {VARIABLES[var]} + c*{format_monomial(template)}: "
             "no rational solution (genericity/pivot failure)"
         )
-    return _shift(f, ws, var, {_pack(template, _width(ws.degree)): root} if root else {})
+    tail = {_pack(template, _width(ws.degree)): root.numerator} if root else {}
+    return _shift(f, ws, var, tail, root.denominator)
 
 
 def _apply_level(
@@ -590,26 +591,27 @@ def _apply_level(
         [poly.get(1, 0) for poly in _elimination_polynomial(f[0], w, var, template, targets)]
         for var, template, _ in steps
     ]
-    solution = _solve_linear(columns, [-f[0].get(_pack(t, w), 0) for t in targets])
-    if solution is None:
+    numerators, det = _solve_linear(columns, [-f[0].get(_pack(t, w), 0) for t in targets])
+    if det == 0:
         raise GenericityError(
             "level solve is singular for targets " + ", ".join(format_monomial(t) for t in targets)
         )
     subs = []
-    for (var, template, _), c in zip(steps, solution):
-        f, sub = _shift(f, ws, var, {_pack(template, w): c} if c else {})
+    for (var, template, _), c in zip(steps, numerators):
+        f, sub = _shift(f, ws, var, {_pack(template, w): c} if c else {}, det)
         subs.append(sub)
     return f, subs
 
 
-def _solve_linear(columns: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """Solve sum_j x_j * columns[j] = rhs exactly by Cramer's rule; None when
-    singular.  A matrix and its transpose have one determinant, so the
-    columns serve as the rows of ``mat_det``."""
+def _solve_linear(columns: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
+    """Solve sum_j x_j * columns[j] = rhs exactly by Cramer's rule: the
+    numerators x_j * det, and det, which is 0 when singular.  A matrix and its
+    transpose have one determinant, so the columns serve as the rows of
+    ``mat_det``."""
     det = mat_det(columns)
     if det == 0:
-        return None
-    return [Fraction(mat_det(columns[:j] + [rhs] + columns[j + 1 :]), det) for j in range(len(columns))]
+        return [], 0
+    return [mat_det(columns[:j] + [rhs] + columns[j + 1 :]) for j in range(len(columns))], det
 
 
 def normalize(

@@ -113,9 +113,9 @@ def enumerate_monomials(ws: WeightSystem, k: int) -> list[Monomial]:
 
     The sort is on the exponent tuples (x before y before z before t before w),
     which pins a canonical serialization order for golden comparisons.  The
-    walk fixes exponents from the largest weight down, and each choice leaves
-    a remainder that the gcd of the weights still open divides, so no branch
-    is cut off for divisibility later: P(2,2,2,2,2) in odd degree takes no
+    walk fixes exponents from the largest weight down and keeps an exponent
+    only if the gcd of the weights still open divides the remainder it
+    leaves, so no branch dies later: P(2,2,2,2,2) in odd degree takes no
     step at all.
     """
     if k < 0:
@@ -125,27 +125,20 @@ def enumerate_monomials(ws: WeightSystem, k: int) -> list[Monomial]:
     open_gcd = [weights[0]]
     for a in weights[1:]:
         open_gcd.append(gcd(open_gcd[-1], a))
-    # the exponent e of the i-th weight must keep rem - e*weights[i] a multiple
-    # of open_gcd[i-1]; with h = gcd(weights[i], open_gcd[i-1]) = open_gcd[i]
-    # that is e = rem/h * (weights[i]/h)^-1 modulo step = open_gcd[i-1]/h
-    steps = [0] + [open_gcd[i - 1] // gcd(weights[i], open_gcd[i - 1]) for i in range(1, NVARS)]
-    inverses = [0] + [
-        pow(weights[i] // (open_gcd[i - 1] // steps[i]), -1, steps[i]) for i in range(1, NVARS)
-    ]
     out: list[Monomial] = []
     exps = [0] * NVARS
 
     def rec(i: int, rem: int) -> None:
-        a, step = weights[i], steps[i]
-        first = rem // (open_gcd[i - 1] // step) * inverses[i] % step
-        if i == 1:
-            a0 = weights[0]
-            for e in range(first, rem // a + 1, step):
-                out.append(((rem - e * a) // a0, e, *exps[2:]))  # type: ignore[arg-type]
+        a, g = weights[i], open_gcd[i - 1]
+        if i == 1:  # g is weights[0]
+            for e in range(rem // a + 1):
+                if (rem - e * a) % g == 0:
+                    out.append(((rem - e * a) // g, e, *exps[2:]))  # type: ignore[arg-type]
             return
-        for e in range(first, rem // a + 1, step):
-            exps[i] = e
-            rec(i - 1, rem - e * a)
+        for e in range(rem // a + 1):
+            if (rem - e * a) % g == 0:
+                exps[i] = e
+                rec(i - 1, rem - e * a)
 
     if k % open_gcd[-1] == 0:
         rec(NVARS - 1, k)

@@ -20,10 +20,10 @@ def default_catalog():
     return records, time.time() - t0
 
 
-def box_pairs(bounds):
+def box_pairs(bounds, index_range):
     """Every (weights, d) of a search box with d >= 2, by a walk over each
-    sorted 5-tuple of weights and each index in range."""
-    imin, imax = bounds.index_range
+    sorted 5-tuple of weights and each index in the window."""
+    imin, imax = index_range
     for a in combinations_with_replacement(range(1, bounds.max_weight + 1), 5):
         for index in range(imin, imax + 1):
             d = sum(a) - index

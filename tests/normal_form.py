@@ -44,8 +44,9 @@ def apply_pair_map(
     for m, c in f.terms.items():
         rest = list(m)
         rest[i] = rest[j] = 0
-        _mul_terms({_pack(rest, w): c}, _mul_terms(powers[0][m[i]], powers[1][m[j]]), out)
-    return GradedPolynomial(ws, f.grade, {_unpack(m, w): c for m, c in out.items()})
+        for k, v in _mul_terms({_pack(rest, w): c}, _mul_terms(powers[0][m[i]], powers[1][m[j]])).items():
+            out[k] = out.get(k, 0) + v
+    return GradedPolynomial(ws, f.grade, {_unpack(m, w): c for m, c in out.items() if c})
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def test_criterion_1_classification_counts(default_catalog):
     records, elapsed = default_catalog
     total = len(records)
     index_one = sum(1 for r in records if r.ws.index == 1)
-    enlarged = classify(SearchBounds(max_weight=50, max_degree=150, index_range=(1, 15)))
+    enlarged = classify(SearchBounds(max_weight=50, max_degree=150))
     # the enlarged box finds no new family, so its catalog is the default one
     stable = catalog_json(enlarged) == catalog_json(records)
     ok = index_one == 95 and total == 130 and elapsed < 300 and stable

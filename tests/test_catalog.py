@@ -7,6 +7,7 @@ import pytest
 from wfano import catalog
 from wfano.catalog import (
     FAMILY_LABELS,
+    INDEX_RANGE,
     SearchBounds,
     _candidates,
     catalog_json,
@@ -32,7 +33,7 @@ from conftest import box_pairs, covered, covers
 @pytest.fixture(scope="module")
 def small_catalog():
     # weights <= 5, degrees <= 25 already contains the first dozen families
-    return classify(SearchBounds(max_weight=5, max_degree=25, index_range=(1, 15)))
+    return classify(SearchBounds(max_weight=5, max_degree=25))
 
 
 def test_small_search_contains_known_families(small_catalog):
@@ -132,7 +133,7 @@ def test_classify_pool_is_bounded(monkeypatch, small_catalog, cpus, workers):
 
     monkeypatch.setattr(catalog, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(catalog.os, "cpu_count", lambda: cpus)
-    records = classify(SearchBounds(max_weight=5, max_degree=25, index_range=(1, 15)), jobs=10_000)
+    records = classify(SearchBounds(max_weight=5, max_degree=25), jobs=10_000)
     assert requested == [workers]
     assert catalog_json(records) == catalog_json(small_catalog)
 
@@ -157,7 +158,7 @@ def _terminal_lemma(a, d):
     return a[4] in {x + y for x, y in combinations(rest, 2)}
 
 
-def _brute_force(bounds):
+def _brute_force(bounds, index_range):
     """Reference walk over every sorted 5-tuple and every index in the box.
 
     Returns the covered pairs (weights, d) (see ``conftest.covered``), the
@@ -166,7 +167,7 @@ def _brute_force(bounds):
     exactly one degree-d monomial in any three weights with a common
     factor), and those that the public predicates accept."""
     covered_pairs, allowed, kept = set(), set(), set()
-    for a, d in box_pairs(bounds):
+    for a, d in box_pairs(bounds, index_range):
         ws = WeightSystem(a, d)
         if covered(a, d):
             covered_pairs.add((a, d))
@@ -194,27 +195,31 @@ def _p5_may_be_terminal(a, d):
 
 
 @pytest.mark.parametrize(
-    "bounds",
+    "bounds, index_range",
     [
-        SearchBounds(max_weight=7, max_degree=21, index_range=(1, 15)),
-        SearchBounds(max_weight=10, max_degree=26, index_range=(2, 4)),
-        SearchBounds(max_weight=13, max_degree=30, index_range=(1, 6)),
+        (SearchBounds(max_weight=7, max_degree=21), INDEX_RANGE),
+        (SearchBounds(max_weight=10, max_degree=26), (2, 4)),
+        (SearchBounds(max_weight=13, max_degree=30), (1, 6)),
         # max_degree > 5 * max_weight: the divisor table is cut at 5 * max_weight
-        SearchBounds(max_weight=6, max_degree=40),
+        (SearchBounds(max_weight=6, max_degree=40), INDEX_RANGE),
     ],
     ids=["default-index-range", "index-2-to-4", "index-1-to-6", "degree-past-five-weights"],
 )
-def test_constraint_search_matches_brute_force(bounds):
-    top = min(bounds.max_weight, (bounds.max_degree + bounds.index_range[1]) // 5) + 1
-    candidates = list(_candidates(1, top, bounds))
-    covered_pairs, allowed, kept = _brute_force(bounds)
+def test_constraint_search_matches_brute_force(bounds, index_range):
+    # the search always walks INDEX_RANGE; a box with a narrower index window
+    # compares the generator's pairs of those indices
+    def in_window(a, d):
+        return index_range[0] <= sum(a) - d <= index_range[1]
+
+    candidates = [p for p in _candidates(1, bounds.max_weight + 1, bounds) if in_window(*p)]
+    covered_pairs, allowed, kept = _brute_force(bounds, index_range)
     # each candidate once, and exactly the pairs the generator's conditions allow
     assert len(candidates) == len(set(candidates))
     assert set(candidates) == allowed
     # the terminal lemma drops no covered pair whose P5 Reid--Tai may accept,
     # so the later predicates see every pair that can be accepted
     assert all(_terminal_lemma(*p) for p in covered_pairs if _p5_may_be_terminal(*p))
-    found = {(r.ws.weights, r.ws.degree) for r in classify(bounds)}
+    found = {(r.ws.weights, r.ws.degree) for r in classify(bounds) if in_window(r.ws.weights, r.ws.degree)}
     assert found == kept
     # the short-circuit terminality agrees with the full basket wherever the
     # chain reaches it, quasismooth or not

@@ -116,6 +116,15 @@ def test_basket_prints_the_non_isolated_strata(capsys):
         "{w}: vertex type 1/2(1, 1, 0) has a non-coprime weight",
         "{t,w}: edge with weight gcd 2 lies inside X",
     ]
+    # three edges of weight gcd 2 meet X in points whose type has a weight 0
+    code, out, _ = run_cli(capsys, "basket", "--septuple", "1,1,2,2,2,6")
+    assert code == 0
+    assert json.loads(out)["nonIsolated"] == [
+        "{z,t,w}: X meets the gcd-2 stratum in a curve of singular points",
+        "{z,t}: edge type 1/2(1, 1, 0) has a non-coprime weight",
+        "{z,w}: edge type 1/2(1, 1, 0) has a non-coprime weight",
+        "{t,w}: edge type 1/2(1, 1, 0) has a non-coprime weight",
+    ]
 
 
 def test_normalize_subcommand(capsys):
@@ -207,7 +216,7 @@ def test_report_small(tmp_path, capsys, monkeypatch):
 def test_report_from_saved_catalog(tmp_path, capsys, monkeypatch):
     from wfano.catalog import SearchBounds, classify, save_catalog
 
-    records = classify(SearchBounds(max_weight=2, max_degree=8, index_range=(1, 15)))
+    records = classify(SearchBounds(max_weight=2, max_degree=8))
     path = tmp_path / "cat.json"
     save_catalog(records, str(path))
     monkeypatch.setenv("WFANO_CATALOG", str(path))

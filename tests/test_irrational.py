@@ -56,7 +56,7 @@ def test_index_two_and_higher():
 
 
 def test_decide_never_returns_rational_alone():
-    bounds = SearchBounds(max_weight=5, max_degree=25, index_range=(1, 15))
+    bounds = SearchBounds(max_weight=5, max_degree=25)
     for record in classify(bounds):
         v = decide(record)
         assert v.values != {1}

@@ -158,9 +158,8 @@ def test_every_vertex_partner_gives_one_type(default_catalog):
         vertices = {p.location: p.singularity.local_weights for p in record.basket.points}
         expected = {f"vertex {'xyztw'[i]}": t.pop() for i, t in types.items()}
         assert {k: v for k, v in vertices.items() if k.startswith("vertex")} == expected, record.septuple
-    bounds = SearchBounds(max_weight=13, max_degree=30, index_range=(1, 6))
     checked = 0
-    for a, d in box_pairs(bounds):
+    for a, d in box_pairs(SearchBounds(max_weight=13, max_degree=30), (1, 6)):
         if covered(a, d):
             # a covered pair's a1 and a2 vertices may have no partner at all
             assert all(len(t) <= 1 for t in partner_types(a, d).values()), (a, d)
@@ -173,7 +172,7 @@ def test_gcd_strata_have_two_monomials_past_well_formedness():
     # vertex is covered and X is well-formed, three weights with a common
     # factor carry at least two monomials of degree d
     pairs = strata = 0
-    for a, d in box_pairs(SearchBounds(max_weight=12, max_degree=60, index_range=(1, 60))):
+    for a, d in box_pairs(SearchBounds(max_weight=12, max_degree=60), (1, 60)):
         if rejection(a, d) not in (None, "quasismoothness"):
             continue
         pairs += 1

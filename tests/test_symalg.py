@@ -413,6 +413,18 @@ def test_normalize_genericity_error_names_the_monomial():
         normalize(broken, builtin_plan(39))
 
 
+def test_normalize_level_zero_cubic_without_rational_root():
+    # the (y, t) slice of a family-49 member set to y^7 + t*y^5 + t^3*y: the
+    # step t: y^2>y^7 must solve c^3 + c + 1 = 0, which has no rational root
+    ws = family_weight_system(49)
+    terms = dict(sample_family_member(49, seed=0).terms)
+    terms.update({parse_monomial(m): 1 for m in ("y^7", "t*y^5", "t^3*y")})
+    terms.pop(parse_monomial("t^2*y^3"))
+    with pytest.raises(GenericityError, match=r"cannot eliminate y\^7 .* no rational solution") as excinfo:
+        normalize(GradedPolynomial(ws, 21, terms), builtin_plan(49))
+    assert type(excinfo.value) is GenericityError
+
+
 def _shift_t_plan(family, *steps):
     """A one-pass plan shifting t, on family 39 (weights 1,3,4,5,6; d = 18)
     or 19 (weights 1,2,3,3,4; d = 12)."""
@@ -467,8 +479,8 @@ def test_normalize_final_check_names_what_a_wrong_constant_leaves(monkeypatch):
     solve = _solve_linear
 
     def wrong(columns, rhs):
-        first, *rest = solve(columns, rhs)
-        return [first + 1, *rest]
+        (first, *rest), det = solve(columns, rhs)
+        return [first + det, *rest], det
 
     monkeypatch.setattr(symalg, "_solve_linear", wrong)
     with pytest.raises(PlanOrderError, match=r"still present: .*x\*y\^4\*z"):
@@ -493,15 +505,19 @@ def test_solve_linear_solves_or_reports_singular():
             # small entries, so that some systems are singular
             columns = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
             rhs = [rng.randint(-20, 20) for _ in range(k)]
-            x = _solve_linear(columns, rhs)
-            if leibniz_det(columns) == 0:
-                assert x is None, columns
+            numerators, det = _solve_linear(columns, rhs)
+            assert det == leibniz_det(columns), columns
+            if det == 0:
+                assert numerators == [], columns
                 singular += 1
                 continue
-            assert all(sum(xj * col[i] for xj, col in zip(x, columns)) == rhs[i] for i in range(k)), columns
+            # x_j = numerators[j] / det solves the system
+            assert all(
+                sum(n * col[i] for n, col in zip(numerators, columns)) == rhs[i] * det for i in range(k)
+            ), columns
     assert singular > 0
-    assert _solve_linear([[3, -1, 2], [3, -1, 2], [1, 0, 5]], [1, 2, 3]) is None  # a repeated column
-    assert _solve_linear([[4, 1], [0, 0]], [1, 2]) is None  # a zero column
+    assert _solve_linear([[3, -1, 2], [3, -1, 2], [1, 0, 5]], [1, 2, 3]) == ([], 0)  # a repeated column
+    assert _solve_linear([[4, 1], [0, 0]], [1, 2]) == ([], 0)  # a zero column
 
 
 def test_stratum_restriction_family_19():
@@ -578,6 +594,8 @@ def test_polynomial_text_round_trip():
         assert parse_polynomial(format_polynomial(f), ws, 12).terms == f.terms
     f = parse_polynomial("-3/2*x^2*y*w^2 + w^3", ws, 12)
     assert f.terms[parse_monomial("x^2*y*w^2")] == Fraction(-3, 2)
+    assert format_polynomial(GradedPolynomial(ws, 12, {})) == "0"
+    assert format_polynomial(GradedPolynomial(ws, 0, {(0, 0, 0, 0, 0): Fraction(-3, 2)})) == "-3/2"
 
 
 QUARTIC = weight_system(1, 1, 1, 1, 1, 4)

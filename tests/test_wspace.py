@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -95,6 +96,15 @@ def test_single_variable_monomials_present():
         mons = enumerate_monomials(ws, a)
         unit = tuple(1 if j == i else 0 for j in range(5))
         assert unit in mons
+
+
+@pytest.mark.parametrize("weights, k", [((6, 6, 6, 6, 7), 276), ((2, 4, 6, 8, 9), 222), ((12, 18, 24, 30, 31), 1338)])
+def test_enumeration_at_scale(weights, k):
+    # about 40,000 monomials each, sorted once each, all of degree k
+    mons = enumerate_monomials(weight_system(*weights, k), k)
+    assert 40_000 <= len(mons) == count_monomials(weights, k) <= 42_000
+    assert all(m < n for m, n in zip(mons, mons[1:]))
+    assert {sum(map(mul, m, weights)) for m in mons} == {k}
 
 
 def test_count_matches_enumeration_and_series():
