@@ -9,13 +9,15 @@ condition makes d = k*a5 + c with 1 <= k <= 4 and c in {0, a1, a2, a3, a4},
 and the a4 condition asks a4 to divide d - e for some e in {0, a1, a2, a3,
 a5}.
 
-When c > 0 the vertex P5 lies on X, and its local type is 1/a5 of the three
-weights other than a5 and c.  A 3-fold cyclic quotient 1/r(w1, w2, w3) with
-every wi coprime to r is terminal iff two of the wi sum to 0 mod r
-(Morrison--Stevens, *Terminal quotient singularities in dimensions three
-and four*, 1984; Reid, *Young person's guide to canonical singularities*,
-1987).  Those three weights lie below a5 (a weight equal to a5 leaves P5
-non-isolated), so P5 can be terminal only if a5 is the sum of two of them.
+A vertex P_i with a_i > 1 not dividing d lies on X, with local type 1/a_i
+of ``singular.vertex_type``.  The terminal lemma: a 3-fold cyclic quotient
+1/r(w1, w2, w3), each wi in [1, r-1], is terminal iff every wi is coprime
+to r and two of them sum to r (Morrison--Stevens, *Terminal quotient
+singularities in dimensions three and four*, 1984; Reid, *Young person's
+guide to canonical singularities*, 1987).  When c > 0, P5 lies on X with
+local weights the three weights other than a5 and c, each below a5 (a
+weight equal to a5 leaves P5 non-isolated), so P5 can be terminal only if
+a5 is the sum of two of them.
 
 One more condition is cheap once all five weights are fixed: every three
 weights are coprime.  Three weights with a common factor q > 1 span a
@@ -30,13 +32,14 @@ covered by a monomial x_i^m or x_i^m * x_j in those three variables alone
 monomial covers at most two of them; with q not dividing d there is none.
 
 For each a1 <= a2 <= a3 with no common factor, ``_top_pairs`` solves the a5
-and a4 vertex conditions and the terminal lemma for (a4, a5, d) in closed
-form: at most three values of a5 when c > 0, divisors of a few small
-integers otherwise.  ``_candidates`` then tests the a3, a2 and a1 vertices
-and the coprime threes on the plain integers.  Every pair the generator
-drops fails one of these conditions, so the candidates are a superset of the
-accepted families, each once, and every candidate passes the first five
-stages of the chain below.
+and a4 vertex conditions and the terminal lemma at P5 for (a4, a5, d) in
+closed form: at most three values of a5 when c > 0, divisors of a few small
+integers otherwise.  ``_candidates`` then tests the a3, a2 and a1 vertices,
+the coprime threes and the terminal lemma at every vertex on the plain
+integers.  Every pair the generator drops fails one of these conditions, so
+the candidates are a superset of the accepted families, each once, and
+every candidate passes the first five stages of the chain below: 317
+candidates at the default bounds.
 
 Every candidate then goes through the predicate chain
 ``membership.rejection``: linear cone, vertex coverage, ambient and
@@ -55,7 +58,7 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .membership import MembershipReport, membership_report, rejection
-from .singular import SingularityBasket, singular_points_general, terminal_general
+from .singular import SingularityBasket, singular_points_general, terminal_general, vertex_type
 from .wspace import WeightSystem
 
 SCHEMA_VERSION = 1
@@ -236,13 +239,26 @@ def _top_pairs(
                         yield a4, a5, v + a4
 
 
+def _terminal_vertices(a: tuple[int, ...], d: int) -> bool:
+    """Every vertex P_i on X passes the terminal lemma (module docstring): its
+    local weights, which exist since the generator covers every vertex, are
+    prime to a_i and two of them sum to a_i."""
+    for i, ai in enumerate(a):
+        if ai > 1 and d % ai:
+            x, y, z = vertex_type(a, d, i)
+            # gcd(0, ai) = ai also catches a weight reduced to 0
+            if gcd(x * y * z, ai) > 1 or ai not in (x + y, x + z, y + z):
+                return False
+    return True
+
+
 def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each (weights, d) with a1 in [lo, hi) that the generator's conditions
     allow, exactly once: every vertex covered, every three weights coprime,
-    and P5 off X or a5 the sum of two of its local weights.  Every pair the
+    and every vertex on X terminal by the terminal lemma.  Every pair the
     generator drops fails one of them, so the candidates are a superset of
     the accepted families, and each passes the first five stages of
-    ``membership.rejection``."""
+    ``membership.rejection``; the chain alone decides acceptance."""
     max_w, max_d = bounds.max_weight, bounds.max_degree
     max_sum = max_d + INDEX_RANGE[1]
     # bit m of divisors[n] is set iff m <= max_w divides n; _top_pairs reads n <= min(max_d, 5 * max_w)
@@ -275,7 +291,9 @@ def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[
                     # a1, a2 and a3
                     if gcd(pairs, a4 * a5) > 1 or gcd(product, a4, a5) > 1:
                         continue
-                    yield (a1, a2, a3, a4, a5), d
+                    a = (a1, a2, a3, a4, a5)
+                    if _terminal_vertices(a, d):
+                        yield a, d
 
 
 def _search_chunk(args: tuple[int, int, SearchBounds]) -> list[tuple[tuple[int, ...], int]]:

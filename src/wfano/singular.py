@@ -78,6 +78,20 @@ def reid_tai_terminal(q: QuotientSingularity) -> bool:
     return True
 
 
+def vertex_type(a: tuple[int, ...], d: int, i: int) -> tuple[int, ...] | None:
+    """The local weights of the vertex P_i (a_i >= 2 not dividing d): the
+    other four weights mod a_i, in order, less one copy of d mod a_i.  Every
+    x_j with a monomial x_i^m * x_j of degree d has a_j = d (mod a_i), so all
+    give this type.  None when no other weight is d mod a_i: P_i is not
+    covered, once d exceeds every weight (as past vertex coverage)."""
+    ai = a[i]
+    wts = [a[k] % ai for k in range(NVARS) if k != i]
+    if d % ai not in wts:
+        return None
+    wts.remove(d % ai)
+    return tuple(wts)
+
+
 def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSelector, str]]:
     """The singular locus of a general member, one stratum at a time.
 
@@ -102,12 +116,9 @@ def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSe
         ai = a[i]
         if ai == 1 or d % ai == 0:
             continue  # smooth point, or vertex off X (pure power present)
-        # a j with a monomial x_i^m * x_j, m >= 1, of degree d; any one gives
-        # the type, since each has a_j = d (mod a_i) and so removes the same residue
-        j = next((j for j in range(NVARS) if j != i and d - a[j] >= ai and (d - a[j]) % ai == 0), None)
-        if j is None:
+        wts = vertex_type(a, d, i)
+        if wts is None:
             raise ValueError(f"{ws}: vertex {VARIABLES[i]} is not covered, so X is not quasismooth")
-        wts = tuple(a[k] % ai for k in range(NVARS) if k not in (i, j))
         # gcd(0, ai) = ai >= 2 also catches a weight reduced to 0
         if any(gcd(w, ai) != 1 for w in wts):
             yield (i,), f"vertex type 1/{ai}{wts} has a non-coprime weight"
@@ -140,9 +151,7 @@ def singular_points_general(ws: WeightSystem) -> SingularityBasket:
     """Locate the singular points of a general member and their quotient types.
 
     Vertices: a coordinate point P_i with a_i >= 2 lies on X iff a_i does not
-    divide d; its local type is 1/a_i of the three weights other than a_i and
-    the solving variable a_j (any partner j with a monomial x_i^m x_j; all
-    give the same type), reduced mod a_i.  Edges with weight gcd q >= 2 meet
+    divide d; its local type is 1/a_i of ``vertex_type``.  Edges with weight gcd q >= 2 meet
     X in (#edge monomials - 1) points of transverse type 1/q(other three
     weights mod q), or lie inside X when there are no edge monomials.  Any configuration with a
     positive-dimensional singular locus (contained edge, reduced local weight

@@ -158,73 +158,124 @@ def _terminal_lemma(a, d):
     return a[4] in {x + y for x, y in combinations(rest, 2)}
 
 
+def _partner_type(a, d, i):
+    """The local weights of the vertex P_i, from the first x_j with a
+    monomial x_i^m * x_j of degree d, or None when there is no such x_j."""
+    j = next((j for j in range(5) if j != i and d - a[j] >= a[i] and (d - a[j]) % a[i] == 0), None)
+    return None if j is None else tuple(a[k] % a[i] for k in range(5) if k not in (i, j))
+
+
+def _vertex_lemma(a, d, i):
+    """P_i is off X, or its local weights are prime to a_i and two of them
+    sum to a_i (the terminal lemma at P_i)."""
+    ai = a[i]
+    if ai == 1 or d % ai == 0:
+        return True
+    wts = _partner_type(a, d, i)
+    return all(gcd(w, ai) == 1 for w in wts) and ai in {x + y for x, y in combinations(wts, 2)}
+
+
+def generator_failure(a, d):
+    """The first condition of the search generator that (a, d) fails, or None.
+
+    In the generator's order: the a5 vertex (d = k*a5 + c, and no linear
+    cone), the terminal lemma at P5, the a4, a3, a2 and a1 vertices, every
+    three weights coprime, and the terminal lemma at every vertex."""
+    if not (d > a[4] and covers(a, d, 4)):
+        return "a5 vertex"
+    if not _terminal_lemma(a, d):
+        return "P5 lemma"
+    for i, name in ((3, "a4 vertex"), (2, "a3 vertex"), (1, "a2 vertex"), (0, "a1 vertex")):
+        if not covers(a, d, i):
+            return name
+    if any(gcd(*t) > 1 for t in combinations(a, 3)):
+        return "coprime threes"
+    if not all(_vertex_lemma(a, d, i) for i in range(5)):
+        return "terminal vertices"
+    return None
+
+
 def _brute_force(bounds, index_range):
     """Reference walk over every sorted 5-tuple and every index in the box.
 
-    Returns the covered pairs (weights, d) (see ``conftest.covered``), the
-    pairs the generator's conditions allow (covered, the a1 and a2 vertices
-    covered, P5 passing the terminal lemma, every four weights coprime and
-    exactly one degree-d monomial in any three weights with a common
-    factor), and those that the public predicates accept."""
-    covered_pairs, allowed, kept = set(), set(), set()
+    Returns each pair (weights, d) with the first generator condition it
+    fails (``generator_failure``), the covered pairs (see
+    ``conftest.covered``), and the pairs that the public predicates accept."""
+    failures, covered_pairs, kept = {}, set(), set()
     for a, d in box_pairs(bounds, index_range):
-        ws = WeightSystem(a, d)
+        failures[a, d] = generator_failure(a, d)
         if covered(a, d):
             covered_pairs.add((a, d))
-            if (
-                covers(a, d, 0) and covers(a, d, 1) and _terminal_lemma(a, d)
-                and wps_well_formed(ws)
-                and all(count_monomials(t, d) == 1 for t in combinations(a, 3) if gcd(*t) > 1)
-            ):
-                allowed.add((a, d))
+        ws = WeightSystem(a, d)
         if membership_report(ws).accepted and terminal_general(ws):
             kept.add((a, d))
-    return covered_pairs, allowed, kept
+    return failures, covered_pairs, kept
 
 
-def _p5_may_be_terminal(a, d):
-    """P5 is off X, or its type is isolated and terminal by Reid--Tai; the
-    type is taken as in ``singular._singular_strata``, from the first x_j
-    with a monomial x5^m * x_j of degree d."""
-    a5 = a[4]
-    if d % a5 == 0:
+def _vertex_may_be_terminal(a, d, i):
+    """P_i is off X, or its type is isolated and terminal by Reid--Tai; the
+    type is taken as in ``_partner_type``, so P_i must be covered."""
+    ai = a[i]
+    if ai == 1 or d % ai == 0:
         return True
-    j = next(j for j in range(4) if d - a[j] >= a5 and (d - a[j]) % a5 == 0)
-    wts = tuple(sorted(a[k] % a5 for k in range(4) if k != j))
-    return all(gcd(w, a5) == 1 for w in wts) and reid_tai_terminal(QuotientSingularity(a5, wts))
+    wts = _partner_type(a, d, i)
+    return all(gcd(w, ai) == 1 for w in wts) and reid_tai_terminal(QuotientSingularity(ai, tuple(sorted(wts))))
+
+
+def _without_vertex_condition(monkeypatch, bounds):
+    """The generator's pairs with its last condition, the terminal lemma at
+    every vertex, switched off."""
+    monkeypatch.setattr(catalog, "_terminal_vertices", lambda a, d: True)
+    pairs = list(_candidates(1, bounds.max_weight + 1, bounds))
+    monkeypatch.undo()
+    return pairs
 
 
 @pytest.mark.parametrize(
-    "bounds, index_range",
+    "bounds, index_range, count",
     [
-        (SearchBounds(max_weight=7, max_degree=21), INDEX_RANGE),
-        (SearchBounds(max_weight=10, max_degree=26), (2, 4)),
-        (SearchBounds(max_weight=13, max_degree=30), (1, 6)),
+        (SearchBounds(max_weight=7, max_degree=21), INDEX_RANGE, 94),
+        (SearchBounds(max_weight=10, max_degree=26), (2, 4), 38),
+        (SearchBounds(max_weight=13, max_degree=30), (1, 6), 145),
         # max_degree > 5 * max_weight: the divisor table is cut at 5 * max_weight
-        (SearchBounds(max_weight=6, max_degree=40), INDEX_RANGE),
+        (SearchBounds(max_weight=6, max_degree=40), INDEX_RANGE, 63),
     ],
     ids=["default-index-range", "index-2-to-4", "index-1-to-6", "degree-past-five-weights"],
 )
-def test_constraint_search_matches_brute_force(bounds, index_range):
+def test_constraint_search_matches_brute_force(monkeypatch, bounds, index_range, count):
     # the search always walks INDEX_RANGE; a box with a narrower index window
     # compares the generator's pairs of those indices
     def in_window(a, d):
         return index_range[0] <= sum(a) - d <= index_range[1]
 
     candidates = [p for p in _candidates(1, bounds.max_weight + 1, bounds) if in_window(*p)]
-    covered_pairs, allowed, kept = _brute_force(bounds, index_range)
-    # each candidate once, and exactly the pairs the generator's conditions allow
-    assert len(candidates) == len(set(candidates))
-    assert set(candidates) == allowed
-    # the terminal lemma drops no covered pair whose P5 Reid--Tai may accept,
-    # so the later predicates see every pair that can be accepted
-    assert all(_terminal_lemma(*p) for p in covered_pairs if _p5_may_be_terminal(*p))
+    failures, covered_pairs, kept = _brute_force(bounds, index_range)
+    # each candidate once, and exactly the pairs that fail no generator condition
+    assert len(candidates) == len(set(candidates)) == count
+    assert set(candidates) == {p for p, f in failures.items() if f is None}
+    # without its last condition, exactly the pairs that fail no other one
+    earlier = [p for p in _without_vertex_condition(monkeypatch, bounds) if in_window(*p)]
+    assert set(earlier) == {p for p, f in failures.items() if f in (None, "terminal vertices")}
+    # past the vertices, coprime threes is the rule that X is well-formed and
+    # three weights with a common factor carry exactly one degree-d monomial
+    for (a, d), f in failures.items():
+        if f in (None, "coprime threes", "terminal vertices"):
+            one = all(count_monomials(t, d) == 1 for t in combinations(a, 3) if gcd(*t) > 1)
+            assert (f != "coprime threes") == (wps_well_formed(WeightSystem(a, d)) and one), (a, d)
+    # the terminal lemma drops no covered pair whose P_i Reid--Tai may
+    # accept, at any vertex, so the later predicates see every pair that can
+    # be accepted
+    for a, d in covered_pairs:
+        for i in range(5):
+            if covers(a, d, i) and _vertex_may_be_terminal(a, d, i):
+                assert _vertex_lemma(a, d, i), (a, d, i)
+                assert i < 4 or _terminal_lemma(a, d), (a, d)
     found = {(r.ws.weights, r.ws.degree) for r in classify(bounds) if in_window(r.ws.weights, r.ws.degree)}
     assert found == kept
     # the short-circuit terminality agrees with the full basket wherever the
     # chain reaches it, quasismooth or not
     reached = 0
-    for a, d in candidates:
+    for a, d in covered_pairs:
         reason = rejection(a, d)
         if reason not in (None, "quasismoothness"):
             continue
@@ -240,7 +291,7 @@ def test_constraint_search_matches_brute_force(bounds, index_range):
                 and all(reid_tai_terminal(p.singularity) for p in basket.points)
             )
         reached += 1
-    assert reached > len(found)
+    assert reached > len(earlier)
 
 
 def test_generator_funnel_at_default_bounds():
@@ -249,9 +300,24 @@ def test_generator_funnel_at_default_bounds():
     # everything stops the chain there), and there are few of them
     bounds = SearchBounds()
     candidates = list(_candidates(1, bounds.max_weight + 1, bounds))
-    assert len(set(candidates)) == len(candidates) == 2_936
+    assert len(set(candidates)) == len(candidates) == 317
     reasons = {rejection(a, d, lambda ws: False) for a, d in candidates}
     assert reasons == {"terminality"}
+
+
+def test_vertex_condition_drops_only_terminality_rejects(monkeypatch, default_catalog):
+    # the terminal lemma at every vertex drops 2,619 of the 2,936 pairs that
+    # the other conditions allow, and the chain rejects each at terminality
+    bounds = SearchBounds()
+    earlier = _without_vertex_condition(monkeypatch, bounds)
+    dropped = set(earlier) - set(_candidates(1, bounds.max_weight + 1, bounds))
+    assert (len(earlier), len(dropped)) == (2_936, 2_619)
+    for a, d in dropped:
+        assert generator_failure(a, d) == "terminal vertices", (a, d)
+        assert rejection(a, d, terminal_general) == "terminality", (a, d)
+    # and every record of the catalog passes every generator condition
+    records, _ = default_catalog
+    assert all(generator_failure(r.ws.weights, r.ws.degree) is None for r in records)
 
 
 def test_degree_bound_past_five_weights_changes_nothing():

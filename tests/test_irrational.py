@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from wfano.catalog import FAMILY_LABELS, FamilyRecord, SearchBounds, classify
 from wfano.irrational import RULE_CITATIONS, decide, top_variable_degree
 from wfano.membership import membership_report
 from wfano.singular import singular_points_general
+from wfano.symalg import GradedPolynomial, sample_general_member
 from wfano.wspace import weight_system
 
 
@@ -86,3 +89,39 @@ def test_top_variable_degree():
 def test_rule_citation_table_is_total():
     for tag, citation in RULE_CITATIONS.items():
         assert isinstance(tag, str) and citation
+
+
+def test_top_variable_degree_on_seed_zero_members(default_catalog):
+    # decide reads every route from the support alone; on the seed-0 member
+    # of each family, w has exactly the degree top_variable_degree gives, with
+    # a nonzero coefficient, so dropping w is a projection of that degree
+    records, _ = default_catalog
+    index_one, higher = Counter(), Counter()
+    for record in records:
+        ws = record.ws
+        k = top_variable_degree(ws)
+        f = sample_general_member(ws, 0)
+        assert max(m[4] for m in f.terms) == k, record.septuple
+        assert any(c for m, c in f.terms.items() if m[4] == k), record.septuple
+        verdict = decide(record)
+        if ws.index == 1:
+            index_one[verdict.justification[-1][0]] += 1
+            continue
+        higher[k] += 1
+        if k == 1:
+            # f = w*g + h with g and h free of w and both nonzero: the
+            # projection is birational, so the member is rational; the
+            # verdict stays {1, 2}
+            a5 = ws.weights[4]
+            g = GradedPolynomial(ws, ws.degree - a5, {(*m[:4], 0): c for m, c in f.terms.items() if m[4] == 1})
+            h = GradedPolynomial(ws, ws.degree, {m: c for m, c in f.terms.items() if m[4] == 0})
+            assert not g.is_zero() and not h.is_zero(), record.septuple
+            assert dict(f.terms) == {**{(*m[:4], 1): c for m, c in g.terms.items()}, **h.terms}
+            assert verdict.values == {1, 2}
+    assert index_one == {
+        "projection-two-to-one": 83,
+        "cubic-normal-form-two-to-one": 4,
+        "aut-trivial-certificate": 7,
+        "aut-trivial-smooth-quartic": 1,
+    }
+    assert higher == {1: 16, 2: 18, 3: 1}

@@ -119,6 +119,13 @@ def test_rejects_non_quasismooth_input():
         singular_points_general(weight_system(1, 1, 1, 1, 4, 7))
 
 
+def test_uncovered_vertex_has_no_type():
+    # (1,1,1,1,4) with d = 7: no other weight is 7 = 3 mod 4, so no monomial
+    # w^m * x_j has degree 7 and the w vertex has no local type
+    with pytest.raises(ValueError, match="vertex w is not covered"):
+        terminal_general(weight_system(1, 1, 1, 1, 4, 7))
+
+
 def test_catalog_baskets_all_classical_form(default_catalog):
     # every basket point of the catalog is 1/r(1,a,r-a) up to generator
     # change: two local weights sum to 0 mod r, which no change of generator
