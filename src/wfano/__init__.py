@@ -24,9 +24,9 @@ from .membership import (
 from .singular import (
     QuotientSingularity,
     SingularityBasket,
-    reid_tai_terminal,
     singular_points_general,
     terminal_general,
+    terminal_type,
 )
 from .catalog import (
     EXCEPTIONAL_EIGHT,

@@ -10,14 +10,11 @@ and the a4 condition asks a4 to divide d - e for some e in {0, a1, a2, a3,
 a5}.
 
 A vertex P_i with a_i > 1 not dividing d lies on X, with local type 1/a_i
-of ``singular.vertex_type``.  The terminal lemma: a 3-fold cyclic quotient
-1/r(w1, w2, w3), each wi in [1, r-1], is terminal iff every wi is coprime
-to r and two of them sum to r (Morrison--Stevens, *Terminal quotient
-singularities in dimensions three and four*, 1984; Reid, *Young person's
-guide to canonical singularities*, 1987).  When c > 0, P5 lies on X with
-local weights the three weights other than a5 and c, each below a5 (a
-weight equal to a5 leaves P5 non-isolated), so P5 can be terminal only if
-a5 is the sum of two of them.
+of ``singular.vertex_type``, and is terminal only if it passes the terminal
+lemma of ``singular`` (``terminal_type``): weights prime to a_i, two of
+them summing to a_i.  When c > 0, P5 lies on X with local weights the three
+weights other than a5 and c, each below a5 (a weight equal to a5 leaves P5
+non-isolated), so P5 can be terminal only if a5 is the sum of two of them.
 
 One more condition is cheap once all five weights are fixed: every three
 weights are coprime.  Three weights with a common factor q > 1 span a
@@ -58,7 +55,7 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .membership import MembershipReport, membership_report, rejection
-from .singular import SingularityBasket, singular_points_general, terminal_general, vertex_type
+from .singular import SingularityBasket, singular_points_general, terminal_general, terminal_type, vertex_type
 from .wspace import WeightSystem
 
 SCHEMA_VERSION = 1
@@ -146,7 +143,7 @@ def _top_pairs(
     (k+1)*a5 + 0).  The a4 vertex needs a4 | d - e for some e in 0, a1, a2,
     a3, a5.  When c > 0, P5 lies on X with local weights the three weights
     other than a5 and c, each below a5; it is terminal only if a5 is the sum
-    of two of them (the terminal lemma in the module docstring).  Each
+    of two of them (the terminal lemma of ``singular``).  Each
     branch below solves all three conditions for one shape of (k, c); the
     c = 0 branches (P5 off X) solve the first two.  The last loop, c = a4,
     takes k = 1..4 alike: at k = 1, d - a5 = a4 is 0 mod a4, so every a4 in
@@ -240,15 +237,11 @@ def _top_pairs(
 
 
 def _terminal_vertices(a: tuple[int, ...], d: int) -> bool:
-    """Every vertex P_i on X passes the terminal lemma (module docstring): its
-    local weights, which exist since the generator covers every vertex, are
-    prime to a_i and two of them sum to a_i."""
+    """Every vertex P_i on X passes the terminal lemma; its local weights
+    exist, since the generator covers every vertex."""
     for i, ai in enumerate(a):
-        if ai > 1 and d % ai:
-            x, y, z = vertex_type(a, d, i)
-            # gcd(0, ai) = ai also catches a weight reduced to 0
-            if gcd(x * y * z, ai) > 1 or ai not in (x + y, x + z, y + z):
-                return False
+        if ai > 1 and d % ai and not terminal_type(ai, vertex_type(a, d, i)):
+            return False
     return True
 
 

@@ -32,8 +32,9 @@ CATALOG_ENV = "WFANO_CATALOG"
 #: the most monomials ``monomials`` and ``autgroup --septuple`` will enumerate
 MAX_MONOMIALS = 50_000
 #: the largest --max-weight of ``classify`` and ``report``: the search time
-#: grows about as max_weight^3 (2.4 s at 80, 20.7 s at 160 and 49.5 s at 200
-#: on a 2-vCPU host), so the largest box takes under a minute
+#: grows about as max_weight^3 (with --max-degree 5 * max_weight, 3.3 s at
+#: 80, 21.7 s at 160 and 38.3 s at 200 in a fresh process on a 2-vCPU host),
+#: so the largest box takes under a minute
 MAX_SEARCH_WEIGHT = 200
 #: the most digits of a ``stabilizer`` point: its literal's digits, with a
 #: decimal exponent counted by its value (1e1000000 would build a
@@ -44,7 +45,7 @@ MAX_POINT_DIGITS = 100
 
 def _emit(args, payload: dict, markdown: str) -> None:
     text = markdown if args.format == "markdown" else json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    if args.out:
+    if args.out is not None:  # an empty path is refused by open, not read as stdout
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -60,8 +61,12 @@ def _integers(text: str) -> list[int]:  # argparse type of --septuple and --weig
 
 def _ws_from_args(args) -> WeightSystem:
     if getattr(args, "septuple", None):
+        if getattr(args, "weights", None) is not None or getattr(args, "degree", None) is not None:
+            raise ValueError("--septuple takes no --weights or --degree")
         return weight_system(*args.septuple)
     if getattr(args, "weights", None) and getattr(args, "degree", None) is not None:
+        if len(args.weights) > 5:  # weight_system would read the sixth as the degree
+            raise ValueError(f"--weights takes 5 weights, got {len(args.weights)}")
         return weight_system(*args.weights, args.degree)
     raise ValueError("need --septuple a1,..,a5,d[,I] or --weights a1,..,a5 with --degree")
 
@@ -124,8 +129,9 @@ def cmd_check(args) -> None:
 
 
 def cmd_classify(args) -> None:
-    bounds = _bounds_from_args(args)
-    records = cat.classify(bounds, jobs=args.jobs)
+    if args.index is not None and args.index < 1:
+        raise ValueError(f"--index must be a Fano index, at least 1, got {args.index}")
+    records = cat.classify(_bounds_from_args(args), jobs=args.jobs)
     if args.index is not None:
         records = [r for r in records if r.ws.index == args.index]
     payload = json.loads(cat.catalog_json(records))
@@ -239,8 +245,9 @@ def cmd_verdict(args) -> None:
 
 
 def cmd_report(args) -> None:
-    path = args.catalog or os.environ.get(CATALOG_ENV)
-    if path:
+    # an empty --catalog fails to open; an empty WFANO_CATALOG counts as unset
+    path = (os.environ.get(CATALOG_ENV) or None) if args.catalog is None else args.catalog
+    if path is not None:
         records = cat.load_catalog(path)
     else:
         records = cat.classify(_bounds_from_args(args), jobs=args.jobs)

@@ -3,9 +3,12 @@
 The general member is quasismooth, so it is singular exactly where the ambient
 space is: at coordinate vertices it passes through, and along coordinate
 strata whose weights share a factor.  Each isolated singular point is a cyclic
-quotient singularity; the Reid--Tai criterion then decides terminality.  Any
-positive-dimensional singular locus rules terminality out immediately, since
-terminal 3-fold singularities are isolated.
+quotient singularity, and the terminal lemma decides terminality: 1/r(w1, w2,
+w3), each wi in [1, r-1], is terminal iff every wi is prime to r and two of
+them sum to r (Morrison--Stevens, *Terminal quotient singularities in
+dimensions three and four*, 1984; Reid, *Young person's guide to canonical
+singularities*, 1987).  Any positive-dimensional singular locus rules
+terminality out immediately, since terminal 3-fold singularities are isolated.
 """
 
 from __future__ import annotations
@@ -59,23 +62,19 @@ class SingularityBasket:
 
     @property
     def terminal(self) -> bool:
-        """Isolated singular points only, each terminal by Reid--Tai."""
-        return not self.non_isolated and all(reid_tai_terminal(p.singularity) for p in self.points)
+        """Isolated singular points only, each terminal by the terminal lemma."""
+        types = (p.singularity for p in self.points)
+        return not self.non_isolated and all(terminal_type(q.order, q.local_weights) for q in types)
 
     def to_strings(self) -> list[str]:
         return [f"{p.count} x {p.singularity}" for p in self.points]
 
 
-def reid_tai_terminal(q: QuotientSingularity) -> bool:
-    """Reid--Tai: terminal iff every age sum_i frac(k*w_i/r) exceeds 1.
-
-    Evaluated in integers: sum((k*w_i) mod r) > r for all k in 1..r-1.
-    """
-    r = q.order
-    for k in range(1, r):
-        if sum((k * w) % r for w in q.local_weights) <= r:
-            return False
-    return True
+def terminal_type(r: int, weights: tuple[int, ...]) -> bool:
+    """The terminal lemma (module docstring) for 1/r(x, y, z), given by
+    residues in [0, r-1]; a residue 0 shares the factor r, so it fails."""
+    x, y, z = weights
+    return gcd(x * y * z, r) == 1 and r in (x + y, x + z, y + z)
 
 
 def vertex_type(a: tuple[int, ...], d: int, i: int) -> tuple[int, ...] | None:
@@ -186,10 +185,10 @@ def terminal_general(ws: WeightSystem) -> bool:
     It stops at the first positive-dimensional stratum or non-terminal point,
     and agrees with ``singular_points_general(ws).terminal``.
     """
-    for entry in _singular_strata(ws):
-        if not isinstance(entry, BasketPoint) or not reid_tai_terminal(entry.singularity):
-            return False
-    return True
+    return all(
+        isinstance(p, BasketPoint) and terminal_type(p.singularity.order, p.singularity.local_weights)
+        for p in _singular_strata(ws)
+    )
 
 
 def format_non_isolated(entries: tuple[tuple[StratumSelector, str], ...]) -> list[str]:

@@ -56,15 +56,15 @@ class PlanOrderError(RuntimeError):
 # polynomial core
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class GradedPolynomial:
     """Quasihomogeneous polynomial: finite map monomial -> nonzero rational.
 
     The coefficients are stored once, as integer numerators ``num`` over one
     denominator ``den`` > 0 with gcd(den, *num) = 1, keyed by the packed
-    monomials of ``_width(ws.degree)``, so the grade is at most ws.degree.  It
-    is built from a map monomial -> rational (Fraction or int); ``terms`` is
-    that map again, a read-only view built on first access.
+    monomials of ``_width(ws.degree)``, so the grade is at most ws.degree.
+    ``terms`` is the map monomial -> Fraction, a read-only view built on
+    first access.
     """
 
     ws: WeightSystem
@@ -72,17 +72,23 @@ class GradedPolynomial:
     num: dict[int, int]
     den: int
 
-    def __new__(cls, ws: WeightSystem, grade: int, terms: dict[Monomial, Fraction | int]) -> "GradedPolynomial":
-        for m in terms:  # before packing: an exponent past the key width would read as another monomial
-            if weighted_degree(m, ws) != grade:
-                raise ValueError(
-                    f"GradedPolynomial: {format_monomial(m)} has degree {weighted_degree(m, ws)}, not {grade}"
-                )
-        w = _width(ws.degree)
-        return _form(ws, grade, *_over_lcm({_pack(m, w): c for m, c in terms.items()}))
+    def __post_init__(self) -> None:
+        ws, grade, num, den = self.ws, self.grade, self.num, self.den
+        if grade > ws.degree:
+            raise ValueError(f"a grade-{grade} form is past the packed keys of degree {ws.degree}")
+        if not all(num.values()):
+            raise ValueError("GradedPolynomial: zero coefficient stored")
+        w, known = _width(ws.degree), _grade_monomials(ws, grade)
+        for k in num.keys() - known.keys():
+            m = _unpack(k, w)
+            if weighted_degree(m, ws) != grade or _pack(m, w) != k:
+                raise ValueError(f"GradedPolynomial: {format_monomial(m)} has degree {weighted_degree(m, ws)}, not {grade}")
+            known[k] = m
+        if den <= 0 or gcd(den, *num.values()) != 1:
+            raise ValueError(f"GradedPolynomial: denominator {den} is not positive and prime to the numerators")
 
-    def __reduce__(self):
-        return _form, (self.ws, self.grade, self.num, self.den)
+    def __reduce__(self):  # pickle the fields alone: the cached ``terms`` view does not pickle
+        return GradedPolynomial, (self.ws, self.grade, self.num, self.den)
 
     @cached_property
     def terms(self) -> MappingProxyType:
@@ -107,32 +113,6 @@ class GradedPolynomial:
 #: monomials of ``_width(ws.degree)``: what a GradedPolynomial stores, and what
 #: the kernels pass between the steps of ``normalize``
 IntegerForm = tuple[dict[int, int], int]
-
-
-def _form(ws: WeightSystem, grade: int, num: dict[int, int], den: int) -> GradedPolynomial:
-    """The polynomial num / den, checked as the constructor checks it."""
-    if grade > ws.degree:
-        raise ValueError(f"a grade-{grade} form is past the packed keys of degree {ws.degree}")
-    if not all(num.values()):
-        raise ValueError("GradedPolynomial: zero coefficient stored")
-    w, known = _width(ws.degree), _grade_monomials(ws, grade)
-    for k in num.keys() - known.keys():
-        m = _unpack(k, w)
-        if weighted_degree(m, ws) != grade or _pack(m, w) != k:
-            raise ValueError(f"GradedPolynomial: {format_monomial(m)} has degree {weighted_degree(m, ws)}, not {grade}")
-        known[k] = m
-    if den <= 0 or gcd(den, *num.values()) != 1:
-        raise ValueError(f"GradedPolynomial: denominator {den} is not positive and prime to the numerators")
-    f = object.__new__(GradedPolynomial)
-    f.__dict__.update(ws=ws, grade=grade, num=num, den=den)
-    return f
-
-
-def _over_lcm(terms: dict[int, Fraction | int]) -> IntegerForm:
-    """Rationals as integer numerators over their least common denominator;
-    the gcd is 1, since some numerator is prime to each prime of that lcm."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
 def _reduced(num: dict[int, int], den: int) -> IntegerForm:
@@ -185,8 +165,8 @@ def _unpack(key: int, w: int) -> Monomial:
 
 @cache
 def _grade_monomials(ws: WeightSystem, grade: int) -> dict[int, Monomial]:
-    """Packed key -> monomial for the keys of one grade that ``_form`` has
-    checked so far: each key is unpacked and checked once."""
+    """Packed key -> monomial for the keys of one grade that the
+    ``GradedPolynomial`` constructor has checked so far: each key is unpacked and checked once."""
     return {}
 
 
@@ -215,7 +195,7 @@ def partial_derivative(f: GradedPolynomial, var: int) -> GradedPolynomial:
     w = _width(f.ws.degree)
     shift, mask = w * var, (1 << w) - 1
     num = {m - (1 << shift): c * e for m, c in f.num.items() if (e := m >> shift & mask)}
-    return _form(f.ws, f.grade - f.ws.weights[var], *_reduced(num, f.den))
+    return GradedPolynomial(f.ws, f.grade - f.ws.weights[var], *_reduced(num, f.den))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +237,7 @@ def substitute(f: GradedPolynomial, sub: Substitution) -> GradedPolynomial:
         raise ValueError("substitute: weight system mismatch")
     if sub.is_identity:
         return f
-    return _form(f.ws, f.grade, *_substitute_ints(f.num, f.den, sub.target, sub.tail))
+    return GradedPolynomial(f.ws, f.grade, *_substitute_ints(f.num, f.den, sub.target, sub.tail))
 
 
 def _substitute_ints(num: dict[int, int], den: int, j: int, tail: GradedPolynomial) -> IntegerForm:
@@ -385,7 +365,9 @@ def sample_general_member(
     pools: dict[tuple[int, int], list[int]] = {}
     for check in checks:
         _draw_slice(rng, ws, terms, pools, check)
-    return _form(ws, ws.degree, *_over_lcm(terms))
+    # over the least common denominator, the gcd is 1: some numerator is prime to each prime of it
+    den = lcm(*(c.denominator for c in terms.values()))
+    return GradedPolynomial(ws, ws.degree, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den)
 
 
 def _draw_slice(
@@ -544,7 +526,7 @@ def _canonical_rational_root(poly: dict[int, Fraction | int]) -> Fraction | None
 
 def _shift(f: IntegerForm, ws: WeightSystem, var: int, num: dict, den: int) -> tuple[IntegerForm, Substitution]:
     """f after x_var -> x_var + num/den (packed keys), with the substitution for the audit."""
-    sub = Substitution(var, _form(ws, ws.weights[var], *_reduced(num, den)))
+    sub = Substitution(var, GradedPolynomial(ws, ws.weights[var], *_reduced(num, den)))
     return _substitute_ints(*f, var, sub.tail), sub
 
 
@@ -689,7 +671,7 @@ def normalize(
             "eliminations did not close; still present: "
             + ", ".join(format_monomial(m) for m in stale)
         )
-    return _form(f.ws, f.grade, *g), applied
+    return GradedPolynomial(f.ws, f.grade, *g), applied
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +944,7 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
             return MemberVerdict(status="singular", witness=f"[{point}]", detail=f"axis {VARIABLES[i]}")
     # the partials of f's primitive integer multiple (f is nonzero, as its axes passed)
     content = gcd(*f.num.values())
-    primitive = _form(f.ws, f.grade, {m: c // content for m, c in f.num.items()}, 1)
+    primitive = GradedPolynomial(f.ws, f.grade, {m: c // content for m, c in f.num.items()}, 1)
     partials = [partial_derivative(primitive, k) for k in range(NVARS)]
     for pair in combinations(range(NVARS), 2):
         verdict = _check_edge(partials, pair)

@@ -3,12 +3,13 @@
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 import pytest
 
 from wfano.catalog import SearchBounds, classify
-from wfano.symalg import GradedPolynomial
-from wfano.wspace import parse_monomial
+from wfano.symalg import GradedPolynomial, _pack, _width
+from wfano.wspace import format_monomial, parse_monomial, weighted_degree
 
 
 @pytest.fixture(scope="session")
@@ -41,12 +42,31 @@ def covered(a, d):
     return d not in a and all(covers(a, d, i) for i in (2, 3, 4))
 
 
+def reid_tai_terminal(q):
+    """Reid--Tai, the oracle of the terminal lemma: the isolated quotient q =
+    1/r(w1, w2, w3) is terminal iff every age sum_i frac(k*w_i/r) exceeds 1,
+    evaluated in integers: sum((k*w_i) mod r) > r for all k in 1..r-1."""
+    r = q.order
+    return all(sum((k * w) % r for w in q.local_weights) > r for k in range(1, r))
+
+
+def polynomial(ws, grade, terms):
+    """The GradedPolynomial of a map monomial -> rational (Fraction or int).
+    Each monomial's degree is checked before packing: an exponent past the
+    key width would read as another monomial."""
+    for m in terms:
+        if weighted_degree(m, ws) != grade:
+            raise ValueError(f"GradedPolynomial: {format_monomial(m)} has degree {weighted_degree(m, ws)}, not {grade}")
+    w, den = _width(ws.degree), lcm(*(Fraction(c).denominator for c in terms.values()))
+    return GradedPolynomial(ws, grade, {_pack(m, w): int(c * den) for m, c in terms.items()}, den)
+
+
 def parse_polynomial(text, ws, grade):
     """Parse the text form emitted by format_polynomial ("-3/2*x^2*y*w + w^3")."""
     terms = {}
     text = text.replace("- ", "+ -").replace(" ", "")
     if text in ("", "0"):
-        return GradedPolynomial(ws, grade, {})
+        return polynomial(ws, grade, {})
     for chunk in text.split("+"):
         if not chunk:
             continue
@@ -62,9 +82,9 @@ def parse_polynomial(text, ws, grade):
                 mono_parts.append(fct)
         m = parse_monomial("*".join(mono_parts)) if mono_parts else (0, 0, 0, 0, 0)
         terms[m] = terms.get(m, Fraction(0)) + coeff
-    return GradedPolynomial(ws, grade, {m: c for m, c in terms.items() if c != 0})
+    return polynomial(ws, grade, {m: c for m, c in terms.items() if c != 0})
 
 
 def scaled(f, c):
-    """c * f, built through the public constructor (c = -1 on a tail inverts its substitution)."""
-    return GradedPolynomial(f.ws, f.grade, {m: c * v for m, v in f.terms.items()} if c else {})
+    """c * f (c = -1 on a tail inverts its substitution)."""
+    return polynomial(f.ws, f.grade, {m: c * v for m, v in f.terms.items()} if c else {})

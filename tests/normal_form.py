@@ -15,7 +15,7 @@ from wfano.exactmath import rational_roots, triple_matrix
 from wfano.symalg import T, W, GenericityError, GradedPolynomial, _mul_terms, _pack, _unpack, _width, slice_numerators
 from wfano.wspace import Monomial
 
-from conftest import scaled
+from conftest import polynomial, scaled
 
 
 def apply_pair_map(
@@ -46,7 +46,7 @@ def apply_pair_map(
         rest[i] = rest[j] = 0
         for k, v in _mul_terms({_pack(rest, w): c}, _mul_terms(powers[0][m[i]], powers[1][m[j]])).items():
             out[k] = out.get(k, 0) + v
-    return GradedPolynomial(ws, f.grade, {_unpack(m, w): c for m, c in out.items() if c})
+    return polynomial(ws, f.grade, {_unpack(m, w): c for m, c in out.items() if c})
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,9 @@ from wfano.catalog import (
     classify,
 )
 from wfano.irrational import decide
-from wfano.singular import QuotientSingularity, reid_tai_terminal
+from wfano.singular import QuotientSingularity
 from wfano.symalg import (
     REFERENCE_TABLES,
-    GradedPolynomial,
     Substitution,
     builtin_plan,
     family_weight_system,
@@ -54,7 +53,7 @@ from wfano.wspace import (
     weight_system,
 )
 
-from conftest import scaled
+from conftest import polynomial, reid_tai_terminal, scaled
 from normal_form import cubic_normal_form
 
 SYMMETRY_FAMILIES = (19, 28, 39, 49, 59, 66, 84)
@@ -370,14 +369,14 @@ def test_criterion_9_property_suites():
     mons = enumerate_monomials(ws, 12)
     for _ in range(1000):
         terms = {m: Fraction(rng.randint(1, 9)) for m in mons if rng.random() < 0.25}
-        f = GradedPolynomial(ws, 12, terms)
+        f = polynomial(ws, 12, terms)
         var = rng.randrange(5)
         tail_terms = {
             m: Fraction(rng.randint(-4, 4))
             for m in enumerate_monomials(ws, ws.weights[var])
             if m[var] == 0 and rng.random() < 0.5
         }
-        s = Substitution(var, GradedPolynomial(ws, ws.weights[var], {k: v for k, v in tail_terms.items() if v}))
+        s = Substitution(var, polynomial(ws, ws.weights[var], {k: v for k, v in tail_terms.items() if v}))
         g = substitute(f, s)
         if g.grade != 12 or substitute(g, Substitution(s.target, scaled(s.tail, -1))).terms != f.terms:
             failures.append("substitution")

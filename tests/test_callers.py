@@ -9,7 +9,11 @@ An attribute that the benchmark's trace ``SITES`` wraps counts as named.
 Re-exports in ``__init__.py`` do not count, so code that only the tests call
 fails here: move it into the tests or delete it.
 
-A second scan asks the same of every defaulted parameter of a ``src/wfano``
+A class must also be built there: called (constructed) or raised.  Naming
+it in an annotation, an ``isinstance`` or an ``except`` builds nothing, so a
+class that only the tests construct fails here.
+
+A last scan asks the same of every defaulted parameter of a ``src/wfano``
 function: some call in ``src/wfano`` or ``perfbench/*.py`` passes it, by
 keyword or by position.  A default that no caller overrides is a constant.
 """
@@ -63,6 +67,23 @@ def test_every_definition_has_a_caller():
         if name.rpartition(".")[2] not in (attributes if "." in name else variables | attributes)
     ]
     assert not unused, f"no caller in src/wfano or perfbench: {unused}"
+
+
+def test_every_class_is_built_by_the_program():
+    built = set()
+    for tree in parse(CALLERS):
+        for node in ast.walk(tree):
+            # a raise of a call is a call, which the walk reaches too
+            target = node.func if isinstance(node, ast.Call) else node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(target, (ast.Name, ast.Attribute)):
+                built.add(target.id if isinstance(target, ast.Name) else target.attr)
+    unbuilt = [
+        node.name
+        for tree in parse(SOURCES)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name not in built
+    ]
+    assert not unbuilt, f"no call or raise in src/wfano or perfbench builds these classes: {unbuilt}"
 
 
 def defaulted(tree):

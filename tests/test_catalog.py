@@ -21,13 +21,12 @@ from wfano.singular import (
     BasketPoint,
     QuotientSingularity,
     _singular_strata,
-    reid_tai_terminal,
     singular_points_general,
     terminal_general,
 )
 from wfano.wspace import WeightSystem, count_monomials, wps_well_formed
 
-from conftest import box_pairs, covered, covers
+from conftest import box_pairs, covered, covers, reid_tai_terminal
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +148,7 @@ def test_family_labels_match_weights():
 
 def _terminal_lemma(a, d):
     """P5 is off X, or a5 is the sum of two of the weights other than a5 and
-    c = d mod a5 (the terminal lemma of the catalog module docstring)."""
+    c = d mod a5 (the terminal lemma of the singular module docstring)."""
     c = d % a[4]
     if not c:
         return True

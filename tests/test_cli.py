@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from wfano import catalog
-from wfano.cli import MAX_SEARCH_WEIGHT, build_parser, main
+from wfano.cli import CATALOG_ENV, MAX_SEARCH_WEIGHT, _integers, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +259,10 @@ BAD_INPUTS = [
     bad("monomials-out-missing-dir", "monomials", "--weights", "1,1,1,1,1", "--degree", "4",
         "--out", "{tmp}/missing/x.json", error="No such file or directory"),
     bad("monomials-no-degree", "monomials", "--weights", "1,1,1,1,1", code=2),
+    bad("monomials-six-weights", "monomials", "--weights", "1,1,1,1,1,1", "--degree", "4",
+        error="--weights takes 5 weights, got 6"),
+    bad("monomials-empty-out", "monomials", "--weights", "1,1,1,1,1", "--degree", "4", "--out", "",
+        error="No such file or directory: ''"),
     bad("monomials-zero-degree", "monomials", "--weights", "1,1,1,1,1", "--degree", "0",
         error="degree must be positive"),
     bad("monomials-over-cap", "monomials", "--weights", "1,1,1,1,1", "--degree", "200",
@@ -275,6 +280,10 @@ BAD_INPUTS = [
     bad("classify-unknown-flag", "classify", "--no-such-flag", code=2),
     bad("classify-non-integer", "classify", "--max-weight", "x", code=2),
     bad("classify-zero-jobs", "classify", "--jobs", "0", code=2),
+    bad("classify-zero-index", "classify", "--max-weight", "5", "--index", "0",
+        error="--index must be a Fano index, at least 1, got 0"),
+    bad("classify-negative-index", "classify", "--max-weight", "5", "--index", "-1",
+        error="--index must be a Fano index, at least 1, got -1"),
     bad("classify-over-cap", "classify", "--max-weight", "1000000", "--max-degree", "1000000",
         error="--max-weight 1000000 is more than the limit of 200"),
     bad("basket-bad-family", "basket", "--septuple", "1,1,1,1,4,7",
@@ -301,6 +310,12 @@ BAD_INPUTS = [
         error="--family takes no --septuple, --weights or --degree"),
     bad("autgroup-family-and-degree", "autgroup", "--family", "19", "--degree", "4",
         error="--family takes no --septuple, --weights or --degree"),
+    bad("autgroup-septuple-and-weights", "autgroup", "--septuple", "1,1,1,1,1,4", "--weights", "1,1,1,1,2",
+        error="--septuple takes no --weights or --degree"),
+    bad("autgroup-septuple-and-degree", "autgroup", "--septuple", "1,1,1,1,1,4", "--degree", "5",
+        error="--septuple takes no --weights or --degree"),
+    bad("autgroup-six-weights", "autgroup", "--weights", "1,1,1,1,1,1", "--degree", "4",
+        error="--weights takes 5 weights, got 6"),
     bad("autgroup-non-integer", "autgroup", "--weights", "1,1,1,1,1.5", "--degree", "4", code=2),
     bad("autgroup-zero-index", "autgroup", "--septuple", "2,2,2,2,2,10",
         error="fails the Fano index stage: index 0 < 1"),
@@ -345,6 +360,7 @@ BAD_INPUTS = [
     bad("report-catalog-version", "report", "--catalog", "{tmp}/version.json",
         error="unsupported schemaVersion"),
     bad("report-catalog-not-json", "report", "--catalog", "{tmp}/text.json", error="Expecting value"),
+    bad("report-catalog-empty", "report", "--catalog", "", error="No such file or directory: ''"),
     bad("report-catalog-missing", "report", "--catalog", "{tmp}/missing.json",
         error="No such file or directory"),
 ]
@@ -369,3 +385,114 @@ def test_bad_input(argv, code, error, tmp_path, capsys):
 def test_bad_input_covers_every_subcommand():
     commands = set(build_parser()._subparsers._group_actions[0].choices)
     assert {p.values[0][0] for p in BAD_INPUTS} == commands
+
+
+#: the values of the generated sweep (ROADMAP item 9), by the option's
+#: argparse type; a --septuple gets ",8" appended as its degree
+SWEEP_VALUES = {
+    int: ["0", "-1", str(2**63), "x"],
+    _integers: ["1,1,1", "1,1,1,1,1,1", "0,1,1,1,1", "-1,1,1,1,1", "2,2,2,2,2", "1,1,x,1,1"],
+    "points": ["0,1,1,inf", "1/0", "nan", "1e400", "7" * 101],
+    "path": ["{tmp}/missing/x", "", "{tmp}"],
+    "choice": ["xml"],
+}
+
+#: accepted invocations that each option's values go into: the first one
+#: that has the option, else the first; --max-weight 5 keeps searches cheap
+SWEEP_BASES = {
+    "monomials": [["--weights", "1,1,1,1,1", "--degree", "4"]],
+    "check": [["--septuple", "1,1,1,1,1,4"]],
+    "classify": [["--max-weight", "5"]],
+    "basket": [["--septuple", "1,1,1,1,1,4"]],
+    "normalize": [["--family", "19"]],
+    "autgroup": [["--family", "19"], ["--septuple", "1,1,1,1,1,4"], ["--weights", "1,1,1,1,1", "--degree", "4"]],
+    "stabilizer": [["--points", "0,1,inf"]],
+    "verdict": [["--septuple", "1,1,1,1,1,4"]],
+    "report": [["--max-weight", "5"]],
+}
+
+#: the sweep's cases that are valid input, each with its reason; every other
+#: case must be refused
+SWEEP_ACCEPTED = {
+    "monomials--weights=2,2,2,2,2": "the monomials of any five weights",
+    "check--septuple=2,2,2,2,2,8": "check prints the failed stages of any septuple",
+    "autgroup--septuple=2,2,2,2,2,8": "a common factor acts trivially, and the group says so",
+    "autgroup--weights=2,2,2,2,2": "the same septuple given by weights",
+    "classify--index=9223372036854775808": "an index past every family selects no record",
+    "classify--max-degree=9223372036854775808": "--max-weight bounds the box",
+    "report--max-degree=9223372036854775808": "--max-weight bounds the box",
+    "classify--jobs=9223372036854775808": "the pool is capped at the CPU count",
+    "normalize--seed=0": "the default seed",
+    "normalize--seed=9223372036854775808": "every non-negative seed draws a member",
+    "autgroup--seed=0": "the default seed",
+    "autgroup--seed=9223372036854775808": "every non-negative seed draws a member",
+}
+
+
+def sweep_options():
+    """(subcommand, argparse action) for every option of every subcommand."""
+    for command, sub in build_parser()._subparsers._group_actions[0].choices.items():
+        for action in sub._actions:
+            if action.option_strings and action.dest != "help":
+                yield command, action
+
+
+def sweep_values(command, action):
+    if action.choices:
+        kind = "choice"
+    elif action.type is None:
+        kind = "points" if action.dest == "points" else "path"
+    else:
+        kind = action.type
+    values = SWEEP_VALUES.get(kind, [])
+    if action.dest == "septuple":
+        values = [v + ",8" for v in values]
+    if action.dest == "jobs" and command != "classify":
+        values = [v for v in values if v in ("0", "-1", "x")]  # refused before any pool starts
+    return values
+
+
+def sweep_cases():
+    for command, action in sweep_options():
+        option = action.option_strings[0]
+        base = next((b for b in SWEEP_BASES[command] if option in b), SWEEP_BASES[command][0])
+        for value in sweep_values(command, action):
+            argv = list(base)
+            if option in argv:
+                argv[argv.index(option) + 1] = value
+            else:
+                argv += [option, value]
+            shown = value if len(value) <= 20 else value[:8] + "..."
+            yield pytest.param([command, *argv], id=f"{command}{option}={shown}")
+
+
+SWEEP = list(sweep_cases())
+
+
+def test_sweep_covers_every_option():
+    unswept = [(command, action.option_strings[0]) for command, action in sweep_options()
+               if not sweep_values(command, action)]
+    assert not unswept, f"no sweep values for these options' types: {unswept}"
+    assert SWEEP_ACCEPTED.keys() <= {p.id for p in SWEEP}
+    assert len(SWEEP) == 131
+
+
+@pytest.mark.parametrize("argv", SWEEP)
+def test_bad_input_sweep(argv, request, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CATALOG_ENV, raising=False)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse; any other exception fails the test with its traceback
+        code = exc.code
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert elapsed < 2, f"{elapsed:.2f} s"
+    if request.node.callspec.id in SWEEP_ACCEPTED:
+        assert code == 0, err
+    elif code == 2:
+        assert "usage:" in err
+    else:
+        assert (code, out) == (1, "")
+        assert "error" in json.loads(err)

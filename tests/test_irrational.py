@@ -6,8 +6,10 @@ from wfano.catalog import FAMILY_LABELS, FamilyRecord, SearchBounds, classify
 from wfano.irrational import RULE_CITATIONS, decide, top_variable_degree
 from wfano.membership import membership_report
 from wfano.singular import singular_points_general
-from wfano.symalg import GradedPolynomial, sample_general_member
+from wfano.symalg import sample_general_member
 from wfano.wspace import weight_system
+
+from conftest import polynomial
 
 
 def make_record(*sept):
@@ -113,8 +115,8 @@ def test_top_variable_degree_on_seed_zero_members(default_catalog):
             # projection is birational, so the member is rational; the
             # verdict stays {1, 2}
             a5 = ws.weights[4]
-            g = GradedPolynomial(ws, ws.degree - a5, {(*m[:4], 0): c for m, c in f.terms.items() if m[4] == 1})
-            h = GradedPolynomial(ws, ws.degree, {m: c for m, c in f.terms.items() if m[4] == 0})
+            g = polynomial(ws, ws.degree - a5, {(*m[:4], 0): c for m, c in f.terms.items() if m[4] == 1})
+            h = polynomial(ws, ws.degree, {m: c for m, c in f.terms.items() if m[4] == 0})
             assert not g.is_zero() and not h.is_zero(), record.septuple
             assert dict(f.terms) == {**{(*m[:4], 1): c for m, c in g.terms.items()}, **h.terms}
             assert verdict.values == {1, 2}

@@ -8,13 +8,13 @@ from wfano.catalog import SearchBounds
 from wfano.membership import rejection
 from wfano.singular import (
     QuotientSingularity,
-    reid_tai_terminal,
     singular_points_general,
     terminal_general,
+    terminal_type,
 )
 from wfano.wspace import count_monomials, weight_system
 
-from conftest import box_pairs, covered
+from conftest import box_pairs, covered, reid_tai_terminal
 
 
 def test_reid_tai_examples():
@@ -40,15 +40,17 @@ def test_classical_terminal_series():
 
 def test_terminal_lemma():
     # Morrison-Stevens: an isolated 1/r(w1, w2, w3) is terminal iff two of
-    # the weights sum to r; the search prunes its candidates with this
+    # the weights sum to r; terminal_type, the program's one terminality
+    # rule, agrees with the Reid-Tai oracle on every isolated type
     checked = 0
     for r in range(2, 61):
         units = [w for w in range(1, r) if gcd(w, r) == 1]
         for wts in combinations_with_replacement(units, 3):
-            pair = any(wts[i] + wts[j] == r for i, j in ((0, 1), (0, 2), (1, 2)))
-            assert reid_tai_terminal(QuotientSingularity(r, wts)) == pair, (r, wts)
+            assert terminal_type(r, wts) == reid_tai_terminal(QuotientSingularity(r, wts)), (r, wts)
             checked += 1
     assert checked == 197_909
+    # a residue that shares a factor with r, 0 included, is refused
+    assert not terminal_type(4, (1, 3, 0)) and not terminal_type(4, (2, 1, 3)) and not terminal_type(6, (1, 5, 3))
 
 
 def test_reid_tai_generator_change_invariance():

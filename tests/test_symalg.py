@@ -39,13 +39,13 @@ from wfano.symalg import (
     substitute,
 )
 from wfano.symalg import _canonical_rational_root, _macaulay_rank, _solve_linear, _substitute_ints
-from wfano.symalg import _form, _pack, _unpack, _width
+from wfano.symalg import _pack, _unpack, _width
 from wfano.symalg import _CHECKS
 from wfano.wspace import (
     count_monomials, enumerate_monomials, format_monomial, parse_monomial, parse_monomial_set, weight_system,
 )
 
-from conftest import parse_polynomial, scaled
+from conftest import parse_polynomial, polynomial, scaled
 from normal_form import apply_pair_map, cubic_normal_form
 
 SYMMETRY_FAMILIES = (19, 28, 39, 49, 59, 66, 84)
@@ -58,7 +58,7 @@ def random_polynomial(ws, grade, rng, density=0.5):
             c = rng.randint(-9, 9)
             if c:
                 terms[m] = Fraction(c)
-    return GradedPolynomial(ws, grade, terms)
+    return polynomial(ws, grade, terms)
 
 
 def random_substitution(ws, rng):
@@ -69,23 +69,23 @@ def random_substitution(ws, rng):
             c = rng.randint(-4, 4)
             if c:
                 tail_terms[m] = Fraction(c)
-    return Substitution(var, GradedPolynomial(ws, ws.weights[var], tail_terms))
+    return Substitution(var, polynomial(ws, ws.weights[var], tail_terms))
 
 
 def test_substitution_validation():
     ws = weight_system(1, 2, 3, 3, 4, 12)
     with pytest.raises(ValueError):
-        Substitution(4, GradedPolynomial(ws, 3, {parse_monomial("z"): Fraction(1)}))
+        Substitution(4, polynomial(ws, 3, {parse_monomial("z"): Fraction(1)}))
     with pytest.raises(ValueError):
         # tail must not involve the target variable
-        Substitution(3, GradedPolynomial(ws, 3, {parse_monomial("t"): Fraction(1)}))
+        Substitution(3, polynomial(ws, 3, {parse_monomial("t"): Fraction(1)}))
 
 
 def test_substitute_identity_and_grade():
     ws = weight_system(1, 2, 3, 3, 4, 12)
     rng = random.Random(2)
     f = random_polynomial(ws, 12, rng)
-    ident = Substitution(4, GradedPolynomial(ws, 4, {}))
+    ident = Substitution(4, polynomial(ws, 4, {}))
     assert substitute(f, ident) is f
     assert _substitute_ints(f.num, f.den, 4, ident.tail) == (f.num, f.den)
 
@@ -132,14 +132,14 @@ def test_substitute_against_fraction_expansion(family):
     ws = f.ws
     for _ in range(25):
         g = scaled(f, Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 9)))
-        g = GradedPolynomial(ws, g.grade, {m: c / rng.randint(1, 5) for m, c in g.terms.items()})
+        g = polynomial(ws, g.grade, {m: c / rng.randint(1, 5) for m, c in g.terms.items()})
         var = rng.randrange(5)
         tail = {
             m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))
             for m in enumerate_monomials(ws, ws.weights[var])
             if m[var] == 0 and rng.random() < 0.7
         }
-        s = Substitution(var, GradedPolynomial(ws, ws.weights[var], tail))
+        s = Substitution(var, polynomial(ws, ws.weights[var], tail))
         out = substitute(g, s)
         assert out.terms == fraction_substitute(g, s)
         assert all(type(c) is Fraction for c in out.terms.values())
@@ -155,7 +155,7 @@ def test_substitute_cancellation_stores_no_zero():
     # t -> t - 3/4*x^3 on 2/3*t*z^3 + 1/2*x^3*z^3 cancels the x^3*z^3 term
     ws = weight_system(1, 2, 3, 3, 4, 12)
     f = parse_polynomial("2/3*t*z^3 + 1/2*x^3*z^3", ws, 12)
-    sub = Substitution(3, GradedPolynomial(ws, 3, {parse_monomial("x^3"): Fraction(-3, 4)}))
+    sub = Substitution(3, polynomial(ws, 3, {parse_monomial("x^3"): Fraction(-3, 4)}))
     assert substitute(f, sub).terms == {parse_monomial("t*z^3"): Fraction(2, 3)}
     num, den = _substitute_ints(f.num, f.den, 3, sub.tail)
     assert (unpacked(num, ws), den) == ({parse_monomial("t*z^3"): 2}, 3)
@@ -167,7 +167,7 @@ def test_substitute_rational_tail_on_integer_member():
     assert all(c.denominator == 1 for c in f.terms.values())
     ws = f.ws
     tail = {parse_monomial("x*y"): Fraction(5, 6), parse_monomial("x^4"): Fraction(-7, 4)}
-    s = Substitution(2, GradedPolynomial(ws, ws.weights[2], tail))
+    s = Substitution(2, polynomial(ws, ws.weights[2], tail))
     num, den = _substitute_ints(f.num, f.den, 2, s.tail)
     assert den > 1 and gcd(den, *num.values()) == 1
     assert {m: Fraction(v, den) for m, v in unpacked(num, ws).items()} == fraction_substitute(f, s)
@@ -219,7 +219,7 @@ def test_normalize_replays_with_fraction_substitution(family):
         g, applied = normalize(f, builtin_plan(family))
         h = f
         for sub in applied:
-            h = GradedPolynomial(f.ws, f.grade, fraction_substitute(h, sub))
+            h = polynomial(f.ws, f.grade, fraction_substitute(h, sub))
         assert h.terms == g.terms, seed
         assert all(type(c) is Fraction for c in g.terms.values())
 
@@ -227,7 +227,7 @@ def test_normalize_replays_with_fraction_substitution(family):
 def test_substitute_kills_square_layer():
     # w -> w - g/3 on w^3 + w^2*g clears the w^2 coefficient
     ws = weight_system(1, 1, 2, 3, 3, 9)
-    tail = GradedPolynomial(ws, 3, {parse_monomial("t"): Fraction(-2, 3)})
+    tail = polynomial(ws, 3, {parse_monomial("t"): Fraction(-2, 3)})
     f = parse_polynomial("w^3 + 2*w^2*t", ws, 9)
     out = substitute(f, Substitution(4, tail))
     assert all(m[4] != 2 for m in out.terms)
@@ -237,7 +237,7 @@ def test_specific_elimination_family_39_style():
     # t^3*y + t^3*x^3 over (1,3,4,5,6): y -> y - x^3 removes t^3*x^3
     ws = weight_system(1, 3, 4, 5, 6, 18)
     f = parse_polynomial("t^3*y + t^3*x^3", ws, 18)
-    sub = Substitution(1, GradedPolynomial(ws, 3, {parse_monomial("x^3"): Fraction(-1)}))
+    sub = Substitution(1, polynomial(ws, 3, {parse_monomial("x^3"): Fraction(-1)}))
     out = substitute(f, sub)
     assert out.terms.get(parse_monomial("t^3*x^3"), 0) == 0
     assert out.terms.get(parse_monomial("t^3*y"), 0) == 1
@@ -270,7 +270,7 @@ def test_polynomial_stores_one_integer_form():
     assert f.num == {_pack(parse_monomial("t*z^3"), w): 4, _pack(parse_monomial("x^3*z^3"), w): -3,
                      _pack(parse_monomial("w^3"), w): 30}
     # ints and Fractions of equal value give one form; the view is built on demand
-    g = GradedPolynomial(ws, 12, {parse_monomial("w^3"): 5, parse_monomial("t*z^3"): Fraction(2, 3),
+    g = polynomial(ws, 12, {parse_monomial("w^3"): 5, parse_monomial("t*z^3"): Fraction(2, 3),
                                   parse_monomial("x^3*z^3"): Fraction(-1, 2)})
     assert g == f and "terms" not in g.__dict__
     assert g.terms == {parse_monomial("w^3"): 5, parse_monomial("t*z^3"): Fraction(2, 3),
@@ -289,27 +289,29 @@ def key(text):
 
 
 @pytest.mark.parametrize(
-    "num,den,message",
+    "grade,num,den,message",
     [
-        ({key("w^3"): 0}, 1, "zero coefficient"),
-        ({key("w^2"): 1}, 1, "w\\^2 has degree 8, not 12"),
-        ({-1: 1}, 1, "has degree"),  # a key with a negative digit
-        ({key("w^3"): 1}, 0, "denominator 0"),
-        ({key("w^3"): 1}, -2, "denominator -2"),
-        ({key("w^3"): 4, key("t^4"): 6}, 4, "denominator 4"),  # gcd 2
+        (12, {key("w^3"): 0}, 1, "zero coefficient"),
+        (12, {key("w^2"): 1}, 1, "w\\^2 has degree 8, not 12"),
+        (12, {-1: 1}, 1, "has degree"),  # a key with a negative digit
+        (12, {1 << 5 * _width(12): 1}, 1, "has degree 0, not 12"),  # a sixth digit
+        (12, {key("w^3"): 1}, 0, "denominator 0"),
+        (12, {key("w^3"): 1}, -2, "denominator -2"),
+        (12, {key("w^3"): 4, key("t^4"): 6}, 4, "denominator 4"),  # gcd 2
+        (13, {}, 1, "grade-13 form is past the packed keys of degree 12"),
     ],
-    ids=["zero", "grade", "negative-digit", "den-zero", "den-negative", "gcd"],
+    ids=["zero", "grade", "negative-digit", "past-the-digits", "den-zero", "den-negative", "gcd", "past-the-degree"],
 )
-def test_integer_form_is_checked(num, den, message):
+def test_integer_form_is_checked(grade, num, den, message):
     with pytest.raises(ValueError, match=message):
-        _form(weight_system(1, 2, 3, 3, 4, 12), 12, num, den)
+        GradedPolynomial(weight_system(1, 2, 3, 3, 4, 12), grade, num, den)
 
 
 def test_construction_refuses_an_exponent_past_the_key_width():
     # x^19 has degree 19; packed in 4-bit fields it would read as x^3*y
     ws = weight_system(1, 1, 1, 1, 1, 4)
     with pytest.raises(ValueError, match="has degree 19, not 4"):
-        GradedPolynomial(ws, 4, {(19, 0, 0, 0, 0): Fraction(1)})
+        polynomial(ws, 4, {(19, 0, 0, 0, 0): Fraction(1)})
 
 
 def test_sampler_split_slices_family_19():
@@ -408,7 +410,7 @@ def test_normalize_genericity_error_names_the_monomial():
     f = sample_family_member(39, seed=0)
     terms = dict(f.terms)
     terms.pop(parse_monomial("w^3"))
-    broken = GradedPolynomial(ws, 18, terms)
+    broken = polynomial(ws, 18, terms)
     with pytest.raises(GenericityError, match="w\\^3"):
         normalize(broken, builtin_plan(39))
 
@@ -421,7 +423,7 @@ def test_normalize_level_zero_cubic_without_rational_root():
     terms.update({parse_monomial(m): 1 for m in ("y^7", "t*y^5", "t^3*y")})
     terms.pop(parse_monomial("t^2*y^3"))
     with pytest.raises(GenericityError, match=r"cannot eliminate y\^7 .* no rational solution") as excinfo:
-        normalize(GradedPolynomial(ws, 21, terms), builtin_plan(49))
+        normalize(polynomial(ws, 21, terms), builtin_plan(49))
     assert type(excinfo.value) is GenericityError
 
 
@@ -594,8 +596,8 @@ def test_polynomial_text_round_trip():
         assert parse_polynomial(format_polynomial(f), ws, 12).terms == f.terms
     f = parse_polynomial("-3/2*x^2*y*w^2 + w^3", ws, 12)
     assert f.terms[parse_monomial("x^2*y*w^2")] == Fraction(-3, 2)
-    assert format_polynomial(GradedPolynomial(ws, 12, {})) == "0"
-    assert format_polynomial(GradedPolynomial(ws, 0, {(0, 0, 0, 0, 0): Fraction(-3, 2)})) == "-3/2"
+    assert format_polynomial(polynomial(ws, 12, {})) == "0"
+    assert format_polynomial(polynomial(ws, 0, {(0, 0, 0, 0, 0): Fraction(-3, 2)})) == "-3/2"
 
 
 QUARTIC = weight_system(1, 1, 1, 1, 1, 4)
@@ -703,11 +705,10 @@ def test_quasismooth_member_imports_no_sympy():
     code = (
         "import sys; import wfano; "
         "assert 'numpy' not in sys.modules and 'sympy' not in sys.modules, 'import'; "
-        "from fractions import Fraction; "
-        "from wfano.symalg import GradedPolynomial, quasismooth_member; "
+        "from wfano.symalg import GradedPolynomial, _pack, _width, quasismooth_member; "
         "from wfano.wspace import parse_monomial, weight_system; "
         "ws = weight_system(1, 1, 1, 1, 1, 2); "
-        "f = GradedPolynomial(ws, 2, {parse_monomial(v + '^2'): Fraction(1) for v in 'xyztw'}); "
+        "f = GradedPolynomial(ws, 2, {_pack(parse_monomial(v + '^2'), _width(2)): 1 for v in 'xyztw'}, 1); "
         "assert quasismooth_member(f).status == 'quasismooth'; "
         "assert 'sympy' not in sys.modules, 'check'"
     )
@@ -906,7 +907,7 @@ def test_restriction_commutes_with_disjoint_substitution():
     for _ in range(200):
         f = random_polynomial(ws, 12, rng, density=0.3)
         # w -> w + c*x*z has a template meeting the (z,t) stratum; use x^2 on y
-        tail = GradedPolynomial(ws, 2, {parse_monomial("x^2"): Fraction(rng.randint(1, 5))})
+        tail = polynomial(ws, 2, {parse_monomial("x^2"): Fraction(rng.randint(1, 5))})
         s = Substitution(1, tail)
         g = substitute(f, s)
         # the same binary form: the numerators over f.den and over g.den agree
