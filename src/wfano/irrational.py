@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import EXCEPTIONAL_EIGHT, FamilyRecord
-from .membership import representable
-from .wspace import WeightSystem
+from .wspace import WeightSystem, semigroup_table
 
 #: rule tag -> citation or verification note
 RULE_CITATIONS: dict[str, str] = {
@@ -86,7 +85,8 @@ def _rule(tag: str) -> tuple[str, str]:
 def top_variable_degree(ws: WeightSystem) -> int:
     """Largest e such that w^e times a monomial in the other variables has degree d."""
     a, d = ws.weights, ws.degree
-    return max((e for e in range(d // a[4] + 1) if representable(a[:4], d - e * a[4])), default=0)
+    xyzt = semigroup_table(a[:4], d, (4,))[-1]
+    return max((e for e in range(d // a[4] + 1) if xyzt >> d - e * a[4] & 1), default=0)
 
 
 def decide(record: FamilyRecord) -> IrrationalityVerdict:

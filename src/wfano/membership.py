@@ -4,6 +4,7 @@ Well-formedness of the hypersurface, linear-cone exclusion, and the
 combinatorial quasismoothness test for the general member.  "General member"
 is treated purely combinatorially: the support is all monomials of degree d,
 so every predicate here is a statement about which weighted monomials exist.
+Each predicate call reads those facts off ``wspace.semigroup_table`` bitsets built for it alone.
 """
 
 from __future__ import annotations
@@ -14,10 +15,17 @@ from itertools import combinations
 from math import gcd
 from typing import Callable
 
-from .wspace import NVARS, VARIABLES, WeightSystem, count_monomials, wps_well_formed
+from .wspace import NVARS, VARIABLES, WeightSystem, count_monomials, semigroup_table, wps_well_formed
 
 #: a coordinate stratum, as a sorted tuple of variable indices
 StratumSelector = tuple[int, ...]
+
+#: (stratum, its table mask, the variables outside it), by size, then lexicographic
+_STRATA = [
+    (s, sum(1 << i for i in s), [j for j in range(NVARS) if j not in s])
+    for r in range(1, NVARS + 1)
+    for s in combinations(range(NVARS), r)
+]
 
 
 def format_stratum(s: StratumSelector) -> str:
@@ -56,7 +64,7 @@ class MembershipReport:
 
 @lru_cache(maxsize=1 << 20)
 def representable(weights: tuple[int, ...], target: int) -> bool:
-    """Does target = sum e_i * weights_i admit a nonnegative integer solution?"""
+    """Does target = sum e_i * weights_i admit a nonnegative integer solution?  The tests' oracle."""
     return target >= 0 and count_monomials(weights, target) > 0
 
 
@@ -79,22 +87,15 @@ def quasismooth_general(ws: WeightSystem) -> tuple[bool, list[tuple[StratumSelec
     if is_linear_cone(ws):
         raise ValueError("quasismooth_general: linear cones are excluded upstream")
     a, d = ws.weights, ws.degree
+    table = semigroup_table(a, d, range(1, NVARS + 1))
     failing: list[tuple[StratumSelector, str]] = []
-    for r in range(1, NVARS + 1):
-        # combinations keep the ascending order of the weights
-        for subset, wts in zip(combinations(range(NVARS), r), combinations(a, r)):
-            if representable(wts, d):
-                continue
-            outside = [j for j in range(NVARS) if j not in subset]
-            witnesses = [j for j in outside if d - a[j] >= 0 and representable(wts, d - a[j])]
-            if len(witnesses) < r:
-                failing.append(
-                    (
-                        subset,
-                        f"no pure degree-{d} monomial and only {len(witnesses)} of the "
-                        f"required {r} outside variables admit one",
-                    )
-                )
+    for subset, mask, outside in _STRATA:
+        if table[mask] >> d & 1:
+            continue
+        witnesses = sum(d >= a[j] and table[mask] >> d - a[j] & 1 for j in outside)
+        if witnesses < len(subset):
+            failing.append((subset, f"no pure degree-{d} monomial and only {witnesses} of the "
+                            f"required {len(subset)} outside variables admit one"))
     return not failing, failing
 
 
@@ -108,12 +109,8 @@ def hypersurface_well_formed(ws: WeightSystem) -> bool:
     """
     if not wps_well_formed(ws):
         return False
-    d = ws.degree
-    # combinations keep the ascending order of the weights
-    for wts in combinations(ws.weights, 3):
-        if gcd(*wts) > 1 and not representable(wts, d):
-            return False
-    return True
+    d = ws.degree  # each triple with a common factor, in the order of combinations; [-1] is all three
+    return all(semigroup_table(wts, d, (3,))[-1] >> d & 1 for wts in combinations(ws.weights, 3) if gcd(*wts) > 1)
 
 
 def membership_report(ws: WeightSystem) -> MembershipReport:

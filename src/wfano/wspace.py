@@ -146,6 +146,32 @@ def enumerate_monomials(ws: WeightSystem, k: int) -> list[Monomial]:
     return out
 
 
+def series_width(n: int, k: int) -> int:
+    """Bits per slot of ``count_monomials``'s series of n weights to degree k; ValueError past MAX_SERIES_BITS in all."""
+    width = comb(k + n - 1, n - 1).bit_length()
+    if (bits := (k + 1) * width) > MAX_SERIES_BITS:
+        raise ValueError(f"count_monomials: degree {k} needs {bits} bits, over {MAX_SERIES_BITS}")
+    return width
+
+
+def semigroup_table(weights: tuple[int, ...], d: int, sizes: range | tuple[int, ...]) -> list[int]:
+    """Bit t of ``table[mask]`` is set iff t <= d is a sum of the weights in the subset
+    mask (bit i for weights[i]).  Entry mask + 2^i, mask < 2^i, is entry mask closed by the
+    doubling of ``count_monomials`` (shifts by a, 2a, ..., 2^(m-1)*a <= d add j*a, j < 2^m).
+    A d that ``series_width(n, d)`` refuses for an n of sizes, in order, is refused first."""
+    for n in sizes:
+        series_width(n, d)
+    full, table = (1 << d + 1) - 1, [1]
+    for a in weights:
+        for b in table[:]:
+            s = a
+            while s <= d:
+                b |= b << s
+                s <<= 1
+            table.append(b & full)
+    return table
+
+
 def count_monomials(weights: tuple[int, ...], k: int) -> int:
     """Number of monomials of weighted degree k in variables of the given
     positive weights, the coefficient of q^k in prod_i 1/(1 - q^(a_i)); the
@@ -156,10 +182,8 @@ def count_monomials(weights: tuple[int, ...], k: int) -> int:
     """
     if k < 0 or not weights:
         raise ValueError("count_monomials: need a degree >= 0 and one or more weights")
-    width = comb(k + len(weights) - 1, len(weights) - 1).bit_length()
-    if (bits := (k + 1) * width) > MAX_SERIES_BITS:
-        raise ValueError(f"count_monomials: degree {k} needs {bits} bits, over {MAX_SERIES_BITS}")
-    mask = (1 << bits) - 1
+    width = series_width(len(weights), k)
+    mask = (1 << (k + 1) * width) - 1
     series = 1
     for a in weights:
         if a <= 0:

@@ -2,14 +2,15 @@
 
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import lcm
+from itertools import combinations, combinations_with_replacement
+from math import gcd, lcm
 
 import pytest
 
 from wfano.catalog import SearchBounds, classify
+from wfano.membership import is_linear_cone, representable
 from wfano.symalg import GradedPolynomial, _pack, _width
-from wfano.wspace import format_monomial, parse_monomial, weighted_degree
+from wfano.wspace import format_monomial, parse_monomial, weighted_degree, wps_well_formed
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +49,43 @@ def reid_tai_terminal(q):
     evaluated in integers: sum((k*w_i) mod r) > r for all k in 1..r-1."""
     r = q.order
     return all(sum((k * w) % r for w in q.local_weights) > r for k in range(1, r))
+
+
+def count_quasismooth_general(ws):
+    """The oracle of ``membership.quasismooth_general``: the same criterion
+    with one ``representable`` question (one ``count_monomials``) at a time."""
+    if is_linear_cone(ws):
+        raise ValueError("quasismooth_general: linear cones are excluded upstream")
+    a, d = ws.weights, ws.degree
+    failing = []
+    for r in range(1, 6):
+        for subset, wts in zip(combinations(range(5), r), combinations(a, r)):
+            if representable(wts, d):
+                continue
+            outside = [j for j in range(5) if j not in subset]
+            witnesses = [j for j in outside if d - a[j] >= 0 and representable(wts, d - a[j])]
+            if len(witnesses) < r:
+                failing.append(
+                    (
+                        subset,
+                        f"no pure degree-{d} monomial and only {len(witnesses)} of the "
+                        f"required {r} outside variables admit one",
+                    )
+                )
+    return not failing, failing
+
+
+def count_hypersurface_well_formed(ws):
+    """The oracle of ``membership.hypersurface_well_formed``, by ``representable``."""
+    if not wps_well_formed(ws):
+        return False
+    return all(gcd(*wts) == 1 or representable(wts, ws.degree) for wts in combinations(ws.weights, 3))
+
+
+def count_top_variable_degree(ws):
+    """The oracle of ``irrational.top_variable_degree``, by ``representable``."""
+    a, d = ws.weights, ws.degree
+    return max((e for e in range(d // a[4] + 1) if representable(a[:4], d - e * a[4])), default=0)
 
 
 def polynomial(ws, grade, terms):

@@ -1,0 +1,81 @@
+"""The output manifest: one sha256 of the exit code and stdout per ``wfano`` argv.
+
+``cli_manifest.json`` maps each argv, joined by spaces, to the sha256 of
+``json.dumps([exit code, stdout])`` of ``cli.main(argv)`` run in-process.
+It covers, in both ``--format`` values:
+
+- ``check``, ``basket`` and ``verdict`` for the 130 families of the catalog
+  at the default search bounds;
+- ``check`` on the septuples of ``NON_QUASISMOOTH``, whose failing strata
+  have sizes 1, 2 and 3 or more.
+
+``tests/test_manifest.py`` compares every entry.  After a change that is
+meant to alter an output, regenerate the file from the repo root with
+
+    PYTHONPATH=src python tests/manifest.py
+
+which rewrites it and prints the argv of every entry that changed, was
+added or was dropped; name those argvs in CHANGES.md.
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
+
+from wfano import cli
+from wfano.catalog import SearchBounds, classify
+
+PATH = Path(__file__).with_name("cli_manifest.json")
+
+#: two non-quasismooth, non-cone septuples (first and last of a walk over
+#: weights <= 8 and index 1..3) for each set of failing-stratum sizes
+NON_QUASISMOOTH = (
+    (1, 1, 1, 1, 3, 5, 2), (7, 7, 7, 7, 8, 35, 1),  # sizes {1}
+    (1, 1, 2, 3, 3, 8, 2), (5, 5, 6, 8, 8, 30, 2),  # {2}
+    (1, 1, 2, 2, 2, 7, 1), (6, 6, 6, 8, 8, 32, 2),  # {3}
+    (1, 1, 1, 3, 3, 8, 1), (7, 7, 7, 8, 8, 35, 2),  # {1, 2}
+    (1, 1, 2, 2, 4, 7, 3), (4, 5, 5, 6, 8, 25, 3),  # {1, 3}
+    (1, 2, 2, 3, 6, 13, 1), (4, 7, 7, 7, 8, 32, 1),  # {2, 3}
+    (1, 1, 2, 4, 4, 11, 1), (7, 7, 8, 8, 8, 35, 3),  # {1, 2, 3}
+    (1, 2, 2, 2, 2, 7, 2), (4, 5, 6, 8, 8, 29, 2),  # {2, 3, 4}
+    (1, 2, 2, 2, 6, 11, 2), (7, 8, 8, 8, 8, 36, 3),  # {1, 2, 3, 4}
+    (2, 2, 2, 2, 2, 9, 1), (8, 8, 8, 8, 8, 37, 3),  # {1, 2, 3, 4, 5}
+)
+
+
+def _septuple(s) -> str:
+    return ",".join(map(str, s))
+
+
+def argvs(families) -> list[list[str]]:
+    """The manifest's argvs for the given catalog septuples."""
+    cases = [(c, s) for s in families for c in ("check", "basket", "verdict")]
+    cases += [("check", s) for s in NON_QUASISMOOTH]
+    return [[c, "--septuple", _septuple(s), "--format", f] for c, s in cases for f in ("json", "markdown")]
+
+
+def digest(argv: list[str]) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return hashlib.sha256(json.dumps([code, out.getvalue()]).encode()).hexdigest()
+
+
+def compute(families) -> dict[str, str]:
+    # cli.main builds its argparse tree per call, about 1.5 ms and most of the
+    # manifest's time; parsing leaves a tree unchanged, so one serves every argv
+    parser = cli.build_parser()
+    with mock.patch.object(cli, "build_parser", lambda: parser):
+        return {" ".join(argv): digest(argv) for argv in argvs(families)}
+
+
+if __name__ == "__main__":
+    old = json.loads(PATH.read_text(encoding="utf-8")) if PATH.exists() else {}
+    new = compute([r.septuple for r in classify(SearchBounds())])
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            print(key)
+    PATH.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")

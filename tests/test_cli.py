@@ -275,6 +275,8 @@ BAD_INPUTS = [
         error="fails the Fano index stage: index -4 < 1"),
     bad("check-huge-degree", "check", "--septuple", "1,1,1,1,100000000,100000001",
         error="count_monomials: degree 100000001 needs 100000002 bits"),
+    bad("check-huge-pair-series", "check", "--septuple", "2,3,5,3000000,5000000,8000000",
+        error="count_monomials: degree 8000000 needs 184000023 bits"),
     bad("classify-zero-weight", "classify", "--max-weight", "0", error="bounds must be positive"),
     bad("classify-negative-degree", "classify", "--max-degree", "-3", error="bounds must be positive"),
     bad("classify-unknown-flag", "classify", "--no-such-flag", code=2),
@@ -291,6 +293,10 @@ BAD_INPUTS = [
     bad("basket-short", "basket", "--septuple", "1,1,1,1,1", error="expected 6 or 7 integers"),
     bad("basket-negative-index", "basket", "--septuple", "1,1,1,1,1,9",
         error="fails the Fano index stage: index -4 < 1"),
+    bad("basket-huge-degree", "basket", "--septuple", "1,1,1,1,100000000,100000001",
+        error="count_monomials: degree 100000001 needs 100000002 bits"),
+    bad("basket-huge-triple-series", "basket", "--septuple", "2,3,5,3000000,5000000,8000000",
+        error="count_monomials: degree 8000000 needs 360000045 bits"),
     bad("normalize-unknown-family", "normalize", "--family", "2", error="unknown family number 2"),
     bad("normalize-non-integer", "normalize", "--family", "x", code=2),
     bad("normalize-no-plan", "normalize", "--family", "9", error="no built-in plan for family 9"),
@@ -341,6 +347,10 @@ BAD_INPUTS = [
         error="fails the Fano index stage: index 0 < 1"),
     bad("verdict-no-septuple", "verdict", code=2),
     bad("verdict-non-member", "verdict", "--septuple", "1,1,1,1,4,7", error="is not an accepted family"),
+    bad("verdict-huge-degree", "verdict", "--septuple", "1,1,1,1,100000000,100000001",
+        error="count_monomials: degree 100000001 needs 100000002 bits"),
+    bad("verdict-huge-triple-series", "verdict", "--septuple", "2,3,5,3000000,5000000,8000000",
+        error="count_monomials: degree 8000000 needs 360000045 bits"),
     bad("report-zero-weight", "report", "--max-weight", "0", error="bounds must be positive"),
     bad("report-over-cap", "report", "--max-weight", "201", error="--max-weight 201 is more than the limit of 200"),
     bad("report-catalog-list", "report", "--catalog", "{tmp}/list.json", error="JSON object"),

@@ -1,0 +1,25 @@
+"""Every argv of the output manifest (``manifest.py``) prints what it pins."""
+
+import json
+
+from manifest import NON_QUASISMOOTH, PATH, compute
+
+from wfano.membership import quasismooth_general
+from wfano.wspace import weight_system
+
+
+def test_manifest(default_catalog):
+    records, _ = default_catalog
+    stored = json.loads(PATH.read_text(encoding="utf-8"))
+    current = compute([r.septuple for r in records])
+    assert sorted(current) == sorted(stored)
+    assert [argv for argv in current if current[argv] != stored[argv]] == []
+
+
+def test_non_quasismooth_cases_cover_each_stratum_size():
+    sizes = set()
+    for s in NON_QUASISMOOTH:
+        ok, failing = quasismooth_general(weight_system(*s))
+        assert not ok
+        sizes |= {len(stratum) for stratum, _ in failing}
+    assert sizes == {1, 2, 3, 4, 5}

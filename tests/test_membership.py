@@ -1,8 +1,11 @@
 import random
-from itertools import combinations
+import re
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from conftest import count_hypersurface_well_formed, count_quasismooth_general, count_top_variable_degree
+from wfano.irrational import top_variable_degree
 from wfano.membership import (
     hypersurface_well_formed,
     is_linear_cone,
@@ -10,7 +13,7 @@ from wfano.membership import (
     quasismooth_general,
     rejection,
 )
-from wfano.wspace import enumerate_monomials, weight_system
+from wfano.wspace import WeightSystem, enumerate_monomials, weight_system
 
 
 def brute_quasismooth(ws):
@@ -130,3 +133,51 @@ def test_rejection_fano_index_is_the_first_stage():
     assert rejection((1, 1, 1, 1, 1), 4) is None
     # the predicates themselves accept the index -4 quintic's weights
     assert membership_report(weight_system(1, 1, 1, 1, 1, 9)).accepted
+
+
+def assert_table_predicates_match_count_oracles(pairs):
+    """The table-based predicates equal their count-based oracles
+    (``conftest``), failing strata and reason texts included."""
+    for a, d in pairs:
+        ws = WeightSystem(a, d)
+        assert hypersurface_well_formed(ws) == count_hypersurface_well_formed(ws), ws
+        assert top_variable_degree(ws) == count_top_variable_degree(ws), ws
+        if d not in a:
+            assert quasismooth_general(ws) == count_quasismooth_general(ws), ws
+
+
+def test_table_predicates_on_a_box():
+    # every 0 < d < a1 + ... + a5 with weights <= 6, d < a5 included, where
+    # the witness degrees d - a_j go negative
+    assert_table_predicates_match_count_oracles(
+        (a, d) for a in combinations_with_replacement(range(1, 7), 5) for d in range(1, sum(a))
+    )
+
+
+@pytest.mark.parametrize("septuple", [(1, 1, 1, 1, 100000000, 100000001), (2, 3, 5, 3000000, 5000000, 8000000)])
+def test_table_predicates_refuse_as_count_oracles(septuple):
+    # a degree too large for count_monomials is refused with the text of the
+    # oracle's first question, whose size the text names through its bits
+    ws = weight_system(*septuple)
+    for table_based, oracle in (
+        (quasismooth_general, count_quasismooth_general),
+        (hypersurface_well_formed, count_hypersurface_well_formed),
+        (top_variable_degree, count_top_variable_degree),
+    ):
+        try:
+            expected = oracle(ws)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                table_based(ws)
+        else:
+            assert table_based(ws) == expected
+
+
+@pytest.mark.slow
+def test_table_predicates_on_a_large_box():
+    # the 405,786 pairs with a_i <= (8, 11, 13, 15, 17) and a5 < d < a1 + ... + a5
+    bounds = (8, 11, 13, 15, 17)
+    weights = [a for a in combinations_with_replacement(range(1, 18), 5) if all(map(int.__le__, a, bounds))]
+    pairs = [(a, d) for a in weights for d in range(a[4] + 1, sum(a))]
+    assert len(pairs) == 405_786
+    assert_table_predicates_match_count_oracles(pairs)

@@ -1,14 +1,16 @@
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 from operator import mul
 
 import pytest
 
+from wfano.membership import representable
 from wfano.wspace import (
     count_monomials,
     enumerate_monomials,
     format_monomial,
     parse_monomial,
+    semigroup_table,
     weight_system,
     weighted_degree,
     wps_well_formed,
@@ -163,3 +165,16 @@ def test_monomial_text_round_trip():
     assert parse_monomial("x^2*y*w") == (2, 1, 0, 0, 1)
     with pytest.raises(ValueError):
         parse_monomial("x^2*q")
+
+
+def test_semigroup_table_against_representable():
+    # every bit at the index-1 degree of each weight system with weights <= 5
+    for a in combinations_with_replacement(range(1, 6), 5):
+        d = sum(a) - 1
+        table = semigroup_table(a, d, ())
+        assert table[0] == 1
+        for mask in range(1, 32):
+            wts = tuple(w for i, w in enumerate(a) if mask >> i & 1)
+            assert table[mask] == sum(representable(wts, t) << t for t in range(d + 1)), (a, mask)
+            # a subset's sums are sums of every superset
+            assert all(table[mask] & ~table[sup] == 0 for sup in range(32) if mask & ~sup == 0)
