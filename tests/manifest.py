@@ -23,7 +23,6 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from unittest import mock
 
 from wfano import cli
 from wfano.catalog import SearchBounds, classify
@@ -65,11 +64,7 @@ def digest(argv: list[str]) -> str:
 
 
 def compute(families) -> dict[str, str]:
-    # cli.main builds its argparse tree per call, about 1.5 ms and most of the
-    # manifest's time; parsing leaves a tree unchanged, so one serves every argv
-    parser = cli.build_parser()
-    with mock.patch.object(cli, "build_parser", lambda: parser):
-        return {" ".join(argv): digest(argv) for argv in argvs(families)}
+    return {" ".join(argv): digest(argv) for argv in argvs(families)}
 
 
 if __name__ == "__main__":

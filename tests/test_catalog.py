@@ -1,5 +1,6 @@
 import json
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -174,16 +175,46 @@ def _vertex_lemma(a, d, i):
     return all(gcd(w, ai) == 1 for w in wts) and ai in {x + y for x, y in combinations(wts, 2)}
 
 
+def _edge_type(a, d, i, j):
+    """The weight gcd q of the edge P_iP_j and the other three weights mod
+    q, or q = 1 when X meets the edge at its vertices only: q = 1, or at most
+    one monomial x_i^p * x_j^s of degree d."""
+    q = gcd(a[i], a[j])
+    if q == 1 or sum((d - p * a[i]) % a[j] == 0 for p in range(d // a[i] + 1)) < 2:
+        return 1, ()
+    return q, [a[k] % q for k in range(5) if k not in (i, j)]
+
+
+def _edge_lemma(a, d, i, j):
+    """X meets the edge P_iP_j at its vertices only, or its type (see
+    ``_edge_type``) is prime to q and two of its weights sum to q (the
+    terminal lemma on the edge)."""
+    q, wts = _edge_type(a, d, i, j)
+    return q == 1 or all(gcd(w, q) == 1 for w in wts) and q in {x + y for x, y in combinations(wts, 2)}
+
+
+def _p4p5_edge(a, d):
+    """False iff a4 = a5 = n divides d and n is neither 1 nor the sum of two
+    of a1, a2, a3: X meets the edge P4P5 in d/n points of type 1/n(a1, a2,
+    a3), and these fail the terminal lemma (whose coprimality part is left
+    to coprime threes)."""
+    n = a[4]
+    return a[3] != n or d % n != 0 or n in {1, a[0] + a[1], a[0] + a[2], a[1] + a[2]}
+
+
 def generator_failure(a, d):
     """The first condition of the search generator that (a, d) fails, or None.
 
     In the generator's order: the a5 vertex (d = k*a5 + c, and no linear
-    cone), the terminal lemma at P5, the a4, a3, a2 and a1 vertices, every
-    three weights coprime, and the terminal lemma at every vertex."""
+    cone), the terminal lemma at P5, the terminal lemma on the edge P4P5 when
+    a4 = a5 divides d, the a4, a3, a2 and a1 vertices, every three weights
+    coprime, the terminal lemma at every vertex and on every edge."""
     if not (d > a[4] and covers(a, d, 4)):
         return "a5 vertex"
     if not _terminal_lemma(a, d):
         return "P5 lemma"
+    if not _p4p5_edge(a, d):
+        return "P4P5 edge"
     for i, name in ((3, "a4 vertex"), (2, "a3 vertex"), (1, "a2 vertex"), (0, "a1 vertex")):
         if not covers(a, d, i):
             return name
@@ -191,6 +222,8 @@ def generator_failure(a, d):
         return "coprime threes"
     if not all(_vertex_lemma(a, d, i) for i in range(5)):
         return "terminal vertices"
+    if not all(_edge_lemma(a, d, i, j) for i, j in combinations(range(5), 2)):
+        return "terminal edges"
     return None
 
 
@@ -221,10 +254,23 @@ def _vertex_may_be_terminal(a, d, i):
     return all(gcd(w, ai) == 1 for w in wts) and reid_tai_terminal(QuotientSingularity(ai, tuple(sorted(wts))))
 
 
-def _without_vertex_condition(monkeypatch, bounds):
-    """The generator's pairs with its last condition, the terminal lemma at
-    every vertex, switched off."""
-    monkeypatch.setattr(catalog, "_terminal_vertices", lambda a, d: True)
+#: the generator's last conditions, by the name generator_failure gives
+#: each, and the catalog function that tests it
+TERMINAL_POINTS = {"terminal vertices": "_terminal_vertices", "terminal edges": "_terminal_edges"}
+
+
+def _edge_may_be_terminal(a, d, i, j):
+    """X meets the edge P_iP_j at its vertices only, or its type is isolated
+    and terminal by Reid--Tai; the type is taken as in ``_edge_type``."""
+    q, wts = _edge_type(a, d, i, j)
+    return q == 1 or all(gcd(w, q) == 1 for w in wts) and reid_tai_terminal(QuotientSingularity(q, tuple(sorted(wts))))
+
+
+def _without(monkeypatch, bounds, *conditions):
+    """The generator's pairs with the named conditions of TERMINAL_POINTS
+    switched off."""
+    for name in conditions:
+        monkeypatch.setattr(catalog, TERMINAL_POINTS[name], lambda a, d: True)
     pairs = list(_candidates(1, bounds.max_weight + 1, bounds))
     monkeypatch.undo()
     return pairs
@@ -233,11 +279,11 @@ def _without_vertex_condition(monkeypatch, bounds):
 @pytest.mark.parametrize(
     "bounds, index_range, count",
     [
-        (SearchBounds(max_weight=7, max_degree=21), INDEX_RANGE, 94),
-        (SearchBounds(max_weight=10, max_degree=26), (2, 4), 38),
-        (SearchBounds(max_weight=13, max_degree=30), (1, 6), 145),
+        (SearchBounds(max_weight=7, max_degree=21), INDEX_RANGE, 66),
+        (SearchBounds(max_weight=10, max_degree=26), (2, 4), 14),
+        (SearchBounds(max_weight=13, max_degree=30), (1, 6), 91),
         # max_degree > 5 * max_weight: the divisor table is cut at 5 * max_weight
-        (SearchBounds(max_weight=6, max_degree=40), INDEX_RANGE, 63),
+        (SearchBounds(max_weight=6, max_degree=40), INDEX_RANGE, 47),
     ],
     ids=["default-index-range", "index-2-to-4", "index-1-to-6", "degree-past-five-weights"],
 )
@@ -252,23 +298,29 @@ def test_constraint_search_matches_brute_force(monkeypatch, bounds, index_range,
     # each candidate once, and exactly the pairs that fail no generator condition
     assert len(candidates) == len(set(candidates)) == count
     assert set(candidates) == {p for p, f in failures.items() if f is None}
-    # without its last condition, exactly the pairs that fail no other one
-    earlier = [p for p in _without_vertex_condition(monkeypatch, bounds) if in_window(*p)]
-    assert set(earlier) == {p for p, f in failures.items() if f in (None, "terminal vertices")}
+    # without its last condition, or its last two, exactly the pairs that
+    # fail no other one
+    for off in (("terminal edges",), tuple(TERMINAL_POINTS)):
+        earlier = [p for p in _without(monkeypatch, bounds, *off) if in_window(*p)]
+        assert set(earlier) == {p for p, f in failures.items() if f is None or f in off}
     # past the vertices, coprime threes is the rule that X is well-formed and
     # three weights with a common factor carry exactly one degree-d monomial
     for (a, d), f in failures.items():
-        if f in (None, "coprime threes", "terminal vertices"):
+        if f is None or f == "coprime threes" or f in TERMINAL_POINTS:
             one = all(count_monomials(t, d) == 1 for t in combinations(a, 3) if gcd(*t) > 1)
             assert (f != "coprime threes") == (wps_well_formed(WeightSystem(a, d)) and one), (a, d)
-    # the terminal lemma drops no covered pair whose P_i Reid--Tai may
-    # accept, at any vertex, so the later predicates see every pair that can
-    # be accepted
+    # the terminal lemma drops no covered pair whose P_i or P_iP_j Reid--Tai
+    # may accept, at any vertex or edge, so the later predicates see every
+    # pair that can be accepted
     for a, d in covered_pairs:
         for i in range(5):
             if covers(a, d, i) and _vertex_may_be_terminal(a, d, i):
                 assert _vertex_lemma(a, d, i), (a, d, i)
                 assert i < 4 or _terminal_lemma(a, d), (a, d)
+        for i, j in combinations(range(5), 2):
+            if _edge_may_be_terminal(a, d, i, j):
+                assert _edge_lemma(a, d, i, j), (a, d, i, j)
+                assert (i, j) != (3, 4) or _p4p5_edge(a, d), (a, d)
     found = {(r.ws.weights, r.ws.degree) for r in classify(bounds) if in_window(r.ws.weights, r.ws.degree)}
     assert found == kept
     # the short-circuit terminality agrees with the full basket wherever the
@@ -293,26 +345,51 @@ def test_constraint_search_matches_brute_force(monkeypatch, bounds, index_range,
     assert reached > len(earlier)
 
 
-def test_generator_funnel_at_default_bounds():
+def test_generator_funnel_at_default_bounds(default_catalog):
     # the generator tests the chain's first five stages itself: every
     # candidate reaches terminality (a terminality test that rejects
-    # everything stops the chain there), and there are few of them
+    # everything stops the chain there), and the candidates are the records
     bounds = SearchBounds()
     candidates = list(_candidates(1, bounds.max_weight + 1, bounds))
-    assert len(set(candidates)) == len(candidates) == 317
+    assert len(set(candidates)) == len(candidates) == 130
     reasons = {rejection(a, d, lambda ws: False) for a, d in candidates}
     assert reasons == {"terminality"}
+    records, _ = default_catalog
+    assert set(candidates) == {(r.ws.weights, r.ws.degree) for r in records}
+
+
+def test_p5_on_x_takes_two_shapes(monkeypatch):
+    # with P5 on X and its lemma met, d = k*a5 + c with c > 0 has index at
+    # most (3-k)*a5 (``_top_pairs``), so the generator visits only k <= 2
+    # there, even with an index window reaching below 1
+    monkeypatch.setattr(catalog, "INDEX_RANGE", (-40, 15))
+    bounds = SearchBounds(max_weight=10, max_degree=40)
+    shapes = {(d // a[4], d % a[4] > 0) for a, d in _candidates(1, bounds.max_weight + 1, bounds)}
+    assert shapes == {(2, False), (3, False), (4, False), (1, True), (2, True)}
+
+
+def test_terminal_edges_against_the_edge_lemma():
+    # on every weight tuple and degree of a small box, covered or not: an
+    # edge that X meets at its vertices only, by one monomial (1,1,1,3,6 at
+    # d = 3) or none, is never tested
+    pairs = [(a, d) for a in combinations_with_replacement(range(1, 7), 5) for d in range(2, 31)]
+    for a, d in pairs:
+        lemma = all(_edge_lemma(a, d, i, j) for i, j in combinations(range(5), 2))
+        assert catalog._terminal_edges(a, d) == lemma, (a, d)
+    assert catalog._terminal_edges((1, 1, 1, 3, 6), 3) and not catalog._terminal_edges((1, 1, 1, 3, 6), 6)
 
 
 def test_vertex_condition_drops_only_terminality_rejects(monkeypatch, default_catalog):
-    # the terminal lemma at every vertex drops 2,619 of the 2,936 pairs that
-    # the other conditions allow, and the chain rejects each at terminality
+    # the terminal lemma at every vertex and on every edge drops 2,291 of the
+    # 2,421 pairs that the other conditions allow (2,225 at a vertex, 66 more
+    # on an edge), and the chain rejects each at terminality
     bounds = SearchBounds()
-    earlier = _without_vertex_condition(monkeypatch, bounds)
+    earlier = _without(monkeypatch, bounds, *TERMINAL_POINTS)
     dropped = set(earlier) - set(_candidates(1, bounds.max_weight + 1, bounds))
-    assert (len(earlier), len(dropped)) == (2_936, 2_619)
+    assert (len(earlier), len(dropped)) == (2_421, 2_291)
+    reasons = Counter(generator_failure(a, d) for a, d in dropped)
+    assert reasons == {"terminal vertices": 2_225, "terminal edges": 66}
     for a, d in dropped:
-        assert generator_failure(a, d) == "terminal vertices", (a, d)
         assert rejection(a, d, terminal_general) == "terminality", (a, d)
     # and every record of the catalog passes every generator condition
     records, _ = default_catalog
@@ -324,6 +401,23 @@ def test_degree_bound_past_five_weights_changes_nothing():
     # the (10, 50) catalog, with a divisor table of 5 * max_weight entries
     wide = classify(SearchBounds(max_weight=10, max_degree=10**6))
     assert catalog_json(wide) == catalog_json(classify(SearchBounds(max_weight=10, max_degree=50)))
+
+
+@pytest.mark.slow
+def test_larger_box_finds_the_default_catalog(monkeypatch, default_catalog):
+    # at (120, 600) the generator yields exactly the records, once each, and
+    # they are the default catalog's
+    yielded, generate = [], catalog._candidates
+
+    def recording(lo, hi, bounds):
+        for pair in generate(lo, hi, bounds):
+            yielded.append(pair)
+            yield pair
+
+    monkeypatch.setattr(catalog, "_candidates", recording)
+    records = classify(SearchBounds(max_weight=120, max_degree=600))
+    assert catalog_json(records) == catalog_json(default_catalog[0])
+    assert sorted(yielded) == sorted((r.ws.weights, r.ws.degree) for r in records)
 
 
 def test_load_catalog_rejects_non_member(tmp_path, small_catalog):

@@ -392,6 +392,15 @@ def test_bad_input(argv, code, error, tmp_path, capsys):
     assert error in json.loads(err)["error"]
 
 
+def test_one_parser_per_process(capsys):
+    # main parses every argv with one tree, and an argv leaves nothing in it
+    # for the next: after a --format markdown run, json is still the default
+    parser = build_parser()
+    assert run_cli(capsys, "check", "--septuple", "1,1,1,1,1,4,1", "--format", "markdown")[0] == 0
+    assert build_parser() is parser
+    assert parser.parse_args(["check", "--septuple", "1,1,1,1,1,4,1"]).format == "json"
+
+
 def test_bad_input_covers_every_subcommand():
     commands = set(build_parser()._subparsers._group_actions[0].choices)
     assert {p.values[0][0] for p in BAD_INPUTS} == commands

@@ -2,6 +2,7 @@ import random
 from itertools import combinations, combinations_with_replacement
 from math import gcd
 
+import numpy as np
 import pytest
 
 from wfano.catalog import SearchBounds
@@ -42,12 +43,19 @@ def test_terminal_lemma():
     # Morrison-Stevens: an isolated 1/r(w1, w2, w3) is terminal iff two of
     # the weights sum to r; terminal_type, the program's one terminality
     # rule, agrees with the Reid-Tai oracle on every isolated type
+    # (conftest.reid_tai_terminal on one numpy array per r: row k - 1 holds
+    # sum((k * w_i) mod r) of every type)
     checked = 0
     for r in range(2, 61):
         units = [w for w in range(1, r) if gcd(w, r) == 1]
-        for wts in combinations_with_replacement(units, 3):
-            assert terminal_type(r, wts) == reid_tai_terminal(QuotientSingularity(r, wts)), (r, wts)
-            checked += 1
+        types = list(combinations_with_replacement(units, 3))
+        w, k = np.array(types, dtype=np.int32).T, np.arange(1, r, dtype=np.int32)[:, None]
+        reid_tai = (k * w[0] % r + k * w[1] % r + k * w[2] % r > r).all(axis=0)
+        if r <= 20:
+            assert reid_tai.tolist() == [reid_tai_terminal(QuotientSingularity(r, wts)) for wts in types]
+        lemma = np.array([terminal_type(r, wts) for wts in types])
+        assert (lemma == reid_tai).all(), (r, types[int(np.argmax(lemma != reid_tai))])
+        checked += len(types)
     assert checked == 197_909
     # a residue that shares a factor with r, 0 included, is refused
     assert not terminal_type(4, (1, 3, 0)) and not terminal_type(4, (2, 1, 3)) and not terminal_type(6, (1, 5, 3))
