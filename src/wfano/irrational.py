@@ -83,9 +83,12 @@ def _rule(tag: str) -> tuple[str, str]:
 
 
 def top_variable_degree(ws: WeightSystem) -> int:
-    """Largest e such that w^e times a monomial in the other variables has degree d."""
+    """Largest e such that w^e times a monomial in the other variables has degree d.
+
+    Reads the last entry of the chain {x}, {x,y}, {x,y,z}, {x,y,z,t} of
+    ``semigroup_table``; d is refused as by its size-4 series."""
     a, d = ws.weights, ws.degree
-    xyzt = semigroup_table(a[:4], d, (4,))[-1]
+    xyzt = semigroup_table(a[:4], d, (4,), chain=True)[-1]
     return max((e for e in range(d // a[4] + 1) if xyzt >> d - e * a[4] & 1), default=0)
 
 

@@ -4,7 +4,8 @@ Well-formedness of the hypersurface, linear-cone exclusion, and the
 combinatorial quasismoothness test for the general member.  "General member"
 is treated purely combinatorially: the support is all monomials of degree d,
 so every predicate here is a statement about which weighted monomials exist.
-Each predicate call reads those facts off ``wspace.semigroup_table`` bitsets built for it alone.
+Each predicate call reads those facts off ``wspace.semigroup_table`` bitsets built for it alone,
+over the weights that can change its answer: for quasismoothness, the live ones (a_i not dividing d).
 """
 
 from __future__ import annotations
@@ -25,6 +26,14 @@ _STRATA = [
     (s, sum(1 << i for i in s), [j for j in range(NVARS) if j not in s])
     for r in range(1, NVARS + 1)
     for s in combinations(range(NVARS), r)
+]
+
+#: for each set of live variables (a bit mask), the strata of ``_STRATA`` inside it, in order, each mask
+#: compressed to a table over the live variables alone: x_i's bit is the number of live variables below it
+_LIVE_STRATA = [
+    [(s, sum(1 << (live & (1 << i) - 1).bit_count() for i in s), out)
+     for s, mask, out in _STRATA if mask & live == mask]
+    for live in range(1 << NVARS)
 ]
 
 
@@ -82,17 +91,23 @@ def quasismooth_general(ws: WeightSystem) -> tuple[bool, list[tuple[StratumSelec
     Since there are only 5 - |S| outside variables, (b) can only help subsets
     of size 1 or 2; larger subsets need a pure monomial.
 
+    An S holding an x_i with a_i | d passes by (a) through x_i^(d/a_i), so only
+    the subsets of the live variables (a_i not dividing d) are tested, over a
+    table of their weights; witnesses still range over every outside variable.
+
     Returns (verdict, failing strata with reasons).
     """
     if is_linear_cone(ws):
         raise ValueError("quasismooth_general: linear cones are excluded upstream")
     a, d = ws.weights, ws.degree
-    table = semigroup_table(a, d, range(1, NVARS + 1))
+    live = [i for i in range(NVARS) if d % a[i]]
+    table = semigroup_table([a[i] for i in live], d, range(1, NVARS + 1))
     failing: list[tuple[StratumSelector, str]] = []
-    for subset, mask, outside in _STRATA:
-        if table[mask] >> d & 1:
+    for subset, mask, outside in _LIVE_STRATA[sum(1 << i for i in live)]:
+        b = table[mask]
+        if b >> d & 1:
             continue
-        witnesses = sum(d >= a[j] and table[mask] >> d - a[j] & 1 for j in outside)
+        witnesses = sum(d >= a[j] and b >> d - a[j] & 1 for j in outside)
         if witnesses < len(subset):
             failing.append((subset, f"no pure degree-{d} monomial and only {witnesses} of the "
                             f"required {len(subset)} outside variables admit one"))
@@ -110,7 +125,7 @@ def hypersurface_well_formed(ws: WeightSystem) -> bool:
     if not wps_well_formed(ws):
         return False
     d = ws.degree  # each triple with a common factor, in the order of combinations; [-1] is all three
-    return all(semigroup_table(wts, d, (3,))[-1] >> d & 1 for wts in combinations(ws.weights, 3) if gcd(*wts) > 1)
+    return all(semigroup_table(wts, d, (3,), chain=True)[-1] >> d & 1 for wts in combinations(ws.weights, 3) if gcd(*wts) > 1)
 
 
 def membership_report(ws: WeightSystem) -> MembershipReport:

@@ -21,6 +21,10 @@ from typing import Iterator
 from .membership import StratumSelector, format_stratum, rejection
 from .wspace import NVARS, VARIABLES, WeightSystem, count_monomials
 
+#: the variable triples of the 2-dimensional strata, and each edge (i, j) with the three variables off it
+_TRIPLES = tuple(combinations(range(NVARS), 3))
+_EDGES = tuple((i, j, tuple(k for k in range(NVARS) if k not in (i, j))) for i, j in combinations(range(NVARS), 2))
+
 
 @dataclass(frozen=True)
 class QuotientSingularity:
@@ -105,10 +109,10 @@ def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSe
     # unless the restricted equation is a single monomial.  Both callers have
     # passed vertex coverage and well-formedness, and then such a stratum
     # always has at least two monomials (the lemma in ``catalog``'s docstring).
-    for subset, wts in zip(combinations(range(NVARS), 3), combinations(a, 3)):
-        q = gcd(*wts)
+    for i, j, k in _TRIPLES:
+        q = gcd(a[i], a[j], a[k])
         if q > 1:
-            yield subset, f"X meets the gcd-{q} stratum in a curve of singular points"
+            yield (i, j, k), f"X meets the gcd-{q} stratum in a curve of singular points"
 
     # vertices
     for i in range(NVARS):
@@ -118,32 +122,30 @@ def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSe
         wts = vertex_type(a, d, i)
         if wts is None:
             raise ValueError(f"{ws}: vertex {VARIABLES[i]} is not covered, so X is not quasismooth")
-        # gcd(0, ai) = ai >= 2 also catches a weight reduced to 0
-        if any(gcd(w, ai) != 1 for w in wts):
+        # one gcd over the product; a weight reduced to 0 makes it gcd(ai, 0) = ai >= 2
+        if gcd(ai, wts[0] * wts[1] * wts[2]) != 1:
             yield (i,), f"vertex type 1/{ai}{wts} has a non-coprime weight"
             continue
         sing = QuotientSingularity(ai, tuple(sorted(wts)))  # type: ignore[arg-type]
         yield BasketPoint(f"vertex {VARIABLES[i]}", 1, sing)
 
     # edges
-    for i, j in combinations(range(NVARS), 2):
+    for i, j, off in _EDGES:
         q = gcd(a[i], a[j])
         if q <= 1:
             continue
         n = count_monomials((a[i], a[j]), d)
-        location = f"edge {VARIABLES[i]}{VARIABLES[j]}"
         if n == 0:
             yield (i, j), f"edge with weight gcd {q} lies inside X"
             continue
-        npts = n - 1
-        if npts == 0:
+        if n == 1:
             continue
-        wts = tuple(a[k] % q for k in range(NVARS) if k not in (i, j))
-        if any(gcd(w, q) != 1 for w in wts):
+        wts = (a[off[0]] % q, a[off[1]] % q, a[off[2]] % q)
+        if gcd(q, wts[0] * wts[1] * wts[2]) != 1:
             yield (i, j), f"edge type 1/{q}{wts} has a non-coprime weight"
             continue
         sing = QuotientSingularity(q, tuple(sorted(wts)))  # type: ignore[arg-type]
-        yield BasketPoint(location, npts, sing)
+        yield BasketPoint(f"edge {VARIABLES[i]}{VARIABLES[j]}", n - 1, sing)
 
 
 def singular_points_general(ws: WeightSystem) -> SingularityBasket:

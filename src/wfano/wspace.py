@@ -9,6 +9,7 @@ family is the septuple (a1, ..., a5, d, I) with I = a1+...+a5 - d.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb, gcd
 from operator import mul
@@ -154,16 +155,21 @@ def series_width(n: int, k: int) -> int:
     return width
 
 
-def semigroup_table(weights: tuple[int, ...], d: int, sizes: range | tuple[int, ...]) -> list[int]:
+def semigroup_table(weights: Sequence[int], d: int, sizes: range | tuple[int, ...], chain: bool = False) -> list[int]:
     """Bit t of ``table[mask]`` is set iff t <= d is a sum of the weights in the subset
     mask (bit i for weights[i]).  Entry mask + 2^i, mask < 2^i, is entry mask closed by the
     doubling of ``count_monomials`` (shifts by a, 2a, ..., 2^(m-1)*a <= d add j*a, j < 2^m).
-    A d that ``series_width(n, d)`` refuses for an n of sizes, in order, is refused first."""
-    for n in sizes:
-        series_width(n, d)
+    With ``chain``, only the prefixes are built: entry i is entry i - 1 closed by weights[i - 1].
+    A d that ``series_width(n, d)`` refuses for an n of sizes is refused first, with the text
+    of the first such n in sizes' order; the bits grow with n, so max(sizes) alone clears d."""
+    try:
+        series_width(max(sizes, default=1), d)
+    except ValueError:
+        for n in sizes:
+            series_width(n, d)
     full, table = (1 << d + 1) - 1, [1]
     for a in weights:
-        for b in table[:]:
+        for b in table[-1:] if chain else table[:]:
             s = a
             while s <= d:
                 b |= b << s

@@ -51,9 +51,14 @@ def reid_tai_terminal(q):
     return all(sum((k * w) % r for w in q.local_weights) > r for k in range(1, r))
 
 
-def count_quasismooth_general(ws):
+#: the variables outside each subset of the five
+OUTSIDE = {s: [j for j in range(5) if j not in s] for r in range(1, 6) for s in combinations(range(5), r)}
+
+
+def count_quasismooth_general(ws, representable=representable):
     """The oracle of ``membership.quasismooth_general``: the same criterion
-    with one ``representable`` question (one ``count_monomials``) at a time."""
+    with one ``representable`` question at a time (one ``count_monomials``
+    each, unless a ``counted_representable`` is given)."""
     if is_linear_cone(ws):
         raise ValueError("quasismooth_general: linear cones are excluded upstream")
     a, d = ws.weights, ws.degree
@@ -62,8 +67,7 @@ def count_quasismooth_general(ws):
         for subset, wts in zip(combinations(range(5), r), combinations(a, r)):
             if representable(wts, d):
                 continue
-            outside = [j for j in range(5) if j not in subset]
-            witnesses = [j for j in outside if d - a[j] >= 0 and representable(wts, d - a[j])]
+            witnesses = [j for j in OUTSIDE[subset] if d - a[j] >= 0 and representable(wts, d - a[j])]
             if len(witnesses) < r:
                 failing.append(
                     (
@@ -75,17 +79,32 @@ def count_quasismooth_general(ws):
     return not failing, failing
 
 
-def count_hypersurface_well_formed(ws):
+def count_hypersurface_well_formed(ws, representable=representable):
     """The oracle of ``membership.hypersurface_well_formed``, by ``representable``."""
     if not wps_well_formed(ws):
         return False
     return all(gcd(*wts) == 1 or representable(wts, ws.degree) for wts in combinations(ws.weights, 3))
 
 
-def count_top_variable_degree(ws):
+def count_top_variable_degree(ws, representable=representable):
     """The oracle of ``irrational.top_variable_degree``, by ``representable``."""
     a, d = ws.weights, ws.degree
     return max((e for e in range(d // a[4] + 1) if representable(a[:4], d - e * a[4])), default=0)
+
+
+def counted_representable(weights, top):
+    """A ``representable`` for the subsets of weights, in order, and targets
+    t <= top, which counts the monomials of every degree 0..top of each
+    subset in one pass: the subset plus a weight a has c[t] += c[t - a], its
+    series times 1/(1 - q^a)."""
+    counts = {(): [1] + [0] * top}
+    for a in weights:
+        for wts, c in list(counts.items()):
+            c = c[:]
+            for t in range(a, top + 1):
+                c[t] += c[t - a]
+            counts[wts + (a,)] = c
+    return lambda wts, t: t >= 0 and counts[wts][t] > 0
 
 
 def polynomial(ws, grade, terms):

@@ -277,6 +277,8 @@ BAD_INPUTS = [
         error="count_monomials: degree 100000001 needs 100000002 bits"),
     bad("check-huge-pair-series", "check", "--septuple", "2,3,5,3000000,5000000,8000000",
         error="count_monomials: degree 8000000 needs 184000023 bits"),
+    bad("check-huge-live-weight", "check", "--septuple", "1,1,1,1,10000000,10000001",
+        error="count_monomials: degree 10000001 needs 240000048 bits"),
     bad("classify-zero-weight", "classify", "--max-weight", "0", error="bounds must be positive"),
     bad("classify-negative-degree", "classify", "--max-degree", "-3", error="bounds must be positive"),
     bad("classify-unknown-flag", "classify", "--no-such-flag", code=2),

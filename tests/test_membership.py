@@ -4,7 +4,12 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conftest import count_hypersurface_well_formed, count_quasismooth_general, count_top_variable_degree
+from conftest import (
+    count_hypersurface_well_formed,
+    count_quasismooth_general,
+    count_top_variable_degree,
+    counted_representable,
+)
 from wfano.irrational import top_variable_degree
 from wfano.membership import (
     hypersurface_well_formed,
@@ -12,6 +17,7 @@ from wfano.membership import (
     membership_report,
     quasismooth_general,
     rejection,
+    representable,
 )
 from wfano.wspace import WeightSystem, enumerate_monomials, weight_system
 
@@ -135,15 +141,15 @@ def test_rejection_fano_index_is_the_first_stage():
     assert membership_report(weight_system(1, 1, 1, 1, 1, 9)).accepted
 
 
-def assert_table_predicates_match_count_oracles(pairs):
+def assert_table_predicates_match_count_oracles(pairs, representable=representable):
     """The table-based predicates equal their count-based oracles
     (``conftest``), failing strata and reason texts included."""
     for a, d in pairs:
         ws = WeightSystem(a, d)
-        assert hypersurface_well_formed(ws) == count_hypersurface_well_formed(ws), ws
-        assert top_variable_degree(ws) == count_top_variable_degree(ws), ws
+        assert hypersurface_well_formed(ws) == count_hypersurface_well_formed(ws, representable), ws
+        assert top_variable_degree(ws) == count_top_variable_degree(ws, representable), ws
         if d not in a:
-            assert quasismooth_general(ws) == count_quasismooth_general(ws), ws
+            assert quasismooth_general(ws) == count_quasismooth_general(ws, representable), ws
 
 
 def test_table_predicates_on_a_box():
@@ -154,10 +160,26 @@ def test_table_predicates_on_a_box():
     )
 
 
-@pytest.mark.parametrize("septuple", [(1, 1, 1, 1, 100000000, 100000001), (2, 3, 5, 3000000, 5000000, 8000000)])
+def test_counted_representable_answers_as_count_monomials():
+    # every subset of each weight tuple with weights <= 5, every target up to
+    # the index-1 degree, and the negative witness targets
+    for a in combinations_with_replacement(range(1, 6), 5):
+        top = sum(a) - 1
+        counted = counted_representable(a, top)
+        for r in range(1, 6):
+            for wts in combinations(a, r):
+                assert all(counted(wts, t) == representable(wts, t) for t in range(-5, top + 1)), (a, wts)
+
+
+@pytest.mark.parametrize("septuple", [
+    (1, 1, 1, 1, 100000000, 100000001),
+    (2, 3, 5, 3000000, 5000000, 8000000),
+    (1, 1, 1, 1, 10000000, 10000001),
+])
 def test_table_predicates_refuse_as_count_oracles(septuple):
     # a degree too large for count_monomials is refused with the text of the
-    # oracle's first question, whose size the text names through its bits
+    # oracle's first question, whose size the text names through its bits;
+    # in the last septuple only w misses d, yet the refusal names size 2
     ws = weight_system(*septuple)
     for table_based, oracle in (
         (quasismooth_general, count_quasismooth_general),
@@ -178,6 +200,8 @@ def test_table_predicates_on_a_large_box():
     # the 405,786 pairs with a_i <= (8, 11, 13, 15, 17) and a5 < d < a1 + ... + a5
     bounds = (8, 11, 13, 15, 17)
     weights = [a for a in combinations_with_replacement(range(1, 18), 5) if all(map(int.__le__, a, bounds))]
-    pairs = [(a, d) for a in weights for d in range(a[4] + 1, sum(a))]
-    assert len(pairs) == 405_786
-    assert_table_predicates_match_count_oracles(pairs)
+    assert sum(sum(a) - a[4] - 1 for a in weights) == 405_786
+    for a in weights:
+        # every question on these pairs has a target below sum(a)
+        pairs = ((a, d) for d in range(a[4] + 1, sum(a)))
+        assert_table_predicates_match_count_oracles(pairs, counted_representable(a, sum(a) - 1))
