@@ -6,8 +6,9 @@ It covers, in both ``--format`` values:
 
 - ``check``, ``basket`` and ``verdict`` for the 130 families of the catalog
   at the default search bounds;
-- ``check`` on the septuples of ``NON_QUASISMOOTH``, whose failing strata
-  have sizes 1, 2 and 3 or more.
+- ``check``, ``basket`` and ``verdict`` on the septuples of
+  ``NON_QUASISMOOTH``, whose failing strata have sizes 1, 2 and 3 or more,
+  and on those of ``STAGES``, one per late stage of ``membership.rejection``.
 
 ``tests/test_manifest.py`` compares every entry.  After a change that is
 meant to alter an output, regenerate the file from the repo root with
@@ -44,6 +45,12 @@ NON_QUASISMOOTH = (
     (2, 2, 2, 2, 2, 9, 1), (8, 8, 8, 8, 8, 37, 3),  # {1, 2, 3, 4, 5}
 )
 
+#: (a1, ..., a5, d) failing first, in the chain's naming order without the
+#: terminality test, well-formedness, hypersurface well-formedness with the
+#: ambient space well-formed, and quasismoothness; then a quasismooth family
+#: that is not terminal
+STAGES = ((1, 2, 2, 2, 2, 3), (1, 1, 2, 2, 2, 3), (1, 1, 2, 3, 3, 5), (1, 1, 1, 1, 3, 4))
+
 
 def _septuple(s) -> str:
     return ",".join(map(str, s))
@@ -51,8 +58,7 @@ def _septuple(s) -> str:
 
 def argvs(families) -> list[list[str]]:
     """The manifest's argvs for the given catalog septuples."""
-    cases = [(c, s) for s in families for c in ("check", "basket", "verdict")]
-    cases += [("check", s) for s in NON_QUASISMOOTH]
+    cases = [(c, s) for s in (*families, *NON_QUASISMOOTH, *STAGES) for c in ("check", "basket", "verdict")]
     return [[c, "--septuple", _septuple(s), "--format", f] for c, s in cases for f in ("json", "markdown")]
 
 

@@ -2,10 +2,11 @@
 
 import json
 
-from manifest import NON_QUASISMOOTH, PATH, compute
+from manifest import NON_QUASISMOOTH, PATH, STAGES, compute
 
-from wfano.membership import quasismooth_general
-from wfano.wspace import weight_system
+from wfano.membership import quasismooth_general, rejection
+from wfano.singular import terminal_general
+from wfano.wspace import weight_system, wps_well_formed
 
 
 def test_manifest(default_catalog):
@@ -23,3 +24,10 @@ def test_non_quasismooth_cases_cover_each_stratum_size():
         assert not ok
         sizes |= {len(stratum) for stratum, _ in failing}
     assert sizes == {1, 2, 3, 4, 5}
+
+
+def test_stage_cases_fail_each_late_stage_in_order():
+    assert [rejection(s[:5], s[5]) for s in STAGES] == [
+        "well-formedness", "hypersurface well-formedness", "quasismoothness", None]
+    assert rejection(STAGES[3][:5], STAGES[3][5], terminal_general) == "terminality"
+    assert wps_well_formed(weight_system(*STAGES[1]))

@@ -9,6 +9,7 @@ from conftest import (
     count_quasismooth_general,
     count_top_variable_degree,
     counted_representable,
+    covers,
 )
 from wfano.irrational import top_variable_degree
 from wfano.membership import (
@@ -19,7 +20,8 @@ from wfano.membership import (
     rejection,
     representable,
 )
-from wfano.wspace import WeightSystem, enumerate_monomials, weight_system
+from wfano.singular import terminal_general
+from wfano.wspace import WeightSystem, enumerate_monomials, weight_system, wps_well_formed
 
 
 def brute_quasismooth(ws):
@@ -139,6 +141,52 @@ def test_rejection_fano_index_is_the_first_stage():
     assert rejection((1, 1, 1, 1, 1), 4) is None
     # the predicates themselves accept the index -4 quintic's weights
     assert membership_report(weight_system(1, 1, 1, 1, 1, 9)).accepted
+
+
+def reference_stages(a, d):
+    """The documented chain, each predicate called on its own in naming order:
+    the stage ``rejection`` names without and with ``terminal_general``."""
+    if sum(a) <= d:
+        return "Fano index", "Fano index"
+    if d in a:
+        return "linear cone", "linear cone"
+    if not all(covers(a, d, i) for i in range(5)):
+        return "vertex coverage", "vertex coverage"
+    ws = WeightSystem(a, d)
+    if not wps_well_formed(ws):
+        return "well-formedness", "well-formedness"
+    if not hypersurface_well_formed(ws):
+        return "hypersurface well-formedness", "hypersurface well-formedness"
+    last = None if quasismooth_general(ws)[0] else "quasismoothness"
+    return last, (last if terminal_general(ws) else "terminality")
+
+
+def test_rejection_names_the_documented_stage():
+    # every sorted weight 5-tuple with weights <= 8 and every d from 1 to a1 + ... + a5
+    for a in combinations_with_replacement(range(1, 9), 5):
+        for d in range(1, sum(a) + 1):
+            assert (rejection(a, d), rejection(a, d, terminal_general)) == reference_stages(a, d), (a, d)
+
+
+def test_well_formed_quasismooth_implies_hypersurface_well_formed():
+    # a 3-variable stratum has only 2 outside variables, so quasismoothness
+    # passes it only through a pure degree-d monomial, which is what
+    # hypersurface well-formedness asks of each triple sharing a factor; over
+    # weights <= 10 and a5 < d <= a1 + ... + a5 (d <= a5 at weights <= 8 above)
+    for a in combinations_with_replacement(range(1, 11), 5):
+        if wps_well_formed(WeightSystem(a, 1)):
+            for ws in (WeightSystem(a, d) for d in range(a[4] + 1, sum(a) + 1)):
+                assert hypersurface_well_formed(ws) or not quasismooth_general(ws)[0], ws
+
+
+def test_membership_report_flags_are_the_predicates():
+    # every sorted weight 5-tuple with weights <= 6 and every d from 1 to a1 + ... + a5
+    for a in combinations_with_replacement(range(1, 7), 5):
+        for ws in (WeightSystem(a, d) for d in range(1, sum(a) + 1)):
+            report = membership_report(ws)
+            qs = not report.linear_cone and quasismooth_general(ws)[0]
+            assert (report.wps_well_formed, report.hypersurface_well_formed, report.quasismooth_general) == (
+                wps_well_formed(ws), hypersurface_well_formed(ws), qs), ws
 
 
 def assert_table_predicates_match_count_oracles(pairs, representable=representable):
