@@ -19,7 +19,7 @@ import sys
 from . import catalog as cat
 from . import irrational, symalg, symmetry
 from .membership import membership_report, rejection
-from .singular import format_non_isolated, singular_points_general, terminal_general
+from .singular import format_non_isolated, singular_points_general
 from .wspace import (
     WeightSystem,
     count_monomials,
@@ -236,9 +236,10 @@ def cmd_verdict(args) -> None:
     ws = _fano_ws_from_args(args)
     if rejection(ws.weights, ws.degree) is not None:
         raise ValueError(f"{ws} is not an accepted family")
-    if not terminal_general(ws):
+    record = cat.family_record(ws)
+    if not record.basket.terminal:
         raise ValueError(f"{ws} is not terminal")
-    verdict = irrational.decide(cat.family_record(ws))
+    verdict = irrational.decide(record)
     payload = {"septuple": list(ws.septuple), **verdict.to_dict()}
     md_lines = [f"# degree of irrationality, {ws}", "", f"- values: {sorted(verdict.values)}"]
     md_lines += [f"- {tag}: {cite}" for tag, cite in verdict.justification]

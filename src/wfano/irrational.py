@@ -101,11 +101,12 @@ def decide(record: FamilyRecord) -> IrrationalityVerdict:
     ws = record.ws
     if not record.membership.accepted:
         raise ValueError(f"decide: {ws} is not an accepted catalog family")
+    a, d = ws.weights, ws.degree
+    normal_form = d == 3 * a[4] and a[3] == a[4]
     index = ws.index
     if index >= 2:
-        k = top_variable_degree(ws)
-        normal_form = ws.degree == 3 * ws.weights[4] and ws.weights[3] == ws.weights[4]
-        if k > 2 and not normal_form:
+        # the top-variable degree k has k * a5 <= d, so k > 2 needs d >= 3 * a5
+        if d >= 3 * a[4] and not normal_form and (k := top_variable_degree(ws)) > 2:
             raise RuntimeError(f"index >= 2 family {ws} with top-variable degree {k}")
         return IrrationalityVerdict(
             values=frozenset({1, 2}),
@@ -133,13 +134,12 @@ def decide(record: FamilyRecord) -> IrrationalityVerdict:
         return IrrationalityVerdict(
             values=frozenset({3}), general_only=True, justification=chain
         )
-    k = top_variable_degree(ws)
-    if k == 2 and ws.degree < 3 * ws.weights[4]:
+    if d < 3 * a[4] and top_variable_degree(ws) == 2:
         route = _rule("projection-two-to-one")
-    elif ws.degree == 3 * ws.weights[4] and ws.weights[3] == ws.weights[4]:
+    elif normal_form:
         route = _rule("cubic-normal-form-two-to-one")
     else:
-        raise RuntimeError(f"index-1 family {ws} fits no projection route (top degree {k})")
+        raise RuntimeError(f"index-1 family {ws} fits no projection route (top degree {top_variable_degree(ws)})")
     return IrrationalityVerdict(
         values=frozenset({2}),
         general_only=False,

@@ -6,6 +6,10 @@ is treated purely combinatorially: the support is all monomials of degree d,
 so every predicate here is a statement about which weighted monomials exist.
 Each predicate call reads those facts off ``wspace.semigroup_table`` bitsets built for it alone,
 over the weights that can change its answer: for quasismoothness, the live ones (a_i not dividing d).
+
+Ambient well-formedness and quasismoothness imply hypersurface well-formedness: a 3-variable
+stratum has two outside variables, so quasismoothness passes it only through a pure degree-d
+monomial, all that hypersurface well-formedness adds for a triple with a common factor.
 """
 
 from __future__ import annotations
@@ -107,7 +111,10 @@ def quasismooth_general(ws: WeightSystem) -> tuple[bool, list[tuple[StratumSelec
         b = table[mask]
         if b >> d & 1:
             continue
-        witnesses = sum(d >= a[j] and b >> d - a[j] & 1 for j in outside)
+        witnesses = 0
+        for j in outside:
+            if d >= a[j] and b >> d - a[j] & 1:
+                witnesses += 1
         if witnesses < len(subset):
             failing.append((subset, f"no pure degree-{d} monomial and only {witnesses} of the "
                             f"required {len(subset)} outside variables admit one"))
@@ -129,16 +136,17 @@ def hypersurface_well_formed(ws: WeightSystem) -> bool:
 
 
 def membership_report(ws: WeightSystem) -> MembershipReport:
-    """Evaluate all defining predicates of the family at once."""
+    """Evaluate all defining predicates of the family; hypersurface well-formedness only where quasismoothness fails."""
     cone = is_linear_cone(ws)
     if cone:
         qs, failing = False, []
     else:
         qs, failing = quasismooth_general(ws)
+    wps = wps_well_formed(ws)
     return MembershipReport(
         ws=ws,
-        wps_well_formed=wps_well_formed(ws),
-        hypersurface_well_formed=hypersurface_well_formed(ws),
+        wps_well_formed=wps,
+        hypersurface_well_formed=wps if qs else hypersurface_well_formed(ws),
         linear_cone=cone,
         quasismooth_general=qs,
         failing_strata=tuple(failing),
@@ -150,17 +158,20 @@ def rejection(
     degree: int,
     terminal: Callable[[WeightSystem], bool] | None = None,
 ) -> str | None:
-    """The membership predicates as one chain, cheapest first.
+    """The membership predicates as one chain.
 
     Returns the name of the first predicate the family (weights, degree)
-    fails, or None when it passes all of them.  The order is: Fano index >= 1,
+    fails, or None when it passes all of them.  The naming order is: Fano index >= 1,
     linear cone, vertex coverage (for each x_i a pure power x_i^(d/a_i) or a
     monomial x_i^m * x_j, m >= 1, which quasismoothness implies), ambient and
     hypersurface well-formedness, then ``terminal(ws)`` when a terminality
     test is given, and quasismoothness last.  Without ``terminal``, None at
     index >= 1 means exactly ``membership_report(ws).accepted``.  The first
     three stages run on the plain integers, so a family they reject never
-    builds a WeightSystem.
+    builds a WeightSystem.  Quasismoothness is evaluated right after ambient
+    well-formedness, and hypersurface well-formedness, which it implies (module
+    docstring), only where it fails or refuses d; a refusal is raised after ``terminal``,
+    so its text is that of the first table in naming order to refuse.
     """
     a, d = weights, degree
     if sum(a) <= d:
@@ -178,10 +189,14 @@ def rejection(
     ws = WeightSystem(a, d)
     if not wps_well_formed(ws):
         return "well-formedness"
-    if not hypersurface_well_formed(ws):
+    try:
+        qs, refused = quasismooth_general(ws)[0], None
+    except ValueError as exc:
+        qs, refused = False, exc
+    if not qs and not hypersurface_well_formed(ws):
         return "hypersurface well-formedness"
     if terminal is not None and not terminal(ws):
         return "terminality"
-    if not quasismooth_general(ws)[0]:
-        return "quasismoothness"
-    return None
+    if refused is not None:
+        raise refused
+    return None if qs else "quasismoothness"

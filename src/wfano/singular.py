@@ -160,7 +160,7 @@ def singular_points_general(ws: WeightSystem) -> SingularityBasket:
     gcd > 1 meeting X in a curve) is recorded in non_isolated.
 
     Raises ValueError when ws fails the membership predicates (the chain
-    ``membership.rejection``), where singularity types are undefined.
+    ``membership.rejection``), where singularity types are undefined; then walks the strata once.
     """
     reason = rejection(ws.weights, ws.degree)
     if reason is not None:

@@ -161,17 +161,16 @@ def semigroup_table(weights: Sequence[int], d: int, sizes: range | tuple[int, ..
     doubling of ``count_monomials`` (shifts by a, 2a, ..., 2^(m-1)*a <= d add j*a, j < 2^m).
     With ``chain``, only the prefixes are built: entry i is entry i - 1 closed by weights[i - 1].
     A d that ``series_width(n, d)`` refuses for an n of sizes is refused first, with the text
-    of the first such n in sizes' order; the bits grow with n, so max(sizes) alone clears d."""
-    try:
-        series_width(max(sizes, default=1), d)
-    except ValueError:
+    of the first such n in sizes' order; below 2^16 no n <= 5 is refused, since
+    comb(d + 4, 4) < 2^60 and 2^16 * 60 < MAX_SERIES_BITS, so only a larger d is checked."""
+    if d >> 16:
         for n in sizes:
             series_width(n, d)
     full, table = (1 << d + 1) - 1, [1]
     for a in weights:
         for b in table[-1:] if chain else table[:]:
             s = a
-            while s <= d:
+            while s <= d and b != full:  # a full entry stays full
                 b |= b << s
                 s <<= 1
             table.append(b & full)

@@ -1,13 +1,14 @@
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
-from wfano.catalog import FAMILY_LABELS, FamilyRecord, SearchBounds, classify
+from wfano.catalog import EXCEPTIONAL_EIGHT, FAMILY_LABELS, FamilyRecord, SearchBounds, classify
 from wfano.irrational import RULE_CITATIONS, decide, top_variable_degree
-from wfano.membership import membership_report
+from wfano.membership import membership_report, rejection
 from wfano.singular import singular_points_general
 from wfano.symalg import sample_general_member
-from wfano.wspace import weight_system
+from wfano.wspace import WeightSystem, weight_system
 
 from conftest import polynomial
 
@@ -80,6 +81,29 @@ def test_decide_rejects_non_catalog_input():
     )
     with pytest.raises(ValueError):
         decide(rec)
+
+
+def test_decide_raises_exactly_when_no_route_fits():
+    # every family with weights <= 7 and d > a5 that passes the membership
+    # predicates, terminal or not, against the routes read off the full top degree
+    fits = Counter()
+    for a in combinations_with_replacement(range(1, 8), 5):
+        for ws in (WeightSystem(a, d) for d in range(a[4] + 1, sum(a)) if rejection(a, d) is None):
+            record = FamilyRecord(ws, membership_report(ws), None, None)  # type: ignore[arg-type]
+            k, d = top_variable_degree(ws), ws.degree
+            normal_form = d == 3 * a[4] and a[3] == a[4]
+            if ws.index >= 2:
+                fit = k <= 2 or normal_form
+            else:
+                fit = ws.septuple in EXCEPTIONAL_EIGHT or k == 2 and d < 3 * a[4] or normal_form
+            fits[fit, ws.index >= 2, d == 3 * a[4]] += 1
+            if fit:
+                decide(record)
+            else:
+                with pytest.raises(RuntimeError, match=rf"degree {k}\)?$"):
+                    decide(record)
+    # both sides of each route, and index >= 2 at d = 3 * a5 without the normal form
+    assert fits[False, True, True] and fits[False, False, False] and fits[True, True, False] and fits[True, False, False]
 
 
 def test_top_variable_degree():

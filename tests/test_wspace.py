@@ -11,6 +11,7 @@ from wfano.wspace import (
     format_monomial,
     parse_monomial,
     semigroup_table,
+    series_width,
     weight_system,
     weighted_degree,
     wps_well_formed,
@@ -178,3 +179,14 @@ def test_semigroup_table_against_representable():
             assert table[mask] == sum(representable(wts, t) << t for t in range(d + 1)), (a, mask)
             # a subset's sums are sums of every superset
             assert all(table[mask] & ~table[sup] == 0 for sup in range(32) if mask & ~sup == 0)
+        # the chain is the prefix entries, full ones (a weight 1 on the way) included
+        assert semigroup_table(a, d, (), chain=True) == [table[(1 << i) - 1] for i in range(6)], a
+
+
+def test_semigroup_table_checks_series_width_only_where_it_can_refuse():
+    # semigroup_table calls series_width only from d = 2^16 on; below, every size fits
+    assert all(series_width(n, (1 << 16) - 1) for n in range(1, 6))
+    # 246,723 is the smallest degree refused at size 5
+    assert semigroup_table((1,), 246_722, (5,))[1] == (1 << 246_723) - 1
+    with pytest.raises(ValueError, match="^count_monomials: degree 246723 needs"):
+        semigroup_table((1,), 246_723, (5,))
