@@ -36,15 +36,28 @@ covered by a monomial x_i^m or x_i^m * x_j in those three variables alone
 (an outside x_j would need q | a_j, a fourth weight sharing q), and one such
 monomial covers at most two of them; with q not dividing d there is none.
 
-For each a1 <= a2 <= a3 with no common factor, ``_top_pairs`` solves the a5
-and a4 vertex conditions and the terminal lemma at P5 and on P4P5 in closed
-form: at most three values of a5 when c > 0, divisors of a few small
-integers otherwise.  ``_candidates`` then tests the a3, a2 and a1 vertices,
-the coprime threes and the terminal lemma at every vertex and edge.  Every
-pair the generator drops fails one of these conditions, so the candidates
-are a superset of the accepted families, each once, and pass the first five
-stages of the chain below: at (40, 120), (80, 240) and (120, 600) they are
-exactly the 130 accepted families.
+Kawamata (*Boundedness of Q-Fano threefolds*, 1992), with Reid's plurigenus
+formula (1987), gives a terminal Q-Fano 3-fold a basket with sum (r - 1/r)
+below 24, so no point of index r >= 25 (``MAX_POINT_INDEX``).  When c > 0,
+P5 lies on X as a point of index a5, so a5 <= 24.  And a3 <= 24: else P3, P4
+and P5 are off X, so a3, a4 and a5 divide d, c = 0 and d = k*a5 with k in
+{2, 3, 4}.  With g = gcd(a4, a5), h = gcd(a3, a5), a4 = m*g and a3 = n*h, m
+and n divide k, and coprime threes make g, h coprime, so g*h | a5.  If m = 1,
+X meets P4P5 (k + 1 monomials) in k points of index a4 >= 25, so m >= 2, and
+n >= 2 likewise on P3P5.  An index >= 1 with a1 + a2 <= 2*a3 then needs
+3*n*h + m*g > (k-1)*g*h, which fails: for k = 2, g, h >= 13 and g*h - 6*h -
+2*g >= 11*g - 78 > 0; for k = 3, g, h >= 9 and 15*g - 81 > 0; for k = 4,
+m, n in {2, 4}, g, h >= 7 and 17*g - 84 > 0.
+
+For each a1 <= a2 <= a3 <= 24 with no common factor, ``_top_pairs`` solves
+the a5 and a4 vertex conditions and the terminal lemma at P5 and on P4P5 in
+closed form: at most three values of a5 <= 24 when c > 0, divisors of a few
+small integers otherwise.  ``_candidates`` then tests the a3, a2 and a1
+vertices, the coprime threes and the terminal lemma at every vertex and
+edge.  No accepted family fails these conditions or the caps, so the
+candidates are a superset of the accepted families, each once, and pass the
+first five stages of the chain below: at (40, 120), (80, 240), (120, 600)
+and the CLI cap (200, 1000) they are exactly the 130 accepted families.
 
 Every candidate then goes through the predicate chain
 ``membership.rejection``: linear cone, vertex coverage, ambient and
@@ -99,6 +112,10 @@ EXCEPTIONAL_EIGHT: tuple[tuple[int, ...], ...] = tuple(
 #: classification is 13
 INDEX_RANGE = (1, 15)
 
+#: the largest index r of a point on a terminal Fano 3-fold: the basket has
+#: sum (r - 1/r) < 24 (Kawamata 1992 with Reid 1987)
+MAX_POINT_INDEX = 24
+
 
 @dataclass(frozen=True)
 class SearchBounds:
@@ -150,16 +167,18 @@ def _top_pairs(
     The a5 vertex puts d = k*a5 + c with 1 <= k <= 4 and c < a5 one of 0, a1,
     a2, a3, a4 (d < 5*a5 since the index is positive; c = a5 would be
     (k+1)*a5 + 0).  The a4 vertex needs a4 | d - e for some e in 0, a1, a2,
-    a3, a5.  When c > 0, P5 lies on X with local weights the three weights
-    other than a5 and c, each below a5; it is terminal only if a5 is the sum
-    of two of them (the terminal lemma of ``singular``).  That a5 (x + y >= a4
-    or a4 + x > y, x and y the low weights but c; a_i + a_j > a_l if c = a4)
-    is at least half of s3 + a4 - c, so the index s3 + a4 - c - (k-1)*a5 is
-    at most (3-k)*a5, and k <= 2.  When c = 0, a4 = a5 must pass the edge
-    P4P5 (module docstring).  Each branch below solves these conditions for
-    one shape of (k, c); the last, c = a4, reads a4 off the divisor bitmask.
+    a3, a5.  When c > 0, P5 lies on X, a point of index a5 <= 24 (Kawamata),
+    with local weights the three weights other than a5 and c, each below a5;
+    it is terminal only if a5 is the sum of two of them (the terminal lemma
+    of ``singular``).  That a5 (x + y >= a4 or a4 + x > y, x and y the low
+    weights but c; a_i + a_j > a_l if c = a4) is at least half of s3 + a4 -
+    c, so the index s3 + a4 - c - (k-1)*a5 is at most (3-k)*a5, and k <= 2.
+    When c = 0, a4 = a5 must pass the edge P4P5 (module docstring).  Each
+    branch below solves these conditions for one shape of (k, c); the last,
+    c = a4, reads a4 off the divisor bitmask.
     """
     max_w, max_d = bounds.max_weight, bounds.max_degree
+    max_p5 = min(max_w, MAX_POINT_INDEX)  # the index of P5 when it lies on X
     imin, imax = INDEX_RANGE
     s3 = a1 + a2 + a3
     sums = 2 | 1 << a1 + a2 | 1 << a1 + a3 | 1 << a2 + a3  # bit n: a4 = a5 = n passes P4P5
@@ -174,7 +193,7 @@ def _top_pairs(
             deltas = (x,) if x == y else (x, y)
             # k = 1: the index s3 + a4 - c fixes a4, and the a4 vertex needs
             # a4 | a5 + c - e
-            top = min(max_w, max_d - c)
+            top = min(max_p5, max_d - c)
             for a4 in range(max(lo4, imin - s3 + c), min(top, imax - s3 + c) + 1):
                 for a5 in {x + y, a4 + x, a4 + y}:
                     d = a5 + c
@@ -188,7 +207,7 @@ def _top_pairs(
         # (e < a4) or (k-1)*delta + c (e = a5); for c > 0 delta is x or y,
         # or else a5 = x + y
         for k in (2,) if c else (2, 3, 4):
-            top = min(max_w, (max_d - c) // k)
+            top = min(max_p5 if c else max_w, (max_d - c) // k)
             if not c:
                 # below this delta the index would exceed imax for every a4 <= max_w
                 deltas = range(max(0, s3 - imax - (k - 2) * max_w), top - lo4 + 1)
@@ -224,7 +243,7 @@ def _top_pairs(
                     fits ^= bit
                     a4 = bit.bit_length() - 1
                     yield a4, a4 + delta, k * (a4 + delta) + c
-            if c and x + y <= max_w and k * (x + y) + c <= max_d:
+            if c and x + y <= max_p5 and k * (x + y) + c <= max_d:
                 # d is fixed, so the index fixes a4; a4 = y or x is delta = x
                 # or y above
                 a5, d = x + y, k * (x + y) + c
@@ -240,7 +259,7 @@ def _top_pairs(
     for a5 in {a1 + a2, a1 + a3, a2 + a3}:
         for k in (1, 2):
             v = k * a5
-            if a3 < a5 <= max_w and v + a3 <= max_d and imin <= s3 - v + a5 <= imax:
+            if a3 < a5 <= max_p5 and v + a3 <= max_d and imin <= s3 - v + a5 <= imax:
                 lo, hi = a3, min(a5 - 1, max_d - v)
                 if lo > hi:
                     continue
@@ -274,11 +293,12 @@ def _terminal_edges(a: tuple[int, ...], d: int) -> bool:
 
 def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each (weights, d) with a1 in [lo, hi) that the generator's conditions
-    allow, exactly once: every vertex covered, every three weights coprime,
-    and every vertex and edge point on X terminal by the terminal lemma.  Every pair the
-    generator drops fails one of them, so the candidates are a superset of
-    the accepted families, and each passes the first five stages of
-    ``membership.rejection``; the chain alone decides acceptance."""
+    allow, exactly once: a3 <= 24 and a5 <= 24 when P5 lies on X (Kawamata),
+    every vertex covered, every three weights coprime, and every vertex and
+    edge point on X terminal by the terminal lemma.  No accepted family fails
+    one of them, so the candidates are a superset of the accepted families,
+    and each passes the first five stages of ``membership.rejection``; the
+    chain alone decides acceptance."""
     max_w, max_d = bounds.max_weight, bounds.max_degree
     max_sum = max_d + INDEX_RANGE[1]
     # bit m of divisors[n] is set iff m <= max_w divides n; _top_pairs reads n <= min(max_d, 5 * max_w)
@@ -286,12 +306,13 @@ def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[
     for m in range(1, max_w + 1):
         for n in range(0, len(divisors), m):
             divisors[n] |= 1 << m
+    max_w3 = min(max_w, MAX_POINT_INDEX)  # a3 <= 24: module docstring
     for a1 in range(lo, hi):
-        for a2 in range(a1, max_w + 1):
+        for a2 in range(a1, max_w3 + 1):
             if a1 + 4 * a2 > max_sum:
                 break
             g12 = gcd(a1, a2)
-            for a3 in range(a2, max_w + 1):
+            for a3 in range(a2, max_w3 + 1):
                 if a1 + a2 + 3 * a3 > max_sum:
                     break
                 if gcd(g12, a3) > 1:
@@ -339,7 +360,7 @@ def classify(bounds: SearchBounds | None = None, jobs: int = 1) -> list[FamilyRe
     process per task and per CPU (the pool forks all its workers at once).
     """
     bounds = bounds or SearchBounds()
-    top = min(bounds.max_weight, (bounds.max_degree + INDEX_RANGE[1]) // 5) + 1
+    top = min(bounds.max_weight, MAX_POINT_INDEX, (bounds.max_degree + INDEX_RANGE[1]) // 5) + 1
     workers = min(jobs, top - 1, os.cpu_count() or 1)
     if workers <= 1:
         raw = _search_chunk((1, top, bounds))

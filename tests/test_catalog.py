@@ -1,6 +1,7 @@
 import json
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -205,12 +206,18 @@ def _p4p5_edge(a, d):
 def generator_failure(a, d):
     """The first condition of the search generator that (a, d) fails, or None.
 
-    In the generator's order: the a5 vertex (d = k*a5 + c, and no linear
-    cone), the terminal lemma at P5, the terminal lemma on the edge P4P5 when
-    a4 = a5 divides d, the a4, a3, a2 and a1 vertices, every three weights
-    coprime, the terminal lemma at every vertex and on every edge."""
+    In the generator's order: a3 <= 24 (the Kawamata bound, see
+    ``test_kawamata_caps_a3``), the a5 vertex (d = k*a5 + c, and no linear
+    cone), a5 <= 24 when P5 lies on X (c > 0; a point of index a5), the
+    terminal lemma at P5, the terminal lemma on the edge P4P5 when a4 = a5
+    divides d, the a4, a3, a2 and a1 vertices, every three weights coprime,
+    the terminal lemma at every vertex and on every edge."""
+    if a[2] > 24:
+        return "Kawamata a3"
     if not (d > a[4] and covers(a, d, 4)):
         return "a5 vertex"
+    if d % a[4] and a[4] > 24:
+        return "Kawamata P5"
     if not _terminal_lemma(a, d):
         return "P5 lemma"
     if not _p4p5_edge(a, d):
@@ -380,20 +387,61 @@ def test_terminal_edges_against_the_edge_lemma():
 
 
 def test_vertex_condition_drops_only_terminality_rejects(monkeypatch, default_catalog):
-    # the terminal lemma at every vertex and on every edge drops 2,291 of the
-    # 2,421 pairs that the other conditions allow (2,225 at a vertex, 66 more
-    # on an edge), and the chain rejects each at terminality
+    # the terminal lemma at every vertex and on every edge drops 1,943 of the
+    # 2,073 pairs that the other conditions allow (1,877 at a vertex, 66 more
+    # on an edge), the Kawamata caps drop 348 more of the 2,421 pairs allowed
+    # without them, and the chain rejects each at terminality
     bounds = SearchBounds()
     earlier = _without(monkeypatch, bounds, *TERMINAL_POINTS)
     dropped = set(earlier) - set(_candidates(1, bounds.max_weight + 1, bounds))
-    assert (len(earlier), len(dropped)) == (2_421, 2_291)
+    assert (len(earlier), len(dropped)) == (2_073, 1_943)
     reasons = Counter(generator_failure(a, d) for a, d in dropped)
-    assert reasons == {"terminal vertices": 2_225, "terminal edges": 66}
-    for a, d in dropped:
+    assert reasons == {"terminal vertices": 1_877, "terminal edges": 66}
+    monkeypatch.setattr(catalog, "MAX_POINT_INDEX", bounds.max_weight)
+    capped = set(_without(monkeypatch, bounds, *TERMINAL_POINTS)) - set(earlier)
+    assert len(capped) == 348
+    reasons = Counter(generator_failure(a, d) for a, d in capped)
+    assert reasons == {"Kawamata P5": 195, "Kawamata a3": 153}
+    for a, d in dropped | capped:
         assert rejection(a, d, terminal_general) == "terminality", (a, d)
     # and every record of the catalog passes every generator condition
     records, _ = default_catalog
     assert all(generator_failure(r.ws.weights, r.ws.degree) is None for r in records)
+
+
+def test_kawamata_caps_the_point_index():
+    # a terminal point of index r adds r - 1/r to a basket whose sum stays
+    # below 24, so one point of index 25 breaks it
+    assert catalog.MAX_POINT_INDEX == max(r for r in range(1, 100) if r - Fraction(1, r) < 24) == 24
+
+
+def test_kawamata_caps_a3():
+    # step 5 of the module docstring's proof: with a3, a4, a5 >= 25 dividing
+    # d = k*a5, a4 = m*g and a3 = n*h with 2 <= m, n dividing k, and g*h | a5,
+    # the index a1 + a2 + a3 + a4 - (k-1)*a5 >= 1 with a1 + a2 <= 2*a3 would
+    # need 3*n*h + m*g > (k-1)*g*h, which no g, h <= 200 meet
+    for k in (2, 3, 4):
+        factors = [m for m in range(2, k + 1) if k % m == 0]
+        for m, n in product(factors, repeat=2):
+            for g, h in product(range(-(-25 // m), 201), range(-(-25 // n), 201)):
+                assert 3 * n * h + m * g <= (k - 1) * g * h, (k, m, n, g, h)
+
+
+def test_kawamata_caps_the_generator(monkeypatch):
+    # at the CLI cap no triple past a3 = 24 is visited, and no pair with P5
+    # on X (c > 0) has a5 > 24
+    triples, top_pairs = set(), catalog._top_pairs
+
+    def spying(a1, a2, a3, bounds, divisors):
+        triples.add((a1, a2, a3))
+        for a4, a5, d in top_pairs(a1, a2, a3, bounds, divisors):
+            assert d % a5 == 0 or a5 <= 24, (a1, a2, a3, a4, a5, d)
+            yield a4, a5, d
+
+    monkeypatch.setattr(catalog, "_top_pairs", spying)
+    bounds = SearchBounds(max_weight=200, max_degree=1000)
+    assert len(list(_candidates(1, bounds.max_weight + 1, bounds))) == 130
+    assert max(a3 for _, _, a3 in triples) == 24
 
 
 def test_degree_bound_past_five_weights_changes_nothing():
@@ -403,10 +451,9 @@ def test_degree_bound_past_five_weights_changes_nothing():
     assert catalog_json(wide) == catalog_json(classify(SearchBounds(max_weight=10, max_degree=50)))
 
 
-@pytest.mark.slow
 def test_larger_box_finds_the_default_catalog(monkeypatch, default_catalog):
-    # at (120, 600) the generator yields exactly the records, once each, and
-    # they are the default catalog's
+    # at the CLI cap (200, 1000) the generator yields exactly the records,
+    # once each, and they are the default catalog's
     yielded, generate = [], catalog._candidates
 
     def recording(lo, hi, bounds):
@@ -415,7 +462,7 @@ def test_larger_box_finds_the_default_catalog(monkeypatch, default_catalog):
             yield pair
 
     monkeypatch.setattr(catalog, "_candidates", recording)
-    records = classify(SearchBounds(max_weight=120, max_degree=600))
+    records = classify(SearchBounds(max_weight=200, max_degree=1000))
     assert catalog_json(records) == catalog_json(default_catalog[0])
     assert sorted(yielded) == sorted((r.ws.weights, r.ws.degree) for r in records)
 
