@@ -8,7 +8,8 @@ It covers, in both ``--format`` values:
   at the default search bounds;
 - ``check``, ``basket`` and ``verdict`` on the septuples of
   ``NON_QUASISMOOTH``, whose failing strata have sizes 1, 2 and 3 or more,
-  and on those of ``STAGES``, one per late stage of ``membership.rejection``.
+  and on those of ``STAGES``, one per late stage of ``membership.rejection``;
+- ``classify`` with each option list of ``CLASSIFY``.
 
 ``tests/test_manifest.py`` compares every entry.  After a change that is
 meant to alter an output, regenerate the file from the repo root with
@@ -51,6 +52,14 @@ NON_QUASISMOOTH = (
 #: that is not terminal
 STAGES = ((1, 2, 2, 2, 2, 3), (1, 1, 2, 2, 2, 3), (1, 1, 2, 3, 3, 5), (1, 1, 1, 1, 3, 4))
 
+#: the search at the default box, past it, at the CLI cap, and one index
+CLASSIFY = (
+    ("--max-weight", "40", "--max-degree", "120"),
+    ("--max-weight", "50", "--max-degree", "150"),
+    ("--max-weight", "200", "--max-degree", "1000"),
+    ("--index", "1"),
+)
+
 
 def _septuple(s) -> str:
     return ",".join(map(str, s))
@@ -59,7 +68,9 @@ def _septuple(s) -> str:
 def argvs(families) -> list[list[str]]:
     """The manifest's argvs for the given catalog septuples."""
     cases = [(c, s) for s in (*families, *NON_QUASISMOOTH, *STAGES) for c in ("check", "basket", "verdict")]
-    return [[c, "--septuple", _septuple(s), "--format", f] for c, s in cases for f in ("json", "markdown")]
+    return [[c, "--septuple", _septuple(s), "--format", f] for c, s in cases for f in ("json", "markdown")] + [
+        ["classify", *options, "--format", f] for options in CLASSIFY for f in ("json", "markdown")
+    ]
 
 
 def digest(argv: list[str]) -> str:

@@ -467,6 +467,24 @@ def test_larger_box_finds_the_default_catalog(monkeypatch, default_catalog):
     assert sorted(yielded) == sorted((r.ws.weights, r.ws.degree) for r in records)
 
 
+@pytest.fixture(scope="module")
+def cap_catalog():
+    """The catalog at the CLI cap (200, 1000)."""
+    return classify(SearchBounds(max_weight=200, max_degree=1000))
+
+
+@pytest.mark.parametrize(
+    "max_weight, max_degree",
+    [(2, 8), (5, 25), (7, 21), (10, 24), (13, 30), (20, 200), (32, 66), (33, 65), (33, 66), (80, 240)],
+)
+def test_each_box_is_the_cap_catalog_filtered(cap_catalog, max_weight, max_degree):
+    # the records of a box are those of the CLI cap with a5 <= max_weight and
+    # d <= max_degree, in the same order; the largest a5 and d of the
+    # classification, 33 and 66, sit on the edges of four of these boxes
+    inside = [r for r in cap_catalog if r.ws.weights[4] <= max_weight and r.ws.degree <= max_degree]
+    assert catalog_json(classify(SearchBounds(max_weight, max_degree))) == catalog_json(inside)
+
+
 def test_load_catalog_rejects_non_member(tmp_path, small_catalog):
     payload = json.loads(catalog_json(small_catalog))
     # (1,1,1,1,3) with d = 4 passes membership but its 1/3(1,1,1) point is not terminal
