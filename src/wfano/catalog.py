@@ -1,4 +1,4 @@
-"""Bounded search reproducing the classification, plus catalog persistence.
+"""The search reproducing the classification, plus catalog persistence.
 
 The search derives its candidates from the vertex conditions instead of
 walking every weight tuple and index.  By Iano-Fletcher, *Working with
@@ -21,8 +21,7 @@ with q = gcd(a_i, a_j) > 1 has stabilizer order q off its vertices, where f
 is a binary form of degree d in x_i, x_j.  With n >= 2 monomials it vanishes
 at n - 1 points off the vertices, each of type 1/q(the other three weights
 mod q), which must pass the lemma; one monomial x_i^p * x_j^s vanishes at the
-vertices only.  So a4 = a5 = n dividing d = k*n, with k + 1 monomials
-x4^i * x5^(k-i), needs n = 1 or n the sum of two of a1, a2, a3.
+vertices only.
 
 One more condition is cheap once all five weights are fixed: every three
 weights are coprime.  Three weights with a common factor q > 1 span a
@@ -39,31 +38,50 @@ monomial covers at most two of them; with q not dividing d there is none.
 Kawamata (*Boundedness of Q-Fano threefolds*, 1992), with Reid's plurigenus
 formula (1987), gives a terminal Q-Fano 3-fold a basket with sum (r - 1/r)
 below 24, so no point of index r >= 25 (``MAX_POINT_INDEX``).  When c > 0,
-P5 lies on X as a point of index a5, so a5 <= 24.  And a3 <= 24: else P3, P4
-and P5 are off X, so a3, a4 and a5 divide d, c = 0 and d = k*a5 with k in
-{2, 3, 4}.  With g = gcd(a4, a5), h = gcd(a3, a5), a4 = m*g and a3 = n*h, m
-and n divide k, and coprime threes make g, h coprime, so g*h | a5.  If m = 1,
-X meets P4P5 (k + 1 monomials) in k points of index a4 >= 25, so m >= 2, and
-n >= 2 likewise on P3P5.  An index >= 1 with a1 + a2 <= 2*a3 then needs
-3*n*h + m*g > (k-1)*g*h, which fails: for k = 2, g, h >= 13 and g*h - 6*h -
-2*g >= 11*g - 78 > 0; for k = 3, g, h >= 9 and 15*g - 81 > 0; for k = 4,
-m, n in {2, 4}, g, h >= 7 and 17*g - 84 > 0.
+P5 lies on X as a point of index a5, so a5 <= 24.
 
-For each a1 <= a2 <= a3 <= 24 with no common factor, ``_top_pairs`` solves
-the a5 and a4 vertex conditions and the terminal lemma at P5 and on P4P5 in
-closed form: at most three values of a5 <= 24 when c > 0, divisors of a few
-small integers otherwise.  ``_candidates`` then tests the a3, a2 and a1
-vertices, the coprime threes and the terminal lemma at every vertex and
-edge.  No accepted family fails these conditions or the caps, so the
-candidates are a superset of the accepted families, each once, and pass the
-first five stages of the chain below: at (40, 120), (80, 240), (120, 600)
-and the CLI cap (200, 1000) they are exactly the 130 accepted families.
+The P4 lemma bounds the last shape, P5 off X: c = 0, d = k*a5 with k in {2,
+3, 4}, a5 = a4 + delta and index s3 - (k-2)*a4 - (k-1)*delta, s3 = a1 + a2 +
+a3.  If P4 lies on X (a4 not dividing d), it is a point of index a4 <= 24,
+covered by x4^m * x_j, of type the residues mod a4 less d = k*delta.  With
+j = 5, a4 | (k-1)*delta and the type (a1, a2, a3) passes the lemma's sum
+only if a4 is one of a1+a2, a1+a3, a2+a3 (a weight a4 has residue 0).  With
+j = i <= 3, k*delta = a_i (mod a4), a_i < a4, and the type (a_j, a_l, delta)
+needs a4 = a_j + a_l or delta = -a_w (mod a4) for a w in {j, l} with a_w <
+a4, so that a4 | k*a_w + a_i.  If P4 is off X (a4 | k*delta), write g =
+gcd(a4, a5), a4 = m*g and a5 = n*g: then m | k, delta = g*t with t = n - m
+prime to m, and P4P5 carries the k/m + 1 >= 2 monomials x4^(n*i) *
+x5^(k-m*i) of degree d, so X meets it off its vertices in points of type
+1/g(a1, a2, a3): g <= 24, and g = 1 or g divides a sum a_x + a_y but not a_x.
+For m = 1 (a4 | a5), g = a4 >= a3 makes a4 one of 1, a1+a2, a1+a3, a2+a3.
+
+And a3 <= 24: else P3, P4 and P5 are off X, so c = 0, a4 = m*g as above
+with m >= 2 (as g <= 24 < a4 for m = 1), and likewise a3 = n*h with h =
+gcd(a3, a5) and 2 <= n | k; coprime threes make g, h coprime, so g*h | a5.
+An index >= 1 with a1 + a2 <= 2*a3 then needs 3*n*h + m*g > (k-1)*g*h,
+which fails: for k = 2, g, h >= 13 and g*h - 6*h - 2*g >= 11*g - 78 > 0; for
+k = 3, g, h >= 9 and 15*g - 81 > 0; for k = 4, m, n in {2, 4}, g, h >= 7
+and 17*g - 84 > 0.
+
+Suzuki (*On Fano indices of Q-Fano 3-folds*, 2004) bounds by 19 the Fano
+index of a Q-factorial terminal Q-Fano 3-fold of Picard rank 1.  X has
+quotient singularities, so it is Q-factorial, and as a quasismooth
+well-formed 3-fold it has Cl X = Z * O_X(1) (Grothendieck-Lefschetz for
+weighted hypersurfaces: Dolgachev, *Weighted projective varieties*, 1982);
+with K_X = O_X(d - sum a), its Fano index is sum a - d <= 19 (``INDEX_RANGE``).
+
+So the walk is finite and reads no box.  For each a1 <= a2 <= a3 <= 24 with
+no common factor, ``_top_pairs`` solves the vertex conditions and lemmas of
+a5 and a4 in closed form, with each a4's deltas as residue classes cut by
+the index window when c = 0.  ``_candidates`` then tests the other vertices,
+the coprime threes and the terminal lemma at every vertex and edge.  No
+accepted family fails a condition or bound, and the candidates are exactly
+the 130 accepted families (a5 <= 33, d <= 66); ``classify`` keeps its box's.
 
 Every candidate then goes through the predicate chain
 ``membership.rejection``: linear cone, vertex coverage, ambient and
 hypersurface well-formedness, terminality of the general member, and
-quasismoothness.  With the default bounds the search returns 95 families of
-index 1 and 130 in total.
+quasismoothness: 95 families of index 1 and 130 in total.
 """
 
 from __future__ import annotations
@@ -108,19 +126,30 @@ EXCEPTIONAL_EIGHT: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
-#: the Fano indices the search walks; the largest index in the
-#: classification is 13
-INDEX_RANGE = (1, 15)
+#: the Fano indices the search walks (Suzuki 2004; module docstring)
+INDEX_RANGE = (1, 19)
 
 #: the largest index r of a point on a terminal Fano 3-fold: the basket has
 #: sum (r - 1/r) < 24 (Kawamata 1992 with Reid 1987)
 MAX_POINT_INDEX = 24
 
+#: bit m of _DIVISORS[n] is set iff m <= 24 divides n, for n <= 5*24
+_DIVISORS = [sum(1 << m for m in range(1, MAX_POINT_INDEX + 1) if n % m == 0) for n in range(5 * MAX_POINT_INDEX + 1)]
+#: bit delta of _REPUNIT[n] is set iff n | delta, for delta < 3*24 (> a5 - a4 when c = 0)
+_REPUNIT = [0] + [((1 << n * -(-3 * MAX_POINT_INDEX // n)) - 1) // ((1 << n) - 1) for n in range(1, 3 * MAX_POINT_INDEX + 1)]
+#: bit delta of _SOLVE[k][a4][b] is set iff k*delta = b (mod a4), for a4 <= 24
+_SOLVE = {k: [[0] * a4 for a4 in range(MAX_POINT_INDEX + 1)] for k in range(1, 5)}
+for _k, _a4, _t in ((k, a4, t) for k in range(1, 5) for a4 in range(1, MAX_POINT_INDEX + 1) for t in range(a4)):
+    _SOLVE[_k][_a4][_k * _t % _a4] |= _REPUNIT[_a4] << _t
+#: each m | k with the least prime p of m (0 for m = 1), so t prime to m is t prime to p
+_FACTORS = {2: ((1, 0), (2, 2)), 3: ((1, 0), (3, 3)), 4: ((1, 0), (2, 2), (4, 2))}
+
 
 @dataclass(frozen=True)
 class SearchBounds:
-    """Search box.  Defaults comfortably contain the known extremes of the
-    classification (weights up to 33, degrees up to 66)."""
+    """The box of ``classify``'s output, which the search itself never
+    reads: it keeps the families with a5 <= max_weight and d <= max_degree.
+    The defaults hold all 130 (weights up to 33, degrees up to 66)."""
 
     max_weight: int = 40
     max_degree: int = 120
@@ -158,118 +187,105 @@ def family_record(ws: WeightSystem) -> FamilyRecord:
     )
 
 
-def _top_pairs(
-    a1: int, a2: int, a3: int, bounds: SearchBounds, divisors: list[int]
-) -> Iterator[tuple[int, int, int]]:
-    """Each (a4, a5, d) in bounds with a3 <= a4 <= a5 that the vertex
-    conditions of a5 and a4 allow, and whose P5 and P4P5 can be terminal, once.
-
-    The a5 vertex puts d = k*a5 + c with 1 <= k <= 4 and c < a5 one of 0, a1,
-    a2, a3, a4 (d < 5*a5 since the index is positive; c = a5 would be
-    (k+1)*a5 + 0).  The a4 vertex needs a4 | d - e for some e in 0, a1, a2,
-    a3, a5.  When c > 0, P5 lies on X, a point of index a5 <= 24 (Kawamata),
-    with local weights the three weights other than a5 and c, each below a5;
-    it is terminal only if a5 is the sum of two of them (the terminal lemma
-    of ``singular``).  That a5 (x + y >= a4 or a4 + x > y, x and y the low
-    weights but c; a_i + a_j > a_l if c = a4) is at least half of s3 + a4 -
-    c, so the index s3 + a4 - c - (k-1)*a5 is at most (3-k)*a5, and k <= 2.
-    When c = 0, a4 = a5 must pass the edge P4P5 (module docstring).  Each
-    branch below solves these conditions for one shape of (k, c); the last,
-    c = a4, reads a4 off the divisor bitmask.
+def _top_pairs(a1: int, a2: int, a3: int) -> Iterator[tuple[int, int, int]]:
+    """Each (a4, a5, d) with a3 <= a4 <= a5 and index in ``INDEX_RANGE`` that
+    the vertex conditions of a5 and a4 allow, and whose P5, P4 and P4P5 can be
+    terminal, once (module docstring).  When c > 0, a5 is the sum of two of
+    the local weights of P5 (x + y >= a4 or a4 + x > y, x and y the low
+    weights but c; a_i + a_j > a_l if c = a4), at least half of s3 + a4 - c,
+    so the index s3 + a4 - c - (k-1)*a5 is at most (3-k)*a5, and k <= 2.
     """
-    max_w, max_d = bounds.max_weight, bounds.max_degree
-    max_p5 = min(max_w, MAX_POINT_INDEX)  # the index of P5 when it lies on X
     imin, imax = INDEX_RANGE
     s3 = a1 + a2 + a3
-    sums = 2 | 1 << a1 + a2 | 1 << a1 + a3 | 1 << a2 + a3  # bit n: a4 = a5 = n passes P4P5
-    for c in {0, a1, a2, a3}:
+    for c in {a1, a2, a3}:
+        # c < a4: P5 has local weights x, y (the low weights but c) and a4
+        x, y = (a2, a3) if c == a1 else (a1, a3) if c == a2 else (a1, a2)
         lo4 = max(a3, c + 1)
-        if c:
-            # for c < a4, P5 has local weights x, y (the low weights but c) and a4
-            others = [a1, a2, a3]
-            others.remove(c)
-            x, y = others
-            # ascending and once each, as the breaks below need
-            deltas = (x,) if x == y else (x, y)
-            # k = 1: the index s3 + a4 - c fixes a4, and the a4 vertex needs
-            # a4 | a5 + c - e
-            top = min(max_p5, max_d - c)
-            for a4 in range(max(lo4, imin - s3 + c), min(top, imax - s3 + c) + 1):
-                for a5 in {x + y, a4 + x, a4 + y}:
-                    d = a5 + c
-                    if a4 <= a5 <= top and (
-                        d % a4 == 0 or (d - a1) % a4 == 0 or (d - a2) % a4 == 0
-                        or (d - a3) % a4 == 0
-                    ):
-                        yield a4, a5, d
-        # k >= 2, c < a4: with a5 = a4 + delta the index is
-        # s3 - c - (k-1)*delta - (k-2)*a4, and a4 divides k*delta + c - e
-        # (e < a4) or (k-1)*delta + c (e = a5); for c > 0 delta is x or y,
-        # or else a5 = x + y
-        for k in (2,) if c else (2, 3, 4):
-            top = min(max_p5 if c else max_w, (max_d - c) // k)
-            if not c:
-                # below this delta the index would exceed imax for every a4 <= max_w
-                deltas = range(max(0, s3 - imax - (k - 2) * max_w), top - lo4 + 1)
-            for delta in deltas:
+        # k = 1 has index s3 - c + a4 >= s3 - c + lo4
+        for k in (1, 2) if s3 - c + lo4 <= imax else (2,):
+            # a5 = a4 + delta, delta in x, y: the index is s3 - c - (k-1)*delta - (k-2)*a4,
+            # and a4 | k*delta + c - e (e < a4) or (k-1)*delta + c (e = a5)
+            for delta in {x, y}:
                 rest = s3 - c - (k - 1) * delta
-                hi = top - delta
-                if k == 2:
-                    if rest < imin:
-                        break
-                    if rest > imax:
-                        continue
-                    lo = lo4
-                else:
-                    lo = -(-(rest - imax) // (k - 2))
-                    if lo < lo4:
-                        lo = lo4
-                    h = (rest - imin) // (k - 2)
-                    if h < hi:
-                        hi = h
-                if hi < lo4:
-                    break
-                if lo > hi:
-                    continue
-                v = k * delta + c
-                fits = (
-                    divisors[v] | divisors[abs(v - a1)] | divisors[abs(v - a2)]
-                    | divisors[abs(v - a3)] | divisors[v - delta]
-                ) & (2 << hi) - (1 << lo)
-                if not delta:
-                    fits &= sums
+                lo, hi = (max(lo4, imin - rest), imax - rest) if k == 1 else (lo4, MAX_POINT_INDEX if imin <= rest <= imax else 0)
+                hi, v = min(hi, MAX_POINT_INDEX - delta), k * delta + c
+                fits = _DIVISORS[v] | _DIVISORS[abs(v - a1)] | _DIVISORS[abs(v - a2)] | _DIVISORS[abs(v - a3)]
+                fits = (fits | _DIVISORS[v - delta]) & (2 << hi) - (1 << lo) if lo <= hi else 0
                 while fits:
                     bit = fits & -fits
                     fits ^= bit
                     a4 = bit.bit_length() - 1
                     yield a4, a4 + delta, k * (a4 + delta) + c
-            if c and x + y <= max_p5 and k * (x + y) + c <= max_d:
-                # d is fixed, so the index fixes a4; a4 = y or x is delta = x
-                # or y above
-                a5, d = x + y, k * (x + y) + c
-                for a4 in range(max(lo4, imin + d - a5 - s3), min(a5, imax + d - a5 - s3) + 1):
-                    if a4 != x and a4 != y and (
-                        d % a4 == 0 or (d - a1) % a4 == 0 or (d - a2) % a4 == 0
-                        or (d - a3) % a4 == 0 or (d - a5) % a4 == 0
-                    ):
-                        yield a4, a5, d
+            # a5 = x + y fixes d, and the index s3 + a4 - c - (k-1)*a5 fixes
+            # a4; a4 = y or x is delta = x or y above
+            a5 = x + y
+            d, rest = k * a5 + c, s3 - c - (k - 1) * a5
+            lo, hi = max(lo4, imin - rest), min(a5, imax - rest)
+            if a5 <= MAX_POINT_INDEX and lo <= hi:
+                fits = _DIVISORS[d] | _DIVISORS[d - a1] | _DIVISORS[d - a2] | _DIVISORS[d - a3] | _DIVISORS[d - a5]
+                fits &= (2 << hi) - (1 << lo) & ~(1 << x | 1 << y)
+                while fits:
+                    bit = fits & -fits
+                    fits ^= bit
+                    yield bit.bit_length() - 1, a5, d
 
     # c = a4 < a5, where P5 has local weights a1, a2, a3: the index is
     # s3 - (k-1)*a5, and a4 divides k*a5 - e (e < a4) or (k-1)*a5 (e = a5)
     for a5 in {a1 + a2, a1 + a3, a2 + a3}:
         for k in (1, 2):
             v = k * a5
-            if a3 < a5 <= max_p5 and v + a3 <= max_d and imin <= s3 - v + a5 <= imax:
-                lo, hi = a3, min(a5 - 1, max_d - v)
-                if lo > hi:
-                    continue
-                fits = divisors[v] | divisors[v - a1] | divisors[v - a2] | divisors[v - a3] | divisors[v - a5]
-                fits &= (2 << hi) - (1 << lo)
+            if a3 < a5 <= MAX_POINT_INDEX and imin <= s3 - v + a5 <= imax:
+                fits = _DIVISORS[v] | _DIVISORS[v - a1] | _DIVISORS[v - a2] | _DIVISORS[v - a3] | _DIVISORS[v - a5]
+                fits &= (1 << a5) - (1 << a3)
                 while fits:
                     bit = fits & -fits
                     fits ^= bit
                     a4 = bit.bit_length() - 1
                     yield a4, a5, v + a4
+
+    # c = 0: d = k*a5 with a5 = a4 + delta and index s3 - (k-2)*a4 - (k-1)*delta;
+    # g is 1, or g <= 24 passes the lemma's sum on P4P5 (g | a_x + a_y, not a_x)
+    edge = 2 | (_DIVISORS[a1 + a2] | _DIVISORS[a1 + a3]) & ~_DIVISORS[a1] | _DIVISORS[a2 + a3] & ~_DIVISORS[a2]
+    gs = [g for g in range(1, MAX_POINT_INDEX + 1) if edge >> g & 1]
+    for k in (2, 3, 4):
+        # the largest a4 whose index can reach imin (a4 = m*g <= 2*24 for k = 2)
+        top = (s3 - imin) // (k - 2) if k > 2 else 2 * MAX_POINT_INDEX
+        if top < a3:
+            break
+        solve, below, cap = _SOLVE[k], _SOLVE[k - 1], min(top, MAX_POINT_INDEX)
+        # P4 on X, a4 <= 24: the deltas of each a4, by the partner x_j of P4
+        shapes: dict[int, int] = {}
+        for i, j, l in ((a1, a2, a3), (a2, a1, a3), (a3, a1, a2)):
+            a4 = j + l
+            if a3 <= a4 <= cap:
+                # x5 (a4 | (k-1)*delta, a4 not | k*delta), or x_i with a4 = a_j + a_l
+                shapes[a4] = shapes.get(a4, 0) | below[a4][0] & ~solve[a4][0] | (solve[a4][i] if i < a4 else 0)
+            for w in (j, l):
+                # x_i with delta = -a_w (mod a4), so a4 | k*a_w + a_i
+                lo = a3 + 1 if i == a3 or w == a3 else a3
+                fits = _DIVISORS[k * w + i] >> lo << lo & (2 << cap) - 1
+                while fits:
+                    bit = fits & -fits
+                    fits ^= bit
+                    a4 = bit.bit_length() - 1
+                    shapes[a4] = shapes.get(a4, 0) | _REPUNIT[a4] << a4 - w
+        shapes = list(shapes.items())
+        # P4 off X: a4 = m*g with m | k, and delta = g*t with t prime to m
+        for m, p in _FACTORS[k]:
+            for g in gs:
+                if m * g > top:
+                    break
+                if m * g >= a3:
+                    shapes.append((m * g, _REPUNIT[g] & ~_REPUNIT[p * g]))
+        # the deltas of the index window: a4 <= top keeps its hi >= 0, and lo <= hi + 1
+        for a4, deltas in shapes:
+            rest = s3 - (k - 2) * a4
+            fits = deltas & (2 << (rest - imin) // (k - 1)) - (1 << max(0, -((imax - rest) // (k - 1))))
+            while fits:
+                bit = fits & -fits
+                fits ^= bit
+                a5 = a4 + bit.bit_length() - 1
+                yield a4, a5, k * a5
 
 
 def _terminal_vertices(a: tuple[int, ...], d: int) -> bool:
@@ -291,34 +307,18 @@ def _terminal_edges(a: tuple[int, ...], d: int) -> bool:
     )
 
 
-def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[int, ...], int]]:
+def _candidates(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each (weights, d) with a1 in [lo, hi) that the generator's conditions
-    allow, exactly once: a3 <= 24 and a5 <= 24 when P5 lies on X (Kawamata),
-    every vertex covered, every three weights coprime, and every vertex and
-    edge point on X terminal by the terminal lemma.  No accepted family fails
-    one of them, so the candidates are a superset of the accepted families,
-    and each passes the first five stages of ``membership.rejection``; the
-    chain alone decides acceptance."""
-    max_w, max_d = bounds.max_weight, bounds.max_degree
-    max_sum = max_d + INDEX_RANGE[1]
-    # bit m of divisors[n] is set iff m <= max_w divides n; _top_pairs reads n <= min(max_d, 5 * max_w)
-    divisors = [0] * (min(max_d, 5 * max_w) + 1)
-    for m in range(1, max_w + 1):
-        for n in range(0, len(divisors), m):
-            divisors[n] |= 1 << m
-    max_w3 = min(max_w, MAX_POINT_INDEX)  # a3 <= 24: module docstring
+    (module docstring) allow, once: a superset of the accepted families, each
+    passing the first five stages of ``membership.rejection``."""
     for a1 in range(lo, hi):
-        for a2 in range(a1, max_w3 + 1):
-            if a1 + 4 * a2 > max_sum:
-                break
+        for a2 in range(a1, MAX_POINT_INDEX + 1):
             g12 = gcd(a1, a2)
-            for a3 in range(a2, max_w3 + 1):
-                if a1 + a2 + 3 * a3 > max_sum:
-                    break
+            for a3 in range(a2, MAX_POINT_INDEX + 1):
                 if gcd(g12, a3) > 1:
                     continue
                 pairs, product = g12 * gcd(a1, a3) * gcd(a2, a3), a1 * a2 * a3
-                for a4, a5, d in _top_pairs(a1, a2, a3, bounds, divisors):
+                for a4, a5, d in _top_pairs(a1, a2, a3):
                     # the a3, a2 and a1 vertices: a_i | d - e for an e in 0
                     # and the other weights (d > a5, so d - e > 0)
                     if d % a3 and (d - a1) % a3 and (d - a2) % a3 and (d - a4) % a3 and (d - a5) % a3:
@@ -338,12 +338,12 @@ def _candidates(lo: int, hi: int, bounds: SearchBounds) -> Iterator[tuple[tuple[
 
 
 def _search_chunk(args: tuple[int, int, SearchBounds]) -> list[tuple[tuple[int, ...], int]]:
-    """All accepted (weights, d) with a1 in [lo, hi)."""
+    """All accepted (weights, d) in bounds with a1 in [lo, hi)."""
     lo, hi, bounds = args
     return [
         (a, d)
-        for a, d in _candidates(lo, hi, bounds)
-        if rejection(a, d, terminal_general) is None
+        for a, d in _candidates(lo, hi)
+        if a[4] <= bounds.max_weight and d <= bounds.max_degree and rejection(a, d, terminal_general) is None
     ]
 
 
@@ -360,7 +360,7 @@ def classify(bounds: SearchBounds | None = None, jobs: int = 1) -> list[FamilyRe
     process per task and per CPU (the pool forks all its workers at once).
     """
     bounds = bounds or SearchBounds()
-    top = min(bounds.max_weight, MAX_POINT_INDEX, (bounds.max_degree + INDEX_RANGE[1]) // 5) + 1
+    top = min(bounds.max_weight, MAX_POINT_INDEX) + 1  # a1 <= a3 <= 24 and a1 <= a5
     workers = min(jobs, top - 1, os.cpu_count() or 1)
     if workers <= 1:
         raw = _search_chunk((1, top, bounds))

@@ -32,10 +32,8 @@ CATALOG_ENV = "WFANO_CATALOG"
 
 #: the most monomials ``monomials`` and ``autgroup --septuple`` will enumerate
 MAX_MONOMIALS = 50_000
-#: the largest --max-weight of ``classify`` and ``report``: with a3, and a5
-#: when P5 lies on X, capped at 24 (``catalog.MAX_POINT_INDEX``), the search
-#: hardly grows with the box (with --max-degree 5 * max_weight, 0.3 s at 80,
-#: 0.3-0.5 s at 160 and 0.4-0.6 s at 200 in a fresh process, 2-vCPU host)
+#: the largest --max-weight of ``classify`` and ``report``: the search reads
+#: no box, so this no longer bounds its work; it stays as its refusal is pinned
 MAX_SEARCH_WEIGHT = 200
 #: the most digits of a ``stabilizer`` point: its literal's digits, with a
 #: decimal exponent counted by its value (1e1000000 would build a

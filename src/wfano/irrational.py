@@ -96,7 +96,9 @@ def decide(record: FamilyRecord) -> IrrationalityVerdict:
     """The main verdict: d(X) as a value or value set, with justification.
 
     Index >= 2: {1, 2}.  Index 1: {2} except on the eight exceptional
-    families, where the general member has d(X) = 3.
+    families, where the general member has d(X) = 3.  Index 1 and d < 3*a5
+    give top-variable degree 2: d - a5 = a1 + a2 + a3 + a4 - 1 > a4, so
+    vertex coverage puts w^2 * x_j or w^2 in the support.
     """
     ws = record.ws
     if not record.membership.accepted:
@@ -134,7 +136,7 @@ def decide(record: FamilyRecord) -> IrrationalityVerdict:
         return IrrationalityVerdict(
             values=frozenset({3}), general_only=True, justification=chain
         )
-    if d < 3 * a[4] and top_variable_degree(ws) == 2:
+    if d < 3 * a[4]:
         route = _rule("projection-two-to-one")
     elif normal_form:
         route = _rule("cubic-normal-form-two-to-one")

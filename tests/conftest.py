@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 
 from wfano.catalog import SearchBounds, classify
@@ -31,6 +32,53 @@ def box_pairs(bounds, index_range):
             d = sum(a) - index
             if 2 <= d <= bounds.max_degree:
                 yield a, d
+
+
+def covered_box_pairs(bounds, index_range):
+    """Every (weights, d) of a search box, with index in the window, that is
+    no linear cone and covers every vertex: for each i some monomial x_i^m or
+    x_i^m * x_j has degree d.  The sorted weight tuples are numpy columns,
+    built a1 by a1 one weight at a time, and each index is one pass over
+    them."""
+    max_w, max_d = bounds.max_weight, bounds.max_degree
+    imin, imax = index_range
+    pairs = []
+    for a1 in range(1, max_w + 1):
+        # rows a1, ..., a5 of the sorted tuples with sum(a) <= max_d + imax;
+        # each new weight runs from the last one up to max_w
+        a = np.array([[a1]])
+        for free in (4, 3, 2, 1):
+            last = a[-1]
+            counts = max_w + 1 - last
+            rows = np.repeat(np.arange(len(last)), counts)
+            new = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts) + last[rows]
+            # the weights still free are at least new
+            fits = a[:, rows].sum(axis=0) + free * new <= max_d + imax
+            a = np.vstack([a[:, rows[fits]], new[fits]])
+        if not a.shape[1]:
+            break
+        total, a5 = a.sum(axis=0), a[4]
+        low = a[:4] % a5
+        r = (total - imin) % a5  # d mod a5 at the current index
+        for index in range(imin, imax + 1):
+            d = total - index
+            # the a5 vertex on every tuple: a5 | d - e for an e in 0, a1, ..., a4
+            # (d - e >= a5 once d is no weight)
+            keep = (d >= 1) & (d <= max_d) & (d != a5) & (
+                (r == 0) | (r == low[0]) | (r == low[1]) | (r == low[2]) | (r == low[3])
+            )
+            b, d = a[:, keep], d[keep]
+            for i in (3, 2, 1, 0):
+                rem = d % b[i]
+                keep = (rem == 0) & (d != b[i])
+                for j in range(5):
+                    if j != i:
+                        keep |= (rem == b[j] % b[i]) & (d >= b[i] + b[j])
+                b, d = b[:, keep], d[keep]
+            pairs.extend(zip(map(tuple, b.T.tolist()), d.tolist()))
+            r -= 1
+            r[r < 0] += a5[r < 0]
+    return pairs
 
 
 def covers(a, d, i):

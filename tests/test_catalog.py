@@ -28,7 +28,7 @@ from wfano.singular import (
 )
 from wfano.wspace import WeightSystem, count_monomials, wps_well_formed
 
-from conftest import box_pairs, covered, covers, reid_tai_terminal
+from conftest import box_pairs, covered, covered_box_pairs, covers, reid_tai_terminal
 
 
 @pytest.fixture(scope="module")
@@ -194,44 +194,61 @@ def _edge_lemma(a, d, i, j):
     return q == 1 or all(gcd(w, q) == 1 for w in wts) and q in {x + y for x, y in combinations(wts, 2)}
 
 
-def _p4p5_edge(a, d):
-    """False iff a4 = a5 = n divides d and n is neither 1 nor the sum of two
-    of a1, a2, a3: X meets the edge P4P5 in d/n points of type 1/n(a1, a2,
-    a3), and these fail the terminal lemma (whose coprimality part is left
-    to coprime threes)."""
-    n = a[4]
-    return a[3] != n or d % n != 0 or n in {1, a[0] + a[1], a[0] + a[2], a[1] + a[2]}
+def _sums_to(r, residues):
+    """Two of the residues mod r sum to r: the sum part of the terminal lemma
+    for a point of index r (a residue 0 never takes part)."""
+    return r in {x % r + y % r for x, y in combinations(residues, 2)}
 
 
-def generator_failure(a, d):
-    """The first condition of the search generator that (a, d) fails, or None.
+def _p4_lemma(a, d):
+    """P5 is on X, or the sum part of the terminal lemma holds where the P4
+    lemma reads it: at P4 when P4 lies on X (a point of index a4, with the
+    type of ``_partner_type``, so P4 must be covered); else on the edge P4P5,
+    which X meets off its vertices in points of type 1/g(a1, a2, a3), g =
+    gcd(a4, a5) (``test_p4p5_edge_meets_x``)."""
+    a4, a5 = a[3], a[4]
+    if d % a5:
+        return True
+    if d % a4:
+        return _sums_to(a4, _partner_type(a, d, 3))
+    g = gcd(a4, a5)
+    return g == 1 or _sums_to(g, a[:3])
 
-    In the generator's order: a3 <= 24 (the Kawamata bound, see
-    ``test_kawamata_caps_a3``), the a5 vertex (d = k*a5 + c, and no linear
-    cone), a5 <= 24 when P5 lies on X (c > 0; a point of index a5), the
-    terminal lemma at P5, the terminal lemma on the edge P4P5 when a4 = a5
-    divides d, the a4, a3, a2 and a1 vertices, every three weights coprime,
-    the terminal lemma at every vertex and on every edge."""
-    if a[2] > 24:
-        return "Kawamata a3"
-    if not (d > a[4] and covers(a, d, 4)):
-        return "a5 vertex"
-    if d % a[4] and a[4] > 24:
-        return "Kawamata P5"
-    if not _terminal_lemma(a, d):
-        return "P5 lemma"
-    if not _p4p5_edge(a, d):
-        return "P4P5 edge"
-    for i, name in ((3, "a4 vertex"), (2, "a3 vertex"), (1, "a2 vertex"), (0, "a1 vertex")):
-        if not covers(a, d, i):
-            return name
-    if any(gcd(*t) > 1 for t in combinations(a, 3)):
-        return "coprime threes"
-    if not all(_vertex_lemma(a, d, i) for i in range(5)):
-        return "terminal vertices"
-    if not all(_edge_lemma(a, d, i, j) for i, j in combinations(range(5), 2)):
-        return "terminal edges"
-    return None
+
+#: the search generator's conditions in its order, each a name and a test
+#: that (a, d) passes it; a test may assume the ones before it hold, except
+#: those of BOUNDS
+CONDITIONS = (
+    ("Kawamata a3", lambda a, d: a[2] <= 24),  # see test_kawamata_caps_a3
+    ("Suzuki index", lambda a, d: sum(a) - d <= 19),
+    # d = k*a5 + c, and no linear cone
+    ("a5 vertex", lambda a, d: d > a[4] and covers(a, d, 4)),
+    # P5 on X (c > 0) is a point of index a5
+    ("Kawamata P5", lambda a, d: d % a[4] == 0 or a[4] <= 24),
+    ("P5 lemma", lambda a, d: _terminal_lemma(a, d)),
+    ("a4 vertex", lambda a, d: covers(a, d, 3)),
+    # P5 off X: P4 on X is a point of index a4, and P4 off X gives points
+    # of index gcd(a4, a5) on P4P5
+    ("Kawamata P4", lambda a, d: d % a[4] or d % a[3] == 0 or a[3] <= 24),
+    ("Kawamata P4P5", lambda a, d: d % a[4] or d % a[3] or gcd(a[3], a[4]) <= 24),
+    ("P4 lemma", lambda a, d: _p4_lemma(a, d)),
+    ("a3 vertex", lambda a, d: covers(a, d, 2)),
+    ("a2 vertex", lambda a, d: covers(a, d, 1)),
+    ("a1 vertex", lambda a, d: covers(a, d, 0)),
+    ("coprime threes", lambda a, d: all(gcd(*t) == 1 for t in combinations(a, 3))),
+    ("terminal vertices", lambda a, d: all(_vertex_lemma(a, d, i) for i in range(5))),
+    ("terminal edges", lambda a, d: all(_edge_lemma(a, d, i, j) for i, j in combinations(range(5), 2))),
+)
+
+#: the conditions that only the terminal lemma, the Kawamata bound or
+#: Suzuki's index bound give, before the vertices
+BOUNDS = ("Kawamata a3", "Suzuki index", "Kawamata P5", "P5 lemma", "Kawamata P4", "Kawamata P4P5", "P4 lemma")
+
+
+def generator_failure(a, d, skipping=()):
+    """The first condition of CONDITIONS, other than those named in
+    skipping, that (a, d) fails, or None."""
+    return next((name for name, passes in CONDITIONS if name not in skipping and not passes(a, d)), None)
 
 
 def _brute_force(bounds, index_range):
@@ -273,14 +290,23 @@ def _edge_may_be_terminal(a, d, i, j):
     return q == 1 or all(gcd(w, q) == 1 for w in wts) and reid_tai_terminal(QuotientSingularity(q, tuple(sorted(wts))))
 
 
-def _without(monkeypatch, bounds, *conditions):
-    """The generator's pairs with the named conditions of TERMINAL_POINTS
-    switched off."""
-    for name in conditions:
-        monkeypatch.setattr(catalog, TERMINAL_POINTS[name], lambda a, d: True)
-    pairs = list(_candidates(1, bounds.max_weight + 1, bounds))
-    monkeypatch.undo()
+@pytest.fixture(scope="module")
+def generated():
+    """The generator's pairs, with no box, keyed by the conditions of
+    TERMINAL_POINTS switched off: none, the last, or both."""
+    pairs = {}
+    for off in ((), ("terminal edges",), tuple(TERMINAL_POINTS)):
+        with pytest.MonkeyPatch.context() as mp:
+            for name in off:
+                mp.setattr(catalog, TERMINAL_POINTS[name], lambda a, d: True)
+            pairs[off] = list(_candidates(1, catalog.MAX_POINT_INDEX + 1))
     return pairs
+
+
+def _in_box(pairs, bounds, index_range):
+    """The pairs with a5 and d in bounds and index in the window."""
+    imin, imax = index_range
+    return [(a, d) for a, d in pairs if a[4] <= bounds.max_weight and d <= bounds.max_degree and imin <= sum(a) - d <= imax]
 
 
 @pytest.mark.parametrize(
@@ -289,18 +315,15 @@ def _without(monkeypatch, bounds, *conditions):
         (SearchBounds(max_weight=7, max_degree=21), INDEX_RANGE, 66),
         (SearchBounds(max_weight=10, max_degree=26), (2, 4), 14),
         (SearchBounds(max_weight=13, max_degree=30), (1, 6), 91),
-        # max_degree > 5 * max_weight: the divisor table is cut at 5 * max_weight
-        (SearchBounds(max_weight=6, max_degree=40), INDEX_RANGE, 47),
+        # no d past 5 * a5, and indices past Suzuki's 19
+        (SearchBounds(max_weight=6, max_degree=40), (1, 30), 47),
     ],
     ids=["default-index-range", "index-2-to-4", "index-1-to-6", "degree-past-five-weights"],
 )
-def test_constraint_search_matches_brute_force(monkeypatch, bounds, index_range, count):
-    # the search always walks INDEX_RANGE; a box with a narrower index window
-    # compares the generator's pairs of those indices
-    def in_window(a, d):
-        return index_range[0] <= sum(a) - d <= index_range[1]
-
-    candidates = [p for p in _candidates(1, bounds.max_weight + 1, bounds) if in_window(*p)]
+def test_constraint_search_matches_brute_force(generated, bounds, index_range, count):
+    # the generator walks no box; within each box and index window its
+    # pairs are those of the brute-force walk
+    candidates = _in_box(generated[()], bounds, index_range)
     failures, covered_pairs, kept = _brute_force(bounds, index_range)
     # each candidate once, and exactly the pairs that fail no generator condition
     assert len(candidates) == len(set(candidates)) == count
@@ -308,8 +331,12 @@ def test_constraint_search_matches_brute_force(monkeypatch, bounds, index_range,
     # without its last condition, or its last two, exactly the pairs that
     # fail no other one
     for off in (("terminal edges",), tuple(TERMINAL_POINTS)):
-        earlier = [p for p in _without(monkeypatch, bounds, *off) if in_window(*p)]
+        earlier = _in_box(generated[off], bounds, index_range)
         assert set(earlier) == {p for p, f in failures.items() if f is None or f in off}
+    # the chain rejects every pair that a bound drops
+    for (a, d), f in failures.items():
+        if f in BOUNDS:
+            assert rejection(a, d, terminal_general) is not None, (a, d, f)
     # past the vertices, coprime threes is the rule that X is well-formed and
     # three weights with a common factor carry exactly one degree-d monomial
     for (a, d), f in failures.items():
@@ -327,8 +354,10 @@ def test_constraint_search_matches_brute_force(monkeypatch, bounds, index_range,
         for i, j in combinations(range(5), 2):
             if _edge_may_be_terminal(a, d, i, j):
                 assert _edge_lemma(a, d, i, j), (a, d, i, j)
-                assert (i, j) != (3, 4) or _p4p5_edge(a, d), (a, d)
-    found = {(r.ws.weights, r.ws.degree) for r in classify(bounds) if in_window(r.ws.weights, r.ws.degree)}
+        # with P5 off X, the P4 lemma reads P4 when it lies on X, else P4P5
+        if d % a[4] == 0 and (_vertex_may_be_terminal(a, d, 3) if d % a[3] else _edge_may_be_terminal(a, d, 3, 4)):
+            assert _p4_lemma(a, d), (a, d)
+    found = set(_in_box([(r.ws.weights, r.ws.degree) for r in classify(bounds)], bounds, index_range))
     assert found == kept
     # the short-circuit terminality agrees with the full basket wherever the
     # chain reaches it, quasismooth or not
@@ -352,12 +381,11 @@ def test_constraint_search_matches_brute_force(monkeypatch, bounds, index_range,
     assert reached > len(earlier)
 
 
-def test_generator_funnel_at_default_bounds(default_catalog):
+def test_generator_funnel_at_default_bounds(generated, default_catalog):
     # the generator tests the chain's first five stages itself: every
     # candidate reaches terminality (a terminality test that rejects
     # everything stops the chain there), and the candidates are the records
-    bounds = SearchBounds()
-    candidates = list(_candidates(1, bounds.max_weight + 1, bounds))
+    candidates = generated[()]
     assert len(set(candidates)) == len(candidates) == 130
     reasons = {rejection(a, d, lambda ws: False) for a, d in candidates}
     assert reasons == {"terminality"}
@@ -365,13 +393,14 @@ def test_generator_funnel_at_default_bounds(default_catalog):
     assert set(candidates) == {(r.ws.weights, r.ws.degree) for r in records}
 
 
-def test_p5_on_x_takes_two_shapes(monkeypatch):
+def test_p5_on_x_takes_two_shapes(generated):
     # with P5 on X and its lemma met, d = k*a5 + c with c > 0 has index at
-    # most (3-k)*a5 (``_top_pairs``), so the generator visits only k <= 2
-    # there, even with an index window reaching below 1
-    monkeypatch.setattr(catalog, "INDEX_RANGE", (-40, 15))
-    bounds = SearchBounds(max_weight=10, max_degree=40)
-    shapes = {(d // a[4], d % a[4] > 0) for a, d in _candidates(1, bounds.max_weight + 1, bounds)}
+    # most (3-k)*a5 (``_top_pairs``), here on a box walked down to index -40;
+    # so the generator visits only k <= 2 there
+    for a, d in box_pairs(SearchBounds(max_weight=9, max_degree=40), (-40, 15)):
+        if d % a[4] and d > a[4] and covers(a, d, 4) and _terminal_lemma(a, d):
+            assert sum(a) - d <= (3 - d // a[4]) * a[4], (a, d)
+    shapes = {(d // a[4], d % a[4] > 0) for a, d in generated[tuple(TERMINAL_POINTS)]}
     assert shapes == {(2, False), (3, False), (4, False), (1, True), (2, True)}
 
 
@@ -386,32 +415,49 @@ def test_terminal_edges_against_the_edge_lemma():
     assert catalog._terminal_edges((1, 1, 1, 3, 6), 3) and not catalog._terminal_edges((1, 1, 1, 3, 6), 6)
 
 
-def test_vertex_condition_drops_only_terminality_rejects(monkeypatch, default_catalog):
-    # the terminal lemma at every vertex and on every edge drops 1,943 of the
-    # 2,073 pairs that the other conditions allow (1,877 at a vertex, 66 more
-    # on an edge), the Kawamata caps drop 348 more of the 2,421 pairs allowed
-    # without them, and the chain rejects each at terminality
-    bounds = SearchBounds()
-    earlier = _without(monkeypatch, bounds, *TERMINAL_POINTS)
-    dropped = set(earlier) - set(_candidates(1, bounds.max_weight + 1, bounds))
-    assert (len(earlier), len(dropped)) == (2_073, 1_943)
-    reasons = Counter(generator_failure(a, d) for a, d in dropped)
-    assert reasons == {"terminal vertices": 1_877, "terminal edges": 66}
-    monkeypatch.setattr(catalog, "MAX_POINT_INDEX", bounds.max_weight)
-    capped = set(_without(monkeypatch, bounds, *TERMINAL_POINTS)) - set(earlier)
-    assert len(capped) == 348
-    reasons = Counter(generator_failure(a, d) for a, d in capped)
-    assert reasons == {"Kawamata P5": 195, "Kawamata a3": 153}
-    for a, d in dropped | capped:
+def test_vertex_condition_drops_only_terminality_rejects(generated, default_catalog):
+    # the terminal lemma at every vertex and on every edge drops 1,007 of the
+    # 1,137 pairs that the other conditions allow (953 at a vertex, 54 more
+    # on an edge), and the chain rejects each at terminality; no pair the
+    # generator yields fails another condition
+    earlier = generated[tuple(TERMINAL_POINTS)]
+    dropped = set(earlier) - set(generated[()])
+    assert (len(earlier), len(dropped)) == (1_137, 1_007)
+    reasons = Counter(generator_failure(a, d) for a, d in earlier)
+    assert reasons == {None: 130, "terminal vertices": 953, "terminal edges": 54}
+    for a, d in dropped:
         assert rejection(a, d, terminal_general) == "terminality", (a, d)
     # and every record of the catalog passes every generator condition
     records, _ = default_catalog
     assert all(generator_failure(r.ws.weights, r.ws.degree) is None for r in records)
 
 
+def test_bounds_drop_only_terminality_rejects(generated):
+    # on every covered pair of the box (26, 78) with index 1..24, each bound
+    # passed by at least 2: without the terminal lemma the generator yields
+    # exactly the pairs that fail no other condition, and each pair that a
+    # bound of BOUNDS drops, and no other condition but the terminal lemma
+    # would, is rejected by the chain at terminality
+    bounds, index_range = SearchBounds(max_weight=26, max_degree=78), (1, 24)
+    dropped, kept = Counter(), set()
+    for a, d in covered_box_pairs(bounds, index_range):
+        f = generator_failure(a, d)
+        if f is None or f in TERMINAL_POINTS:
+            kept.add((a, d))
+        elif f in BOUNDS and f != "P5 lemma" and generator_failure(a, d, BOUNDS) in (None, *TERMINAL_POINTS):
+            dropped[f] += 1
+            assert rejection(a, d, terminal_general) == "terminality", (a, d, f)
+    assert set(_in_box(generated[tuple(TERMINAL_POINTS)], bounds, index_range)) == kept
+    assert dropped == {
+        "Kawamata a3": 16, "Suzuki index": 3_368, "Kawamata P5": 2_329, "Kawamata P4": 15,
+        "Kawamata P4P5": 38, "P4 lemma": 904,
+    }
+
+
 def test_kawamata_caps_the_point_index():
     # a terminal point of index r adds r - 1/r to a basket whose sum stays
-    # below 24, so one point of index 25 breaks it
+    # below 24, so one point of index 25 breaks it: the cap of a3, of a5 and
+    # a4 at a vertex on X, and of gcd(a4, a5) on the edge P4P5
     assert catalog.MAX_POINT_INDEX == max(r for r in range(1, 100) if r - Fraction(1, r) < 24) == 24
 
 
@@ -427,37 +473,105 @@ def test_kawamata_caps_a3():
                 assert 3 * n * h + m * g <= (k - 1) * g * h, (k, m, n, g, h)
 
 
-def test_kawamata_caps_the_generator(monkeypatch):
-    # at the CLI cap no triple past a3 = 24 is visited, and no pair with P5
-    # on X (c > 0) has a5 > 24
-    triples, top_pairs = set(), catalog._top_pairs
+def test_kawamata_caps_the_generator(generated):
+    # each top pair (a4, a5, d) of each triple a1 <= a2 <= a3 <= 24 with no
+    # common factor comes once and meets every condition on a5 and a4 (those
+    # of CONDITIONS before the a3 vertex); the top pairs reach a5 = 24 with
+    # P5 on X, a4 = 24 with P4 on X and P5 off X, gcd(a4, a5) = 24 with both
+    # off X, and index 19 (Suzuki)
+    top = catalog.MAX_POINT_INDEX
+    triples = [t for t in combinations_with_replacement(range(1, top + 1), 3) if gcd(*t) == 1]
+    tops = [((*t, a4, a5), d) for t in triples for a4, a5, d in catalog._top_pairs(*t)]
+    assert len(set(tops)) == len(tops) == 25_877
+    later = ("a3 vertex", "a2 vertex", "a1 vertex", "coprime threes", *TERMINAL_POINTS)
+    assert all(generator_failure(a, d, later) is None for a, d in tops)
+    assert max(a[4] for a, d in tops if d % a[4]) == 24
+    assert max(a[3] for a, d in tops if d % a[4] == 0 and d % a[3]) == 24
+    assert max(gcd(a[3], a[4]) for a, d in tops if d % a[4] == 0 and d % a[3] == 0) == 24
+    assert max(sum(a) - d for a, d in tops) == INDEX_RANGE[1] == 19
+    # and the walk visits no a3 past 24: without the terminal lemma a3 reaches 23
+    assert max(a[2] for a, _ in generated[tuple(TERMINAL_POINTS)]) == 23
 
-    def spying(a1, a2, a3, bounds, divisors):
-        triples.add((a1, a2, a3))
-        for a4, a5, d in top_pairs(a1, a2, a3, bounds, divisors):
-            assert d % a5 == 0 or a5 <= 24, (a1, a2, a3, a4, a5, d)
-            yield a4, a5, d
 
-    monkeypatch.setattr(catalog, "_top_pairs", spying)
-    bounds = SearchBounds(max_weight=200, max_degree=1000)
-    assert len(list(_candidates(1, bounds.max_weight + 1, bounds))) == 130
-    assert max(a3 for _, _, a3 in triples) == 24
+def test_p4_lemma_on_x():
+    # the last step of the P4 lemma with P4 on X (module docstring), for every
+    # a1 <= a2 <= a3 <= a4 <= 16, k and delta mod a4: P4 is covered and its
+    # type passes the lemma's sum exactly when k*delta = a_i (mod a4), a_i <
+    # a4, and a4 = a_j + a_l or a4 | k*a_w + a_i with delta = -a_w, w in j, l;
+    # or a4 | (k-1)*delta and a4 is a sum of two of a1, a2, a3
+    for *low, a4 in combinations_with_replacement(range(1, 17), 4):
+        a1, a2, a3 = low
+        for k, delta in product((2, 3, 4), range(a4)):
+            a, d = (a1, a2, a3, a4, a4 + delta), k * (a4 + delta)
+            if d % a4 == 0:
+                continue
+            lemma = covers(a, d, 3) and _sums_to(a4, _partner_type(a, d, 3))
+            routes = (a4 in (a1 + a2, a1 + a3, a2 + a3) and (k - 1) * delta % a4 == 0) or any(
+                i < a4 and (k * delta - i) % a4 == 0 and (
+                    a4 == j + l or any(w < a4 and (k * w + i) % a4 == 0 and (delta + w) % a4 == 0 for w in (j, l))
+                )
+                for i, j, l in ((a1, a2, a3), (a2, a1, a3), (a3, a1, a2))
+            )
+            assert lemma == routes, (a, d)
+
+
+def test_p4_lemma_off_x():
+    # the last steps of the P4 lemma with P4 off X: a4 | k*delta exactly when
+    # a4 = m*g with g = gcd(a4, delta), m | k and delta/g prime to m; and
+    # for m = 1, g = a4 >= a3 passes the lemma's sum exactly when it is a sum
+    # of two of a1, a2, a3
+    for k, a4, delta in product((2, 3, 4), range(1, 97), range(72)):
+        g = gcd(a4, delta)
+        assert (k * delta % a4 == 0) == (k % (a4 // g) == 0 and gcd(delta // g, a4 // g) == 1), (k, a4, delta)
+    for a in combinations_with_replacement(range(1, 25), 3):
+        for g in range(a[2], 49):
+            assert _sums_to(g, a) == (g in (a[0] + a[1], a[0] + a[2], a[1] + a[2])), (a, g)
+
+
+def test_p4p5_edge_meets_x():
+    # P5 and P4 off X: with a4 = m*g, a5 = n*g, gcd(m, n) = 1 and m | k, the
+    # edge carries the k/m + 1 >= 2 monomials x4^(n*i) * x5^(k - m*i) of
+    # degree d = k*a5, so X meets it off its vertices, in points of index g
+    for k in (2, 3, 4):
+        for m, g, t in product([m for m in range(1, k + 1) if k % m == 0], range(1, 31), range(12)):
+            if gcd(m, t) == 1 and (t or m == 1):
+                a4, a5 = m * g, (m + t) * g
+                assert count_monomials((a4, a5), k * a5) == k // m + 1 >= 2, (k, m, g, t)
+
+
+def test_generator_tables():
+    # each table against its definition, over every delta the index window
+    # can reach: (k-1)*delta <= s3 - 1 < 3*24
+    width = 3 * catalog.MAX_POINT_INDEX
+    deltas = range(width)
+    for n, bits in enumerate(catalog._DIVISORS):
+        assert [m for m in range(1, 25) if bits >> m & 1] == [m for m in range(1, 25) if n % m == 0]
+    for n in range(1, width + 1):
+        assert [t for t in deltas if catalog._REPUNIT[n] >> t & 1] == [t for t in deltas if t % n == 0]
+    for k, a4 in product(range(1, 5), range(1, 25)):
+        for b, bits in enumerate(catalog._SOLVE[k][a4]):
+            assert [t for t in deltas if bits >> t & 1] == [t for t in deltas if (k * t - b) % a4 == 0]
+    for k, factors in catalog._FACTORS.items():
+        assert [m for m, _ in factors] == [m for m in range(1, k + 1) if k % m == 0]
+        for (m, p), g in product(factors, range(1, 25)):
+            bits = catalog._REPUNIT[g] & ~catalog._REPUNIT[p * g]
+            assert [t for t in deltas if bits >> t & 1] == [t for t in deltas if t % g == 0 and gcd(t // g, m) == 1]
 
 
 def test_degree_bound_past_five_weights_changes_nothing():
     # d < 5 * a5 <= 50 for weights up to 10, so a degree bound of 10^6 finds
-    # the (10, 50) catalog, with a divisor table of 5 * max_weight entries
+    # the (10, 50) catalog
     wide = classify(SearchBounds(max_weight=10, max_degree=10**6))
     assert catalog_json(wide) == catalog_json(classify(SearchBounds(max_weight=10, max_degree=50)))
 
 
 def test_larger_box_finds_the_default_catalog(monkeypatch, default_catalog):
-    # at the CLI cap (200, 1000) the generator yields exactly the records,
-    # once each, and they are the default catalog's
+    # the walk reads no box: at the CLI cap (200, 1000) it yields exactly the
+    # records, once each, and they are the default catalog's
     yielded, generate = [], catalog._candidates
 
-    def recording(lo, hi, bounds):
-        for pair in generate(lo, hi, bounds):
+    def recording(lo, hi):
+        for pair in generate(lo, hi):
             yielded.append(pair)
             yield pair
 

@@ -151,3 +151,16 @@ def test_top_variable_degree_on_seed_zero_members(default_catalog):
         "aut-trivial-smooth-quartic": 1,
     }
     assert higher == {1: 16, 2: 18, 3: 1}
+
+
+def test_index_one_below_three_a5_has_top_degree_two():
+    # the lemma behind decide's index-1 route: every weight tuple up to 12 at
+    # index 1 with d < 3*a5 that passes the membership predicates has w^2 *
+    # x_j or w^2 and no w^3
+    seen = 0
+    for a in combinations_with_replacement(range(1, 13), 5):
+        d = sum(a) - 1
+        if a[4] < d < 3 * a[4] and rejection(a, d) is None:
+            assert top_variable_degree(WeightSystem(a, d)) == 2, a
+            seen += 1
+    assert seen

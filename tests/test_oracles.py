@@ -10,12 +10,13 @@ the singularity analysis that changes a family or its basket shows here.
 from fractions import Fraction
 from math import prod
 
-import numpy as np
 import pytest
 
-from wfano.catalog import INDEX_RANGE, SearchBounds, _candidates
+from wfano.catalog import INDEX_RANGE, MAX_POINT_INDEX, SearchBounds, _candidates
 from wfano.membership import rejection
 from wfano.singular import terminal_general
+
+from conftest import covered_box_pairs
 
 
 def hilbert_series(weights, degree, top):
@@ -75,63 +76,16 @@ def test_kawamata_bound(default_catalog):
         assert total < 24, record.septuple
 
 
-def default_box_pairs():
-    """Every (weights, d) of the default search box, with index in
-    ``INDEX_RANGE``, that is no linear cone and covers every vertex: for each
-    i some monomial x_i^m or x_i^m * x_j has degree d.  The sorted weight
-    tuples are numpy columns, built a1 by a1 one weight at a time, and each
-    index is one pass over them."""
-    bounds = SearchBounds()
-    max_w, max_d = bounds.max_weight, bounds.max_degree
-    imin, imax = INDEX_RANGE
-    pairs = []
-    for a1 in range(1, max_w + 1):
-        # rows a1, ..., a5 of the sorted tuples with sum(a) <= max_d + imax;
-        # each new weight runs from the last one up to max_w
-        a = np.array([[a1]])
-        for free in (4, 3, 2, 1):
-            last = a[-1]
-            counts = max_w + 1 - last
-            rows = np.repeat(np.arange(len(last)), counts)
-            new = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts) + last[rows]
-            # the weights still free are at least new
-            fits = a[:, rows].sum(axis=0) + free * new <= max_d + imax
-            a = np.vstack([a[:, rows[fits]], new[fits]])
-        if not a.shape[1]:
-            break
-        total, a5 = a.sum(axis=0), a[4]
-        low = a[:4] % a5
-        r = (total - imin) % a5  # d mod a5 at the current index
-        for index in range(imin, imax + 1):
-            d = total - index
-            # the a5 vertex on every tuple: a5 | d - e for an e in 0, a1, ..., a4
-            # (d - e >= a5 once d is no weight)
-            keep = (d >= 1) & (d <= max_d) & (d != a5) & (
-                (r == 0) | (r == low[0]) | (r == low[1]) | (r == low[2]) | (r == low[3])
-            )
-            b, d = a[:, keep], d[keep]
-            for i in (3, 2, 1, 0):
-                rem = d % b[i]
-                keep = (rem == 0) & (d != b[i])
-                for j in range(5):
-                    if j != i:
-                        keep |= (rem == b[j] % b[i]) & (d >= b[i] + b[j])
-                b, d = b[:, keep], d[keep]
-            pairs.extend(zip(map(tuple, b.T.tolist()), d.tolist()))
-            r -= 1
-            r[r < 0] += a5[r < 0]
-    return pairs
-
-
 @pytest.mark.slow
 def test_whole_default_box(default_catalog):
     # the predicate chain accepts exactly the catalog's pairs among all
-    # 123,187 covered pairs of the box, and the generator yields none outside
-    # them: about 3 s (a 2-vCPU host), 1.1 s of it for the walk
-    pairs = default_box_pairs()
-    assert len(pairs) == len(set(pairs)) == 123_187
+    # 159,071 covered pairs of the default box with index in INDEX_RANGE, so
+    # it rejects each pair that a bound of the generator drops there, and the
+    # generator, which reads no box, yields none outside them: about 4.3 s
+    # (a 2-vCPU host), 1.9 s of it for the walk
+    pairs = covered_box_pairs(SearchBounds(), INDEX_RANGE)
+    assert len(pairs) == len(set(pairs)) == 159_071
     catalog, _ = default_catalog
     accepted = {(a, d) for a, d in pairs if rejection(a, d, terminal_general) is None}
     assert accepted == {(r.ws.weights, r.ws.degree) for r in catalog}
-    bounds = SearchBounds()
-    assert set(_candidates(1, bounds.max_weight + 1, bounds)) <= set(pairs)
+    assert set(_candidates(1, MAX_POINT_INDEX + 1)) <= set(pairs)
