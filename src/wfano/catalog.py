@@ -216,8 +216,7 @@ def _top_pairs(a1: int, a2: int, a3: int) -> Iterator[tuple[int, int, int]]:
                     fits ^= bit
                     a4 = bit.bit_length() - 1
                     yield a4, a4 + delta, k * (a4 + delta) + c
-            # a5 = x + y fixes d, and the index s3 + a4 - c - (k-1)*a5 fixes
-            # a4; a4 = y or x is delta = x or y above
+            # a5 = x + y: the index s3 + a4 - c - (k-1)*a5 bounds a4; a4 = y or x is delta = x or y
             a5 = x + y
             d, rest = k * a5 + c, s3 - c - (k - 1) * a5
             lo, hi = max(lo4, imin - rest), min(a5, imax - rest)
@@ -353,14 +352,15 @@ def _order(ws: WeightSystem) -> tuple:
 
 
 def classify(bounds: SearchBounds | None = None, jobs: int = 1) -> list[FamilyRecord]:
-    """Septuples within bounds passing all predicates, as full records.
+    """The accepted families with a5 <= max_weight and d <= max_degree, as
+    full records: the box filters the search's candidates before the chain.
 
     Output is sorted by (index, degree, weights) and is identical for any
     ``jobs`` value; ``jobs > 1`` maps one task per a1 across at most one
     process per task and per CPU (the pool forks all its workers at once).
     """
     bounds = bounds or SearchBounds()
-    top = min(bounds.max_weight, MAX_POINT_INDEX) + 1  # a1 <= a3 <= 24 and a1 <= a5
+    top = min(bounds.max_weight, MAX_POINT_INDEX) + 1  # a1 <= a3 <= 24, and a1 <= a5 filters whole tasks
     workers = min(jobs, top - 1, os.cpu_count() or 1)
     if workers <= 1:
         raw = _search_chunk((1, top, bounds))
