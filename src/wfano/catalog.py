@@ -253,12 +253,12 @@ def _top_pairs(a1: int, a2: int, a3: int) -> Iterator[tuple[int, int, int]]:
             break
         solve, below, cap = _SOLVE[k], _SOLVE[k - 1], min(top, MAX_POINT_INDEX)
         # P4 on X, a4 <= 24: the deltas of each a4, by the partner x_j of P4
-        shapes: dict[int, int] = {}
+        on: dict[int, int] = {}
         for i, j, l in ((a1, a2, a3), (a2, a1, a3), (a3, a1, a2)):
             a4 = j + l
             if a3 <= a4 <= cap:
                 # x5 (a4 | (k-1)*delta, a4 not | k*delta), or x_i with a4 = a_j + a_l
-                shapes[a4] = shapes.get(a4, 0) | below[a4][0] & ~solve[a4][0] | (solve[a4][i] if i < a4 else 0)
+                on[a4] = on.get(a4, 0) | below[a4][0] & ~solve[a4][0] | (solve[a4][i] if i < a4 else 0)
             for w in (j, l):
                 # x_i with delta = -a_w (mod a4), so a4 | k*a_w + a_i
                 lo = a3 + 1 if i == a3 or w == a3 else a3
@@ -267,8 +267,8 @@ def _top_pairs(a1: int, a2: int, a3: int) -> Iterator[tuple[int, int, int]]:
                     bit = fits & -fits
                     fits ^= bit
                     a4 = bit.bit_length() - 1
-                    shapes[a4] = shapes.get(a4, 0) | _REPUNIT[a4] << a4 - w
-        shapes = list(shapes.items())
+                    on[a4] = on.get(a4, 0) | _REPUNIT[a4] << a4 - w
+        shapes = list(on.items())
         # P4 off X: a4 = m*g with m | k, and delta = g*t with t prime to m
         for m, p in _FACTORS[k]:
             for g in gs:

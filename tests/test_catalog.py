@@ -225,13 +225,13 @@ CONDITIONS = (
     ("a5 vertex", lambda a, d: d > a[4] and covers(a, d, 4)),
     # P5 on X (c > 0) is a point of index a5
     ("Kawamata P5", lambda a, d: d % a[4] == 0 or a[4] <= 24),
-    ("P5 lemma", lambda a, d: _terminal_lemma(a, d)),
+    ("P5 lemma", _terminal_lemma),
     ("a4 vertex", lambda a, d: covers(a, d, 3)),
     # P5 off X: P4 on X is a point of index a4, and P4 off X gives points
     # of index gcd(a4, a5) on P4P5
     ("Kawamata P4", lambda a, d: d % a[4] or d % a[3] == 0 or a[3] <= 24),
     ("Kawamata P4P5", lambda a, d: d % a[4] or d % a[3] or gcd(a[3], a[4]) <= 24),
-    ("P4 lemma", lambda a, d: _p4_lemma(a, d)),
+    ("P4 lemma", _p4_lemma),
     ("a3 vertex", lambda a, d: covers(a, d, 2)),
     ("a2 vertex", lambda a, d: covers(a, d, 1)),
     ("a1 vertex", lambda a, d: covers(a, d, 0)),
