@@ -225,9 +225,11 @@ ROW_BLOCK = 64
 PRODUCT_SIZE = 64**3
 #: most columns of a matrix that ``rank_mod_p`` eliminates whole instead of in
 #: panels: its cost is then the number of numpy calls per pivot, not
-#: arithmetic, and whole elimination makes the fewest (against 64-column
-#: panels: 0.85-0.9 of their time on Macaulay and dense matrices of 61-80
-#: columns, level at 87-96, behind from about 110; 2-vCPU host)
+#: arithmetic, and whole elimination makes the fewest, six per pivot against
+#: about 20 per column in panels.  At nine calls per pivot it took 0.85-0.9
+#: of the 64-column panels' time on Macaulay and dense matrices of 61-80
+#: columns, level at 87-96, behind from about 110 (2-vCPU host).  21 of the
+#: 29 Macaulay matrices of the ``member`` benchmark have at most 96 columns
 WHOLE_COLUMNS = 96
 
 
@@ -349,29 +351,33 @@ def _eliminate_whole(a, p: int) -> int:
     entry collects at most one product below (p-1)^2 per column, which
     ``rank_mod_p``'s bound covers.  ``np.remainder`` reduces them in one call
     where ``mod`` makes four: it is fmod, exact, plus p when the sign is
-    wrong, exact for integers below 2^52.
+    wrong, exact for integers below 2^52.  The rows below are searched for a
+    pivot only when the diagonal entry is zero, and the multipliers, already
+    reduced, are scaled by the pivot's inverse and reduced again, which keeps
+    the pivot row to one reduction: six numpy calls per pivot.
     """
     import numpy as np
 
     rows, cols = a.shape
     rank = 0
     for c in range(cols):
+        if rank == rows:
+            break
         column = a[rank:, c]
         np.remainder(column, p, out=column)
-        nonzero = np.flatnonzero(column)
-        if nonzero.size == 0:
-            continue
-        pivot = rank + int(nonzero[0])
-        if pivot != rank:
+        if not column[0]:
+            nonzero = np.flatnonzero(column)
+            if nonzero.size == 0:
+                continue
+            pivot = rank + int(nonzero[0])
             a[[rank, pivot], c:] = a[[pivot, rank], c:]
         head = a[rank, c + 1 :]
         np.remainder(head, p, out=head)
-        head *= pow(int(a[rank, c]), -1, p)
-        np.remainder(head, p, out=head)
-        a[rank + 1 :, c + 1 :] -= np.outer(a[rank + 1 :, c], head)
+        multipliers = column[1:]
+        multipliers *= pow(int(column[0]), -1, p)
+        np.remainder(multipliers, p, out=multipliers)
+        a[rank + 1 :, c + 1 :] -= multipliers[:, None] * head
         rank += 1
-        if rank == rows:
-            break
     return rank
 
 
@@ -389,36 +395,37 @@ MAX_ROOT_COEFF_BITS = 40
 BinaryForm = Sequence[Fraction | int]
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _primitive_part(p: list[int]) -> list[int]:
+    """p over its content, with a positive lead (p nonzero, lead nonzero)."""
+    content = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return [c // content for c in p]
 
 
-def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """The remainder of a divided by b (trimmed; b has a nonzero lead)."""
-    a = a[:]
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        k = len(a) - len(b)
-        c = a[-1] / b[-1]
-        for i, bc in enumerate(b):
-            a[i + k] -= c * bc
-        a.pop()
-    return _poly_trim(a)
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive gcd, lead positive, of two nonzero integer polynomials (dense,
+    ascending, nonzero leads): their gcd over Q up to a rational factor.
 
-
-def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd of two univariate rational polynomials (dense, ascending)."""
-    pa, pb = _poly_trim(list(a)), _poly_trim(list(b))
-    while pb:
-        pa, pb = pb, _poly_rem(pa, pb)
-    if pa:
-        lead = pa[-1]
-        pa = [c / lead for c in pa]
-    return pa
+    Primitive pseudo-remainder sequence (Brown 1971): each remainder of
+    lead(b)^k * a by b is an integer polynomial, and its primitive part
+    keeps the gcd over Q while the coefficients stay small.  Each division
+    step scales by lead(b) / g and subtracts (lead(r) / g) times a shift of
+    b, g = gcd(lead(b), lead(r)): an integer multiple of the pseudo-remainder.
+    """
+    a, b = _primitive_part(list(a)), _primitive_part(list(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r, lead = a, b[-1]
+        while len(r) >= len(b):
+            g = gcd(lead, r[-1])
+            s, t, k = lead // g, r[-1] // g, len(r) - len(b)
+            r = [s * c for c in r[:k]] + [s * c - t * d for c, d in zip(r[k:-1], b)]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return b
+        a, b = b, _primitive_part(r)
+    return [1]
 
 
 def common_interior_degree(forms: Sequence[BinaryForm]) -> int:
@@ -427,12 +434,16 @@ def common_interior_degree(forms: Sequence[BinaryForm]) -> int:
     It is positive exactly when the forms share a root off the two coordinate
     points [1:0] and [0:1], over the algebraic closure.  A form's core drops
     its zero end coefficients: the leading ones are its v-power factor, which
-    vanishes at [1:0], the trailing ones its u-power factor, at [0:1].
+    vanishes at [1:0], the trailing ones its u-power factor, at [0:1].  The
+    core is taken over the common denominator of its Fraction entries, so
+    ``poly_gcd`` sees integers.
     """
-    g: list[Fraction] = []
+    g: list[int] = []
     for b in forms:
-        lo = next(i for i, c in enumerate(b) if c)
-        core = _poly_trim([Fraction(c) for c in b[lo:]])
+        nonzero = [i for i, c in enumerate(b) if c]
+        core = b[nonzero[0] : nonzero[-1] + 1]
+        den = lcm(*(c.denominator for c in core))
+        core = [c.numerator * (den // c.denominator) for c in core]
         g = poly_gcd(g, core) if g else core
         if len(g) <= 1:
             return 0

@@ -897,10 +897,12 @@ MACAULAY_PRIMES = (32003, 31991, 32009)
 #: dense float64 square (128 MiB at the limit); a member whose candidate
 #: degrees cover three variables only with a larger one gets "indeterminate"
 MAX_MACAULAY_COLUMNS = 4096
-#: random rows of the Macaulay matrix added to the chosen square, for the
-#: columns a chosen row could not cover or a choice that is singular
+#: random rows of the Macaulay matrix added to the chosen rows when a column
+#: has no chosen row or the chosen square is singular; a nonsingular square
+#: needs none
 EXTRA_ROWS = 8
-#: products summed by one bincount while the random rows are built (2 MiB per temporary)
+#: products summed by one bincount while those random rows are built (2 MiB
+#: per temporary)
 MIX_ENTRIES = 1 << 18
 
 
@@ -926,12 +928,14 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
     tie.  If no subset fits, the verdict is "indeterminate" at once.
 
     The rank is taken modulo a prime, of Macaulay's choice of one row of A
-    per column plus a few seeded random combinations of A's rows
+    per column, and only if that square leaves a column without a row or is
+    singular, of those rows plus a few seeded random combinations of A's rows
     (``_macaulay_rank``): all lie in A's row space, and a nonzero minor mod p
     is nonzero over the integers, so their full rank mod p is a proof.  A
     degree that stays deficient at every prime of MACAULAY_PRIMES proves
     nothing: the verdict is then "indeterminate", never "quasismooth", and
-    its certificate ends with that degree.
+    its certificate ends with that degree.  The edge gcds are exact over Q
+    (``common_interior_degree``, on integer coefficients).
     """
     from itertools import combinations
 
@@ -1005,7 +1009,8 @@ def _check_edge(partials: list[GradedPolynomial], pair: tuple[int, int]) -> Memb
 
 def _macaulay_rank(partials: list[GradedPolynomial], k: int, p: int) -> int:
     """Rank mod p of chosen rows of A, the degree-k Macaulay matrix of the
-    integer partials: one row per column, plus EXTRA_ROWS random ones.
+    integer partials: one row per column, then, if needed, EXTRA_ROWS random
+    ones.
 
     The choice is Macaulay's (1902; Lazard 1983).  Each variable x_i gets a
     pure power x_i^e that is a term, nonzero mod p, of a partial d_j f that
@@ -1014,9 +1019,16 @@ def _macaulay_rank(partials: list[GradedPolynomial], k: int, p: int) -> int:
     power, each column m still without a row that x_i^e divides gets the row
     (m / x_i^e) * d_j f at m's own index, so the coefficient of x_i^e sits on
     the diagonal; rows of distinct partials, or of distinct quotients, are
-    distinct.  The columns left without a row, and EXTRA_ROWS more, take
-    seeded random combinations of all rows of A.  Every row lies in A's row
-    space, so full rank mod p still proves that A has full rank.
+    distinct.
+
+    When every column has a row, the n x n square of them is ranked alone, and
+    full rank ends the check with no random row drawn.  Otherwise, a column
+    left without a row or a singular square, an (n + EXTRA_ROWS) x n matrix
+    is built afresh, since ``rank_mod_p`` eliminated the square in place: the
+    chosen rows again, and in the free slots and the EXTRA_ROWS more, seeded
+    random combinations of all rows of A; its rank is returned.  Every row
+    lies in A's row space, so full rank mod p still proves that A has full
+    rank.
     """
     import numpy as np
 
@@ -1046,7 +1058,7 @@ def _macaulay_rank(partials: list[GradedPolynomial], k: int, p: int) -> int:
         raise ValueError(f"Macaulay matrix of {rows} rows is past exact float64")
 
     options = [[(pure[i], s) for s, (*_, pure) in enumerate(row_sets) if i in pure] for i in range(NVARS)]
-    matrix = np.zeros((n + EXTRA_ROWS, n))
+    chosen = []  # (row indices, column indices, values) of the chosen rows
     free = np.ones(n, dtype=bool)
     used = set()
     for i in sorted(range(NVARS), key=lambda i: len(options[i])):
@@ -1058,9 +1070,21 @@ def _macaulay_rank(partials: list[GradedPolynomial], k: int, p: int) -> int:
         term_keys, values, _, _ = row_sets[s]
         owners = np.flatnonzero(free & (columns[:, i] >= e))
         quotients = column_keys[owners] - e * place[i]
-        matrix[owners[:, None], np.searchsorted(column_keys, quotients[:, None] + term_keys)] = values
+        chosen.append((owners[:, None], np.searchsorted(column_keys, quotients[:, None] + term_keys), values))
         free[owners] = False
 
+    def with_chosen_rows(shape) -> "np.ndarray":
+        matrix = np.zeros(shape)
+        for owners, cols, values in chosen:
+            matrix[owners, cols] = values
+        return matrix
+
+    if not free.any():
+        # exactly n x n: ranking a view of the larger matrix raised peak RSS
+        if rank_mod_p(with_chosen_rows((n, n)), p) == n:
+            return n
+    # rank_mod_p eliminated the square in place, so the rows are written again
+    matrix = with_chosen_rows((n + EXTRA_ROWS, n))
     # the random rows, summed exactly in float64 (the row check above bounds them)
     spare = np.concatenate([np.flatnonzero(free), np.arange(n, n + EXTRA_ROWS)])
     offsets = np.arange(len(spare))[:, None, None] * n

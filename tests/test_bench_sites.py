@@ -68,3 +68,24 @@ def test_certificate_reaches_the_traced_reduce_sites(monkeypatch):
     # the tracer reads the coefficient sizes off the reduced polynomial's terms
     bits = [max(c.numerator.bit_length(), c.denominator.bit_length()) for g, _ in results for c in g.terms.values()]
     assert bits and max(bits) > 0
+
+
+def test_member_check_reaches_the_traced_gcd_site(monkeypatch):
+    # the traced member run reports exactmath.poly_gcd_calls and _s from this
+    # wrapped name; edge checks that stopped calling it through wfano.exactmath
+    # would read 0 there silently
+    from wfano import exactmath, symalg
+    from wfano.wspace import weight_system
+
+    assert ("wfano.exactmath", "poly_gcd", "exactmath.poly_gcd") in traced_sites()
+    calls = []
+    poly_gcd = exactmath.poly_gcd
+
+    def counting(a, b):
+        calls.append(1)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(exactmath, "poly_gcd", counting)
+    f = symalg.sample_general_member(weight_system(3, 4, 5, 6, 7, 12), seed=0)
+    assert symalg.quasismooth_member(f).status == "quasismooth"
+    assert calls

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -14,13 +16,20 @@ from wfano.exactmath import (
     common_interior_degree,
     mat_det,
     mat_mul,
+    poly_gcd,
     rank_mod_p,
     rational_roots,
     smith_normal_form,
     triple_matrix,
     univariate_rational_roots,
 )
-from wfano.symalg import reference_support
+from wfano.symalg import partial_derivative, reference_support, sample_general_member, slice_numerators
+
+from conftest import scaled
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def from_roots(roots, lead=1):
@@ -183,6 +192,124 @@ def test_common_interior_degree():
     assert common_interior_degree([[0, 0, 1], [0, 1, 0, 0]]) == 0
     # every two of three forms share a root, all three none
     assert common_interior_degree([from_roots((1, 2)), from_roots((2, 3)), from_roots((1, 3))]) == 0
+
+
+def fraction_poly_rem(a, b):
+    """The remainder of a divided by b over Q (trimmed; b has a nonzero lead)."""
+    a = a[:]
+    while len(a) >= len(b) and any(a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        k = len(a) - len(b)
+        c = a[-1] / b[-1]
+        for i, bc in enumerate(b):
+            a[i + k] -= c * bc
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def fraction_poly_gcd(a, b):
+    """Monic gcd over Q by Euclid on Fractions: the oracle of ``poly_gcd``."""
+    pa, pb = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while pb:
+        pa, pb = pb, fraction_poly_rem(pa, pb)
+    return [c / pa[-1] for c in pa]
+
+
+def core(form):
+    """A binary form without its zero end coefficients."""
+    nonzero = [i for i, c in enumerate(form) if c]
+    return list(form[nonzero[0] : nonzero[-1] + 1])
+
+
+def reference_common_interior_degree(forms):
+    """``common_interior_degree`` by the Fraction Euclid, core by core."""
+    g = []
+    for b in forms:
+        g = fraction_poly_gcd(g, core(b)) if g else core(b)
+        if len(g) <= 1:
+            return 0
+    return len(g) - 1
+
+
+def assert_gcd_matches_the_oracle(a, b):
+    g = poly_gcd(a, b)
+    assert g[-1] > 0 and gcd(*g) == 1 and all(isinstance(c, int) for c in g)
+    assert [Fraction(c, g[-1]) for c in g] == fraction_poly_gcd(a, b)
+
+
+def test_poly_gcd_against_the_fraction_euclid():
+    # binary forms with planted common factors (rational roots, repeated
+    # roots, quadratics that are often irreducible) and Fraction or integer
+    # entries; each form is also padded with zero ends for
+    # common_interior_degree, which must cut them off
+    rng = random.Random(37)
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def factor():
+        if rng.random() < 0.3:
+            return [rng.randint(1, 9), rng.randint(-5, 5), rng.randint(1, 9)]
+        root = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 6))
+        return from_roots((root,), lead=rng.randint(1, 7))
+
+    for case in range(400):
+        shared = [1]
+        for _ in range(rng.randint(0, 3)):
+            shared = mul(shared, factor())
+        forms = []
+        for _ in range(rng.randint(2, 4)):
+            f = shared
+            for _ in range(rng.randint(0, 3)):
+                f = mul(f, factor())
+            scale = rng.choice([-3, -1, 1, 2, Fraction(1, 5)])
+            f = [c * scale for c in f]
+            if case % 2:
+                den = lcm_of_denominators(f)
+                f = [int(c * den) for c in f]
+            forms.append(f)
+        degree = reference_common_interior_degree(forms)
+        assert degree >= len(shared) - 1
+        padded = [[0] * rng.randint(0, 2) + f + [0] * rng.randint(0, 2) for f in forms]
+        assert common_interior_degree(padded) == degree
+        integer = [[int(c * lcm_of_denominators(f)) for c in f] for f in forms]
+        for a, b in combinations(integer, 2):
+            assert_gcd_matches_the_oracle(a, b)
+            assert_gcd_matches_the_oracle(b, a)
+    # constants, and a gcd that is one of the inputs
+    assert poly_gcd([6], [2, 4]) == poly_gcd([2, 4], [-3]) == [1]
+    assert poly_gcd([-2, 0, 2], [3, -3]) == [-1, 1]
+    assert poly_gcd([4, 0, -4], [6, 6]) == [1, 1]
+
+
+def edge_forms(f):
+    """The nonzero slices, on each coordinate edge, of the partials of f's
+    primitive integer multiple: the forms ``quasismooth_member`` checks."""
+    primitive = scaled(f, Fraction(f.den, gcd(*f.num.values())))
+    partials = [partial_derivative(primitive, k) for k in range(5)]
+    for pair in combinations(range(5), 2):
+        yield [form for g in partials if any(form := slice_numerators(g, pair))]
+
+
+def test_poly_gcd_on_the_member_edges(default_catalog):
+    # every edge of the 26 benchmark members and of the seed-0 catalog members
+    records, _ = default_catalog
+    members = [f for _, _, f in workloads.member_inputs(quick=False)]
+    members += [sample_general_member(r.ws, seed=0) for r in records]
+    assert len(members) == 156
+    edges = [forms for f in members for forms in edge_forms(f)]
+    assert len(edges) == 1560 and all(len(forms) >= 2 for forms in edges)
+    for forms in edges:
+        assert common_interior_degree(forms) == reference_common_interior_degree(forms)
+        assert_gcd_matches_the_oracle(core(forms[0]), core(forms[1]))
 
 
 def test_rational_roots_rejects_zero_and_empty_forms():
@@ -420,6 +547,24 @@ def test_rank_mod_p_sparse_needs_row_swaps():
     for n, m, density in [(100, 90, 0.04), (90, 100, 0.02), (70, 70, 0.08)]:
         matrix = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(m)] for _ in range(n)]
         assert rank_mod_p(matrix, p) == reference_rank_mod_p(matrix, p)
+
+
+def test_whole_elimination_swaps_rows_and_keeps_multipliers_exact():
+    # at most WHOLE_COLUMNS columns, so rank_mod_p eliminates whole; a zero
+    # diagonal entry in column 0 makes it search the rows below and swap.
+    # The low rank shows a wrong multiplier as a rank too high, and 5931641,
+    # the largest prime one panel allows, leaves no room for a multiplier
+    # above p: its product with a residue would pass 2^53
+    assert exactmath.WHOLE_COLUMNS >= 64
+    for p in (32003, 5931641):
+        rng = random.Random(p)
+        for n, m, r in [(40, 40, 30), (64, 64, 50), (70, 30, 20), (20, 64, 12)]:
+            matrix = random_rank_matrix(rng, n, m, r, p)
+            matrix[0][0] = 0
+            matrix[1:] = rng.sample(matrix[1:], n - 1)
+            rank = reference_rank_mod_p(matrix, p)
+            assert r <= rank <= r + 1
+            assert rank_mod_p(matrix, p) == rank
 
 
 def test_rank_mod_p_zero_columns():

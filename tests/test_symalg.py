@@ -658,7 +658,7 @@ def test_quasismooth_member_deficient_at_every_prime_is_indeterminate():
     assert check.prime == MACAULAY_PRIMES[-1]
 
 
-def test_quasismooth_member_off_axis_singular_point_is_indeterminate():
+def test_quasismooth_member_off_axis_singular_point_is_indeterminate(rank_spy):
     # (x^2 - x*y)^2 + (y^2 - y*z)^2 + (z^2 - z*x)^2 + t^4 + w^4 is singular at
     # [1:1:1:0:0], on no coordinate axis or edge: the exact checks pass it and
     # no degree can have full rank
@@ -674,6 +674,9 @@ def test_quasismooth_member_off_axis_singular_point_is_indeterminate():
     assert verdict.witness is None
     # pins a rank-deficient elimination of 1365 columns, in 64-column panels
     assert verdict.checks == (MacaulayCheck(degree=11, columns=1365, rank=1356, prime=32009),)
+    # every column has a chosen row, and at each prime the square is deficient:
+    # the random rows then join a matrix built again, not the eliminated square
+    assert rank_spy == [(1365, 1365), ("rng", 0), (1373, 1365)] * len(MACAULAY_PRIMES)
 
 
 def test_quasismooth_member_builds_no_terms_view(monkeypatch):
@@ -741,23 +744,56 @@ def test_quasismooth_member_family_19():
     assert all(c.rank == c.columns for c in verdict.checks)
 
 
-def test_quasismooth_member_fills_uncovered_columns_with_random_rows(monkeypatch):
+@pytest.fixture
+def rank_spy(monkeypatch):
+    """In call order, the shape of each matrix that ``_macaulay_rank`` ranks
+    and ("rng", seed) for each random generator it makes."""
+    import numpy as np
+
+    calls = []
+    generator = np.random.default_rng
+
+    def spy(matrix, p):
+        calls.append(matrix.shape)
+        return rank_mod_p(matrix, p)
+
+    def default_rng(seed):
+        calls.append(("rng", seed))
+        return generator(seed)
+
+    monkeypatch.setattr(symalg, "rank_mod_p", spy)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return calls
+
+
+def test_macaulay_rank_of_a_covered_nonsingular_square(rank_spy):
+    # every column has a chosen row and the square is nonsingular: one n x n
+    # rank, and no random row is drawn
+    verdict = quasismooth_member(sample_general_member(weight_system(1, 2, 3, 4, 5, 10), seed=1))
+    assert verdict.checks == (MacaulayCheck(degree=24, columns=333, rank=333, prime=32003),)
+    assert rank_spy == [(333, 333)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_quasismooth_member_fills_uncovered_columns_with_random_rows(monkeypatch, rank_spy, seed):
     # no chosen pure power divides 9 of the columns at degree 30; only the
-    # random combinations of A's rows in those slots make the rank full
-    uncovered = []
+    # random combinations of A's rows in those slots make the rank full.  With
+    # a column uncovered the square is skipped: one (n + EXTRA_ROWS) x n rank
+    ranked = []
 
     def spy(matrix, p):
         n = matrix.shape[1]
         # chosen rows hold coefficients mod p, random rows unreduced sums
-        uncovered.append(int((matrix[:n] >= p).any(axis=1).sum()))
+        ranked.append((matrix.shape, int((matrix[:n] >= p).any(axis=1).sum())))
         return rank_mod_p(matrix, p)
 
     monkeypatch.setattr(symalg, "rank_mod_p", spy)
-    verdict = quasismooth_member(sample_general_member(weight_system(2, 3, 4, 5, 7, 14), seed=1))
+    verdict = quasismooth_member(sample_general_member(weight_system(2, 3, 4, 5, 7, 14), seed=seed))
     assert verdict.status == "quasismooth"
     assert [(c.degree, c.columns) for c in verdict.checks] == [(30, 130)]
     assert all(c.rank == c.columns and c.prime == 32003 for c in verdict.checks)
-    assert uncovered == [9]
+    assert ranked == [((138, 130), 9)]
+    assert rank_spy == [("rng", 0)]
 
 
 def candidate_degrees(ws):
