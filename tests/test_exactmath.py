@@ -238,7 +238,9 @@ def reference_common_interior_degree(forms):
 def assert_gcd_matches_the_oracle(a, b):
     g = poly_gcd(a, b)
     assert g[-1] > 0 and gcd(*g) == 1 and all(isinstance(c, int) for c in g)
-    assert [Fraction(c, g[-1]) for c in g] == fraction_poly_gcd(a, b)
+    oracle = fraction_poly_gcd(a, b)
+    assert [Fraction(c, g[-1]) for c in g] == oracle
+    return oracle
 
 
 def test_poly_gcd_against_the_fraction_euclid():
@@ -308,8 +310,15 @@ def test_poly_gcd_on_the_member_edges(default_catalog):
     edges = [forms for f in members for forms in edge_forms(f)]
     assert len(edges) == 1560 and all(len(forms) >= 2 for forms in edges)
     for forms in edges:
-        assert common_interior_degree(forms) == reference_common_interior_degree(forms)
-        assert_gcd_matches_the_oracle(core(forms[0]), core(forms[1]))
+        # the oracle's fold, as reference_common_interior_degree makes it,
+        # checking the first gcd on the way
+        first, second, *rest = map(core, forms)
+        oracle = assert_gcd_matches_the_oracle(first, second)
+        for c in rest:
+            if len(oracle) <= 1:
+                break
+            oracle = fraction_poly_gcd(oracle, c)
+        assert common_interior_degree(forms) == len(oracle) - 1
 
 
 def test_rational_roots_rejects_zero_and_empty_forms():
