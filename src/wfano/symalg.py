@@ -1080,7 +1080,7 @@ def _macaulay_rank(partials: list[GradedPolynomial], k: int, p: int) -> int:
         return matrix
 
     if not free.any():
-        # exactly n x n: ranking a view of the larger matrix raised peak RSS
+        # exactly n x n, so that the square allocates only what it ranks
         if rank_mod_p(with_chosen_rows((n, n)), p) == n:
             return n
     # rank_mod_p eliminated the square in place, so the rows are written again
