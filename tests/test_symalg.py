@@ -658,6 +658,28 @@ def test_quasismooth_member_deficient_at_every_prime_is_indeterminate():
     assert check.prime == MACAULAY_PRIMES[-1]
 
 
+@pytest.fixture
+def rank_spy(monkeypatch):
+    """In call order, the shape of each matrix that ``_macaulay_rank`` ranks
+    and ("rng", seed) for each random generator it makes."""
+    import numpy as np
+
+    calls = []
+    generator = np.random.default_rng
+
+    def spy(matrix, p):
+        calls.append(matrix.shape)
+        return rank_mod_p(matrix, p)
+
+    def default_rng(seed):
+        calls.append(("rng", seed))
+        return generator(seed)
+
+    monkeypatch.setattr(symalg, "rank_mod_p", spy)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return calls
+
+
 def test_quasismooth_member_off_axis_singular_point_is_indeterminate(rank_spy):
     # (x^2 - x*y)^2 + (y^2 - y*z)^2 + (z^2 - z*x)^2 + t^4 + w^4 is singular at
     # [1:1:1:0:0], on no coordinate axis or edge: the exact checks pass it and
@@ -742,28 +764,6 @@ def test_quasismooth_member_family_19():
     # 36 is a multiple of every weight of P(1,2,3,3,4), so degree 35 is skipped
     assert [(c.degree, c.columns) for c in verdict.checks] == [(36, 1870)]
     assert all(c.rank == c.columns for c in verdict.checks)
-
-
-@pytest.fixture
-def rank_spy(monkeypatch):
-    """In call order, the shape of each matrix that ``_macaulay_rank`` ranks
-    and ("rng", seed) for each random generator it makes."""
-    import numpy as np
-
-    calls = []
-    generator = np.random.default_rng
-
-    def spy(matrix, p):
-        calls.append(matrix.shape)
-        return rank_mod_p(matrix, p)
-
-    def default_rng(seed):
-        calls.append(("rng", seed))
-        return generator(seed)
-
-    monkeypatch.setattr(symalg, "rank_mod_p", spy)
-    monkeypatch.setattr(np.random, "default_rng", default_rng)
-    return calls
 
 
 def test_macaulay_rank_of_a_covered_nonsingular_square(rank_spy):
