@@ -2,12 +2,13 @@
 
 Everything here is exact: arbitrary-precision integers, ``fractions.Fraction``
 for rationals, Smith normal form over the integers with its right transform,
-common and rational roots of binary forms, and ranks over F_p.  The
-genericity and quasismoothness decisions downstream depend on these answers
-being exact.
-The one use of floating point is ``rank_mod_p``, whose float64 values are
-integers below 2^52 in absolute value, all represented exactly; numpy is
-imported there, not at module level, so ``import wfano`` does not load it.
+common and rational roots of binary forms, ranks over F_p, and the block
+triangular form of a square with a zero-free diagonal.  The genericity and
+quasismoothness decisions downstream depend on these answers being exact.
+The one use of floating point is ``rank_mod_p`` and the blocks that
+``diagonal_blocks`` builds for it, whose float64 values are integers below
+2^52 in absolute value, all represented exactly; numpy is imported there,
+not at module level, so ``import wfano`` does not load it.
 """
 
 from __future__ import annotations
@@ -379,6 +380,104 @@ def _eliminate_whole(a, p: int) -> int:
         a[rank + 1 :, c + 1 :] -= multipliers[:, None] * head
         rank += 1
     return rank
+
+
+def strong_components(successors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of the digraph on 0..n-1 with an edge
+    v -> w for each w in successors[v], in reverse topological order: every
+    edge leads into its own component or an earlier one.
+
+    Tarjan (1972), iterative, in O(n + edges).  A vertex's low starts at its
+    visit number and takes the least low of its tree children and of the
+    vertices still on the stack that it has an edge to; a vertex whose low
+    stays its own number is a root and pops its component, whose vertices
+    then take a low past every visit number, so an edge into a finished
+    component lowers nothing.
+    """
+    n = len(successors)
+    done = n + 1
+    number = [0] * n  # visit numbers from 1; 0: not yet visited
+    low = [0] * n
+    stack: list[int] = []
+    components = []
+    visits = 0
+    for root in range(n):
+        if number[root]:
+            continue
+        visits += 1
+        number[root] = low[root] = visits
+        stack.append(root)
+        path = [(root, iter(successors[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if not number[w]:
+                    visits += 1
+                    number[w] = low[w] = visits
+                    stack.append(w)
+                    path.append((w, iter(successors[w])))
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == number[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(w := stack.pop())
+                        low[w] = done
+                    components.append(sorted(component))
+    return components
+
+
+def diagonal_blocks(n: int, rows, cols, values):
+    """The float64 matrices whose full ranks mod p together say that the
+    n x n matrix with entries values[t] at (rows[t], cols[t]) and a zero-free
+    diagonal is nonsingular mod p; the other entries are zero.
+
+    They are the diagonal blocks of its block triangular form (Duff and Reid
+    1978): the strongly connected components of the graph with an edge
+    r -> c for each entry, in reverse topological order, made the diagonal
+    blocks by one simultaneous permutation of rows and columns, which keeps
+    the determinant (its sign squares away).  Every entry then lies in or
+    below the diagonal blocks, so the determinant is their product, mod p
+    too.  A block of size 1 is a nonzero diagonal entry and is not yielded.
+    A matrix of at most WHOLE_COLUMNS columns is yielded whole: ``rank_mod_p``
+    eliminates it at about one pivot per column, which the decomposition's
+    Python pass would cost.  Blocks are built one at a time, as they are
+    taken.
+    """
+    import numpy as np
+
+    rows, cols, values = (np.asarray(x) for x in (rows, cols, values))
+    if n <= WHOLE_COLUMNS:
+        square = np.zeros((n, n))
+        square[rows, cols] = values
+        yield square
+        return
+    order = np.argsort(rows, kind="stable")
+    targets = cols[order].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    components = strong_components([targets[a:b] for a, b in zip([0] + ends, ends)])
+    sizes = np.array([len(c) for c in components])
+    label = np.empty(n, dtype=np.intp)  # each vertex's component, and its index in it
+    index = np.empty(n, dtype=np.intp)
+    members = np.concatenate(components)
+    label[members] = np.repeat(np.arange(len(components)), sizes)
+    index[members] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    inside = np.flatnonzero(label[rows] == label[cols])  # the entries of the diagonal blocks
+    owner = label[rows[inside]]
+    inside = inside[np.argsort(owner, kind="stable")]  # block by block
+    counts = np.bincount(owner, minlength=len(components))
+    ends = np.cumsum(counts)
+    for size, a, b in zip(sizes.tolist(), (ends - counts).tolist(), ends.tolist()):
+        if size > 1:
+            block = np.zeros((size, size))
+            entries = inside[a:b]
+            block[index[rows[entries]], index[cols[entries]]] = values[entries]
+            yield block
 
 
 # ---------------------------------------------------------------------------

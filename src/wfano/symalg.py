@@ -24,6 +24,7 @@ from .catalog import FAMILY_LABELS
 from .exactmath import (
     EXACT_BOUND,
     common_interior_degree,
+    diagonal_blocks,
     mat_det,
     rank_mod_p,
     rational_roots,  # unused here; perfbench/tracing.py wraps this name
@@ -893,8 +894,8 @@ class MemberVerdict:
 
 #: primes tried in turn for each Macaulay matrix; 64 * (p-1)^2 < 2^52
 MACAULAY_PRIMES = (32003, 31991, 32009)
-#: the most columns a checked Macaulay matrix may have: its chosen rows form a
-#: dense float64 square (128 MiB at the limit); a member whose candidate
+#: the most columns a checked Macaulay matrix may have: its chosen and random
+#: rows form a dense float64 matrix (128 MiB at the limit); a member whose candidate
 #: degrees cover three variables only with a larger one gets "indeterminate"
 MAX_MACAULAY_COLUMNS = 4096
 #: random rows of the Macaulay matrix added to the chosen rows when a column
@@ -931,7 +932,10 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
     per column, and only if that square leaves a column without a row or is
     singular, of those rows plus a few seeded random combinations of A's rows
     (``_macaulay_rank``): all lie in A's row space, and a nonzero minor mod p
-    is nonzero over the integers, so their full rank mod p is a proof.  A
+    is nonzero over the integers, so their full rank mod p is a proof.  The
+    square's diagonal is zero-free, so its determinant is the product of
+    those of the diagonal blocks of its block triangular form, and the square
+    is ranked block by block (``diagonal_blocks``).  A
     degree that stays deficient at every prime of MACAULAY_PRIMES proves
     nothing: the verdict is then "indeterminate", never "quasismooth", and
     its certificate ends with that degree.  The edge gcds are exact over Q
@@ -950,8 +954,11 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
     content = gcd(*f.num.values())
     primitive = GradedPolynomial(f.ws, f.grade, {m: c // content for m, c in f.num.items()}, 1)
     partials = [partial_derivative(primitive, k) for k in range(NVARS)]
+    w, grades = _width(f.ws.degree), {g.grade for g in partials}
     for pair in combinations(range(NVARS), 2):
-        verdict = _check_edge(partials, pair)
+        # the edge's slice keys, once per grade: partials of equal weight share one
+        keys = {d: [_pack(m, w) for m in slice_exponents(f.ws, pair, (0,) * NVARS, d)] for d in grades}
+        verdict = _check_edge(partials, pair, keys)
         if verdict is not None:
             return verdict
 
@@ -993,9 +1000,14 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
     return MemberVerdict(status="quasismooth", sigma=sigma, checks=tuple(checks))
 
 
-def _check_edge(partials: list[GradedPolynomial], pair: tuple[int, int]) -> MemberVerdict | None:
+def _check_edge(
+    partials: list[GradedPolynomial], pair: tuple[int, int], keys: dict[int, list[int]]
+) -> MemberVerdict | None:
+    """"singular" if the partials' slices on the edge (``slice_numerators``,
+    read through the packed ``keys`` of each grade's slice) share a root off
+    its two coordinate points, else None."""
     i, j = pair
-    forms = [form for g in partials if any(form := slice_numerators(g, pair))]
+    forms = [form for g in partials if any(form := tuple(g.num.get(key, 0) for key in keys[g.grade]))]
     # never empty: the axis checks passed, so the partial holding a pure power
     # of x_i has a nonzero slice here
     degree = common_interior_degree(forms)
@@ -1021,14 +1033,22 @@ def _macaulay_rank(partials: list[GradedPolynomial], k: int, p: int) -> int:
     the diagonal; rows of distinct partials, or of distinct quotients, are
     distinct.
 
-    When every column has a row, the n x n square of them is ranked alone, and
-    full rank ends the check with no random row drawn.  Otherwise, a column
-    left without a row or a singular square, an (n + EXTRA_ROWS) x n matrix
-    is built afresh, since ``rank_mod_p`` eliminated the square in place: the
-    chosen rows again, and in the free slots and the EXTRA_ROWS more, seeded
-    random combinations of all rows of A; its rank is returned.  Every row
-    lies in A's row space, so full rank mod p still proves that A has full
-    rank.
+    When every column has a row, the n x n square of them is nonsingular mod
+    p, rank n, iff each diagonal block of its block triangular form is: one
+    simultaneous permutation of rows and columns, which keeps the
+    determinant, orders the strongly connected components of the square's
+    graph (an edge r -> c per entry) so that every entry lies in or below the
+    diagonal blocks, and the determinant is the product of theirs.  The
+    blocks past 1 x 1 (a 1 x 1 block is a nonzero diagonal entry) are built
+    one at a time from the chosen rows, only for a square wider than
+    WHOLE_COLUMNS, and ranked (``diagonal_blocks``); all at full rank end
+    the check with no random row drawn and no n x n matrix built.
+    Otherwise, a column left without a row or a deficient block, an
+    (n + EXTRA_ROWS) x n matrix is built: the chosen rows, and in the free
+    slots and the EXTRA_ROWS more, seeded random combinations of all rows of
+    A, whose multipliers are enumerated only then; its rank is returned.
+    Every row lies in A's row space, so full rank mod p still proves that A
+    has full rank.
     """
     import numpy as np
 
@@ -1044,21 +1064,21 @@ def _macaulay_rank(partials: list[GradedPolynomial], k: int, p: int) -> int:
     columns = exponents(enumerate_monomials(ws, k))
     column_keys = columns @ place  # ascending, as the monomials are
     n = len(column_keys)
-    by_grade = {d: exponents(enumerate_monomials(ws, k - d)) @ place for d in {g.grade for g in partials} if d <= k}
-    row_sets = []  # per partial: term keys, coefficients mod p, multipliers, {i: e} of its pure powers
+    row_sets = []  # per partial: term keys, coefficients mod p, grade, {i: e} of its pure powers
     for g in partials:
         if g.num and g.grade <= k:
             coefficients = [c % p for c in g.num.values()]
             monomials = g.monomials()
             pure = {m.index(e): e for m, c in zip(monomials, coefficients) if c and 0 < (e := max(m)) == sum(m)}
             term_keys = exponents(monomials) @ place
-            row_sets.append((term_keys, np.array(coefficients, dtype=np.float64), by_grade[g.grade], pure))
-    rows = sum(len(multipliers) for _, _, multipliers, _ in row_sets)
+            row_sets.append((term_keys, np.array(coefficients, dtype=np.float64), g.grade, pure))
+    rows = sum(count_monomials(ws.weights, k - grade) for _, _, grade, _ in row_sets)
     if rows * (p - 1) ** 2 >= EXACT_BOUND:
         raise ValueError(f"Macaulay matrix of {rows} rows is past exact float64")
 
     options = [[(pure[i], s) for s, (*_, pure) in enumerate(row_sets) if i in pure] for i in range(NVARS)]
-    chosen = []  # (row indices, column indices, values) of the chosen rows
+    empty = np.empty(0, dtype=np.intp)
+    chosen = [(empty, empty, np.empty(0))]  # (rows, columns, values) of the chosen rows' entries
     free = np.ones(n, dtype=bool)
     used = set()
     for i in sorted(range(NVARS), key=lambda i: len(options[i])):
@@ -1070,27 +1090,25 @@ def _macaulay_rank(partials: list[GradedPolynomial], k: int, p: int) -> int:
         term_keys, values, _, _ = row_sets[s]
         owners = np.flatnonzero(free & (columns[:, i] >= e))
         quotients = column_keys[owners] - e * place[i]
-        chosen.append((owners[:, None], np.searchsorted(column_keys, quotients[:, None] + term_keys), values))
+        cols = np.searchsorted(column_keys, quotients[:, None] + term_keys)
+        chosen.append((np.repeat(owners, len(term_keys)), cols.ravel(), np.tile(values, len(owners))))
         free[owners] = False
-
-    def with_chosen_rows(shape) -> "np.ndarray":
-        matrix = np.zeros(shape)
-        for owners, cols, values in chosen:
-            matrix[owners, cols] = values
-        return matrix
+    chosen_rows, chosen_cols, chosen_values = (np.concatenate(part) for part in zip(*chosen))
 
     if not free.any():
-        # exactly n x n, so that the square allocates only what it ranks
-        if rank_mod_p(with_chosen_rows((n, n)), p) == n:
+        blocks = diagonal_blocks(n, chosen_rows, chosen_cols, chosen_values)
+        if all(rank_mod_p(block, p) == len(block) for block in blocks):
             return n
-    # rank_mod_p eliminated the square in place, so the rows are written again
-    matrix = with_chosen_rows((n + EXTRA_ROWS, n))
+    matrix = np.zeros((n + EXTRA_ROWS, n))
+    matrix[chosen_rows, chosen_cols] = chosen_values
     # the random rows, summed exactly in float64 (the row check above bounds them)
     spare = np.concatenate([np.flatnonzero(free), np.arange(n, n + EXTRA_ROWS)])
     offsets = np.arange(len(spare))[:, None, None] * n
     mixed = np.zeros(len(spare) * n)
     rng = np.random.default_rng(0)  # fixed, so the certificate repeats
-    for term_keys, values, multipliers, _ in row_sets:
+    by_grade = {d: exponents(enumerate_monomials(ws, k - d)) @ place for d in {grade for _, _, grade, _ in row_sets}}
+    for term_keys, values, grade, _ in row_sets:
+        multipliers = by_grade[grade]
         step = max(1, MIX_ENTRIES // (len(spare) * len(term_keys)))
         for chunk in np.split(multipliers, range(step, len(multipliers), step)):
             cols = np.searchsorted(column_keys, chunk[:, None] + term_keys)

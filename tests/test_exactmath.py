@@ -678,3 +678,151 @@ def test_rank_mod_p_refuses_inexact_input():
     assert rank_mod_p([[1]], 5931641) == 1
     with pytest.raises(ValueError, match="past exact float64"):
         rank_mod_p([[float(1 << 53)]], 32003)
+
+
+def mutual_reachability(successors):
+    """The strongly connected components as sets, by a search from every vertex."""
+    reach = []
+    for v in range(len(successors)):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in successors[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    return {frozenset(w for w in reach[v] if v in reach[w]) for v in range(len(successors))}
+
+
+def random_digraph(rng, kind, n):
+    """Successor lists of a seeded digraph on n vertices, self-loops at random."""
+    edges = set()
+    order = rng.sample(range(n), n)  # the vertices relabelled at random
+    if kind == "cycle":
+        edges.update(zip(order, order[1:] + order[:1]))
+    elif kind == "nested":
+        # a path with back edges over random intervals: cycles inside cycles,
+        # merged where their intervals overlap
+        edges.update(zip(order, order[1:]))
+        for _ in range(rng.randint(1, n // 3 + 1)):
+            a = rng.randrange(n)
+            b = rng.randrange(a, min(n, a + rng.randint(1, n)))
+            edges.add((order[b], order[a]))
+    else:  # a DAG of cycles: groups in a random order, edges between them only forward
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 8))))
+        groups = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        for g in groups:
+            edges.update(zip(g, g[1:] + g[:1]))
+            edges.update((rng.choice(g), rng.choice(g)) for _ in range(rng.randint(0, len(g))))
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = sorted(rng.sample(range(len(groups)), 2)) if len(groups) > 1 else (0, 0)
+            edges.add((rng.choice(groups[a]), rng.choice(groups[b])))
+    edges.update((v, v) for v in range(n) if rng.random() < 0.5)
+    successors = [[] for _ in range(n)]
+    for v, w in sorted(edges, key=lambda e: rng.random()):
+        successors[v].append(w)
+    return successors
+
+
+def test_strong_components_against_mutual_reachability():
+    rng = random.Random(1972)
+    for case in range(300):
+        kind = ("cycle", "nested", "dag")[case % 3]
+        successors = random_digraph(rng, kind, rng.randint(1, 40))
+        components = exactmath.strong_components(successors)
+        assert {frozenset(c) for c in components} == mutual_reachability(successors), (case, kind)
+        assert all(c == sorted(c) for c in components)
+        assert sorted(v for c in components for v in c) == list(range(len(successors)))
+        # reverse topological order: every edge leads into its own component or an earlier one
+        position = {v: k for k, c in enumerate(components) for v in c}
+        assert all(position[w] <= position[v] for v, ws in enumerate(successors) for w in ws), (case, kind)
+        if kind == "cycle":
+            assert len(components) == 1
+
+
+def test_strong_components_of_long_paths_and_cycles():
+    # thousands of vertices deep: the search keeps its own stack
+    n = 5000
+    path = [[v + 1] for v in range(n - 1)] + [[]]
+    assert exactmath.strong_components(path) == [[v] for v in reversed(range(n))]
+    assert exactmath.strong_components(path[:-1] + [[0]]) == [list(range(n))]
+    assert exactmath.strong_components([]) == []
+
+
+def zero_free_case(rng, sizes, plant=None):
+    """A seeded sparse n x n matrix mod 32003 with a zero-free diagonal whose
+    components are groups of the given sizes (each a cycle with chords, the
+    vertices relabelled), with entries between groups in one direction only.
+    ``plant`` "pair" makes the first group of size 2 [[1, 1], [1, 1]];
+    "rows" makes two rows of the first group of size at least 4 equal, with
+    [[1, 1], [1, 1]] on their two diagonal slots, so that group's block is singular."""
+    import numpy as np
+
+    p = 32003
+    n = sum(sizes)
+    order = rng.permutation(n)
+    groups = np.split(order, np.cumsum(sizes)[:-1])
+    a = np.zeros((n, n), dtype=np.int64)
+    for g in groups:
+        a[g, g] = rng.integers(1, p, len(g))
+        if len(g) > 1:
+            a[g, np.roll(g, -1)] = rng.integers(1, p, len(g))
+            chords = rng.integers(0, len(g), (len(g), 2))
+            a[g[chords[:, 0]], g[chords[:, 1]]] = rng.integers(1, p, len(g))
+    for _ in range(2 * n):
+        i, j = np.sort(rng.choice(len(groups), 2, replace=len(groups) == 1))
+        a[rng.choice(groups[j]), rng.choice(groups[i])] = rng.integers(1, p)
+    if plant == "pair":
+        u, v = next(g for g in groups if len(g) == 2)
+        a[np.ix_([u, v], [u, v])] = 1
+    elif plant == "rows":
+        g = next(g for g in groups if len(g) >= 4)
+        u, v = g[:2]
+        a[u, g[2]] = a[u, g[2]] or 1  # carries the cycle's edge from v on
+        a[v] = a[u]
+        a[np.ix_([u, v], [u, v])] = 1
+    return a, groups
+
+
+@pytest.mark.parametrize("whole_columns", [96, 0])
+def test_diagonal_blocks_against_the_whole_square(monkeypatch, whole_columns):
+    import numpy as np
+
+    monkeypatch.setattr(exactmath, "WHOLE_COLUMNS", whole_columns)
+    p = 32003
+    rng = np.random.default_rng(1978)
+    outcomes = []
+    for case in range(60):
+        plant = (None, "pair", "rows")[case % 3]
+        if whole_columns:  # past WHOLE_COLUMNS, so the square is decomposed
+            sizes = [2, 60, 1, 1, 4, 45, 3, 1]
+        else:
+            sizes = list(rng.integers(1, 9, rng.integers(3, 9))) + [2, 5]
+        a, groups = zero_free_case(rng, rng.permutation(sizes), plant)
+        n = len(a)
+        rows, cols = np.nonzero(a)
+        blocks = list(exactmath.diagonal_blocks(n, rows, cols, a[rows, cols].astype(np.float64)))
+        # the blocks are the components past size 1, in reverse topological
+        # order, each the submatrix on its vertices in ascending order
+        components = [sorted(g.tolist()) for g in groups if len(g) > 1]
+        taken = [next(c for c in components if len(c) == len(b) and (a[np.ix_(c, c)] == b).all()) for b in blocks]
+        assert sorted(taken) == sorted(components), case
+        position = {v: k for k, c in enumerate(taken) for v in c}
+        assert all(position[c] <= position[r] for r, c in zip(rows, cols) if r in position and c in position)
+        full = all(rank_mod_p(b, p) == len(b) for b in blocks)
+        assert full == (rank_mod_p(a, p) == n), case
+        if plant:
+            assert not full, case
+        outcomes.append(full)
+    assert outcomes.count(True) == 20
+
+
+def test_diagonal_blocks_yield_a_small_square_whole():
+    import numpy as np
+
+    a = np.diag(np.arange(1.0, 97.0))
+    a[0, 95] = 5.0
+    rows, cols = np.nonzero(a)
+    [square] = exactmath.diagonal_blocks(96, rows, cols, a[rows, cols])
+    assert (square == a).all()
+    assert exactmath.WHOLE_COLUMNS == 96

@@ -696,9 +696,10 @@ def test_quasismooth_member_off_axis_singular_point_is_indeterminate(rank_spy):
     assert verdict.witness is None
     # pins a rank-deficient elimination of 1365 columns, in 64-column panels
     assert verdict.checks == (MacaulayCheck(degree=11, columns=1365, rank=1356, prime=32009),)
-    # every column has a chosen row, and at each prime the square is deficient:
-    # the random rows then join a matrix built again, not the eliminated square
-    assert rank_spy == [(1365, 1365), ("rng", 0), (1373, 1365)] * len(MACAULAY_PRIMES)
+    # every column has a chosen row, and at each prime the first diagonal
+    # block of the square, 31 x 31, is deficient: the random rows then join
+    # the whole (n + EXTRA_ROWS) x n matrix, built afresh
+    assert rank_spy == [(31, 31), ("rng", 0), (1373, 1365)] * len(MACAULAY_PRIMES)
 
 
 def test_quasismooth_member_builds_no_terms_view(monkeypatch):
@@ -767,11 +768,21 @@ def test_quasismooth_member_family_19():
 
 
 def test_macaulay_rank_of_a_covered_nonsingular_square(rank_spy):
-    # every column has a chosen row and the square is nonsingular: one n x n
-    # rank, and no random row is drawn
+    # every column has a chosen row and the square is nonsingular: each of its
+    # diagonal blocks past 1 x 1 is ranked once, and no random row is drawn
     verdict = quasismooth_member(sample_general_member(weight_system(1, 2, 3, 4, 5, 10), seed=1))
     assert verdict.checks == (MacaulayCheck(degree=24, columns=333, rank=333, prime=32003),)
-    assert rank_spy == [(333, 333)]
+    assert rank_spy == [(s, s) for s in (167, 10, 3, 12, 12, 3, 3, 3, 3, 3, 3, 3)]
+
+
+def test_macaulay_rank_of_the_quartic_square_ranks_its_blocks(rank_spy):
+    # the quartic's 1365 x 1365 square: its largest diagonal block has 1020
+    # columns, and no random row is drawn
+    verdict = quasismooth_member(sample_general_member(weight_system(1, 1, 1, 1, 1, 4), seed=1))
+    assert verdict.checks == (MacaulayCheck(degree=11, columns=1365, rank=1365, prime=32003),)
+    assert all(len(shape) == 2 and shape[0] == shape[1] > 1 for shape in rank_spy)
+    assert max(shape[1] for shape in rank_spy) == 1020
+    assert sum(shape[1] for shape in rank_spy) < 1365
 
 
 def test_quasismooth_member_fills_uncovered_columns_with_random_rows(monkeypatch, rank_spy):
