@@ -432,10 +432,12 @@ def strong_components(successors: Sequence[Sequence[int]]) -> list[list[int]]:
     return components
 
 
-def diagonal_blocks(n: int, rows, cols, values):
-    """The float64 matrices whose full ranks mod p together say that the
-    n x n matrix with entries values[t] at (rows[t], cols[t]) and a zero-free
-    diagonal is nonsingular mod p; the other entries are zero.
+def diagonal_blocks(n: int, entries):
+    """The float64 matrices whose full ranks mod p together say that an
+    n x n matrix with a zero-free diagonal is nonsingular mod p.  Its entries
+    are zero but where ``square[rows, cols] = values`` writes them, for each
+    (rows, cols, values) of ``entries``, index and value arrays that
+    broadcast together.
 
     They are the diagonal blocks of its block triangular form (Duff and Reid
     1978): the strongly connected components of the graph with an edge
@@ -451,12 +453,14 @@ def diagonal_blocks(n: int, rows, cols, values):
     """
     import numpy as np
 
-    rows, cols, values = (np.asarray(x) for x in (rows, cols, values))
     if n <= WHOLE_COLUMNS:
         square = np.zeros((n, n))
-        square[rows, cols] = values
+        for rows, cols, values in entries:
+            square[rows, cols] = values
         yield square
         return
+    flat = [[x.ravel() for x in np.broadcast_arrays(*entry)] for entry in entries]
+    rows, cols, values = (np.concatenate(part) for part in zip(*flat))
     order = np.argsort(rows, kind="stable")
     targets = cols[order].tolist()
     ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()

@@ -1077,8 +1077,7 @@ def _macaulay_rank(partials: list[GradedPolynomial], k: int, p: int) -> int:
         raise ValueError(f"Macaulay matrix of {rows} rows is past exact float64")
 
     options = [[(pure[i], s) for s, (*_, pure) in enumerate(row_sets) if i in pure] for i in range(NVARS)]
-    empty = np.empty(0, dtype=np.intp)
-    chosen = [(empty, empty, np.empty(0))]  # (rows, columns, values) of the chosen rows' entries
+    chosen = []  # (row indices, column indices, values) of the chosen rows
     free = np.ones(n, dtype=bool)
     used = set()
     for i in sorted(range(NVARS), key=lambda i: len(options[i])):
@@ -1090,17 +1089,15 @@ def _macaulay_rank(partials: list[GradedPolynomial], k: int, p: int) -> int:
         term_keys, values, _, _ = row_sets[s]
         owners = np.flatnonzero(free & (columns[:, i] >= e))
         quotients = column_keys[owners] - e * place[i]
-        cols = np.searchsorted(column_keys, quotients[:, None] + term_keys)
-        chosen.append((np.repeat(owners, len(term_keys)), cols.ravel(), np.tile(values, len(owners))))
+        chosen.append((owners[:, None], np.searchsorted(column_keys, quotients[:, None] + term_keys), values))
         free[owners] = False
-    chosen_rows, chosen_cols, chosen_values = (np.concatenate(part) for part in zip(*chosen))
 
     if not free.any():
-        blocks = diagonal_blocks(n, chosen_rows, chosen_cols, chosen_values)
-        if all(rank_mod_p(block, p) == len(block) for block in blocks):
+        if all(rank_mod_p(block, p) == len(block) for block in diagonal_blocks(n, chosen)):
             return n
     matrix = np.zeros((n + EXTRA_ROWS, n))
-    matrix[chosen_rows, chosen_cols] = chosen_values
+    for owners, cols, values in chosen:
+        matrix[owners, cols] = values
     # the random rows, summed exactly in float64 (the row check above bounds them)
     spare = np.concatenate([np.flatnonzero(free), np.arange(n, n + EXTRA_ROWS)])
     offsets = np.arange(len(spare))[:, None, None] * n

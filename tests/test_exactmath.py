@@ -801,7 +801,7 @@ def test_diagonal_blocks_against_the_whole_square(monkeypatch, whole_columns):
         a, groups = zero_free_case(rng, rng.permutation(sizes), plant)
         n = len(a)
         rows, cols = np.nonzero(a)
-        blocks = list(exactmath.diagonal_blocks(n, rows, cols, a[rows, cols].astype(np.float64)))
+        blocks = list(exactmath.diagonal_blocks(n, [(rows, cols, a[rows, cols].astype(np.float64))]))
         # the blocks are the components past size 1, in reverse topological
         # order, each the submatrix on its vertices in ascending order
         components = [sorted(g.tolist()) for g in groups if len(g) > 1]
@@ -823,6 +823,6 @@ def test_diagonal_blocks_yield_a_small_square_whole():
     a = np.diag(np.arange(1.0, 97.0))
     a[0, 95] = 5.0
     rows, cols = np.nonzero(a)
-    [square] = exactmath.diagonal_blocks(96, rows, cols, a[rows, cols])
+    [square] = exactmath.diagonal_blocks(96, [(rows, cols, a[rows, cols])])
     assert (square == a).all()
     assert exactmath.WHOLE_COLUMNS == 96
