@@ -1003,9 +1003,10 @@ def quasismooth_member(f: GradedPolynomial) -> MemberVerdict:
 def _check_edge(
     partials: list[GradedPolynomial], pair: tuple[int, int], keys: dict[int, list[int]]
 ) -> MemberVerdict | None:
-    """"singular" if the partials' slices on the edge (``slice_numerators``,
-    read through the packed ``keys`` of each grade's slice) share a root off
-    its two coordinate points, else None."""
+    """A "singular" verdict if the partials' slices on the edge share a root
+    off its two coordinate points, else None.  Each slice is read off the
+    numerators at ``keys[grade]``, the packed monomials of the edge's slice
+    of that grade, as ``slice_numerators`` orders them."""
     i, j = pair
     forms = [form for g in partials if any(form := tuple(g.num.get(key, 0) for key in keys[g.grade]))]
     # never empty: the axis checks passed, so the partial holding a pure power
