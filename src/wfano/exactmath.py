@@ -8,11 +8,13 @@ quasismoothness decisions downstream depend on these answers being exact.
 The one use of floating point is ``rank_mod_p`` and the blocks that
 ``diagonal_blocks`` builds for it, whose float64 values are integers below
 2^52 in absolute value, all represented exactly; numpy is imported there,
-not at module level, so ``import wfano`` does not load it.
+not at module level, so ``import wfano`` does not load it.  Importing this
+module pins OpenBLAS to the calling thread (``OPENBLAS_NUM_THREADS``, below).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -218,12 +220,19 @@ PANEL = 64
 #: rows per block of a reduction or a product, bounding the temporaries
 ROW_BLOCK = 64
 #: most multiply-adds in one BLAS call of the blocked LU (U12 and
-#: ``add_product``).  OpenBLAS runs a product of at most 64^3 on the calling
-#: thread; a larger one wakes its thread pool, and two processes on two cores
-#: then spin against each other: one unsplit product per panel took the
-#: ``member`` benchmark's peak RSS from 57 to 70-72 MB and its two-process
-#: wall time from 0.38-0.42 to 0.57-0.68 s (2-vCPU host, OpenBLAS 0.3.31)
+#: ``add_product``).  It bounds the temporaries: with the thread count pinned
+#: below, unsplit products took the ``member`` benchmark's wall time about
+#: 1.6 % lower but its peak RSS from 55.3-55.8 to 55.9-56.3 MB (six
+#: alternating pairs, 2-vCPU host)
 PRODUCT_SIZE = 64**3
+# Every product here is small, so OpenBLAS gains nothing from threads, yet
+# loading numpy starts a helper thread that busy-waits for about 0.13 s of
+# CPU: two worker processes on two cores then spin against each other
+# (OpenBLAS 0.3.31).  OpenBLAS reads the variable when numpy first loads, and
+# only this module and ``symalg`` (which imports it) load numpy, so the pin
+# comes first and spawned workers inherit it.  A value already set is kept,
+# and a process that loaded numpy before wfano keeps its threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 #: most columns of a matrix that ``rank_mod_p`` eliminates whole instead of in
 #: panels: its cost is then the number of numpy calls per pivot, not
 #: arithmetic, and whole elimination makes the fewest, six per pivot against
@@ -437,7 +446,10 @@ def diagonal_blocks(n: int, entries):
     n x n matrix with a zero-free diagonal is nonsingular mod p.  Its entries
     are zero but where ``square[rows, cols] = values`` writes them, for each
     (rows, cols, values) of ``entries``, index and value arrays that
-    broadcast together.
+    broadcast together.  Each row's entries are consecutive once the
+    broadcast arrays are raveled (row-major) and concatenated, as they are
+    when each entry's ``rows`` is a column of row indices that no other
+    entry holds; ValueError otherwise.
 
     They are the diagonal blocks of its block triangular form (Duff and Reid
     1978): the strongly connected components of the graph with an edge
@@ -461,10 +473,13 @@ def diagonal_blocks(n: int, entries):
         return
     flat = [[x.ravel() for x in np.broadcast_arrays(*entry)] for entry in entries]
     rows, cols, values = (np.concatenate(part) for part in zip(*flat))
-    order = np.argsort(rows, kind="stable")
-    targets = cols[order].tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-    components = strong_components([targets[a:b] for a, b in zip([0] + ends, ends)])
+    heads = np.flatnonzero(np.diff(rows, prepend=-1))  # where each row's run starts
+    if len(heads) != n:
+        raise ValueError("diagonal_blocks: each row's entries must be consecutive")
+    bounds = np.append(heads, len(rows))
+    order = np.argsort(rows[heads])
+    targets = cols.tolist()
+    components = strong_components([targets[a:b] for a, b in zip(bounds[order].tolist(), bounds[order + 1].tolist())])
     sizes = np.array([len(c) for c in components])
     label = np.empty(n, dtype=np.intp)  # each vertex's component, and its index in it
     index = np.empty(n, dtype=np.intp)

@@ -23,6 +23,13 @@ def default_catalog():
     return records, time.time() - t0
 
 
+def box_records(records, max_weight, max_degree):
+    """The records of a catalog inside a smaller box, in order: those with
+    a5 <= max_weight and d <= max_degree, which are the box's own catalog
+    (``test_each_box_is_the_cap_catalog_filtered``)."""
+    return [r for r in records if r.ws.weights[4] <= max_weight and r.ws.degree <= max_degree]
+
+
 def box_pairs(bounds, index_range):
     """Every (weights, d) of a search box with d >= 2, by a walk over each
     sorted 5-tuple of weights and each index in the window."""

@@ -28,13 +28,13 @@ from wfano.singular import (
 )
 from wfano.wspace import WeightSystem, count_monomials, wps_well_formed
 
-from conftest import box_pairs, covered, covered_box_pairs, covers, reid_tai_terminal
+from conftest import box_pairs, box_records, covered, covered_box_pairs, covers, reid_tai_terminal
 
 
 @pytest.fixture(scope="module")
-def small_catalog():
+def small_catalog(default_catalog):
     # weights <= 5, degrees <= 25 already contains the first dozen families
-    return classify(SearchBounds(max_weight=5, max_degree=25))
+    return box_records(default_catalog[0], 5, 25)
 
 
 def test_small_search_contains_known_families(small_catalog):
@@ -596,7 +596,7 @@ def test_each_box_is_the_cap_catalog_filtered(cap_catalog, max_weight, max_degre
     # the records of a box are those of the CLI cap with a5 <= max_weight and
     # d <= max_degree, in the same order; the largest a5 and d of the
     # classification, 33 and 66, sit on the edges of four of these boxes
-    inside = [r for r in cap_catalog if r.ws.weights[4] <= max_weight and r.ws.degree <= max_degree]
+    inside = box_records(cap_catalog, max_weight, max_degree)
     assert catalog_json(classify(SearchBounds(max_weight, max_degree))) == catalog_json(inside)
 
 

@@ -10,6 +10,8 @@ import pytest
 from wfano import catalog
 from wfano.cli import CATALOG_ENV, MAX_SEARCH_WEIGHT, _integers, build_parser, main
 
+from conftest import box_records
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -214,10 +216,10 @@ def test_report_small(tmp_path, capsys, monkeypatch):
     assert "| septuple |" in out
 
 
-def test_report_from_saved_catalog(tmp_path, capsys, monkeypatch):
-    from wfano.catalog import SearchBounds, classify, save_catalog
+def test_report_from_saved_catalog(tmp_path, capsys, monkeypatch, default_catalog):
+    from wfano.catalog import save_catalog
 
-    records = classify(SearchBounds(max_weight=2, max_degree=8))
+    records = box_records(default_catalog[0], 2, 8)
     path = tmp_path / "cat.json"
     save_catalog(records, str(path))
     monkeypatch.setenv("WFANO_CATALOG", str(path))

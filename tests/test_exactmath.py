@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -680,6 +682,31 @@ def test_rank_mod_p_refuses_inexact_input():
         rank_mod_p([[float(1 << 53)]], 32003)
 
 
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "set"])
+def test_openblas_runs_on_the_calling_thread(preset):
+    # conftest loaded numpy in this process, so a fresh one imports wfano
+    # first, as a user or a spawned worker does
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads")
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import os, sys, wfano; from wfano import exactmath; "
+        "assert exactmath.rank_mod_p([[1, 2], [3, 4]], 7) == 2 and 'numpy' in sys.modules; "
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    threads, value = result.stdout.split()
+    if preset:
+        assert value == preset  # a value the user set is kept
+    else:
+        assert (threads, value) == ("1", "1")
+
+
 def mutual_reachability(successors):
     """The strongly connected components as sets, by a search from every vertex."""
     reach = []
@@ -801,7 +828,12 @@ def test_diagonal_blocks_against_the_whole_square(monkeypatch, whole_columns):
         a, groups = zero_free_case(rng, rng.permutation(sizes), plant)
         n = len(a)
         rows, cols = np.nonzero(a)
-        blocks = list(exactmath.diagonal_blocks(n, [(rows, cols, a[rows, cols].astype(np.float64))]))
+        # each row's entries together, the rows in a shuffled order, as the
+        # Macaulay rows of several partials interleave
+        place = np.random.default_rng(case).permutation(n)
+        shuffled = np.argsort(place[rows], kind="stable")
+        entries = [(rows[shuffled], cols[shuffled], a[rows, cols][shuffled].astype(np.float64))]
+        blocks = list(exactmath.diagonal_blocks(n, entries))
         # the blocks are the components past size 1, in reverse topological
         # order, each the submatrix on its vertices in ascending order
         components = [sorted(g.tolist()) for g in groups if len(g) > 1]
@@ -815,6 +847,17 @@ def test_diagonal_blocks_against_the_whole_square(monkeypatch, whole_columns):
             assert not full, case
         outcomes.append(full)
     assert outcomes.count(True) == 20
+
+
+def test_diagonal_blocks_refuse_a_row_split_in_two_runs():
+    import numpy as np
+
+    n = 100
+    rows, cols = np.arange(n), np.arange(n)
+    tail = (np.array([0]), np.array([1]), np.array([1.0]))
+    assert list(exactmath.diagonal_blocks(n, [(rows[1:], cols[1:], 1.0), (rows[:1], cols[:1], 1.0), tail])) == []
+    with pytest.raises(ValueError, match="consecutive"):
+        list(exactmath.diagonal_blocks(n, [(rows, cols, 1.0), tail]))
 
 
 def test_diagonal_blocks_yield_a_small_square_whole():

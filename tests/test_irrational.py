@@ -3,14 +3,14 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from wfano.catalog import EXCEPTIONAL_EIGHT, FAMILY_LABELS, FamilyRecord, SearchBounds, classify
+from wfano.catalog import EXCEPTIONAL_EIGHT, FAMILY_LABELS, FamilyRecord
 from wfano.irrational import RULE_CITATIONS, decide, top_variable_degree
 from wfano.membership import membership_report, rejection
 from wfano.singular import singular_points_general
 from wfano.symalg import sample_general_member
 from wfano.wspace import WeightSystem, weight_system
 
-from conftest import polynomial
+from conftest import box_records, polynomial
 
 
 def make_record(*sept):
@@ -61,9 +61,8 @@ def test_index_two_and_higher():
         assert not v.general_only
 
 
-def test_decide_never_returns_rational_alone():
-    bounds = SearchBounds(max_weight=5, max_degree=25)
-    for record in classify(bounds):
+def test_decide_never_returns_rational_alone(default_catalog):
+    for record in box_records(default_catalog[0], 5, 25):
         v = decide(record)
         assert v.values != {1}
         assert all(tag in RULE_CITATIONS for tag, _ in v.justification)
