@@ -215,7 +215,10 @@ EXACT_BOUND = 1 << 52
 #: columns per panel of ``rank_mod_p``: a product sums at most PANEL terms.
 #: 64 beat 32, 48, 96 and 128 on the quartic's 1365^2 Macaulay matrix, on
 #: all eight ``member`` matrices past WHOLE_COLUMNS and on a dense 1365^2, in
-#: 0.89-0.96 of the time of 32 (2-vCPU host)
+#: 0.89-0.96 of the time of 32 (2-vCPU host).  At 15 calls per column it
+#: is level with 48 and ahead of 96 and 128 on a ``member`` round
+#: in-process (103.7 against 104.3 and 110.3-110.8 ms, medians of nine,
+#: 2-vCPU host)
 PANEL = 64
 #: rows per block of a reduction or a product, bounding the temporaries
 ROW_BLOCK = 64
@@ -235,11 +238,14 @@ PRODUCT_SIZE = 64**3
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 #: most columns of a matrix that ``rank_mod_p`` eliminates whole instead of in
 #: panels: its cost is then the number of numpy calls per pivot, not
-#: arithmetic, and whole elimination makes the fewest, six per pivot against
-#: about 20 per column in panels.  At nine calls per pivot it took 0.85-0.9
+#: arithmetic, and whole elimination makes the fewest, five per pivot against
+#: about 15 per column in panels.  At nine calls per pivot it took 0.85-0.9
 #: of the 64-column panels' time on Macaulay and dense matrices of 61-80
 #: columns, level at 87-96, behind from about 110 (2-vCPU host).  21 of the
-#: 29 Macaulay matrices of the ``member`` benchmark have at most 96 columns
+#: 29 Macaulay matrices of the ``member`` benchmark have at most 96 columns.
+#: At five calls per pivot, 96 still beat 64, 128 and 160 on a ``member``
+#: round in-process (103.7 against 105.1-106.7 ms, medians of nine, 2-vCPU
+#: host)
 WHOLE_COLUMNS = 96
 
 
@@ -266,7 +272,8 @@ def add_product(out, rows, left, right) -> None:
 
 
 def rank_mod_p(matrix, p: int) -> int:
-    """Rank over F_p of an integer matrix, p a prime with 64 * (p-1)^2 < 2^52.
+    """Rank over F_p of an integer matrix, p a prime with
+    (PANEL * (p-1)^2 + p) * (p-1) < 2^52: p at most 41281.
 
     A float64 array is reduced and eliminated in place; any other array-like
     is first copied into one.  Blocked LU with left-looking panels (Toledo
@@ -276,19 +283,23 @@ def rank_mod_p(matrix, p: int) -> int:
     takes the update of the j pivots before it, u = L11^-1 c[:j] and then
     c[j:] += N u, one matrix-vector product, where N holds the negated
     multipliers in the panel's own compacted pivot columns and row j of
-    L11^-1 is built as pivot j is found.  U12 = L11^-1 A12 is one product per
-    tile, and the panel's other rows take N U12 as BLAS products
-    (``add_product``).  A matrix of at most WHOLE_COLUMNS columns is
-    eliminated whole instead (``_eliminate_whole``).
+    L11^-1 is built as pivot j is found, (N_j L11^-1) * inv mod p with one
+    reduction.  The diagonal entry is the pivot when it is nonzero; only
+    otherwise are the rows below searched, for the first nonzero one.
+    U12 = L11^-1 A12 is one product per tile, and the panel's other rows
+    take N U12 as BLAS products (``add_product``).  A matrix of at most
+    WHOLE_COLUMNS columns is eliminated whole instead (``_eliminate_whole``).
 
     Exactness: residues are kept in [0, p) by ``x -= p*floor(x/p)``, which is
     exact for |x| < EXACT_BOUND because x/p is correctly rounded (an integer
     when p | x, at least 1/p away from one otherwise), or by numpy's ``%``
     (an exact fmod) on the short vectors u and the rows of L11^-1.  A product
-    of residues sums at most PANEL terms below (p-1)^2.  The trailing block
-    is reduced only when a panel reaches it, so an entry collects at most one
-    such sum per panel; the first check below bounds them all, and raises
-    ValueError when p or the width is too large.
+    of residues sums at most PANEL terms below (p-1)^2, and a row of L11^-1
+    multiplies such a sum by a residue, hence the bound on p.  The trailing
+    block is reduced only when a panel reaches it, so an entry collects at
+    most one such sum per panel: p + panels * PANEL * (p-1)^2 < 2^52 too,
+    which holds below about 2.6 million columns at p = 41281.  The check
+    below raises ValueError past either bound.
     """
     import numpy as np
 
@@ -302,7 +313,8 @@ def rank_mod_p(matrix, p: int) -> int:
     if a.ndim != 2:
         raise ValueError("rank_mod_p: need a 2-D matrix")
     rows, cols = a.shape
-    if p + (-(-cols // PANEL) + 1) * PANEL * (p - 1) ** 2 >= EXACT_BOUND:
+    sums = PANEL * (p - 1) ** 2
+    if (sums + p) * (p - 1) >= EXACT_BOUND or p + -(-cols // PANEL) * sums >= EXACT_BOUND:
         raise ValueError(f"rank_mod_p: p = {p} with {cols} columns is past exact float64")
     if a.size and not (-EXACT_BOUND < a.min() and a.max() < EXACT_BOUND):
         raise ValueError("rank_mod_p: entries past exact float64")
@@ -328,14 +340,16 @@ def rank_mod_p(matrix, p: int) -> int:
                 column[j:] += panel[j:, :j] @ u
             tail = column[j:]
             mod(tail)
-            r = j + int((tail != 0).argmax())
-            if not column[r]:
-                continue
-            if r != j:
+            pivot = tail[0]
+            if not pivot:
+                r = j + int((tail != 0).argmax())
+                pivot = column[r]
+                if not pivot:
+                    continue
                 panel[[j, r]] = panel[[r, j]]
                 live[[j, r]] = live[[r, j]]
-            inverse[j, j] = inv = pow(int(column[j]), -1, p)
-            inverse[j, :j] = (panel[j, :j] @ inverse[:j, :j]) % p * inv % p
+            inverse[j, j] = inv = pow(int(pivot), -1, p)
+            inverse[j, :j] = panel[j, :j] @ inverse[:j, :j] * inv % p
             np.negative(column[j + 1 :], out=panel[j + 1 :, j])
             j += 1
         rest = np.setdiff1d(rest, live[:j], assume_unique=True)
@@ -357,14 +371,16 @@ def _eliminate_whole(a, p: int) -> int:
     in place one column at a time, each pivot updating the whole trailing
     block with one outer product.
 
-    Only the pivot column and the pivot row are reduced at each step, so an
-    entry collects at most one product below (p-1)^2 per column, which
-    ``rank_mod_p``'s bound covers.  ``np.remainder`` reduces them in one call
-    where ``mod`` makes four: it is fmod, exact, plus p when the sign is
-    wrong, exact for integers below 2^52.  The rows below are searched for a
-    pivot only when the diagonal entry is zero, and the multipliers, already
-    reduced, are scaled by the pivot's inverse and reduced again, which keeps
-    the pivot row to one reduction: six numpy calls per pivot.
+    ``np.remainder`` reduces in one call where ``mod`` makes four: it is
+    fmod, exact, plus p when the sign is wrong, exact for integers below
+    2^52.  The rows below are searched for a pivot only when the diagonal
+    entry is zero.  Only the pivot column and the pivot row are reduced at
+    each step, the row after it is scaled by the pivot's inverse, so the
+    multipliers are the reduced column itself: five numpy calls per pivot.
+    An entry collects one product below (p-1)^2 per pivot, and the trailing
+    block is reduced every PANEL pivots, so a pivot row holds at most
+    PANEL * (p-1)^2 + p before its scaling, which ``rank_mod_p``'s bound
+    covers at any width.
     """
     import numpy as np
 
@@ -375,19 +391,22 @@ def _eliminate_whole(a, p: int) -> int:
             break
         column = a[rank:, c]
         np.remainder(column, p, out=column)
-        if not column[0]:
+        pivot = column[0]
+        if not pivot:
             nonzero = np.flatnonzero(column)
             if nonzero.size == 0:
                 continue
-            pivot = rank + int(nonzero[0])
-            a[[rank, pivot], c:] = a[[pivot, rank], c:]
+            r = rank + int(nonzero[0])
+            pivot = a[r, c]
+            a[[rank, r], c:] = a[[r, rank], c:]
         head = a[rank, c + 1 :]
+        head *= pow(int(pivot), -1, p)
         np.remainder(head, p, out=head)
-        multipliers = column[1:]
-        multipliers *= pow(int(column[0]), -1, p)
-        np.remainder(multipliers, p, out=multipliers)
-        a[rank + 1 :, c + 1 :] -= multipliers[:, None] * head
+        a[rank + 1 :, c + 1 :] -= column[1:, None] * head
         rank += 1
+        if rank % PANEL == 0:
+            trailing = a[rank:, c + 1 :]
+            np.remainder(trailing, p, out=trailing)
     return rank
 
 

@@ -892,7 +892,8 @@ class MemberVerdict:
         raise TypeError("MemberVerdict is tri-state; compare .status explicitly")
 
 
-#: primes tried in turn for each Macaulay matrix; 64 * (p-1)^2 < 2^52
+#: primes tried in turn for each Macaulay matrix; each meets ``rank_mod_p``'s
+#: bound (64 * (p-1)^2 + p) * (p-1) < 2^52, which stops at p = 41281
 MACAULAY_PRIMES = (32003, 31991, 32009)
 #: the most columns a checked Macaulay matrix may have: its chosen and random
 #: rows form a dense float64 matrix (128 MiB at the limit); a member whose candidate

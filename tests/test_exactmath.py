@@ -506,6 +506,11 @@ def test_mat_mul_and_det_agree_with_float_oracle():
         assert mat_det(mat_mul(a, b)) == mat_det(a) * mat_det(b)
 
 
+#: the largest prime that rank_mod_p admits, (64 * (p-1)^2 + p) * (p-1) < 2^52,
+#: and the next prime
+LARGEST_PRIME, NEXT_PRIME = 41281, 41299
+
+
 def reference_rank_mod_p(matrix, p):
     """Gaussian elimination over F_p on Python integers."""
     rows = [[v % p for v in row] for row in matrix]
@@ -563,11 +568,11 @@ def test_rank_mod_p_sparse_needs_row_swaps():
 def test_whole_elimination_swaps_rows_and_keeps_multipliers_exact():
     # at most WHOLE_COLUMNS columns, so rank_mod_p eliminates whole; a zero
     # diagonal entry in column 0 makes it search the rows below and swap.
-    # The low rank shows a wrong multiplier as a rank too high, and 5931641,
-    # the largest prime one panel allows, leaves no room for a multiplier
-    # above p: its product with a residue would pass 2^53
+    # The low rank shows a wrong multiplier as a rank too high, and at
+    # LARGEST_PRIME a scaled pivot row left unreduced, times a residue,
+    # would pass 2^53
     assert exactmath.WHOLE_COLUMNS >= 64
-    for p in (32003, 5931641):
+    for p in (32003, LARGEST_PRIME):
         rng = random.Random(p)
         for n, m, r in [(40, 40, 30), (64, 64, 50), (70, 30, 20), (20, 64, 12)]:
             matrix = random_rank_matrix(rng, n, m, r, p)
@@ -672,14 +677,74 @@ def test_rank_mod_p_across_64_column_panels(monkeypatch, panel_cases, whole_colu
 
 
 def test_rank_mod_p_refuses_inexact_input():
+    import numpy as np
+
+    # (PANEL * (p-1)^2 + p) * (p-1) passes 2^52 between LARGEST_PRIME and
+    # NEXT_PRIME, at any width
+    for p in (NEXT_PRIME, 65521, 5931641, (1 << 31) - 1):
+        with pytest.raises(ValueError, match="past exact float64"):
+            rank_mod_p([[1]], p)
+    assert rank_mod_p([[1]], LARGEST_PRIME) == 1
+    assert rank_mod_p([[LARGEST_PRIME - 1] * 3] * 2, LARGEST_PRIME) == 1
+    # a panel's trailing entry collects one sum per panel, so the width
+    # bounds them as well: p + panels * PANEL * (p-1)^2 < 2^52
     with pytest.raises(ValueError, match="past exact float64"):
-        rank_mod_p([[1]], (1 << 31) - 1)  # 64 * (p-1)^2 is past 2^52
-    # one column is one panel: p + 2 * 64 * (p-1)^2 passes 2^52 between these primes
-    with pytest.raises(ValueError, match="past exact float64"):
-        rank_mod_p([[1]], 5931649)
-    assert rank_mod_p([[1]], 5931641) == 1
+        rank_mod_p(np.zeros((0, 64 * 41296)), LARGEST_PRIME)
     with pytest.raises(ValueError, match="past exact float64"):
         rank_mod_p([[float(1 << 53)]], 32003)
+
+
+@pytest.mark.parametrize("whole_columns", [1 << 20, 0], ids=["whole", "panels"])
+def test_rank_mod_p_worst_case_magnitudes_at_the_largest_prime(monkeypatch, whole_columns):
+    # M = L U with 1 on L's diagonal and 2 below it, and U of rank r with
+    # (p-1)/2 on its diagonal and (p+1)/2 above it.  Every multiplier and
+    # every entry of a pivot row scaled by the pivot's inverse p-2 is then
+    # p-1, so each product subtracted is (p-1)^2 and the sums only grow:
+    # an unreduced pivot row that is scaled passes 2^53 after about 130
+    # pivots, and the inverse is odd, so its products are not all even
+    import numpy as np
+
+    monkeypatch.setattr(exactmath, "WHOLE_COLUMNS", whole_columns)
+    p, n, r = LARGEST_PRIME, 200, 180
+    lower = 2 * np.tril(np.ones((n, n), dtype=np.int64), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(np.full((n, n), (p + 1) // 2), 1)
+    np.fill_diagonal(upper, (p - 1) // 2)
+    upper[r:] = 0
+    assert pow((p - 1) // 2, -1, p) == p - 2
+    matrix = (lower @ upper % p).tolist()
+    assert rank_mod_p(matrix, p) == reference_rank_mod_p(matrix, p) == r
+
+
+@pytest.mark.parametrize("pairs", [(5, 64, 100), (30, 63, 110)])
+def test_rank_mod_p_searches_when_the_update_zeroes_the_diagonal(monkeypatch, pairs):
+    # M is L U with rows k and k+1 swapped for each k of pairs, where
+    # L[k+1, k] = 0.  M[k, k] is nonzero, but the first k pivots make the
+    # diagonal entry of column k zero, since M's leading (k+1)-minor
+    # vanishes and its k-minor does not: the pivot is then found below,
+    # after the update within a panel (k = 5, 30, 63, 110) or the one of the
+    # panels before (k = 64 and 100 start a panel), and rows swap.  M has
+    # full column rank, so a column skipped in place of the search shows
+    import numpy as np
+
+    p, n, m = 32003, 140, 120
+    rng = np.random.default_rng(sum(pairs))
+    lower = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(1, p, (n, m)))
+    for k in pairs:
+        lower[k + 1, k] = 0
+    matrix = lower @ upper % p
+    for k in pairs:
+        matrix[[k, k + 1]] = matrix[[k + 1, k]]
+    matrix = matrix.tolist()
+    for k in pairs:
+        assert matrix[k][k]
+        leading = [row[: k + 1] for row in matrix[: k + 1]]
+        assert reference_rank_mod_p([row[:k] for row in leading[:k]], p) == reference_rank_mod_p(leading, p) == k
+    assert reference_rank_mod_p(matrix, p) == m
+    for whole_columns, panel in [(0, 64), (0, 4), (1 << 20, 64)]:
+        monkeypatch.setattr(exactmath, "WHOLE_COLUMNS", whole_columns)
+        monkeypatch.setattr(exactmath, "PANEL", panel)
+        assert rank_mod_p(matrix, p) == m
 
 
 @pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "set"])
