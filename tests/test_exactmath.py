@@ -699,9 +699,10 @@ def test_rank_mod_p_worst_case_magnitudes_at_the_largest_prime(monkeypatch, whol
     # M = L U with 1 on L's diagonal and 2 below it, and U of rank r with
     # (p-1)/2 on its diagonal and (p+1)/2 above it.  Every multiplier and
     # every entry of a pivot row scaled by the pivot's inverse p-2 is then
-    # p-1, so each product subtracted is (p-1)^2 and the sums only grow:
-    # an unreduced pivot row that is scaled passes 2^53 after about 130
-    # pivots, and the inverse is odd, so its products are not all even
+    # p-1, so each product subtracted is (p-1)^2 and the sums only grow.
+    # Without the whole elimination's reduction every PANEL pivots, a scaled
+    # pivot row passes 2^53 after about 130 pivots, and the inverse is odd,
+    # so those products are not all even and lose their last bit
     import numpy as np
 
     monkeypatch.setattr(exactmath, "WHOLE_COLUMNS", whole_columns)
@@ -720,10 +721,11 @@ def test_rank_mod_p_searches_when_the_update_zeroes_the_diagonal(monkeypatch, pa
     # M is L U with rows k and k+1 swapped for each k of pairs, where
     # L[k+1, k] = 0.  M[k, k] is nonzero, but the first k pivots make the
     # diagonal entry of column k zero, since M's leading (k+1)-minor
-    # vanishes and its k-minor does not: the pivot is then found below,
-    # after the update within a panel (k = 5, 30, 63, 110) or the one of the
-    # panels before (k = 64 and 100 start a panel), and rows swap.  M has
-    # full column rank, so a column skipped in place of the search shows
+    # vanishes and its k-minor does not: the pivot is then found below and
+    # rows swap, after the update within a panel or, where k starts one
+    # (64, and 100 in 4-column panels), the update of the panels before.
+    # M has full column rank, so a column skipped in place of the search
+    # shows as a rank too low
     import numpy as np
 
     p, n, m = 32003, 140, 120
