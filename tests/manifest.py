@@ -9,10 +9,17 @@ It covers, in both ``--format`` values:
 - ``check``, ``basket`` and ``verdict`` on the septuples of
   ``NON_QUASISMOOTH``, whose failing strata have sizes 1, 2 and 3 or more,
   and on those of ``STAGES``, one per late stage of ``membership.rejection``;
-- ``classify`` with each option list of ``CLASSIFY``.
+- ``classify`` with each option list of ``CLASSIFY``;
+- ``autgroup --septuple S`` and ``monomials --weights a1,...,a5 --degree d``
+  for the 130 families;
+- ``normalize`` and ``autgroup`` with ``--family F --seed s`` for the
+  ``SYMMETRY_FAMILIES`` at ``SYMMETRY_SEEDS``, the draws of the benchmark's
+  ``reduce`` workload, its eleven degenerate ones included.
 
-``tests/test_manifest.py`` compares every entry.  After a change that is
-meant to alter an output, regenerate the file from the repo root with
+``tests/test_manifest.py`` compares every entry of ``argvs`` in Tier-1 and
+those of ``slow_argvs`` (the markdown of the symmetry draws, about 1.2 s)
+under ``-m slow``.  After a change that is meant to alter an output,
+regenerate the file from the repo root with
 
     PYTHONPATH=src python tests/manifest.py
 
@@ -60,17 +67,44 @@ CLASSIFY = (
     ("--index", "1"),
 )
 
+#: the seven symmetry-route families, drawn at the seeds of the ``reduce`` workload
+SYMMETRY_FAMILIES = (19, 28, 39, 49, 59, 66, 84)
+SYMMETRY_SEEDS = range(40)
+
 
 def _septuple(s) -> str:
     return ",".join(map(str, s))
 
 
-def argvs(families) -> list[list[str]]:
-    """The manifest's argvs for the given catalog septuples."""
-    cases = [(c, s) for s in (*families, *NON_QUASISMOOTH, *STAGES) for c in ("check", "basket", "verdict")]
-    return [[c, "--septuple", _septuple(s), "--format", f] for c, s in cases for f in ("json", "markdown")] + [
-        ["classify", *options, "--format", f] for options in CLASSIFY for f in ("json", "markdown")
+def _symmetry_draws(fmt: str) -> list[list[str]]:
+    return [
+        [c, "--family", str(family), "--seed", str(seed), "--format", fmt]
+        for c in ("normalize", "autgroup") for family in SYMMETRY_FAMILIES for seed in SYMMETRY_SEEDS
     ]
+
+
+def argvs(families) -> list[list[str]]:
+    """The manifest's Tier-1 argvs for the given catalog septuples."""
+    cases = [(c, s) for s in (*families, *NON_QUASISMOOTH, *STAGES) for c in ("check", "basket", "verdict")]
+    per_family = [
+        options
+        for s in families
+        for options in (
+            ("autgroup", "--septuple", _septuple(s)),
+            ("monomials", "--weights", _septuple(s[:5]), "--degree", str(s[5])),
+        )
+    ]
+    return (
+        [[c, "--septuple", _septuple(s), "--format", f] for c, s in cases for f in ("json", "markdown")]
+        + [["classify", *options, "--format", f] for options in CLASSIFY for f in ("json", "markdown")]
+        + [[*options, "--format", f] for options in per_family for f in ("json", "markdown")]
+        + _symmetry_draws("json")
+    )
+
+
+def slow_argvs() -> list[list[str]]:
+    """The manifest's argvs that only the ``slow`` test compares."""
+    return _symmetry_draws("markdown")
 
 
 def digest(argv: list[str]) -> str:
@@ -80,13 +114,13 @@ def digest(argv: list[str]) -> str:
     return hashlib.sha256(json.dumps([code, out.getvalue()]).encode()).hexdigest()
 
 
-def compute(families) -> dict[str, str]:
-    return {" ".join(argv): digest(argv) for argv in argvs(families)}
+def compute(argv_list) -> dict[str, str]:
+    return {" ".join(argv): digest(argv) for argv in argv_list}
 
 
 if __name__ == "__main__":
     old = json.loads(PATH.read_text(encoding="utf-8")) if PATH.exists() else {}
-    new = compute([r.septuple for r in classify(SearchBounds())])
+    new = compute(argvs([r.septuple for r in classify(SearchBounds())]) + slow_argvs())
     for key in sorted(old.keys() | new.keys()):
         if old.get(key) != new.get(key):
             print(key)
