@@ -4,7 +4,9 @@ The group of diagonal coordinate scalings preserving a polynomial up to scalar
 depends only on its support: it is the character group of Z^5 / L, where L is
 the lattice generated by pairwise exponent differences.  Its free rank and
 torsion are read off a Smith normal form.  The weighted one-parameter scaling
-always survives, so "trivial" means free rank 1 and no torsion.
+always survives, so "trivial" means free rank 1 and no torsion.  The group and
+the involution answer are computed once per (support, weights), the support a
+frozenset; the results are immutable, so every caller may share them.
 
 Stabilizers of finite point sets on the projective line are enumerated exactly
 over the rationals by sending a base triple to every ordered triple of targets
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -64,14 +67,15 @@ class DiagonalSymmetryGroup:
         }
 
 
-def diagonal_symmetry_group(
-    support: frozenset[Monomial] | set[Monomial], ws: WeightSystem
-) -> DiagonalSymmetryGroup:
+@cache
+def diagonal_symmetry_group(support: frozenset[Monomial], ws: WeightSystem) -> DiagonalSymmetryGroup:
     """Diagonal scalings fixing every ratio of support monomials.
 
-    The support must be nonempty and of a single grade.  Free rank is always
-    at least 1 (the weighted scaling); torsion factors come with explicit
-    root-of-unity generator vectors.
+    The support must be a nonempty frozenset of a single grade.  Free rank is
+    always at least 1 (the weighted scaling); torsion factors come with
+    explicit root-of-unity generator vectors.  Computed once per (support,
+    weights) and shared, as the group is frozen; a refused support raises on
+    every call.
     """
     if not support:
         raise ValueError("diagonal_symmetry_group: empty support")
@@ -101,9 +105,8 @@ def _sign_bits(exponents: Sequence[int]) -> int:
     return sum(map(lshift, map(and_, exponents, (1,) * NVARS), range(NVARS - 1, -1, -1)))
 
 
-def has_diagonal_involution(
-    support: frozenset[Monomial] | set[Monomial], ws: WeightSystem
-) -> tuple[bool, tuple[int, ...] | None]:
+@cache
+def has_diagonal_involution(support: frozenset[Monomial], ws: WeightSystem) -> tuple[bool, tuple[int, ...] | None]:
     """Is there a sign-vector symmetry beyond the weighted scaling torus?
 
     Any order-2 element of the symmetry group modulo the torus is represented
@@ -114,7 +117,8 @@ def has_diagonal_involution(
     same space) and vectors are 5-bit ints, so row . v is the parity of
     row & v and counting v up tests the 32 vectors in lexicographic order.
     The answer is yes iff one besides the torus's passes, and the first such
-    is the witness, as a +-1 vector encoded by its sign pattern.
+    is the witness, as a +-1 vector encoded by its sign pattern.  Computed
+    once per (support, weights), the support a nonempty frozenset.
     """
     if not support:
         raise ValueError("has_diagonal_involution: empty support")

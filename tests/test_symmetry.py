@@ -8,7 +8,7 @@ from operator import mul
 import pytest
 
 from wfano import symmetry
-from wfano.exactmath import adjugate, mat_mul, triple_matrix
+from wfano.exactmath import adjugate, mat_mul, smith_normal_form, triple_matrix
 from wfano.symalg import REFERENCE_TABLES, GenericityError, builtin_plan, normalize, reference_support, sample_family_member
 from wfano.symmetry import (
     certify_trivial_automorphisms,
@@ -52,8 +52,42 @@ def test_single_monomial_support_degenerate():
 
 def test_mixed_grades_rejected():
     ws = weight_system(1, 1, 1, 1, 1, 4)
-    with pytest.raises(ValueError):
-        diagonal_symmetry_group(parse_monomial_set("x^4, x"), ws)
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ValueError, match="mixed grades"):
+            diagonal_symmetry_group(parse_monomial_set("x^4, x"), ws)
+
+
+def test_answers_are_kept_per_support_and_weights():
+    # the full quartic support has the sign vector (1, 1, 1, 1, 1): the
+    # torus's own under weights 1, not under (1, 1, 1, 1, 2); and {x^4, w^4}
+    # has one grade under weights 1 only
+    ones, heavy = weight_system(1, 1, 1, 1, 1, 4), weight_system(1, 1, 1, 1, 2, 4)
+    support = frozenset(enumerate_monomials(ones, 4))
+    assert len(support) == 70
+    expected = {ones: (False, None), heavy: (True, (1, 1, 1, 1, 1))}
+    for order in ((ones, heavy), (heavy, ones)):
+        has_diagonal_involution.cache_clear()
+        assert [has_diagonal_involution(support, ws) for ws in order] == [expected[ws] for ws in order]
+    pair = parse_monomial_set("x^4, w^4")
+    assert diagonal_symmetry_group(pair, ones).torsion == (4,)
+    with pytest.raises(ValueError, match="mixed grades"):
+        diagonal_symmetry_group(pair, heavy)
+
+
+def test_each_reduced_support_takes_one_smith_form(monkeypatch):
+    # family 84 reduces to its reference support at seeds 0-9
+    calls = []
+
+    def spy(rows):
+        calls.append(rows)
+        return smith_normal_form(rows)
+    monkeypatch.setattr(symmetry, "smith_normal_form", spy)
+    diagonal_symmetry_group.cache_clear()
+    has_diagonal_involution.cache_clear()
+    certs = [certify_trivial_automorphisms(84, seed) for seed in range(10)]
+    assert len(calls) == 1
+    assert {c.support for c in certs} == {reference_support(84)}
+    assert all(c.group is certs[0].group for c in certs)
 
 
 @pytest.mark.parametrize("family", SYMMETRY_FAMILIES)
