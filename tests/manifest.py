@@ -17,7 +17,7 @@ It covers, in both ``--format`` values:
   ``reduce`` workload, its eleven degenerate ones included.
 
 ``tests/test_manifest.py`` compares every entry of ``argvs`` in Tier-1 and
-those of ``slow_argvs`` (the markdown of the symmetry draws, about 1.2 s)
+those of ``slow_argvs`` (the markdown of the symmetry draws, about 0.9 s)
 under ``-m slow``.  After a change that is meant to alter an output,
 regenerate the file from the repo root with
 
