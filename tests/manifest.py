@@ -10,6 +10,8 @@ It covers, in both ``--format`` values:
   ``NON_QUASISMOOTH``, whose failing strata have sizes 1, 2 and 3 or more,
   and on those of ``STAGES``, one per late stage of ``membership.rejection``;
 - ``classify`` with each option list of ``CLASSIFY``;
+- ``report`` at the default bounds, with ``--jobs 1`` and ``--jobs 2``
+  (``REPORT``), which must print the same;
 - ``autgroup --septuple S`` and ``monomials --weights a1,...,a5 --degree d``
   for the 130 families;
 - ``normalize`` and ``autgroup`` with ``--family F --seed s`` for the
@@ -30,6 +32,7 @@ added or was dropped; name those argvs in CHANGES.md.
 import hashlib
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -67,6 +70,9 @@ CLASSIFY = (
     ("--index", "1"),
 )
 
+#: the report at the default bounds, in one process and over a pool of two
+REPORT = ((), ("--jobs", "2"))
+
 #: the seven symmetry-route families, drawn at the seeds of the ``reduce`` workload
 SYMMETRY_FAMILIES = (19, 28, 39, 49, 59, 66, 84)
 SYMMETRY_SEEDS = range(40)
@@ -97,6 +103,7 @@ def argvs(families) -> list[list[str]]:
     return (
         [[c, "--septuple", _septuple(s), "--format", f] for c, s in cases for f in ("json", "markdown")]
         + [["classify", *options, "--format", f] for options in CLASSIFY for f in ("json", "markdown")]
+        + [["report", *options, "--format", f] for options in REPORT for f in ("json", "markdown")]
         + [[*options, "--format", f] for options in per_family for f in ("json", "markdown")]
         + _symmetry_draws("json")
     )
@@ -119,6 +126,7 @@ def compute(argv_list) -> dict[str, str]:
 
 
 if __name__ == "__main__":
+    os.environ.pop(cli.CATALOG_ENV, None)  # the report pins are of the search, not of a stored catalog
     old = json.loads(PATH.read_text(encoding="utf-8")) if PATH.exists() else {}
     new = compute(argvs([r.septuple for r in classify(SearchBounds())]) + slow_argvs())
     for key in sorted(old.keys() | new.keys()):

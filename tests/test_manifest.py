@@ -3,20 +3,29 @@
 import json
 
 import pytest
-from manifest import NON_QUASISMOOTH, PATH, STAGES, argvs, compute, slow_argvs
+from manifest import NON_QUASISMOOTH, PATH, REPORT, STAGES, argvs, compute, slow_argvs
 
+from wfano.cli import CATALOG_ENV
 from wfano.membership import quasismooth_general, rejection
 from wfano.singular import terminal_general
 from wfano.wspace import weight_system, wps_well_formed
 
 
-def test_manifest(default_catalog):
+def test_manifest(default_catalog, monkeypatch):
+    monkeypatch.delenv(CATALOG_ENV, raising=False)
     records, _ = default_catalog
     stored = json.loads(PATH.read_text(encoding="utf-8"))
     fast = argvs([r.septuple for r in records])
     assert sorted(" ".join(argv) for argv in fast + slow_argvs()) == sorted(stored)
     current = compute(fast)
     assert [argv for argv in current if current[argv] != stored[argv]] == []
+
+
+def test_report_pins_agree_across_jobs():
+    stored = json.loads(PATH.read_text(encoding="utf-8"))
+    for f in ("json", "markdown"):
+        one, two = (stored[" ".join(["report", *options, "--format", f])] for options in REPORT)
+        assert one == two, f
 
 
 @pytest.mark.slow
