@@ -81,26 +81,6 @@ def mat_det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _primitive(vectors: list[list[int]]) -> bool:
-    """Do the integer vectors have maximal minors of gcd 1, i.e. extend to a
-    basis of the integer lattice?  Euclid's algorithm on the unused
-    coordinates of each vector in turn, applied to the later vectors too,
-    keeps that gcd and leaves one nonzero coordinate, which must be +-1."""
-    vs = [list(v) for v in vectors]
-    free = set(range(len(vs[0]))) if vs else set()
-    for k, v in enumerate(vs):
-        while len(support := sorted((j for j in free if v[j]), key=lambda j: abs(v[j]))) > 1:
-            p = support[0]
-            for j in support[1:]:
-                q = v[j] // v[p]
-                for w in vs[k:]:
-                    w[j] -= q * w[p]
-        if not support or abs(v[support[0]]) != 1:
-            return False
-        free.remove(support[0])
-    return True
-
-
 @dataclass(frozen=True)
 class SmithForm:
     """Diagonalization A * R with R unimodular: some unimodular L, which is
@@ -113,24 +93,6 @@ class SmithForm:
     diagonal: tuple[int, ...]
     right: tuple[tuple[int, ...], ...]
 
-    def verify(self, original: Sequence[Sequence[int]]) -> bool:
-        """Is R unimodular, with L * A * R = D for some unimodular L?  L exists
-        iff the columns of A * R past the rank r are zero and column k < r is
-        d_k * u_k, where u_0, ..., u_{r-1} extend to a basis (L inverts it)."""
-        rows = len(original)
-        cols = len(original[0]) if rows else 0
-        nz = [d for d in self.diagonal if d]
-        r = len(nz)
-        shaped = list(self.diagonal) == nz + [0] * (min(rows, cols) - r) and all(d > 0 for d in nz)
-        if not shaped or len(self.right) != cols or abs(mat_det(self.right)) != 1:
-            return False
-        prod = mat_mul(original, self.right)
-        columns = [[row[k] for row in prod] for k in range(cols)]
-        if any(any(c) for c in columns[r:]) or any(x % d for d, c in zip(nz, columns) for x in c):
-            return False
-        chain = all(nz[i + 1] % nz[i] == 0 for i in range(r - 1))
-        return chain and _primitive([[x // d for x in c] for d, c in zip(nz, columns)])
-
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     """Smith normal form of an integer matrix, with its right transform.
@@ -139,7 +101,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     lowest (row, col), which makes the reduction deterministic for a fixed
     input.  Returns diagonal entries normalized nonnegative with the
     divisibility chain enforced.  Row operations act on the matrix alone; the
-    left transform is not kept, and ``SmithForm.verify`` proves it exists.
+    left transform is not kept; the tests prove that it exists.
     Once pivot k is done, row k and column k are zero off the diagonal, so
     the operations at pivot k touch only rows and columns >= k of the matrix.
     """
@@ -565,22 +527,19 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [1]
 
 
-def common_interior_degree(forms: Sequence[BinaryForm]) -> int:
-    """Degree of the gcd of the dehomogenized cores of nonzero binary forms.
+def common_interior_degree(forms: Sequence[Sequence[int]]) -> int:
+    """Degree of the gcd of the dehomogenized cores of nonzero binary forms
+    with integer coefficients.
 
     It is positive exactly when the forms share a root off the two coordinate
     points [1:0] and [0:1], over the algebraic closure.  A form's core drops
     its zero end coefficients: the leading ones are its v-power factor, which
-    vanishes at [1:0], the trailing ones its u-power factor, at [0:1].  The
-    core is taken over the common denominator of its Fraction entries, so
-    ``poly_gcd`` sees integers.
+    vanishes at [1:0], the trailing ones its u-power factor, at [0:1].
     """
-    g: list[int] = []
+    g: Sequence[int] = ()
     for b in forms:
         nonzero = [i for i, c in enumerate(b) if c]
         core = b[nonzero[0] : nonzero[-1] + 1]
-        den = lcm(*(c.denominator for c in core))
-        core = [c.numerator * (den // c.denominator) for c in core]
         g = poly_gcd(g, core) if g else core
         if len(g) <= 1:
             return 0

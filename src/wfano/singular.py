@@ -13,10 +13,9 @@ terminality out immediately, since terminal 3-fold singularities are isolated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from typing import Iterator
 
 from .membership import StratumSelector, format_stratum, rejection
 from .wspace import NVARS, VARIABLES, WeightSystem, count_monomials
@@ -62,7 +61,7 @@ class BasketPoint:
 @dataclass(frozen=True)
 class SingularityBasket:
     points: tuple[BasketPoint, ...]
-    non_isolated: tuple[tuple[StratumSelector, str], ...] = field(default_factory=tuple)
+    non_isolated: tuple[tuple[StratumSelector, str], ...]
 
     @property
     def terminal(self) -> bool:
@@ -95,15 +94,12 @@ def vertex_type(a: tuple[int, ...], d: int, i: int) -> tuple[int, ...] | None:
     return tuple(wts)
 
 
-def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSelector, str]]:
-    """The singular locus of a general member, one stratum at a time.
-
-    Yields a BasketPoint for each isolated quotient singularity and a
-    (stratum, reason) pair for each positive-dimensional piece, in basket
-    order: 2-dimensional strata, then vertices, then edges.  Lazy, so that
-    terminal_general can stop at the first failure.
-    """
+def _singular_locus(ws: WeightSystem) -> SingularityBasket:
+    """The basket of a general member, in one walk of its singular locus:
+    2-dimensional strata, then vertices, then edges."""
     a, d = ws.weights, ws.degree
+    points: list[BasketPoint] = []
+    non_isolated: list[tuple[StratumSelector, str]] = []
 
     # 2-dimensional singular strata: X meets them in a curve of singular points
     # unless the restricted equation is a single monomial.  Both callers have
@@ -112,7 +108,7 @@ def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSe
     for i, j, k in _TRIPLES:
         q = gcd(a[i], a[j], a[k])
         if q > 1:
-            yield (i, j, k), f"X meets the gcd-{q} stratum in a curve of singular points"
+            non_isolated.append(((i, j, k), f"X meets the gcd-{q} stratum in a curve of singular points"))
 
     # vertices
     for i in range(NVARS):
@@ -124,10 +120,10 @@ def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSe
             raise ValueError(f"{ws}: vertex {VARIABLES[i]} is not covered, so X is not quasismooth")
         # one gcd over the product; a weight reduced to 0 makes it gcd(ai, 0) = ai >= 2
         if gcd(ai, wts[0] * wts[1] * wts[2]) != 1:
-            yield (i,), f"vertex type 1/{ai}{wts} has a non-coprime weight"
+            non_isolated.append(((i,), f"vertex type 1/{ai}{wts} has a non-coprime weight"))
             continue
         sing = QuotientSingularity(ai, tuple(sorted(wts)))  # type: ignore[arg-type]
-        yield BasketPoint(f"vertex {VARIABLES[i]}", 1, sing)
+        points.append(BasketPoint(f"vertex {VARIABLES[i]}", 1, sing))
 
     # edges
     for i, j, off in _EDGES:
@@ -136,16 +132,18 @@ def _singular_strata(ws: WeightSystem) -> Iterator[BasketPoint | tuple[StratumSe
             continue
         n = count_monomials((a[i], a[j]), d)
         if n == 0:
-            yield (i, j), f"edge with weight gcd {q} lies inside X"
+            non_isolated.append(((i, j), f"edge with weight gcd {q} lies inside X"))
             continue
         if n == 1:
             continue
         wts = (a[off[0]] % q, a[off[1]] % q, a[off[2]] % q)
         if gcd(q, wts[0] * wts[1] * wts[2]) != 1:
-            yield (i, j), f"edge type 1/{q}{wts} has a non-coprime weight"
+            non_isolated.append(((i, j), f"edge type 1/{q}{wts} has a non-coprime weight"))
             continue
         sing = QuotientSingularity(q, tuple(sorted(wts)))  # type: ignore[arg-type]
-        yield BasketPoint(f"edge {VARIABLES[i]}{VARIABLES[j]}", n - 1, sing)
+        points.append(BasketPoint(f"edge {VARIABLES[i]}{VARIABLES[j]}", n - 1, sing))
+
+    return SingularityBasket(points=tuple(points), non_isolated=tuple(non_isolated))
 
 
 def singular_points_general(ws: WeightSystem) -> SingularityBasket:
@@ -168,14 +166,7 @@ def singular_points_general(ws: WeightSystem) -> SingularityBasket:
             f"singular_points_general: {ws} fails the membership predicates "
             f"({reason}); singularity types are undefined"
         )
-    points: list[BasketPoint] = []
-    non_isolated: list[tuple[StratumSelector, str]] = []
-    for entry in _singular_strata(ws):
-        if isinstance(entry, BasketPoint):
-            points.append(entry)
-        else:
-            non_isolated.append(entry)
-    return SingularityBasket(points=tuple(points), non_isolated=tuple(non_isolated))
+    return _singular_locus(ws)
 
 
 def terminal_general(ws: WeightSystem) -> bool:
@@ -184,13 +175,10 @@ def terminal_general(ws: WeightSystem) -> bool:
     This is the terminality stage of ``membership.rejection``: it assumes the
     earlier stages passed (every vertex covered, where an uncovered one raises
     ValueError; no singular stratum inside X) and does not check them again.
-    It stops at the first positive-dimensional stratum or non-terminal point,
-    and agrees with ``singular_points_general(ws).terminal``.
+    It reads the basket's ``terminal`` off the walk of ``singular_points_general``,
+    run without its membership guard, so ws need not be quasismooth.
     """
-    return all(
-        isinstance(p, BasketPoint) and terminal_type(p.singularity.order, p.singularity.local_weights)
-        for p in _singular_strata(ws)
-    )
+    return _singular_locus(ws).terminal
 
 
 def format_non_isolated(entries: tuple[tuple[StratumSelector, str], ...]) -> list[str]:

@@ -27,11 +27,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for p in (ROOT / "src" / "wfano").glob("*.py") if p.name != "__init__.py")
 CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
-#: names kept without a caller in the program, each with its reason
-ALLOWED = {
-    "verify": "SmithForm.verify proves the left transform exists; the tests run it",
-}
-
 #: function.parameter kept without a caller that passes it, each with its reason
 ALLOWED_DEFAULTS = {
     "main.argv": "the console script calls cli.main() with no arguments, so argparse reads sys.argv",
@@ -53,7 +48,7 @@ def defined(tree):
 
 
 def test_every_definition_has_a_caller():
-    variables, attributes = set(), {attr for _, attr, _ in traced_sites()} | ALLOWED.keys()
+    variables, attributes = set(), {attr for _, attr, _ in traced_sites()}
     for tree in parse(CALLERS):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):

@@ -20,9 +20,8 @@ from wfano.catalog import (
 )
 from wfano.membership import membership_report, rejection
 from wfano.singular import (
-    BasketPoint,
     QuotientSingularity,
-    _singular_strata,
+    _singular_locus,
     singular_points_general,
     terminal_general,
 )
@@ -359,24 +358,20 @@ def test_constraint_search_matches_brute_force(generated, bounds, index_range, c
             assert _p4_lemma(a, d), (a, d)
     found = set(_in_box([(r.ws.weights, r.ws.degree) for r in classify(bounds)], bounds, index_range))
     assert found == kept
-    # the short-circuit terminality agrees with the full basket wherever the
-    # chain reaches it, quasismooth or not
+    # the terminality stage agrees with Reid--Tai on the basket wherever the
+    # chain reaches it, quasismooth or not, and the basket is the one
+    # singular_points_general returns
     reached = 0
     for a, d in covered_pairs:
         reason = rejection(a, d)
         if reason not in (None, "quasismoothness"):
             continue
         ws = WeightSystem(a, d)
-        entries = list(_singular_strata(ws))
-        points = [e for e in entries if isinstance(e, BasketPoint)]
-        full = len(points) == len(entries) and all(reid_tai_terminal(p.singularity) for p in points)
+        basket = _singular_locus(ws)
+        full = not basket.non_isolated and all(reid_tai_terminal(p.singularity) for p in basket.points)
         assert terminal_general(ws) == full, ws
         if reason is None:
-            basket = singular_points_general(ws)
-            assert full == (
-                not basket.non_isolated
-                and all(reid_tai_terminal(p.singularity) for p in basket.points)
-            )
+            assert singular_points_general(ws) == basket
         reached += 1
     assert reached > len(earlier)
 

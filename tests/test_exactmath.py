@@ -29,6 +29,45 @@ from wfano.symalg import partial_derivative, reference_support, sample_general_m
 
 from conftest import scaled
 
+
+def _primitive(vectors: list[list[int]]) -> bool:
+    """Do the integer vectors have maximal minors of gcd 1, i.e. extend to a
+    basis of the integer lattice?  Euclid's algorithm on the unused
+    coordinates of each vector in turn, applied to the later vectors too,
+    keeps that gcd and leaves one nonzero coordinate, which must be +-1."""
+    vs = [list(v) for v in vectors]
+    free = set(range(len(vs[0]))) if vs else set()
+    for k, v in enumerate(vs):
+        while len(support := sorted((j for j in free if v[j]), key=lambda j: abs(v[j]))) > 1:
+            p = support[0]
+            for j in support[1:]:
+                q = v[j] // v[p]
+                for w in vs[k:]:
+                    w[j] -= q * w[p]
+        if not support or abs(v[support[0]]) != 1:
+            return False
+        free.remove(support[0])
+    return True
+
+
+def verify_smith_form(s: SmithForm, original) -> bool:
+    """Is s.right unimodular, with L * A * R = D for some unimodular L?  L
+    exists iff the columns of A * R past the rank r are zero and column k < r
+    is d_k * u_k, where u_0, ..., u_{r-1} extend to a basis (L inverts it)."""
+    rows = len(original)
+    cols = len(original[0]) if rows else 0
+    nz = [d for d in s.diagonal if d]
+    r = len(nz)
+    shaped = list(s.diagonal) == nz + [0] * (min(rows, cols) - r) and all(d > 0 for d in nz)
+    if not shaped or len(s.right) != cols or abs(mat_det(s.right)) != 1:
+        return False
+    prod = mat_mul(original, s.right)
+    columns = [[row[k] for row in prod] for k in range(cols)]
+    if any(any(c) for c in columns[r:]) or any(x % d for d, c in zip(nz, columns) for x in c):
+        return False
+    chain = all(nz[i + 1] % nz[i] == 0 for i in range(r - 1))
+    return chain and _primitive([[x // d for x in c] for d, c in zip(nz, columns)])
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
@@ -64,7 +103,7 @@ def test_triple_matrix_sends_the_standard_triple():
 def test_smith_normal_form_trivial_cases():
     z = smith_normal_form([[0, 0], [0, 0]])
     assert z.diagonal == (0, 0)
-    assert z.verify([[0, 0], [0, 0]])
+    assert verify_smith_form(z, [[0, 0], [0, 0]])
     i3 = smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert i3.diagonal == (1, 1, 1)
 
@@ -74,26 +113,26 @@ def test_smith_normal_form_hand_checked():
     assert smith_normal_form([[2, 0], [0, 4]]).diagonal == (2, 4)
     s = smith_normal_form([[2, 4], [4, 2]])
     assert s.diagonal == (2, 6)
-    assert s.verify([[2, 4], [4, 2]])
+    assert verify_smith_form(s, [[2, 4], [4, 2]])
 
 
 def test_smith_form_verify_rejects_forgeries():
     a = [[2, 4], [4, 2]]
     right = smith_normal_form(a).right
     # wrong diagonals: column 0 of A * R is 2 * u_0 with u_0 primitive
-    assert not SmithForm((1, 12), right).verify(a)
-    assert not SmithForm((4, 3), right).verify(a)
-    assert not SmithForm((2,), right).verify(a)
+    assert not verify_smith_form(SmithForm((1, 12), right), a)
+    assert not verify_smith_form(SmithForm((4, 3), right), a)
+    assert not verify_smith_form(SmithForm((2,), right), a)
     # non-unimodular right transform; everything else would pass
-    assert SmithForm((2,), ((1,),)).verify([[2]])
-    assert not SmithForm((2,), ((2,),)).verify([[1]])
+    assert verify_smith_form(SmithForm((2,), ((1,),)), [[2]])
+    assert not verify_smith_form(SmithForm((2,), ((2,),)), [[1]])
     # non-primitive columns: no unimodular L maps 2 to 1
-    assert not SmithForm((1,), ((1,),)).verify([[2]])
+    assert not verify_smith_form(SmithForm((1,), ((1,),)), [[2]])
     # each column primitive, but together they span an index-2 lattice
-    assert not SmithForm((1, 1), ((1, 0), (0, 1))).verify([[1, 1], [1, -1]])
+    assert not verify_smith_form(SmithForm((1, 1), ((1, 0), (0, 1))), [[1, 1], [1, -1]])
     assert smith_normal_form([[1, 1], [1, -1]]).diagonal == (1, 2)
     # a column past the rank that is not zero
-    assert not SmithForm((1,), ((1, 0), (0, 1))).verify([[1, 1]])
+    assert not verify_smith_form(SmithForm((1,), ((1, 0), (0, 1))), [[1, 1]])
 
 
 def test_smith_form_verify_rejects_scaled_divisors():
@@ -105,7 +144,7 @@ def test_smith_form_verify_rejects_scaled_divisors():
         for k, d in enumerate(s.diagonal):
             if d:
                 forged = s.diagonal[:k] + (2 * d,) + s.diagonal[k + 1 :]
-                assert not SmithForm(forged, s.right).verify(a)
+                assert not verify_smith_form(SmithForm(forged, s.right), a)
 
 
 def _minor_gcd(matrix, k):
@@ -127,7 +166,7 @@ def test_smith_normal_form_randomized_with_minor_oracle():
         m = rng.randint(1, 4)
         a = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
         s = smith_normal_form(a)
-        assert s.verify(a)
+        assert verify_smith_form(s, a)
         prod = 1
         for k, d in enumerate([d for d in s.diagonal if d], start=1):
             prod *= d
@@ -141,7 +180,7 @@ def test_smith_normal_form_randomized_chain_large():
         m = rng.randint(1, 6)
         a = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
         s = smith_normal_form(a)
-        assert s.verify(a)
+        assert verify_smith_form(s, a)
 
 
 def _smith_cases():
@@ -174,26 +213,31 @@ def test_smith_normal_form_output_is_pinned():
     forms = [smith_normal_form(a) for a in _smith_cases()]
     payload = json.dumps([[s.diagonal, s.right] for s in forms]).encode()
     assert hashlib.sha256(payload).hexdigest() == "5fa32dafc6e48dda0a57c498833e736860f079a2b7e79ea6f5af776ef27eef11"
-    assert all(s.verify(a) for s, a in zip(forms, _smith_cases()))
+    assert all(verify_smith_form(s, a) for s, a in zip(forms, _smith_cases()))
 
 
 def test_common_interior_degree():
     # entry i multiplies u^(n-i) v^i: a leading zero is a factor v, vanishing
-    # at [1:0], and a trailing zero a factor u, vanishing at [0:1]
-    split = from_roots((1, 2))  # (v - u)(v - 2u)
+    # at [1:0], and a trailing zero a factor u, vanishing at [0:1]; the
+    # coefficients are integers, as the member's edge slices are
+
+    def from_int_roots(roots):
+        return [int(c) for c in from_roots(roots)]
+
+    split = from_int_roots((1, 2))  # (v - u)(v - 2u)
     # one form: the degree of its core, with the zero ends on both sides cut off
     assert common_interior_degree([[0, 0, *split, 0]]) == 2
     assert common_interior_degree([[0, 5, 0]]) == 0
     # shared interior roots, with multiplicity and over the algebraic closure
     assert common_interior_degree([[0, *split], [*split, 0, 0]]) == 2
-    assert common_interior_degree([from_roots((1, 1, 2)), [0, *from_roots((1, 1, 3))]]) == 2
+    assert common_interior_degree([from_int_roots((1, 1, 2)), [0, *from_int_roots((1, 1, 3))]]) == 2
     # (v^2 - 2u^2)(v - u) and (v^2 - 2u^2)(v + u)
     assert common_interior_degree([[2, -2, -1, 1], [-2, -2, 1, 1]]) == 2
     # u*v*(v - u) and u*v*(v - 2u) share only [1:0] and [0:1]; v^2 and u^2*v only [1:0]
-    assert common_interior_degree([[0, *from_roots((1,)), 0], [0, *from_roots((2,)), 0]]) == 0
+    assert common_interior_degree([[0, *from_int_roots((1,)), 0], [0, *from_int_roots((2,)), 0]]) == 0
     assert common_interior_degree([[0, 0, 1], [0, 1, 0, 0]]) == 0
     # every two of three forms share a root, all three none
-    assert common_interior_degree([from_roots((1, 2)), from_roots((2, 3)), from_roots((1, 3))]) == 0
+    assert common_interior_degree([from_int_roots((1, 2)), from_int_roots((2, 3)), from_int_roots((1, 3))]) == 0
 
 
 def fraction_poly_rem(a, b):
@@ -282,9 +326,9 @@ def test_poly_gcd_against_the_fraction_euclid():
             forms.append(f)
         degree = reference_common_interior_degree(forms)
         assert degree >= len(shared) - 1
-        padded = [[0] * rng.randint(0, 2) + f + [0] * rng.randint(0, 2) for f in forms]
-        assert common_interior_degree(padded) == degree
         integer = [[int(c * lcm_of_denominators(f)) for c in f] for f in forms]
+        padded = [[0] * rng.randint(0, 2) + f + [0] * rng.randint(0, 2) for f in integer]
+        assert common_interior_degree(padded) == degree
         for a, b in combinations(integer, 2):
             assert_gcd_matches_the_oracle(a, b)
             assert_gcd_matches_the_oracle(b, a)
