@@ -181,7 +181,7 @@ def cmd_autgroup(args) -> None:
         if (args.septuple, args.weights, args.degree) != (None, None, None):
             raise ValueError("--family takes no --septuple, --weights or --degree")
         cert = symmetry.certify_trivial_automorphisms(args.family, seed=args.seed)
-        payload = json.loads(cert.to_json())
+        payload = cert.to_dict()
         md = f"# automorphism certificate, family {args.family}\n\n" + "\n".join(
             f"- {c}" for c in cert.checks
         )

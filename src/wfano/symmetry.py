@@ -15,7 +15,6 @@ and testing set preservation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -285,8 +284,8 @@ class AutomorphismCertificate:
             ok = ok and self.stabilizer_order == 1
         return ok
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "family": self.family,
             "seed": self.seed,
             "support": [format_monomial(m) for m in sorted(self.support)],
@@ -297,7 +296,6 @@ class AutomorphismCertificate:
             "checks": list(self.checks),
             "trivial": self.trivial,
         }
-        return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
 #: slice data for the line argument: family -> (pair, extra cofactor slices)
