@@ -88,7 +88,9 @@ class GradedPolynomial:
         if den <= 0 or gcd(den, *num.values()) != 1:
             raise ValueError(f"GradedPolynomial: denominator {den} is not positive and prime to the numerators")
 
-    def __reduce__(self):  # pickle the fields alone: the cached ``terms`` view does not pickle
+    def __reduce__(self):
+        # rebuild through the constructor, which registers the keys in _grade_monomials, empty in
+        # a fresh process (a spawned worker); pickle the fields alone: the ``terms`` view does not pickle
         return GradedPolynomial, (self.ws, self.grade, self.num, self.den)
 
     @cached_property

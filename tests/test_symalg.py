@@ -743,6 +743,25 @@ def test_quasismooth_member_imports_no_sympy():
     assert result.returncode == 0, result.stderr
 
 
+def test_pickled_member_is_checked_in_a_fresh_interpreter():
+    # the path of a spawned worker: the member arrives pickled, its ``terms``
+    # never built, in a process whose _grade_monomials registry is empty
+    f = sample_general_member(weight_system(1, 1, 1, 2, 3, 6), seed=1)
+    assert "terms" not in f.__dict__
+    data = pickle.dumps(f)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import pickle, sys; from wfano.symalg import quasismooth_member; "
+        "print(repr(quasismooth_member(pickle.load(sys.stdin.buffer))))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], input=data, env=env, capture_output=True, timeout=60)
+    assert result.returncode == 0, result.stderr.decode()
+    verdict = quasismooth_member(f)
+    assert verdict.status == "quasismooth"
+    assert result.stdout.decode() == repr(verdict) + "\n"
+
+
 def test_canonical_rational_root_rules():
     def canonical(*coeffs):
         return _canonical_rational_root({k: Fraction(c) for k, c in enumerate(coeffs) if c})
