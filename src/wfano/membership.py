@@ -4,8 +4,9 @@ Well-formedness of the hypersurface, linear-cone exclusion, and the
 combinatorial quasismoothness test for the general member.  "General member"
 is treated purely combinatorially: the support is all monomials of degree d,
 so every predicate here is a statement about which weighted monomials exist.
-Each predicate call reads those facts off ``wspace.semigroup_table`` bitsets built for it alone,
-over the weights that can change its answer: for quasismoothness, the live ones (a_i not dividing d).
+Each predicate call reads those facts off one ``wspace.semigroup_table`` built for it alone: for
+quasismoothness, of the live weights (a_i not dividing d); for well-formedness, of each triple with a
+common factor.  Each refuses a degree past the table's limit with the table's one text.
 
 Ambient well-formedness and quasismoothness imply hypersurface well-formedness: a 3-variable
 stratum has two outside variables, so quasismoothness passes it only through a pure degree-d
@@ -105,7 +106,7 @@ def quasismooth_general(ws: WeightSystem) -> tuple[bool, list[tuple[StratumSelec
         raise ValueError("quasismooth_general: linear cones are excluded upstream")
     a, d = ws.weights, ws.degree
     live = [i for i in range(NVARS) if d % a[i]]
-    table = semigroup_table([a[i] for i in live], d, range(1, NVARS + 1))
+    table = semigroup_table([a[i] for i in live], d)
     failing: list[tuple[StratumSelector, str]] = []
     for subset, mask, outside in _LIVE_STRATA[sum(1 << i for i in live)]:
         b = table[mask]
@@ -131,8 +132,8 @@ def hypersurface_well_formed(ws: WeightSystem) -> bool:
     """
     if not wps_well_formed(ws):
         return False
-    d = ws.degree  # each triple with a common factor, in the order of combinations; [-1] is all three
-    return all(semigroup_table(wts, d, (3,), chain=True)[-1] >> d & 1 for wts in combinations(ws.weights, 3) if gcd(*wts) > 1)
+    d = ws.degree  # [-1] is the entry of all three weights
+    return all(semigroup_table(wts, d)[-1] >> d & 1 for wts in combinations(ws.weights, 3) if gcd(*wts) > 1)
 
 
 def membership_report(ws: WeightSystem) -> MembershipReport:
@@ -170,8 +171,7 @@ def rejection(
     three stages run on the plain integers, so a family they reject never
     builds a WeightSystem.  Quasismoothness is evaluated right after ambient
     well-formedness, and hypersurface well-formedness, which it implies (module
-    docstring), only where it fails or refuses d; a refusal is raised after ``terminal``,
-    so its text is that of the first table in naming order to refuse.
+    docstring), only where it fails.
     """
     a, d = weights, degree
     if sum(a) <= d:
@@ -189,14 +189,9 @@ def rejection(
     ws = WeightSystem(a, d)
     if not wps_well_formed(ws):
         return "well-formedness"
-    try:
-        qs, refused = quasismooth_general(ws)[0], None
-    except ValueError as exc:
-        qs, refused = False, exc
+    qs = quasismooth_general(ws)[0]
     if not qs and not hypersurface_well_formed(ws):
         return "hypersurface well-formedness"
     if terminal is not None and not terminal(ws):
         return "terminality"
-    if refused is not None:
-        raise refused
     return None if qs else "quasismoothness"

@@ -17,8 +17,9 @@ from operator import mul
 VARIABLES = ("x", "y", "z", "t", "w")
 NVARS = 5
 
-#: the most bits ``count_monomials`` packs its series into (2 MiB); a larger
-#: degree raises ValueError instead of exhausting memory
+#: the most bits (2 MiB) that ``count_monomials`` packs its series into and that a
+#: ``semigroup_table`` of five weights holds; a larger degree raises ValueError instead
+#: of exhausting memory
 MAX_SERIES_BITS = 1 << 24
 
 #: exponent vector over (x, y, z, t, w)
@@ -147,28 +148,17 @@ def enumerate_monomials(ws: WeightSystem, k: int) -> list[Monomial]:
     return out
 
 
-def series_width(n: int, k: int) -> int:
-    """Bits per slot of ``count_monomials``'s series of n weights to degree k; ValueError past MAX_SERIES_BITS in all."""
-    width = comb(k + n - 1, n - 1).bit_length()
-    if (bits := (k + 1) * width) > MAX_SERIES_BITS:
-        raise ValueError(f"count_monomials: degree {k} needs {bits} bits, over {MAX_SERIES_BITS}")
-    return width
-
-
-def semigroup_table(weights: Sequence[int], d: int, sizes: range | tuple[int, ...], chain: bool = False) -> list[int]:
+def semigroup_table(weights: Sequence[int], d: int) -> list[int]:
     """Bit t of ``table[mask]`` is set iff t <= d is a sum of the weights in the subset
     mask (bit i for weights[i]).  Entry mask + 2^i, mask < 2^i, is entry mask closed by the
     doubling of ``count_monomials`` (shifts by a, 2a, ..., 2^(m-1)*a <= d add j*a, j < 2^m).
-    With ``chain``, only the prefixes are built: entry i is entry i - 1 closed by weights[i - 1].
-    A d that ``series_width(n, d)`` refuses for an n of sizes is refused first, with the text
-    of the first such n in sizes' order; below 2^16 no n <= 5 is refused, since
-    comb(d + 4, 4) < 2^60 and 2^16 * 60 < MAX_SERIES_BITS, so only a larger d is checked."""
-    if d >> 16:
-        for n in sizes:
-            series_width(n, d)
+    Every d > 524,287 is refused, whatever the weights, with a text that names d alone:
+    a table of five weights would hold (d + 1) * 2^NVARS bits, over MAX_SERIES_BITS."""
+    if (bits := (d + 1) << NVARS) > MAX_SERIES_BITS:
+        raise ValueError(f"semigroup_table: degree {d} needs {bits} bits, over {MAX_SERIES_BITS}")
     full, table = (1 << d + 1) - 1, [1]
     for a in weights:
-        for b in table[-1:] if chain else table[:]:
+        for b in table[:]:
             s = a
             while s <= d and b != full:  # a full entry stays full
                 b |= b << s
@@ -187,8 +177,10 @@ def count_monomials(weights: tuple[int, ...], k: int) -> int:
     """
     if k < 0 or not weights:
         raise ValueError("count_monomials: need a degree >= 0 and one or more weights")
-    width = series_width(len(weights), k)
-    mask = (1 << (k + 1) * width) - 1
+    width = comb(k + len(weights) - 1, len(weights) - 1).bit_length()
+    if (bits := (k + 1) * width) > MAX_SERIES_BITS:
+        raise ValueError(f"count_monomials: degree {k} needs {bits} bits, over {MAX_SERIES_BITS}")
+    mask = (1 << bits) - 1
     series = 1
     for a in weights:
         if a <= 0:

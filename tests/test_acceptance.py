@@ -29,12 +29,16 @@ from wfano.irrational import decide
 from wfano.singular import QuotientSingularity
 from wfano.symalg import (
     REFERENCE_TABLES,
+    SliceSplit,
     Substitution,
+    T,
+    W,
     builtin_plan,
     family_weight_system,
     normalize,
     reference_support,
     sample_family_member,
+    sample_general_member,
     substitute,
 )
 from wfano.symmetry import (
@@ -327,6 +331,20 @@ def test_criterion_7_singularity_checks(default_catalog):
         f"three marked points of type 1/a5(1,a2,a3): {normal_form_ok}",
     )
     assert ok
+
+
+def test_cubic_normal_form_leaves_every_member_quadratic_in_w(default_catalog):
+    # every family that decide may read off d = 3*a5 and a4 = a5: the four of
+    # index 1 on the normal-form route and the cubic threefold of index 2
+    records, _ = default_catalog
+    families = [r.ws for r in records if r.ws.degree == 3 * r.ws.weights[4] and r.ws.weights[3] == r.ws.weights[4]]
+    assert sorted(ws.septuple for ws in families) == [
+        (1, 1, 1, 1, 1, 3, 2), (1, 1, 1, 2, 2, 6, 1), (1, 1, 2, 3, 3, 9, 1),
+        (1, 1, 3, 4, 4, 12, 1), (1, 2, 3, 5, 5, 15, 1),
+    ]
+    for ws in families:
+        nf = cubic_normal_form(sample_general_member(ws, 0, (SliceSplit((T, W)),)))
+        assert max(m[4] for m in nf.polynomial.terms) == 2, ws
 
 
 def test_criterion_8_verdict_table(default_catalog):

@@ -276,11 +276,11 @@ BAD_INPUTS = [
     bad("check-negative-index", "check", "--septuple", "1,1,1,1,1,9",
         error="fails the Fano index stage: index -4 < 1"),
     bad("check-huge-degree", "check", "--septuple", "1,1,1,1,100000000,100000001",
-        error="count_monomials: degree 100000001 needs 100000002 bits"),
+        error="semigroup_table: degree 100000001 needs 3200000064 bits, over 16777216"),
     bad("check-huge-pair-series", "check", "--septuple", "2,3,5,3000000,5000000,8000000",
-        error="count_monomials: degree 8000000 needs 184000023 bits"),
+        error="semigroup_table: degree 8000000 needs 256000032 bits, over 16777216"),
     bad("check-huge-live-weight", "check", "--septuple", "1,1,1,1,10000000,10000001",
-        error="count_monomials: degree 10000001 needs 240000048 bits"),
+        error="semigroup_table: degree 10000001 needs 320000064 bits, over 16777216"),
     bad("classify-zero-weight", "classify", "--max-weight", "0", error="bounds must be positive"),
     bad("classify-negative-degree", "classify", "--max-degree", "-3", error="bounds must be positive"),
     bad("classify-unknown-flag", "classify", "--no-such-flag", code=2),
@@ -298,9 +298,9 @@ BAD_INPUTS = [
     bad("basket-negative-index", "basket", "--septuple", "1,1,1,1,1,9",
         error="fails the Fano index stage: index -4 < 1"),
     bad("basket-huge-degree", "basket", "--septuple", "1,1,1,1,100000000,100000001",
-        error="count_monomials: degree 100000001 needs 100000002 bits"),
+        error="semigroup_table: degree 100000001 needs 3200000064 bits, over 16777216"),
     bad("basket-huge-triple-series", "basket", "--septuple", "2,3,5,3000000,5000000,8000000",
-        error="count_monomials: degree 8000000 needs 360000045 bits"),
+        error="semigroup_table: degree 8000000 needs 256000032 bits, over 16777216"),
     bad("normalize-unknown-family", "normalize", "--family", "2", error="unknown family number 2"),
     bad("normalize-non-integer", "normalize", "--family", "x", code=2),
     bad("normalize-no-plan", "normalize", "--family", "9", error="no built-in plan for family 9"),
@@ -352,9 +352,9 @@ BAD_INPUTS = [
     bad("verdict-no-septuple", "verdict", code=2),
     bad("verdict-non-member", "verdict", "--septuple", "1,1,1,1,4,7", error="is not an accepted family"),
     bad("verdict-huge-degree", "verdict", "--septuple", "1,1,1,1,100000000,100000001",
-        error="count_monomials: degree 100000001 needs 100000002 bits"),
+        error="semigroup_table: degree 100000001 needs 3200000064 bits, over 16777216"),
     bad("verdict-huge-triple-series", "verdict", "--septuple", "2,3,5,3000000,5000000,8000000",
-        error="count_monomials: degree 8000000 needs 360000045 bits"),
+        error="semigroup_table: degree 8000000 needs 256000032 bits, over 16777216"),
     bad("report-zero-weight", "report", "--max-weight", "0", error="bounds must be positive"),
     bad("report-over-cap", "report", "--max-weight", "201", error="--max-weight 201 is more than the limit of 200"),
     bad("report-catalog-list", "report", "--catalog", "{tmp}/list.json", error="JSON object"),
@@ -394,6 +394,28 @@ def test_bad_input(argv, code, error, tmp_path, capsys):
     status, out, err = run_cli(capsys, *argv)
     assert (status, out) == (1, "")
     assert error in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("septuple", [
+    "1,1,1,1,100000000,100000001", "2,3,5,3000000,5000000,8000000", "1,1,1,1,10000000,10000001",
+])
+def test_a_refused_degree_gets_one_error_from_every_subcommand(septuple, capsys):
+    # check asks quasismoothness first and basket and verdict the predicate
+    # chain, yet every table refuses a degree with the text of that degree
+    errors = set()
+    for command in ("check", "basket", "verdict"):
+        status, out, err = run_cli(capsys, command, "--septuple", septuple)
+        assert (status, out) == (1, "")
+        errors.add(err)
+    assert len(errors) == 1, errors
+
+
+def test_check_answers_up_to_the_table_limit(capsys):
+    # 524,287 is the largest degree whose table of five weights fits MAX_SERIES_BITS
+    assert run_cli(capsys, "check", "--septuple", "1,1,1,1,524286,524287")[0] == 0
+    status, out, err = run_cli(capsys, "check", "--septuple", "1,1,1,1,524287,524288")
+    assert (status, out) == (1, "")
+    assert json.loads(err)["error"] == "semigroup_table: degree 524288 needs 16777248 bits, over 16777216"
 
 
 def test_one_parser_per_process(capsys):

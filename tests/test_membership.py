@@ -1,5 +1,4 @@
 import random
-import re
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -219,28 +218,34 @@ def test_counted_representable_answers_as_count_monomials():
                 assert all(counted(wts, t) == representable(wts, t) for t in range(-5, top + 1)), (a, wts)
 
 
-@pytest.mark.parametrize("septuple", [
-    (1, 1, 1, 1, 100000000, 100000001),
-    (2, 3, 5, 3000000, 5000000, 8000000),
-    (1, 1, 1, 1, 10000000, 10000001),
-])
-def test_table_predicates_refuse_as_count_oracles(septuple):
-    # a degree too large for count_monomials is refused with the text of the
-    # oracle's first question, whose size the text names through its bits;
-    # in the last septuple only w misses d, yet the refusal names size 2
-    ws = weight_system(*septuple)
-    for table_based, oracle in (
-        (quasismooth_general, count_quasismooth_general),
-        (hypersurface_well_formed, count_hypersurface_well_formed),
-        (top_variable_degree, count_top_variable_degree),
+#: the text of every table past its limit, 524,287, at the first degree past it
+REFUSED_524288 = "^semigroup_table: degree 524288 needs 16777248 bits, over 16777216$"
+
+
+def test_table_predicates_refuse_one_degree_with_one_text():
+    # each predicate answers at the limit and refuses the next degree with the
+    # table's text, whatever weights it builds its table of: quasismoothness
+    # the live w, well-formedness the triple (2, 2, 2), the top degree x, y, z, t
+    assert quasismooth_general(weight_system(1, 1, 1, 1, 524286, 524287)) == (True, [])
+    assert not hypersurface_well_formed(weight_system(1, 2, 2, 2, 524285, 524287))
+    assert top_variable_degree(weight_system(1, 1, 1, 1, 524286, 524287)) == 1
+    for predicate, a in (
+        (quasismooth_general, (1, 1, 1, 1, 524287)),
+        (hypersurface_well_formed, (1, 2, 2, 2, 524287)),
+        (top_variable_degree, (1, 1, 1, 1, 524287)),
     ):
-        try:
-            expected = oracle(ws)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                table_based(ws)
-        else:
-            assert table_based(ws) == expected
+        with pytest.raises(ValueError, match=REFUSED_524288):
+            predicate(WeightSystem(a, 524_288))
+
+
+def test_rejection_past_the_limit_names_no_stage():
+    # both pass the stages before quasismoothness, whose table refuses d; the
+    # first fails hypersurface well-formedness (the triple (2, 2, 2), d odd) and
+    # the second terminality (the vertex 1/524288(1,1,1)), and neither is named
+    assert not terminal_general(WeightSystem((1, 1, 1, 1, 524288), 524_289))
+    for a in ((1, 2, 2, 2, 524287), (1, 1, 1, 1, 524288)):
+        with pytest.raises(ValueError, match="^semigroup_table: degree 524289 needs"):
+            rejection(a, 524_289, terminal_general)
 
 
 @pytest.mark.slow

@@ -11,7 +11,6 @@ from wfano.wspace import (
     format_monomial,
     parse_monomial,
     semigroup_table,
-    series_width,
     weight_system,
     weighted_degree,
     wps_well_formed,
@@ -172,21 +171,20 @@ def test_semigroup_table_against_representable():
     # every bit at the index-1 degree of each weight system with weights <= 5
     for a in combinations_with_replacement(range(1, 6), 5):
         d = sum(a) - 1
-        table = semigroup_table(a, d, ())
+        table = semigroup_table(a, d)
         assert table[0] == 1
         for mask in range(1, 32):
             wts = tuple(w for i, w in enumerate(a) if mask >> i & 1)
             assert table[mask] == sum(representable(wts, t) << t for t in range(d + 1)), (a, mask)
             # a subset's sums are sums of every superset
             assert all(table[mask] & ~table[sup] == 0 for sup in range(32) if mask & ~sup == 0)
-        # the chain is the prefix entries, full ones (a weight 1 on the way) included
-        assert semigroup_table(a, d, (), chain=True) == [table[(1 << i) - 1] for i in range(6)], a
 
 
-def test_semigroup_table_checks_series_width_only_where_it_can_refuse():
-    # semigroup_table calls series_width only from d = 2^16 on; below, every size fits
-    assert all(series_width(n, (1 << 16) - 1) for n in range(1, 6))
-    # 246,723 is the smallest degree refused at size 5
-    assert semigroup_table((1,), 246_722, (5,))[1] == (1 << 246_723) - 1
-    with pytest.raises(ValueError, match="^count_monomials: degree 246723 needs"):
-        semigroup_table((1,), 246_723, (5,))
+def test_semigroup_table_refuses_past_one_degree_limit():
+    # a table of five weights holds (d + 1) * 2^5 bits, within MAX_SERIES_BITS
+    # up to d = 524,287; past it every table is refused, with a text of d alone;
+    # below, every t but 1 is a sum of 2, 3, 5, 7 and 11
+    assert semigroup_table((2, 3, 5, 7, 11), 524_287)[-1] == (1 << 524_288) - 1 - 0b10
+    for weights in ((), (1,), (2, 3, 5, 7, 11)):
+        with pytest.raises(ValueError, match="^semigroup_table: degree 524288 needs 16777248 bits, over 16777216$"):
+            semigroup_table(weights, 524_288)
