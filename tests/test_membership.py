@@ -218,10 +218,6 @@ def test_counted_representable_answers_as_count_monomials():
                 assert all(counted(wts, t) == representable(wts, t) for t in range(-5, top + 1)), (a, wts)
 
 
-#: the text of every table past its limit, 524,287, at the first degree past it
-REFUSED_524288 = "^semigroup_table: degree 524288 needs 16777248 bits, over 16777216$"
-
-
 def test_table_predicates_refuse_one_degree_with_one_text():
     # each predicate answers at the limit and refuses the next degree with the
     # table's text, whatever weights it builds its table of: quasismoothness
@@ -234,7 +230,7 @@ def test_table_predicates_refuse_one_degree_with_one_text():
         (hypersurface_well_formed, (1, 2, 2, 2, 524287)),
         (top_variable_degree, (1, 1, 1, 1, 524287)),
     ):
-        with pytest.raises(ValueError, match=REFUSED_524288):
+        with pytest.raises(ValueError, match="^semigroup_table: degree 524288 needs 16777248 bits, over 16777216$"):
             predicate(WeightSystem(a, 524_288))
 
 
