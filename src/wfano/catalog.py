@@ -78,10 +78,10 @@ the coprime threes and the terminal lemma at every vertex and edge.  No
 accepted family fails a condition or bound, and the candidates are exactly
 the 130 accepted families (a5 <= 33, d <= 66); ``classify`` keeps its box's.
 
-Every candidate then goes through the predicate chain
-``membership.rejection``: linear cone, vertex coverage, ambient and
-hypersurface well-formedness, terminality of the general member, and
-quasismoothness: 95 families of index 1 and 130 in total.
+Every candidate then goes through ``family_record``, the one gate of an
+accepted family: one pass of the chain ``membership.rejection``, then one
+walk of the singular locus, whose basket must be terminal: 95 families of
+index 1 and 130 in total.
 """
 
 from __future__ import annotations
@@ -94,8 +94,9 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
+# membership_report and singular_points_general are unused here; perfbench/tracing.py wraps these names
 from .membership import MembershipReport, membership_report, rejection
-from .singular import SingularityBasket, singular_points_general, terminal_general, terminal_type, vertex_type
+from .singular import SingularityBasket, singular_locus, singular_points_general, terminal_general, terminal_type, vertex_type
 from .wspace import WeightSystem, count_monomials
 
 SCHEMA_VERSION = 1
@@ -180,11 +181,13 @@ class FamilyRecord:
         }
 
 
-def family_record(ws: WeightSystem) -> FamilyRecord:
-    """The record of an accepted family, labelled from ``FAMILY_LABELS``."""
-    return FamilyRecord(
-        ws, membership_report(ws), singular_points_general(ws), FAMILY_LABELS.get(ws.septuple)
-    )
+def family_record(ws: WeightSystem) -> FamilyRecord | None:
+    """The record of an accepted family, labelled from ``FAMILY_LABELS``, or None: one pass of
+    ``rejection``, then one walk of the singular locus, whose basket must be terminal.  Its
+    flags are those of every accepted family, as ``membership_report`` gives them."""
+    if rejection(ws.weights, ws.degree) is not None or not (basket := singular_locus(ws)).terminal:
+        return None
+    return FamilyRecord(ws, MembershipReport(ws, True, True, False, True), basket, FAMILY_LABELS.get(ws.septuple))
 
 
 def _top_pairs(a1: int, a2: int, a3: int) -> Iterator[tuple[int, int, int]]:
@@ -336,13 +339,13 @@ def _candidates(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], int]]:
                         yield a, d
 
 
-def _search_chunk(args: tuple[int, int, SearchBounds]) -> list[tuple[tuple[int, ...], int]]:
-    """All accepted (weights, d) in bounds with a1 in [lo, hi)."""
+def _search_chunk(args: tuple[int, int, SearchBounds]) -> list[FamilyRecord]:
+    """The records of all accepted families in bounds with a1 in [lo, hi)."""
     lo, hi, bounds = args
     return [
-        (a, d)
+        record
         for a, d in _candidates(lo, hi)
-        if a[4] <= bounds.max_weight and d <= bounds.max_degree and rejection(a, d, terminal_general) is None
+        if a[4] <= bounds.max_weight and d <= bounds.max_degree and (record := family_record(WeightSystem(a, d)))
     ]
 
 
@@ -363,13 +366,12 @@ def classify(bounds: SearchBounds | None = None, jobs: int = 1) -> list[FamilyRe
     top = min(bounds.max_weight, MAX_POINT_INDEX) + 1  # a1 <= a3 <= 24, and a1 <= a5 filters whole tasks
     workers = min(jobs, top - 1, os.cpu_count() or 1)
     if workers <= 1:
-        raw = _search_chunk((1, top, bounds))
+        records = _search_chunk((1, top, bounds))
     else:
-        raw = []
+        records = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_search_chunk, [(a1, a1 + 1, bounds) for a1 in range(1, top)]):
-                raw.extend(part)
-    records = [family_record(WeightSystem(a, d)) for a, d in raw]
+                records.extend(part)
     records.sort(key=lambda r: _order(r.ws))
     return records
 
@@ -396,18 +398,18 @@ def save_catalog(records: Sequence[FamilyRecord], path: str) -> None:
 def load_catalog(path: str) -> list[FamilyRecord]:
     """Load and revalidate a catalog file.
 
-    Every septuple must pass the search's predicate chain again, terminality
-    included, and carry the label ``family_record`` gives it; records are
-    rebuilt from their septuples (membership and basket are recomputed) and
-    must come once each in ``classify``'s order, so a loaded catalog is
-    structurally identical to a fresh one.  A malformed file raises ValueError.
+    Every septuple must pass the search's gate ``family_record`` again, and
+    carry the label it gives (schemaVersion and paperNumber are ints by type);
+    records are rebuilt from their septuples by that gate and must come once
+    each in ``classify``'s order, so a loaded catalog is structurally
+    identical to a fresh one.  A malformed file raises ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError("load_catalog: expected a JSON object")
     version = payload.get("schemaVersion")
-    if version != SCHEMA_VERSION:
+    if (type(version), version) != (int, SCHEMA_VERSION):
         raise ValueError(f"load_catalog: unsupported schemaVersion {version!r}")
     entries = payload.get("records")
     if not isinstance(entries, list):
@@ -428,15 +430,12 @@ def load_catalog(path: str) -> list[FamilyRecord]:
             raise ValueError(f"load_catalog: inconsistent septuple {sept}")
         if records and _order(ws) <= _order(records[-1].ws):
             raise ValueError(f"load_catalog: {sept} repeats a record or breaks classify's order")
-        reason = rejection(ws.weights, ws.degree, terminal_general)
-        if reason is not None:
-            raise ValueError(f"load_catalog: {sept} fails {reason}")
         record = family_record(ws)
-        if entry.get("paperNumber") != record.paper_number:
-            raise ValueError(
-                f"load_catalog: {sept} has paperNumber {entry.get('paperNumber')!r},"
-                f" expected {record.paper_number!r}"
-            )
+        if record is None:
+            raise ValueError(f"load_catalog: {sept} fails {rejection(ws.weights, ws.degree, terminal_general)}")
+        number = entry.get("paperNumber")
+        if (type(number), number) != (type(record.paper_number), record.paper_number):
+            raise ValueError(f"load_catalog: {sept} has paperNumber {number!r}, expected {record.paper_number!r}")
         records.append(record)
     return records
 

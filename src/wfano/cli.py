@@ -19,7 +19,7 @@ import sys
 from . import catalog as cat
 from . import irrational, symalg, symmetry
 from .membership import membership_report, rejection
-from .singular import format_non_isolated, singular_points_general
+from .singular import format_non_isolated, singular_locus, singular_points_general
 from .wspace import (
     WeightSystem,
     count_monomials,
@@ -117,7 +117,7 @@ def cmd_check(args) -> None:
     report = membership_report(ws)
     payload = {"septuple": list(ws.septuple), **report.to_dict()}
     if report.accepted:
-        basket = singular_points_general(ws)
+        basket = singular_locus(ws)
         payload["basket"] = basket.to_strings()
         payload["nonIsolated"] = format_non_isolated(basket.non_isolated)
         payload["terminal"] = basket.terminal
@@ -232,11 +232,9 @@ def cmd_stabilizer(args) -> None:
 
 def cmd_verdict(args) -> None:
     ws = _fano_ws_from_args(args)
-    if rejection(ws.weights, ws.degree) is not None:
-        raise ValueError(f"{ws} is not an accepted family")
     record = cat.family_record(ws)
-    if not record.basket.terminal:
-        raise ValueError(f"{ws} is not terminal")
+    if record is None:
+        raise ValueError(f"{ws} is not {'an accepted family' if rejection(ws.weights, ws.degree) else 'terminal'}")
     verdict = irrational.decide(record)
     payload = {"septuple": list(ws.septuple), **verdict.to_dict()}
     md_lines = [f"# degree of irrationality, {ws}", "", f"- values: {sorted(verdict.values)}"]

@@ -94,16 +94,17 @@ def vertex_type(a: tuple[int, ...], d: int, i: int) -> tuple[int, ...] | None:
     return tuple(wts)
 
 
-def _singular_locus(ws: WeightSystem) -> SingularityBasket:
+def singular_locus(ws: WeightSystem) -> SingularityBasket:
     """The basket of a general member, in one walk of its singular locus:
-    2-dimensional strata, then vertices, then edges."""
+    2-dimensional strata, then vertices, then edges.  It has no membership
+    guard: every caller has passed vertex coverage and well-formedness."""
     a, d = ws.weights, ws.degree
     points: list[BasketPoint] = []
     non_isolated: list[tuple[StratumSelector, str]] = []
 
     # 2-dimensional singular strata: X meets them in a curve of singular points
-    # unless the restricted equation is a single monomial.  Both callers have
-    # passed vertex coverage and well-formedness, and then such a stratum
+    # unless the restricted equation is a single monomial.  Past vertex
+    # coverage and well-formedness (see the docstring), such a stratum
     # always has at least two monomials (the lemma in ``catalog``'s docstring).
     for i, j, k in _TRIPLES:
         q = gcd(a[i], a[j], a[k])
@@ -166,7 +167,7 @@ def singular_points_general(ws: WeightSystem) -> SingularityBasket:
             f"singular_points_general: {ws} fails the membership predicates "
             f"({reason}); singularity types are undefined"
         )
-    return _singular_locus(ws)
+    return singular_locus(ws)
 
 
 def terminal_general(ws: WeightSystem) -> bool:
@@ -175,10 +176,10 @@ def terminal_general(ws: WeightSystem) -> bool:
     This is the terminality stage of ``membership.rejection``: it assumes the
     earlier stages passed (every vertex covered, where an uncovered one raises
     ValueError; no singular stratum inside X) and does not check them again.
-    It reads the basket's ``terminal`` off the walk of ``singular_points_general``,
-    run without its membership guard, so ws need not be quasismooth.
+    It reads the basket's ``terminal`` off ``singular_locus``, the unguarded
+    walk, so ws need not be quasismooth.
     """
-    return _singular_locus(ws).terminal
+    return singular_locus(ws).terminal
 
 
 def format_non_isolated(entries: tuple[tuple[StratumSelector, str], ...]) -> list[str]:

@@ -13,9 +13,13 @@ A class must also be built there: called (constructed) or raised.  Naming
 it in an annotation, an ``isinstance`` or an ``except`` builds nothing, so a
 class that only the tests construct fails here.
 
-A last scan asks the same of every defaulted parameter of a ``src/wfano``
+A scan asks the same of every defaulted parameter of a ``src/wfano``
 function: some call in ``src/wfano`` or ``perfbench/*.py`` passes it, by
 keyword or by position.  A default that no caller overrides is a constant.
+
+A last scan asks that every name a module of ``src/wfano`` imports be read
+in that module, or be one of that module's trace sites in ``SITES``, which
+the benchmark wraps only where the name resolves.
 """
 
 import ast
@@ -129,3 +133,18 @@ def test_every_default_is_passed_by_a_caller():
         and not any(passes(call, parameter, pos) for call in calls.get(function, ()))
     ]
     assert not never, f"no call in src/wfano or perfbench passes these defaulted parameters: {never}"
+
+
+def test_every_import_is_read_or_traced():
+    traced = {(module, attr) for module, attr, _ in traced_sites()}
+    unread = []
+    for path, tree in zip(SOURCES, parse(SOURCES)):
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.stem}.{name}" for name in sorted(imported - read) if (f"wfano.{path.stem}", name) not in traced]
+    assert not unread, f"imported but never read, and no trace site: {unread}"

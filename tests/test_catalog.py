@@ -21,7 +21,7 @@ from wfano.catalog import (
 from wfano.membership import membership_report, rejection
 from wfano.singular import (
     QuotientSingularity,
-    _singular_locus,
+    singular_locus,
     singular_points_general,
     terminal_general,
 )
@@ -367,7 +367,7 @@ def test_constraint_search_matches_brute_force(generated, bounds, index_range, c
         if reason not in (None, "quasismoothness"):
             continue
         ws = WeightSystem(a, d)
-        basket = _singular_locus(ws)
+        basket = singular_locus(ws)
         full = not basket.non_isolated and all(reid_tai_terminal(p.singularity) for p in basket.points)
         assert terminal_general(ws) == full, ws
         if reason is None:

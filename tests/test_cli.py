@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from wfano import catalog
+from wfano import catalog, membership, singular
 from wfano.cli import CATALOG_ENV, MAX_SEARCH_WEIGHT, _integers, build_parser, main
 
 from conftest import box_records
@@ -229,6 +230,39 @@ def test_report_from_saved_catalog(tmp_path, capsys, monkeypatch, default_catalo
     assert len(payload["records"]) == len(records)
 
 
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Counts of the chain's quasismoothness test and of the walk of the
+    singular locus, each patched in every module of wfano that holds it."""
+    calls = Counter()
+    for module, name in ((membership, "quasismooth_general"), (singular, "singular_locus")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for held in [m for key, m in sys.modules.items() if key.startswith("wfano")]:
+            if vars(held).get(name) is original:
+                monkeypatch.setattr(held, name, counted)
+    return calls
+
+
+def test_each_accepted_family_takes_one_chain_pass_and_one_walk(gate_calls, tmp_path, capsys):
+    once = {"quasismooth_general": 1, "singular_locus": 1}
+    records = catalog.classify(jobs=1)
+    assert (len(records), gate_calls) == (130, {name: 130 for name in once})
+    path = tmp_path / "catalog.json"
+    path.write_text(catalog.catalog_json(records))
+    gate_calls.clear()
+    assert catalog.load_catalog(str(path)) == records
+    assert gate_calls == {name: 130 for name in once}
+    for command in ("verdict", "check", "basket"):
+        gate_calls.clear()
+        assert run_cli(capsys, command, "--septuple", "1,1,1,1,1,4")[0] == 0
+        assert gate_calls == once, command
+
+
 BAD_CATALOGS = {
     "list.json": "[1, 2]",
     "norecords.json": '{"schemaVersion": 1}',
@@ -238,6 +272,12 @@ BAD_CATALOGS = {
     "nonmember.json": '{"schemaVersion": 1, "records": [{"septuple": ["1", "1", "1", "1", "4", "7", "1"],'
     ' "paperNumber": null}]}',
     "version.json": '{"schemaVersion": 2, "records": []}',
+    "version-true.json": '{"schemaVersion": true, "records": []}',
+    "version-float.json": '{"schemaVersion": 1.0, "records": []}',
+    "label-true.json": '{"schemaVersion": 1, "records": [{"septuple": ["1", "1", "1", "1", "1", "4", "1"],'
+    ' "paperNumber": true}]}',
+    "label-float.json": '{"schemaVersion": 1, "records": [{"septuple": ["1", "1", "1", "1", "1", "4", "1"],'
+    ' "paperNumber": 1.0}]}',
     "text.json": "not json",
     "float.json": '{"schemaVersion": 1, "records": [{"septuple": [1.9, 1, 1, 1, true, "4", "1"], "paperNumber": 1}]}',
     "string.json": '{"schemaVersion": 1, "records": [{"septuple": "1111141", "paperNumber": 1}]}',
@@ -373,6 +413,15 @@ BAD_INPUTS = [
         error="(1, 1, 1, 1, 1, 4, 1) repeats a record or breaks classify's order"),
     bad("report-catalog-version", "report", "--catalog", "{tmp}/version.json",
         error="unsupported schemaVersion"),
+    # JSON true and 1.0 equal 1 in Python, yet neither is the integer 1
+    bad("report-catalog-version-true", "report", "--catalog", "{tmp}/version-true.json",
+        error="unsupported schemaVersion True"),
+    bad("report-catalog-version-float", "report", "--catalog", "{tmp}/version-float.json",
+        error="unsupported schemaVersion 1.0"),
+    bad("report-catalog-label-true", "report", "--catalog", "{tmp}/label-true.json",
+        error="has paperNumber True, expected 1"),
+    bad("report-catalog-label-float", "report", "--catalog", "{tmp}/label-float.json",
+        error="has paperNumber 1.0, expected 1"),
     bad("report-catalog-not-json", "report", "--catalog", "{tmp}/text.json", error="Expecting value"),
     bad("report-catalog-empty", "report", "--catalog", "", error="No such file or directory: ''"),
     bad("report-catalog-missing", "report", "--catalog", "{tmp}/missing.json",

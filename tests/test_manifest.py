@@ -5,7 +5,7 @@ import json
 import pytest
 from manifest import NON_QUASISMOOTH, PATH, REPORT, STAGES, argvs, compute, slow_argvs
 
-from wfano.cli import CATALOG_ENV
+from wfano.cli import CATALOG_ENV, main
 from wfano.membership import quasismooth_general, rejection
 from wfano.singular import terminal_general
 from wfano.wspace import weight_system, wps_well_formed
@@ -49,3 +49,24 @@ def test_stage_cases_fail_each_late_stage_in_order():
         "well-formedness", "hypersurface well-formedness", "quasismoothness", None]
     assert rejection(STAGES[3][:5], STAGES[3][5], terminal_general) == "terminality"
     assert wps_well_formed(weight_system(*STAGES[1]))
+
+
+@pytest.mark.parametrize("s, stage, terminal", [
+    (STAGES[0], "well-formedness", "well-formedness"),
+    (STAGES[1], "hypersurface well-formedness", "hypersurface well-formedness"),
+    (STAGES[2], "quasismoothness", "terminality"),  # fails both; terminality is tested first
+    (STAGES[3], None, "terminality"),
+])
+def test_stage_cases_keep_their_error_texts(s, stage, terminal, tmp_path, capsys):
+    # verdict tells a rejected family from a non-terminal one by the chain without
+    # terminality; a catalog record names the stage of the chain with it
+    assert (rejection(s[:5], s[5]), rejection(s[:5], s[5], terminal_general)) == (stage, terminal)
+    ws = weight_system(*s)
+    assert main(["verdict", "--septuple", ",".join(map(str, s))]) == 1
+    out, err = capsys.readouterr()
+    assert (out, json.loads(err)) == ("", {"error": f"{ws} is not {'an accepted family' if stage else 'terminal'}"})
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"schemaVersion": 1, "records": [{"septuple": list(ws.septuple), "paperNumber": None}]}))
+    assert main(["report", "--catalog", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, json.loads(err)) == ("", {"error": f"load_catalog: {ws.septuple} fails {terminal}"})

@@ -185,7 +185,7 @@ def test_every_vertex_partner_gives_one_type(default_catalog):
 
 
 def test_gcd_strata_have_two_monomials_past_well_formedness():
-    # the lemma _singular_locus relies on (catalog's docstring): once every
+    # the lemma singular_locus relies on (catalog's docstring): once every
     # vertex is covered and X is well-formed, three weights with a common
     # factor carry at least two monomials of degree d
     pairs = strata = 0
